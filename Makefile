@@ -105,9 +105,9 @@ bench-check:
 bench-record:
 	$(GO) run ./cmd/benchdiff record -current BENCH_ci.json -baseline BENCH_baseline.json -history BENCH_history.jsonl -label "$(LABEL)"
 
-# profile captures CPU and heap profiles from the two solver hot-path
-# benchmarks (the multistart fold and the warm-chained frontier sweep)
-# into $(PROFILEDIR). Inspect with `go tool pprof $(PROFILEDIR)/libra.test
+# profile captures CPU and heap profiles from the solver hot-path
+# benchmarks (the multistart fold, the warm-chained frontier sweep and
+# the cold-solve request mix) into $(PROFILEDIR). Inspect with `go tool pprof $(PROFILEDIR)/libra.test
 # $(PROFILEDIR)/cpu.pprof`. CI uploads the directory as an artifact.
 # To profile a live server instead, start libra-serve with
 # `-debug-addr 127.0.0.1:6060` and point pprof at
@@ -115,7 +115,7 @@ bench-record:
 # loopback or otherwise non-public address).
 profile:
 	mkdir -p $(PROFILEDIR)
-	$(GO) test -bench='^(BenchmarkMinimizeParallel|BenchmarkFrontier)$$' -benchmem \
+	$(GO) test -bench='^(BenchmarkMinimizeParallel|BenchmarkFrontier|BenchmarkColdSolveMix)$$' -benchmem \
 		-benchtime=1s -run='^$$' -timeout 10m \
 		-cpuprofile $(PROFILEDIR)/cpu.pprof -memprofile $(PROFILEDIR)/mem.pprof \
 		-o $(PROFILEDIR)/libra.test .

@@ -174,6 +174,66 @@ func BenchmarkPerfPerCostSolve(b *testing.B) {
 	}
 }
 
+// coldSolveMixSpecs is the e2ebench cold-solve request shape: a
+// perf-per-cost mix of the three Table II transformers at uneven weights,
+// one problem on each of 3D-4K and 3D-1K.
+func coldSolveMixSpecs() []*libra.ProblemSpec {
+	mix := func(w1, w2, w3 float64) []libra.WorkloadSpec {
+		return []libra.WorkloadSpec{
+			{Preset: "GPT-3", Weight: w1},
+			{Preset: "Turing-NLG", Weight: w2},
+			{Preset: "MSFT-1T", Weight: w3},
+		}
+	}
+	return []*libra.ProblemSpec{
+		{Topology: "3D-4K", Workloads: mix(1.187, 0.734, 0.912), BudgetGBps: 612.5, Objective: "perf-per-cost"},
+		{Topology: "3D-1K", Workloads: mix(0.641, 1.352, 1.058), BudgetGBps: 431.25, Objective: "perf-per-cost"},
+	}
+}
+
+// BenchmarkColdSolveMix runs the cold-solve request shape in process: one
+// op builds and solves both problems of coldSolveMixSpecs. Starts run on
+// one worker so ns/op does not scale with the host's core count.
+func BenchmarkColdSolveMix(b *testing.B) {
+	specs := coldSolveMixSpecs()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, s := range specs {
+			p, err := s.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			p.Solver.Workers = 1
+			if _, err := p.Optimize(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkTimeFuncEval prices one bandwidth vector with the optimizer's
+// objective closure (GPT-3 on 4D-4K): the innermost call of every solve.
+func BenchmarkTimeFuncEval(b *testing.B) {
+	net := topology.FourD4K()
+	w, err := workload.GPT3(net.NPUs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	est := &timemodel.Estimator{Net: net, Compute: libra.A100(), Loop: timemodel.NoOverlap}
+	f, err := est.TimeFunc(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bw := topology.BWConfig{340.62, 84.78, 56.39, 18.21}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if f(bw) <= 0 {
+			b.Fatal("non-positive iteration time")
+		}
+	}
+}
+
 // ---- Service-layer (Engine) benchmarks ----
 
 func engineBenchSpec(budget float64) *libra.ProblemSpec {

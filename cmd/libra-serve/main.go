@@ -142,7 +142,7 @@ func main() {
 	if lnErr != nil {
 		cliutil.Fatal("libra-serve", lnErr)
 	}
-	srv := &http.Server{Handler: newMux(engine, manager, *maxBody, logger)}
+	srv := newServer(newMux(engine, manager, *maxBody, logger), readHeaderTimeout)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
@@ -172,6 +172,22 @@ func main() {
 	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		cliutil.Fatal("libra-serve", err)
 	}
+}
+
+// Connection timeouts. A client has readHeaderTimeout to send a request's
+// headers, which closes slow-header (slowloris) connections, and an idle
+// keep-alive connection is closed after idleTimeout. Read and write
+// timeouts stay unset: they would cut SSE job streams and the upload of
+// large request bodies.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the API server around h with the connection timeouts;
+// tests pass a short headerTimeout.
+func newServer(h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
 }
 
 // newMux builds the full service handler (see internal/server).

@@ -136,6 +136,35 @@ type row struct {
 	a  []float64
 	b  float64
 	eq bool
+	// unit ≥ 0 marks a bound row: a is sign·e_unit, so dot costs O(1).
+	// General rows carry unit = −1.
+	unit int
+	sign float64
+	// den is a·a, the halfspace projection's denominator.
+	den float64
+}
+
+func newRow(a []float64, b float64, eq bool) row {
+	return row{a: a, b: b, eq: eq, unit: -1, den: dot(a, a)}
+}
+
+func boundRow(n, i int, sign, b float64) row {
+	a := make([]float64, n)
+	a[i] = sign
+	return row{a: a, b: b, unit: i, sign: sign, den: dot(a, a)}
+}
+
+// dot returns r.a·x. On a bound row it reads the one nonzero coefficient:
+// the dense sum adds only ±0 terms besides sign·x[unit], so 0.0 +
+// sign·x[unit] is the same value bit for bit whenever x is finite (the
+// leading 0.0 turns a −0 product into the +0 the dense sum yields).
+//
+//libra:hotpath
+func (r *row) dot(x []float64) float64 {
+	if r.unit >= 0 {
+		return 0.0 + r.sign*x[r.unit]
+	}
+	return dot(r.a, x)
 }
 
 func (c *Constraints) rows() []row {
@@ -144,22 +173,18 @@ func (c *Constraints) rows() []row {
 	}
 	out := make([]row, 0, len(c.ineqA)+len(c.eqA)+2*c.n)
 	for i, a := range c.ineqA {
-		out = append(out, row{a: a, b: c.ineqB[i]})
+		out = append(out, newRow(a, c.ineqB[i], false))
 	}
 	for i := range c.lo {
 		if !math.IsInf(c.lo[i], -1) {
-			a := make([]float64, c.n)
-			a[i] = -1
-			out = append(out, row{a: a, b: -c.lo[i]})
+			out = append(out, boundRow(c.n, i, -1, -c.lo[i]))
 		}
 		if !math.IsInf(c.hi[i], 1) {
-			a := make([]float64, c.n)
-			a[i] = 1
-			out = append(out, row{a: a, b: c.hi[i]})
+			out = append(out, boundRow(c.n, i, 1, c.hi[i]))
 		}
 	}
 	for i, e := range c.eqA {
-		out = append(out, row{a: e, b: c.eqB[i], eq: true})
+		out = append(out, newRow(e, c.eqB[i], true))
 	}
 	c.rowsCache.Store(&out)
 	return out

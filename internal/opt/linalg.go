@@ -14,7 +14,11 @@
 //     (N ≤ 8).
 //
 // Projections onto the constraint polyhedron use a primal active-set
-// convex QP solver with a Dykstra alternating-projection fallback.
+// convex QP solver with a Dykstra alternating-projection fallback. The
+// solver projects through a projector that holds the materialized
+// constraint rows and all projection scratch and resets it on every call:
+// a sequential solve uses one for its seeds and every start, and each
+// parallel worker owns one, so reuse never changes a result bit.
 package opt
 
 import (

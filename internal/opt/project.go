@@ -7,12 +7,13 @@ import (
 // Project returns the Euclidean projection of x0 onto the constraint
 // polyhedron. It runs the primal active-set QP solver (Q = I) and falls
 // back to Dykstra's alternating projections if the active-set method
-// stalls on a degenerate working set. The result is clipped into the box
-// bounds as a final guard.
+// stalls on a degenerate working set.
 //
-// Hot loops that project repeatedly onto one constraint set should hold a
-// projector instead: Project builds the scratch buffers fresh on every
-// call.
+// Project builds a fresh projector on every call. The solver instead keeps
+// one projector per worker: it projects its seeds and runs every start's
+// local search (gradient steps and the Nelder-Mead polish) through it.
+// Each call resets all of the projector's per-call state, so the results
+// equal those of Project bit for bit.
 func Project(c *Constraints, x0 []float64) []float64 {
 	pr := newProjector(c)
 	return clone(pr.project(x0))
@@ -21,26 +22,28 @@ func Project(c *Constraints, x0 []float64) []float64 {
 // projector performs repeated Euclidean projections onto one constraint
 // set, reusing the materialized row table and every correction/scratch
 // buffer across calls — the projection inner loops are the solver's
-// allocation hot spot. The slice project returns aliases internal scratch:
-// it is valid only until the next call, must be cloned if kept, and must
-// never be fed back in as a later input. Not safe for concurrent use; each
-// local search owns one.
+// allocation hot spot. Every call resets all per-call state, so a result
+// never depends on what the projector projected before. The slice project
+// returns aliases internal scratch: it is valid only until the next call,
+// must be cloned if kept, and must never be fed back in as a later input.
+// Not safe for concurrent use; each solver worker owns one.
 type projector struct {
 	c    *Constraints
 	rows []row
 	n    int
 	res  []float64 // result buffer aliased by project's return value
 	y    []float64 // Dykstra: x + p_i scratch
-	rp   []float64 // Dykstra: single-row projection scratch
 	corr []float64 // Dykstra: correction vectors, flat len(rows)·n
 	prev []float64 // Dykstra: previous iterate
-	// prevCorr mirrors corr for the drift test.
-	prevCorr  []float64
-	inWorking []bool
-	working   []int
 	// corrZero[i] marks a correction vector known to be all-zero, enabling
 	// dykstra's inactive-row fast path.
 	corrZero []bool
+	// touched[i] marks a row the current Dykstra sweep projected onto, and
+	// rowDrift[i] how far that sweep moved its correction vector.
+	touched   []bool
+	rowDrift  []float64
+	inWorking []bool
+	working   []int
 	// Active-set KKT scratch: an augmented (A Aᵀ | rhs) system solved in
 	// place per iteration, plus the candidate point and step direction.
 	kktFlat []float64
@@ -52,25 +55,35 @@ type projector struct {
 
 func newProjector(c *Constraints) *projector {
 	rows := c.rows()
-	n := c.n
+	n, m := c.n, len(rows)
+	// All scratch comes from one float, one bool and one int allocation:
+	// a solve builds a projector per worker, and per-slice allocations
+	// were most of its bytes.
+	fs := make([]float64, 5*n+m*n+2*m+m*(m+1))
+	take := func(k int) []float64 {
+		out := fs[:k:k]
+		fs = fs[k:]
+		return out
+	}
+	bs := make([]bool, 3*m)
 	return &projector{
 		c:         c,
 		rows:      rows,
 		n:         n,
-		res:       make([]float64, n),
-		y:         make([]float64, n),
-		rp:        make([]float64, n),
-		corr:      make([]float64, len(rows)*n),
-		prev:      make([]float64, n),
-		prevCorr:  make([]float64, len(rows)*n),
-		inWorking: make([]bool, len(rows)),
-		working:   make([]int, 0, len(rows)),
-		corrZero:  make([]bool, len(rows)),
-		kktFlat:   make([]float64, len(rows)*(len(rows)+1)),
-		kktRows:   make([][]float64, len(rows)),
-		lam:       make([]float64, len(rows)),
-		z:         make([]float64, n),
-		dir:       make([]float64, n),
+		res:       take(n),
+		y:         take(n),
+		corr:      take(m * n),
+		prev:      take(n),
+		corrZero:  bs[0:m:m],
+		touched:   bs[m : 2*m : 2*m],
+		rowDrift:  take(m),
+		inWorking: bs[2*m : 3*m : 3*m],
+		working:   make([]int, 0, m),
+		kktFlat:   take(m * (m + 1)),
+		kktRows:   make([][]float64, m),
+		lam:       take(m),
+		z:         take(n),
+		dir:       take(n),
 	}
 }
 
@@ -101,75 +114,78 @@ func (pr *projector) dykstra(x0 []float64, maxSweeps int, tol float64) {
 	}
 	n := pr.n
 	// Dykstra correction vectors, one per constraint, zeroed per call.
-	corr, prevCorr := pr.corr, pr.prevCorr
+	corr := pr.corr
 	for i := range corr {
 		corr[i] = 0
-		prevCorr[i] = 0
 	}
-	corrZero := pr.corrZero
+	corrZero, touched, rowDrift := pr.corrZero, pr.touched, pr.rowDrift
 	for i := range corrZero {
 		corrZero[i] = true
 	}
 	prev := pr.prev
 	copy(prev, x)
-	y, proj := pr.y, pr.rp
+	y := pr.y
 	for sweep := 0; sweep < maxSweeps; sweep++ {
-		for i, r := range rows {
-			// y = x + p_i, then project y onto constraint i.
-			pi := corr[i*n : (i+1)*n]
+		for i := range rows {
+			r := &rows[i]
 			// Inactive inequality with a zero correction: y = x + 0 and
 			// the halfspace projection returns y unchanged, so the whole
 			// row op is a no-op — the dot product alone decides. Most rows
 			// of a sweep-state polyhedron (slack bounds) take this path
 			// every sweep.
-			if corrZero[i] && !r.eq && dot(r.a, x) <= r.b {
+			if corrZero[i] && !r.eq && r.dot(x) <= r.b {
+				touched[i] = false
 				continue
 			}
-			copy(y, x)
-			axpy(1, pi, y)
-			projectRowInto(proj, r, y)
+			touched[i] = true
+			// y = x + p_i, then project y onto constraint i (closed form:
+			// y − (v/a·a)·a when the row binds), and in the same pass
+			// replace p_i by y − proj and x by proj.
+			pi := corr[i*n : (i+1)*n]
+			for k := range y {
+				y[k] = x[k] + pi[k]
+			}
+			v := r.dot(y) - r.b
+			moves := (r.eq || v > 0) && r.den != 0
+			alpha := -v / r.den
 			zero := true
+			ss := 0.0
 			for k := range x {
-				pi[k] = y[k] - proj[k]
-				if pi[k] != 0 {
+				proj := y[k]
+				if moves {
+					proj += alpha * r.a[k]
+				}
+				c := y[k] - proj
+				d := c - pi[k]
+				ss += d * d
+				pi[k] = c
+				if c != 0 {
 					zero = false
 				}
-				x[k] = proj[k]
+				x[k] = proj
 			}
 			corrZero[i] = zero
+			rowDrift[i] = math.Sqrt(ss)
 		}
 		// Stop only when the whole sweep state — iterate AND corrections —
 		// has stopped moving. The iterate alone can sit still for a sweep
 		// while the corrections rebalance and then escape (a transient
 		// fixed point of x, not of the map), so watching x only can latch
-		// onto a feasible non-projection point.
+		// onto a feasible non-projection point. A row's correction moves
+		// only when the sweep touches it, and then exactly once, so its
+		// drift is measured against its value before that update; the
+		// rows a sweep skips keep their correction and add nothing.
 		drift := normDiff(x, prev)
 		for i := range rows {
-			drift += normDiff(corr[i*n:(i+1)*n], prevCorr[i*n:(i+1)*n])
+			if touched[i] {
+				drift += rowDrift[i]
+			}
 		}
 		if drift < tol*(1+norm2(x)) && pr.c.Feasible(x, 1e-9) {
 			break
 		}
 		copy(prev, x)
-		copy(prevCorr, corr)
 	}
-}
-
-// projectRowInto projects y onto a single halfspace a·x ≤ b (or hyperplane
-// a·x = b), writing into dst.
-func projectRowInto(dst []float64, r row, y []float64) {
-	v := dot(r.a, y) - r.b
-	if !r.eq && v <= 0 {
-		copy(dst, y)
-		return
-	}
-	den := dot(r.a, r.a)
-	if den == 0 {
-		copy(dst, y)
-		return
-	}
-	copy(dst, y)
-	axpy(-v/den, r.a, dst)
 }
 
 func normDiff(a, b []float64) float64 {
@@ -201,8 +217,9 @@ func (pr *projector) activeSet(x0 []float64) bool {
 	for i := range inWorking {
 		inWorking[i] = false
 	}
-	for i, r := range rows {
-		if r.eq || math.Abs(dot(r.a, x)-r.b) < actTol {
+	for i := range rows {
+		r := &rows[i]
+		if r.eq || math.Abs(r.dot(x)-r.b) < actTol {
 			working = append(working, i)
 			inWorking[i] = true
 		}
@@ -249,15 +266,16 @@ func (pr *projector) activeSet(x0 []float64) bool {
 		}
 		// Step toward z, stopping at the first blocking constraint.
 		alpha, blocking := 1.0, -1
-		for i, r := range rows {
+		for i := range rows {
+			r := &rows[i]
 			if inWorking[i] || r.eq {
 				continue
 			}
-			ad := dot(r.a, dir)
+			ad := r.dot(dir)
 			if ad <= 1e-12 {
 				continue
 			}
-			room := (r.b - dot(r.a, x)) / ad
+			room := (r.b - r.dot(x)) / ad
 			if room < alpha {
 				alpha, blocking = room, i
 			}
@@ -295,9 +313,9 @@ func (pr *projector) eqProject(x0 []float64, working []int) (z, lambda []float64
 	for i, wi := range working {
 		r := pr.kktFlat[i*w : i*w+w]
 		for j, wj := range working {
-			r[j] = dot(rows[wi].a, rows[wj].a)
+			r[j] = rows[wi].dot(rows[wj].a)
 		}
-		r[m] = dot(rows[wi].a, x0) - rows[wi].b
+		r[m] = rows[wi].dot(x0) - rows[wi].b
 		kkt[i] = r
 	}
 	lam := pr.lam[:m]

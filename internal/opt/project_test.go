@@ -1,0 +1,336 @@
+package opt
+
+import (
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+)
+
+// randomPolyhedron builds a feasible constraint set over 2–6 variables
+// around a random interior point z, mixing every row shape the solver
+// sees: lower and upper bounds, a budget (sum) row, ordering rows, a
+// pair sum and a weighted sum.
+func randomPolyhedron(rng *rand.Rand) *Constraints {
+	n := 2 + rng.Intn(5)
+	z := make([]float64, n)
+	for i := range z {
+		z[i] = 1 + 99*rng.Float64()
+	}
+	c := NewConstraints(n).SetAllLower(0.1)
+	for i := range z {
+		if rng.Intn(3) == 0 {
+			c.SetUpper(i, z[i]+20*rng.Float64())
+		}
+		if rng.Intn(4) == 0 {
+			c.SetLower(i, z[i]*rng.Float64())
+		}
+	}
+	sum := 0.0
+	for _, v := range z {
+		sum += v
+	}
+	switch rng.Intn(3) {
+	case 0:
+		c.SumEquals(sum)
+	case 1:
+		c.SumAtMost(sum + 10*rng.Float64())
+	}
+	for k := 0; k < rng.Intn(3); k++ {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i != j && z[i] >= z[j] {
+			c.Ordered(i, j)
+		}
+	}
+	if rng.Intn(3) == 0 {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i != j {
+			c.PairSumEquals(i, j, z[i]+z[j])
+		}
+	}
+	if rng.Intn(2) == 0 {
+		coef := make([]float64, n)
+		v := 0.0
+		for i := range coef {
+			coef[i] = 0.5 + 3*rng.Float64()
+			v += coef[i] * z[i]
+		}
+		c.WeightedSumAtMost(coef, v+5*rng.Float64())
+	}
+	return c
+}
+
+// randomPoint draws a point to project: mostly outside the polyhedron
+// (negative entries, entries far above the budget), sometimes on its
+// lower bound, sometimes with signed zeros.
+func randomPoint(rng *rand.Rand, n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		switch rng.Intn(8) {
+		case 0:
+			x[i] = 0.1
+		case 1:
+			x[i] = math.Copysign(0, -1)
+		case 2:
+			x[i] = 0
+		default:
+			x[i] = -50 + 400*rng.Float64()
+		}
+	}
+	return x
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestProjectorReuseMatchesFreshProject feeds one long-lived projector a
+// seeded random sequence of points and checks every result against a
+// fresh Project call and against the dense reference implementation: a
+// projector must reset all per-call state (corrections, touched flags,
+// working set, KKT scratch) so that reuse never moves a bit.
+func TestProjectorReuseMatchesFreshProject(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	points := 0
+	for poly := 0; poly < 60; poly++ {
+		c := randomPolyhedron(rng)
+		pr := newProjector(c)
+		for k := 0; k < 25; k++ {
+			x0 := randomPoint(rng, c.N())
+			reused := clone(pr.project(x0))
+			fresh := Project(c, x0)
+			ref := referenceProject(c, x0)
+			if !sameBits(reused, fresh) {
+				t.Fatalf("polyhedron %d point %d: reused projector %v, fresh Project %v (x0 %v)", poly, k, reused, fresh, x0)
+			}
+			if !sameBits(fresh, ref) {
+				t.Fatalf("polyhedron %d point %d: Project %v, dense reference %v (x0 %v)", poly, k, fresh, ref, x0)
+			}
+			points++
+		}
+	}
+	t.Logf("%d projections", points)
+}
+
+// TestRowDotMatchesDense pins the O(1) bound-row product to the dense
+// sum, signed zeros included.
+func TestRowDotMatchesDense(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	xs := [][]float64{
+		{3, -2, 5.5},
+		{0, negZero, 7},
+		{negZero, negZero, negZero},
+		{1e-300, -1e300, 0},
+	}
+	for _, x := range xs {
+		for i := range x {
+			for _, sign := range []float64{-1, 1} {
+				r := boundRow(len(x), i, sign, 0)
+				got, want := r.dot(x), dot(r.a, x)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("bound row %v·%v: O(1) %v (bits %x), dense %v (bits %x)",
+						r.a, x, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// referenceProject is the dense projection the projector replaced: every
+// row product is a full dot, every Dykstra row op copies, and the drift
+// test compares each correction against a full copy of the previous
+// sweep's. Kept as the oracle the bit-identity tests compare against.
+func referenceProject(c *Constraints, x0 []float64) []float64 {
+	if c.Feasible(x0, 1e-12) {
+		return clone(x0)
+	}
+	rows := c.rows()
+	if x, ok := referenceActiveSet(c, rows, x0); ok && c.Feasible(x, 1e-7) {
+		return x
+	}
+	return referenceDykstra(c, rows, x0, 2000, 1e-12)
+}
+
+func referenceDykstra(c *Constraints, rows []row, x0 []float64, maxSweeps int, tol float64) []float64 {
+	x := clone(x0)
+	if len(rows) == 0 {
+		return x
+	}
+	n := len(x0)
+	corr := make([]float64, len(rows)*n)
+	prevCorr := make([]float64, len(rows)*n)
+	corrZero := make([]bool, len(rows))
+	for i := range corrZero {
+		corrZero[i] = true
+	}
+	prev := clone(x)
+	y, proj := make([]float64, n), make([]float64, n)
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		for i, r := range rows {
+			pi := corr[i*n : (i+1)*n]
+			if corrZero[i] && !r.eq && dot(r.a, x) <= r.b {
+				continue
+			}
+			copy(y, x)
+			axpy(1, pi, y)
+			copy(proj, y)
+			if v := dot(r.a, y) - r.b; r.eq || v > 0 {
+				if den := dot(r.a, r.a); den != 0 {
+					axpy(-v/den, r.a, proj)
+				}
+			}
+			zero := true
+			for k := range x {
+				pi[k] = y[k] - proj[k]
+				if pi[k] != 0 {
+					zero = false
+				}
+				x[k] = proj[k]
+			}
+			corrZero[i] = zero
+		}
+		drift := normDiff(x, prev)
+		for i := range rows {
+			drift += normDiff(corr[i*n:(i+1)*n], prevCorr[i*n:(i+1)*n])
+		}
+		if drift < tol*(1+norm2(x)) && c.Feasible(x, 1e-9) {
+			break
+		}
+		copy(prev, x)
+		copy(prevCorr, corr)
+	}
+	return x
+}
+
+func referenceActiveSet(c *Constraints, rows []row, x0 []float64) ([]float64, bool) {
+	x := referenceDykstra(c, rows, x0, 300, 1e-11)
+	if !c.Feasible(x, 1e-7) {
+		return nil, false
+	}
+	const actTol = 1e-8
+	var working []int
+	inWorking := make([]bool, len(rows))
+	for i, r := range rows {
+		if r.eq || math.Abs(dot(r.a, x)-r.b) < actTol {
+			working = append(working, i)
+			inWorking[i] = true
+		}
+	}
+	for iter := 0; iter < 200; iter++ {
+		z, lambda, ok := referenceEqProject(rows, x0, working)
+		if !ok {
+			if len(working) == 0 {
+				return x, true
+			}
+			last := working[len(working)-1]
+			if rows[last].eq {
+				return nil, false
+			}
+			inWorking[last] = false
+			working = working[:len(working)-1]
+			continue
+		}
+		dir := sub(z, x)
+		if norm2(dir) < 1e-10 {
+			minLambda, minIdx := 0.0, -1
+			for k, wi := range working {
+				if !rows[wi].eq && lambda[k] < minLambda {
+					minLambda, minIdx = lambda[k], k
+				}
+			}
+			if minIdx < 0 || minLambda > -1e-9 {
+				return x, true
+			}
+			inWorking[working[minIdx]] = false
+			working = append(working[:minIdx], working[minIdx+1:]...)
+			continue
+		}
+		alpha, blocking := 1.0, -1
+		for i, r := range rows {
+			if inWorking[i] || r.eq {
+				continue
+			}
+			ad := dot(r.a, dir)
+			if ad <= 1e-12 {
+				continue
+			}
+			if room := (r.b - dot(r.a, x)) / ad; room < alpha {
+				alpha, blocking = room, i
+			}
+		}
+		if alpha < 0 {
+			alpha = 0
+		}
+		axpy(alpha, dir, x)
+		if blocking >= 0 {
+			working = append(working, blocking)
+			inWorking[blocking] = true
+		}
+	}
+	return nil, false
+}
+
+func referenceEqProject(rows []row, x0 []float64, working []int) (z, lambda []float64, ok bool) {
+	m := len(working)
+	if m == 0 {
+		return clone(x0), nil, true
+	}
+	kkt := make([][]float64, m)
+	for i, wi := range working {
+		kkt[i] = make([]float64, m+1)
+		for j, wj := range working {
+			kkt[i][j] = dot(rows[wi].a, rows[wj].a)
+		}
+		kkt[i][m] = dot(rows[wi].a, x0) - rows[wi].b
+	}
+	lam := make([]float64, m)
+	if !solveAugmented(kkt, lam) {
+		return nil, nil, false
+	}
+	z = clone(x0)
+	for i, wi := range working {
+		axpy(-lam[i], rows[wi].a, z)
+	}
+	return z, lam, true
+}
+
+// Solves running at once share the seed PRNG pool: each must still draw
+// exactly its own seed's sequence and match the same solve run alone.
+func TestConcurrentSolvesMatchSequential(t *testing.T) {
+	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34}
+	want := make([]Result, len(seeds))
+	for i, s := range seeds {
+		r, err := Minimize(perfPerCostProblem(4), Options{Seed: s, Starts: 6, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
+	}
+	got := make([]Result, len(seeds))
+	errs := make([]error, len(seeds))
+	var wg sync.WaitGroup
+	for i, s := range seeds {
+		wg.Add(1)
+		go func(i int, s int64) {
+			defer wg.Done()
+			got[i], errs[i] = Minimize(perfPerCostProblem(4), Options{Seed: s, Starts: 6, Workers: 2})
+		}(i, s)
+	}
+	wg.Wait()
+	for i := range seeds {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if math.Float64bits(got[i].F) != math.Float64bits(want[i].F) || !sameBits(got[i].X, want[i].X) {
+			t.Errorf("seed %d: concurrent %v / %v, alone %v / %v", seeds[i], got[i].X, got[i].F, want[i].X, want[i].F)
+		}
+	}
+}

@@ -198,7 +198,10 @@ func MinimizeContext(ctx context.Context, p Problem, o Options) (Result, error) 
 		return Result{}, err
 	}
 
-	seeds, warm := seedPoints(p, o)
+	// One projector serves the seeds and every start the calling goroutine
+	// runs; parallel workers build their own.
+	pr := newProjector(p.Cons)
+	seeds, warm := seedPoints(p, pr, o)
 	if len(seeds) == 0 {
 		return Result{}, fmt.Errorf("opt: could not build any feasible start (empty feasible set?)")
 	}
@@ -209,7 +212,7 @@ func MinimizeContext(ctx context.Context, p Problem, o Options) (Result, error) 
 	}
 	var res Result
 	if workers <= 1 {
-		res, err = minimizeSequential(ctx, p, seeds, o, warm)
+		res, err = minimizeSequential(ctx, p, pr, seeds, o, warm)
 	} else {
 		res, err = minimizeParallel(ctx, p, seeds, o, workers, warm)
 	}
@@ -240,23 +243,24 @@ type startOutcome struct {
 }
 
 // runStart performs the full per-start local search under the selected
-// strategy. It is a pure function of (p, start, o) — scheduling cannot
-// change its result — which is what makes parallel multistart
+// strategy, projecting with pr. It is a pure function of (p, start, o) —
+// scheduling cannot change its result, and pr is scratch that every
+// projection resets — which is what makes parallel multistart
 // deterministic. Warm and cold starts run the identical search: the
 // warm-start cutoff is a selection decision (see folder.fold), not a
 // different per-start algorithm.
 //
 //libra:hotpath
-func runStart(ctx context.Context, p Problem, start []float64, o Options) startOutcome {
+func runStart(ctx context.Context, p Problem, pr *projector, start []float64, o Options) startOutcome {
 	telemetry.SolverStarts.Inc()
 	switch o.Strategy {
 	case StrategyCoordinateDescent:
-		x, f, conv := coordinateDescent(ctx, p, start, o)
+		x, f, conv := coordinateDescent(ctx, p, pr, start, o)
 		return startOutcome{x: x, f: f, conv: conv}
 	default: // StrategyProjectedGradient
-		x, f, conv, pgdIters := projectedGradient(ctx, p, start, o)
+		x, f, conv, pgdIters := projectedGradient(ctx, p, pr, start, o)
 		// Polish with direct search from the PGD endpoint.
-		x2, f2, nmIters := nelderMead(ctx, p, x, o)
+		x2, f2, nmIters := nelderMead(ctx, p, pr, x, o)
 		// Iteration totals land as two atomic adds per start — the inner
 		// loops stay untouched.
 		telemetry.SolverPGDIterations.Add(uint64(pgdIters))
@@ -313,10 +317,10 @@ func (fd *folder) fold(out startOutcome, si int) bool {
 	return false
 }
 
-func minimizeSequential(ctx context.Context, p Problem, seeds [][]float64, o Options, warm bool) (Result, error) {
+func minimizeSequential(ctx context.Context, p Problem, pr *projector, seeds [][]float64, o Options, warm bool) (Result, error) {
 	fd := newFolder(o, warm)
 	for si, s := range seeds {
-		out := runStart(ctx, p, s, o)
+		out := runStart(ctx, p, pr, s, o)
 		if err := ctx.Err(); err != nil {
 			return Result{}, fmt.Errorf("opt: solve canceled: %w", err)
 		}
@@ -351,8 +355,9 @@ func minimizeParallel(ctx context.Context, p Problem, seeds [][]float64, o Optio
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			pr := newProjector(p.Cons)
 			for si := range jobs {
-				outcomes[si] = runStart(runCtx, p, seeds[si], o)
+				outcomes[si] = runStart(runCtx, p, pr, seeds[si], o)
 				close(done[si])
 			}
 		}()
@@ -388,6 +393,12 @@ func finish(best Result) (Result, error) {
 	return best, nil
 }
 
+// rngPool recycles seedPoints' PRNGs. Seed resets a rand.Rand to exactly
+// the state of rand.New(rand.NewSource(seed)), so a recycled generator
+// draws the same sequence, and a solve skips allocating the source's
+// ~5 KB state.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
 // seedPoints builds deterministic feasible starting points: the optional
 // projected warm start first, then the projected center of the box/budget,
 // projected per-variable emphasis points, and seeded-random interior
@@ -395,8 +406,8 @@ func finish(best Result) (Result, error) {
 // set is independent of execution order. A warm start raises the seed cap
 // by one, so the cold seeds — and the PRNG draws producing them — are
 // exactly those of the equivalent cold solve. warm reports whether
-// seeds[0] is the warm start.
-func seedPoints(p Problem, o Options) (seeds [][]float64, warm bool) {
+// seeds[0] is the warm start. Every seed is projected with pr.
+func seedPoints(p Problem, pr *projector, o Options) (seeds [][]float64, warm bool) {
 	n := p.N
 	c := p.Cons
 	// Estimate a characteristic scale from bounds or budget rows.
@@ -430,7 +441,7 @@ func seedPoints(p Problem, o Options) (seeds [][]float64, warm bool) {
 	}
 
 	add := func(raw []float64) {
-		x := Project(c, raw)
+		x := clone(pr.project(raw))
 		if !c.Feasible(x, 1e-6) {
 			return
 		}
@@ -473,7 +484,9 @@ func seedPoints(p Problem, o Options) (seeds [][]float64, warm bool) {
 	}
 	add(g)
 	// Seeded random interior points.
-	rng := rand.New(rand.NewSource(o.Seed))
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(o.Seed)
 	for len(seeds) < limit {
 		r := make([]float64, n)
 		for i := range r {
@@ -529,22 +542,25 @@ func numGradInto(g []float64, f func([]float64) float64, x, xp, xm []float64) {
 }
 
 // projectedGradient runs monotone projected gradient descent with
-// backtracking line search from a feasible start. iters reports how many
-// descent iterations executed, for the caller's telemetry.
+// backtracking line search from a feasible start, projecting with pr.
+// iters reports how many descent iterations executed, for the caller's
+// telemetry.
 //
 //libra:hotpath
-func projectedGradient(ctx context.Context, p Problem, start []float64, o Options) (x []float64, f float64, converged bool, iters int) {
+func projectedGradient(ctx context.Context, p Problem, pr *projector, start []float64, o Options) (x []float64, f float64, converged bool, iters int) {
 	n := len(start)
+	// The candidate and the finite-difference gradient's buffers share
+	// one allocation.
+	scratch := make([]float64, 4*n)
+	cand := scratch[:n:n]
 	grad := p.Grad
 	if grad == nil {
-		gbuf, xp, xm := make([]float64, n), make([]float64, n), make([]float64, n)
+		gbuf, xp, xm := scratch[n:2*n:2*n], scratch[2*n:3*n:3*n], scratch[3*n:]
 		grad = func(x []float64) []float64 {
 			numGradInto(gbuf, p.Objective, x, xp, xm)
 			return gbuf
 		}
 	}
-	pr := newProjector(p.Cons)
-	cand := make([]float64, n)
 	x = clone(start)
 	f = p.Objective(x)
 	step := 1.0
@@ -591,11 +607,11 @@ func projectedGradient(ctx context.Context, p Problem, start []float64, o Option
 
 // nelderMead polishes a point with a penalized Nelder-Mead direct search;
 // constraint violations are penalized quadratically, and the returned
-// point is re-projected into the feasible set. iters reports how many
-// simplex iterations executed, for the caller's telemetry.
+// point is re-projected into the feasible set with pr. iters reports how
+// many simplex iterations executed, for the caller's telemetry.
 //
 //libra:hotpath
-func nelderMead(ctx context.Context, p Problem, start []float64, o Options) (_ []float64, _ float64, iters int) {
+func nelderMead(ctx context.Context, p Problem, pr *projector, start []float64, o Options) (_ []float64, _ float64, iters int) {
 	n := p.N
 	mu := 1e6 * math.Max(1, math.Abs(p.Objective(start)))
 	pen := func(x []float64) float64 {
@@ -606,12 +622,25 @@ func nelderMead(ctx context.Context, p Problem, start []float64, o Options) (_ [
 		}
 		return f + mu*v*v
 	}
+	// The simplex vertices, their penalized values, and the per-iteration
+	// scratch — the centroid, a difference direction, and one buffer per
+	// candidate move — share one allocation. Accepted candidates swap
+	// buffers with the worst vertex instead of allocating.
+	buf := make([]float64, (n+6)*n+n+1)
+	fs := buf[: n+1 : n+1]
+	buf = buf[n+1:]
+	vec := func() []float64 {
+		v := buf[:n:n]
+		buf = buf[n:]
+		return v
+	}
 	// Initial simplex around start.
 	simplex := make([][]float64, n+1)
-	fs := make([]float64, n+1)
-	simplex[0] = clone(start)
+	simplex[0] = vec()
+	copy(simplex[0], start)
 	for i := 1; i <= n; i++ {
-		s := clone(start)
+		s := vec()
+		copy(s, start)
 		h := 0.05 * math.Max(math.Abs(s[i-1]), 1)
 		s[i-1] += h
 		simplex[i] = s
@@ -633,14 +662,7 @@ func nelderMead(ctx context.Context, p Problem, start []float64, o Options) (_ [
 			}
 		}
 	}
-	// Per-iteration scratch, reused across iterations: the centroid, a
-	// difference direction, and one buffer per candidate move. Accepted
-	// candidates swap buffers with the worst vertex instead of allocating.
-	cen := make([]float64, n)
-	dif := make([]float64, n)
-	refl := make([]float64, n)
-	expd := make([]float64, n)
-	con := make([]float64, n)
+	cen, dif, refl, expd, con := vec(), vec(), vec(), vec(), vec()
 	for iter := 0; iter < 400*n; iter++ {
 		iters = iter + 1
 		if ctx.Err() != nil {
@@ -704,7 +726,7 @@ func nelderMead(ctx context.Context, p Problem, start []float64, o Options) (_ [
 		}
 	}
 	order()
-	best := Project(p.Cons, simplex[0])
+	best := clone(pr.project(simplex[0]))
 	fb := p.Objective(best)
 	if math.IsInf(fb, 1) {
 		return clone(start), p.Objective(start), iters

@@ -47,8 +47,7 @@ func ParseStrategy(s string) (Strategy, error) {
 // caps, floors, and ordering constraints stay satisfied). When no transfer
 // improves, the quantum halves; the search converges once the quantum is
 // negligible relative to the point's scale.
-func coordinateDescent(ctx context.Context, p Problem, start []float64, o Options) (x []float64, f float64, converged bool) {
-	pr := newProjector(p.Cons)
+func coordinateDescent(ctx context.Context, p Problem, pr *projector, start []float64, o Options) (x []float64, f float64, converged bool) {
 	cand := make([]float64, len(start))
 	x = clone(start)
 	f = p.Objective(x)

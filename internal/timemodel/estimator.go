@@ -122,29 +122,17 @@ func (e *Estimator) Prepare(w *workload.Workload) (func(bw topology.BWConfig) (B
 	}, nil
 }
 
-// commCost prices one collective call, accumulating per-dim traffic/busy
-// when the breakdown tracks them (nil DimTraffic marks the lean pricing
-// path, which only needs stage totals). tbuf is per-call traffic scratch.
+// commCost prices one collective call, accumulating per-dim traffic and
+// busy time into b. tbuf is per-call traffic scratch.
 func (e *Estimator) commCost(c workload.Comm, maps Mappings, bw topology.BWConfig, b *Breakdown, tbuf []float64) float64 {
-	mapping := maps.ForScope(c.Scope)
-	ndims := e.Net.NumDims()
-	var traffic []float64
-	if e.InNetwork != nil {
-		traffic = collective.InNetworkTrafficInto(tbuf, c.Op, c.Bytes, mapping, ndims, e.InNetwork)
-	} else {
-		traffic = collective.TrafficInto(tbuf, c.Op, c.Bytes, mapping, ndims)
-	}
-	track := b.DimTraffic != nil
 	worst := 0.0
-	for d, v := range traffic {
+	for d, v := range e.traffic(c, maps, tbuf) {
 		if v == 0 {
 			continue
 		}
 		t := v / (bw[d] * 1e9)
-		if track {
-			b.DimTraffic[d] += v
-			b.DimBusy[d] += t
-		}
+		b.DimTraffic[d] += v
+		b.DimBusy[d] += t
 		if t > worst {
 			worst = t
 		}
@@ -153,26 +141,24 @@ func (e *Estimator) commCost(c workload.Comm, maps Mappings, bw topology.BWConfi
 	return worst
 }
 
-func (e *Estimator) iterate(w *workload.Workload, bw topology.BWConfig, maps Mappings) Breakdown {
-	return e.iterateTracked(w, bw, maps, true)
+// traffic returns one collective's per-dimension bytes, with in-network
+// offload applied, written into tbuf.
+func (e *Estimator) traffic(c workload.Comm, maps Mappings, tbuf []float64) []float64 {
+	mapping := maps.ForScope(c.Scope)
+	ndims := e.Net.NumDims()
+	if e.InNetwork != nil {
+		return collective.InNetworkTrafficInto(tbuf, c.Op, c.Bytes, mapping, ndims, e.InNetwork)
+	}
+	return collective.TrafficInto(tbuf, c.Op, c.Bytes, mapping, ndims)
 }
 
-// iterateTracked prices one iteration. track=false is the optimizer's
-// lean path: per-dimension traffic/busy accumulators are skipped and all
-// scratch stays in fixed-size local buffers, so an evaluation allocates
-// nothing — the objective closures stay pure and safe for the solver's
-// concurrent multistart. Stage totals are computed by the same operations
-// in the same order either way.
-func (e *Estimator) iterateTracked(w *workload.Workload, bw topology.BWConfig, maps Mappings, track bool) Breakdown {
-	var b Breakdown
+// iterate prices one iteration with the full breakdown: stage totals plus
+// per-dimension traffic and busy time.
+func (e *Estimator) iterate(w *workload.Workload, bw topology.BWConfig, maps Mappings) Breakdown {
 	ndims := e.Net.NumDims()
-	var preTraffic, preBusy []float64
-	if track {
-		b.DimTraffic = make([]float64, ndims)
-		b.DimBusy = make([]float64, ndims)
-		preTraffic = make([]float64, ndims)
-		preBusy = make([]float64, ndims)
-	}
+	b := Breakdown{DimTraffic: make([]float64, ndims), DimBusy: make([]float64, ndims)}
+	preTraffic := make([]float64, ndims)
+	preBusy := make([]float64, ndims)
 	// Per-collective traffic scratch; LIBRA fabrics have ≤ 8 dimensions,
 	// so the backing array normally lives on this frame.
 	var tarr [8]float64
@@ -194,10 +180,8 @@ func (e *Estimator) iterateTracked(w *workload.Workload, bw topology.BWConfig, m
 		dpComp := e.Compute.Time(l.DPFLOPs, l.DPBytes)
 		// Communication is identical across the Count copies; price one
 		// layer and scale. Scale the shared accumulators afterwards.
-		if track {
-			copy(preTraffic, b.DimTraffic)
-			copy(preBusy, b.DimBusy)
-		}
+		copy(preTraffic, b.DimTraffic)
+		copy(preBusy, b.DimBusy)
 		preColl := b.CollectiveTime
 		fwdComm := sumComm(l.FwdComm)
 		tpComm := sumComm(l.TPComm)
@@ -216,22 +200,132 @@ func (e *Estimator) iterateTracked(w *workload.Workload, bw topology.BWConfig, m
 		b.DPComm += n * dpComm
 
 		b.ComputeOnly += n * (fwdComp + tpComp + dpComp)
-		switch e.Loop {
-		case TPDPOverlap:
-			bwd := tpComp + maxf(tpComm, dpComp+dpComm)
-			b.Total += n * (fwdComp + fwdComm + bwd)
-		default: // NoOverlap
-			b.Total += n * (fwdComp + fwdComm + tpComp + tpComm + dpComp + dpComm)
-		}
+		b.Total += n * e.Loop.layerTime(fwdComp, fwdComm, tpComp, tpComm, dpComp, dpComm)
 	}
 	b.ExposedComm = b.Total - b.ComputeOnly
 	return b
 }
 
+// layerTime folds one layer's six stage times under the loop (Fig. 5).
+func (l Loop) layerTime(fwdComp, fwdComm, tpComp, tpComm, dpComp, dpComm float64) float64 {
+	if l == TPDPOverlap {
+		bwd := tpComp + maxf(tpComm, dpComp+dpComm)
+		return fwdComp + fwdComm + bwd
+	}
+	return fwdComp + fwdComm + tpComp + tpComm + dpComp + dpComm
+}
+
+// timePlan is a workload compiled for repeated pricing: everything in an
+// iteration estimate that does not depend on bandwidth, resolved once.
+// Evaluating it performs exactly the floating-point operations, in the
+// same order, that iterate performs for Breakdown.Total, so the two agree
+// bit for bit.
+type timePlan struct {
+	loop   Loop
+	layers []layerPlan
+}
+
+// layerPlan is one compiled layer: its copy count, its three compute
+// times, and its collectives per stage.
+type layerPlan struct {
+	n                       float64
+	fwdComp, tpComp, dpComp float64
+	fwd, tp, dp             []commPlan
+}
+
+// commPlan holds one collective's nonzero per-dimension traffic terms,
+// innermost dimension first.
+type commPlan []trafficTerm
+
+type trafficTerm struct {
+	dim   int
+	bytes float64
+}
+
+// compile builds w's bandwidth-independent time plan under maps.
+func (e *Estimator) compile(w *workload.Workload, maps Mappings) *timePlan {
+	tbuf := make([]float64, e.Net.NumDims())
+	comms := func(cs []workload.Comm) []commPlan {
+		out := make([]commPlan, 0, len(cs))
+		for _, c := range cs {
+			tr := e.traffic(c, maps, tbuf)
+			nz := 0
+			for _, v := range tr {
+				if v != 0 {
+					nz++
+				}
+			}
+			// A collective with no traffic adds +0 to its stage sum; it
+			// is dropped rather than priced.
+			if nz == 0 {
+				continue
+			}
+			cp := make(commPlan, 0, nz)
+			for d, v := range tr {
+				if v != 0 {
+					cp = append(cp, trafficTerm{dim: d, bytes: v})
+				}
+			}
+			out = append(out, cp)
+		}
+		return out
+	}
+	pl := &timePlan{loop: e.Loop, layers: make([]layerPlan, len(w.Layers))}
+	for i := range w.Layers {
+		l := &w.Layers[i]
+		pl.layers[i] = layerPlan{
+			n:       float64(l.Count),
+			fwdComp: e.Compute.Time(l.FwdFLOPs, l.FwdBytes),
+			tpComp:  e.Compute.Time(l.TPFLOPs, l.TPBytes),
+			dpComp:  e.Compute.Time(l.DPFLOPs, l.DPBytes),
+			fwd:     comms(l.FwdComm),
+			tp:      comms(l.TPComm),
+			dp:      comms(l.DPComm),
+		}
+	}
+	return pl
+}
+
+// total prices one iteration under bw (already validated).
+//
+//libra:hotpath
+func (pl *timePlan) total(bw topology.BWConfig) float64 {
+	total := 0.0
+	for i := range pl.layers {
+		l := &pl.layers[i]
+		fwdComm := stageComm(l.fwd, bw)
+		tpComm := stageComm(l.tp, bw)
+		dpComm := stageComm(l.dp, bw)
+		total += l.n * pl.loop.layerTime(l.fwdComp, fwdComm, l.tpComp, tpComm, l.dpComp, dpComm)
+	}
+	return total
+}
+
+// stageComm sums the completion times of one stage's collectives, each
+// the slowest dimension's traffic over its bandwidth.
+//
+//libra:hotpath
+func stageComm(cs []commPlan, bw topology.BWConfig) float64 {
+	t := 0.0
+	for _, c := range cs {
+		worst := 0.0
+		for _, term := range c {
+			if x := term.bytes / (bw[term.dim] * 1e9); x > worst {
+				worst = x
+			}
+		}
+		t += worst
+	}
+	return t
+}
+
 // TimeFunc returns a closure evaluating iteration time as a pure function
 // of the bandwidth vector — the objective handed to the optimizer. The
-// workload mapping is resolved once; the closure never fails (invalid
-// bandwidths yield +Inf).
+// workload is compiled once into a bandwidth-independent plan (mapping,
+// compute times, per-collective traffic), so a call only divides, takes
+// maxima and sums; the result equals Iteration(w, bw).Total bit for bit.
+// The closure never fails (invalid bandwidths yield +Inf) and allocates
+// nothing. Later mutations of w are not seen.
 func (e *Estimator) TimeFunc(w *workload.Workload) (func(bw topology.BWConfig) float64, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -240,12 +334,13 @@ func (e *Estimator) TimeFunc(w *workload.Workload) (func(bw topology.BWConfig) f
 	if err != nil {
 		return nil, err
 	}
+	pl := e.compile(w, maps)
+	net := e.Net
 	return func(bw topology.BWConfig) float64 {
-		if err := bw.Validate(e.Net); err != nil {
+		if err := bw.Validate(net); err != nil {
 			return inf
 		}
-		b := e.iterateTracked(w, bw, maps, false)
-		return b.Total
+		return pl.total(bw)
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package timemodel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -460,4 +461,66 @@ func TestPointToPointCollectiveModel(t *testing.T) {
 	if len(ss) != 1 || ss[0].Op != collective.PointToPoint {
 		t.Errorf("P2P stages = %+v", ss)
 	}
+}
+
+// TestTimeFuncMatchesIterationBits checks that the optimizer's compiled
+// objective and the full breakdown agree bit for bit on the total, across
+// every Table II workload × every preset topology × both loops × both
+// mapping policies × no offload or last-dimension offload, at seeded
+// random bandwidth vectors spanning four decades.
+func TestTimeFuncMatchesIterationBits(t *testing.T) {
+	topos := append(topology.PresetNames(), topology.Name2D4K)
+	rng := rand.New(rand.NewSource(13))
+	cases, combos := 0, 0
+	for _, tn := range topos {
+		net, err := topology.Preset(tn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ndims := net.NumDims()
+		lastDim := make([]bool, ndims)
+		lastDim[ndims-1] = true
+		for _, wn := range workload.PresetNames() {
+			w, err := workload.Preset(wn, net.NPUs())
+			if err != nil {
+				continue // the preset does not fit this NPU count
+			}
+			for _, loop := range []Loop{NoOverlap, TPDPOverlap} {
+				for _, policy := range []MappingPolicy{Actual, IdealFullDims} {
+					for _, offload := range [][]bool{nil, lastDim} {
+						e := &Estimator{Net: net, Compute: compute.A100(), Loop: loop, Policy: policy, InNetwork: offload}
+						f, err := e.TimeFunc(w)
+						if err != nil {
+							continue // the strategy does not map onto this network
+						}
+						combos++
+						bw := make(topology.BWConfig, ndims)
+						for k := 0; k < 200; k++ {
+							for d := range bw {
+								bw[d] = math.Pow(10, -1+4*rng.Float64())
+							}
+							b, err := e.Iteration(w, bw)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got := f(bw)
+							if math.Float64bits(got) != math.Float64bits(b.Total) {
+								t.Fatalf("%s on %s (%v, policy %d, offload %v) at %v: TimeFunc = %v, Iteration.Total = %v",
+									wn, tn, loop, policy, offload, bw, got, b.Total)
+							}
+							cases++
+						}
+						bw[0] = 0
+						if got := f(bw); got != inf {
+							t.Fatalf("%s on %s: TimeFunc at invalid %v = %v, want %v", wn, tn, bw, got, inf)
+						}
+					}
+				}
+			}
+		}
+	}
+	if combos < 100 {
+		t.Fatalf("only %d workload × topology × loop × policy × offload combinations priced", combos)
+	}
+	t.Logf("%d combinations, %d bandwidth vectors", combos, cases)
 }
