@@ -22,6 +22,7 @@ FUZZTIME    ?= 10s
 # pkg:target pairs — `go test -fuzz` takes one target per package run.
 FUZZTARGETS ?= ./internal/core:FuzzParseSpec ./internal/codesign:FuzzParseSpec \
 	./internal/validate:FuzzParseSpec ./internal/cluster:FuzzParseSpec \
+	./internal/task:FuzzTaskParse \
 	./internal/opt:FuzzOptionsValidate ./internal/store:FuzzStoreLog
 
 # Where profile writes its pprof output.
@@ -34,7 +35,7 @@ LINTBIN ?= bin/libra-lint
 .PHONY: build build-examples test race lint lint-build lint-baseline \
 	lint-selftest bench bench-baseline bench-check \
 	bench-record profile cover fuzz-smoke validate validate-baseline \
-	validate-check smoke
+	validate-check smoke e2ebench-check
 
 build:
 	$(GO) build ./...
@@ -192,6 +193,12 @@ smoke:
 	solves=$$(awk '/^libra_solver_solves_total/ {s+=$$NF} END {print s+0}' $(SMOKEDIR)/libra-metrics2.txt); \
 	if [ "$$solves" -ne 0 ]; then echo "smoke: restarted server ran $$solves solves, want 0"; exit 1; fi; \
 	echo "smoke: persistent cache ok (store hits $$hits, solves $$solves)"
+
+# e2ebench-check vets and tests the end-to-end benchmark module. It is a
+# module of its own (outside `go test ./...`) that imports the task and
+# server layers, so an API change there must still build it.
+e2ebench-check:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # validate runs the analytical-vs-simulator conformance matrix and fails
 # when any scenario diverges beyond the committed tolerance.

@@ -102,71 +102,51 @@ func (r *TaskResult) Decode(v any) error {
 	return json.Unmarshal(r.Raw, v)
 }
 
-// kindErr guards the typed accessors against cross-kind decoding.
-func (r *TaskResult) kindErr(want ...task.Kind) error {
+// decodeAs decodes the result through the task registry (the type
+// task.Run returns for r.Kind) and checks that it is a T, guarding the
+// typed accessors against cross-kind decoding.
+func decodeAs[T any](r *TaskResult) (T, error) {
+	var out T
 	if r == nil {
-		return fmt.Errorf("client: no result")
+		return out, fmt.Errorf("client: no result")
 	}
-	for _, k := range want {
-		if r.Kind == k {
-			return nil
-		}
+	v, err := task.DecodeResult(r.Kind, r.Raw)
+	if err != nil {
+		return out, err
 	}
-	return fmt.Errorf("client: %s result cannot decode as %v", r.Kind, want)
+	out, ok := v.(T)
+	if !ok {
+		return out, fmt.Errorf("client: %s result cannot decode as %T", r.Kind, out)
+	}
+	return out, nil
 }
 
 // Engine decodes an optimize/evaluate result.
-func (r *TaskResult) Engine() (libra.EngineResult, error) {
-	var out libra.EngineResult
-	if err := r.kindErr(task.KindOptimize, task.KindEvaluate); err != nil {
-		return out, err
-	}
-	return out, r.Decode(&out)
-}
+func (r *TaskResult) Engine() (libra.EngineResult, error) { return decodeAs[libra.EngineResult](r) }
 
 // Sweep decodes a sweep result.
 func (r *TaskResult) Sweep() (*libra.SweepTaskResult, error) {
-	if err := r.kindErr(task.KindSweep); err != nil {
-		return nil, err
-	}
-	out := &libra.SweepTaskResult{}
-	return out, r.Decode(out)
+	return decodeAs[*libra.SweepTaskResult](r)
 }
 
 // Frontier decodes a frontier result.
 func (r *TaskResult) Frontier() (*libra.FrontierResult, error) {
-	if err := r.kindErr(task.KindFrontier); err != nil {
-		return nil, err
-	}
-	out := &libra.FrontierResult{}
-	return out, r.Decode(out)
+	return decodeAs[*libra.FrontierResult](r)
 }
 
 // CoDesign decodes a codesign report.
 func (r *TaskResult) CoDesign() (*libra.CoDesignReport, error) {
-	if err := r.kindErr(task.KindCoDesign); err != nil {
-		return nil, err
-	}
-	out := &libra.CoDesignReport{}
-	return out, r.Decode(out)
+	return decodeAs[*libra.CoDesignReport](r)
 }
 
 // Validation decodes a validate report.
 func (r *TaskResult) Validation() (*libra.ValidationReport, error) {
-	if err := r.kindErr(task.KindValidate); err != nil {
-		return nil, err
-	}
-	out := &libra.ValidationReport{}
-	return out, r.Decode(out)
+	return decodeAs[*libra.ValidationReport](r)
 }
 
 // Cluster decodes a cluster report.
 func (r *TaskResult) Cluster() (*libra.ClusterReport, error) {
-	if err := r.kindErr(task.KindCluster); err != nil {
-		return nil, err
-	}
-	out := &libra.ClusterReport{}
-	return out, r.Decode(out)
+	return decodeAs[*libra.ClusterReport](r)
 }
 
 // APIError is a non-2xx response: the HTTP status plus the server's

@@ -87,9 +87,19 @@ func waitJob(t *testing.T, base, id string) map[string]json.RawMessage {
 
 // For every kind: the /v1 body, the same body through /v2/tasks, and the
 // same body awaited through /v2/jobs all return the identical payload
-// (modulo the job envelope and volatile cache/timing metadata).
+// (modulo the job envelope and volatile cache/timing metadata). Every
+// registered kind must have a case, so each /v1/<kind> route answers.
 func TestV2ParityAllKinds(t *testing.T) {
 	srv := testServer(t)
+	covered := map[string]bool{}
+	for _, tc := range v1Bodies {
+		covered[tc.path] = tc.path == "/v1/"+tc.kind
+	}
+	for _, kind := range libra.TaskKinds() {
+		if !covered["/v1/"+string(kind)] {
+			t.Errorf("v1Bodies has no /v1/%s case", kind)
+		}
+	}
 	for _, tc := range v1Bodies {
 		envelope := fmt.Sprintf(`{"kind":%q,"spec":%s}`, tc.kind, tc.body)
 
@@ -586,6 +596,11 @@ func TestErrorCodes(t *testing.T) {
 	resp, body = postJSON(t, srv.URL+"/v2/jobs", `{"kind":"optimize","spec":{"topology":"??"}}`)
 	check(resp, body, http.StatusBadRequest, "bad_spec")
 	resp, body = postJSON(t, srv.URL+"/v1/optimize", `{"bogus":1}`)
+	check(resp, body, http.StatusBadRequest, "bad_spec")
+	// Trailing data after the JSON value is bad_spec too, on both surfaces.
+	resp, body = postJSON(t, srv.URL+"/v1/optimize", tinyProblem+`xyz`)
+	check(resp, body, http.StatusBadRequest, "bad_spec")
+	resp, body = postJSON(t, srv.URL+"/v2/tasks", `{"kind":"optimize","spec":`+tinyProblem+`} {"kind":"cluster"} trailing-garbage`)
 	check(resp, body, http.StatusBadRequest, "bad_spec")
 
 	// not_found.

@@ -76,6 +76,7 @@ import (
 	"libra"
 	"libra/client"
 	"libra/internal/cliutil"
+	"libra/internal/task"
 )
 
 func main() {
@@ -237,22 +238,7 @@ func (r *remoteRunner) run(ctx context.Context, t *libra.Task) (any, error) {
 	default:
 		return nil, fmt.Errorf("remote job %s failed: %s", job.ID, final.Error)
 	}
-	res := final.TaskResult()
-	switch t.Kind {
-	case libra.TaskOptimize, libra.TaskEvaluate:
-		return res.Engine()
-	case libra.TaskSweep:
-		return res.Sweep()
-	case libra.TaskFrontier:
-		return res.Frontier()
-	case libra.TaskCoDesign:
-		return res.CoDesign()
-	case libra.TaskValidate:
-		return res.Validation()
-	case libra.TaskCluster:
-		return res.Cluster()
-	}
-	return nil, fmt.Errorf("unknown task kind %q", t.Kind)
+	return task.DecodeResult(t.Kind, final.Result)
 }
 
 func (r *remoteRunner) onEvent(ev client.Event) {

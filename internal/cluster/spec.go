@@ -1,9 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -129,31 +126,11 @@ type Spec struct {
 	MaxJobs int `json:"max_jobs,omitempty"`
 }
 
-// ParseSpec decodes a Spec from JSON, rejecting unknown fields so typos
-// in hand-written spec files fail loudly.
-func ParseSpec(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("cluster: bad spec: %w", err)
-	}
-	return &s, nil
-}
+// ParseSpec decodes a Spec from JSON (see core.DecodeStrict).
+func ParseSpec(data []byte) (*Spec, error) { return core.DecodeStrict[Spec](data, "cluster: bad spec") }
 
 // Clone deep-copies the spec (via its JSON form).
-func (s *Spec) Clone() *Spec {
-	data, err := json.Marshal(s)
-	if err != nil {
-		cp := *s
-		return &cp
-	}
-	var cp Spec
-	if err := json.Unmarshal(data, &cp); err != nil {
-		cp = *s
-	}
-	return &cp
-}
+func (s *Spec) Clone() *Spec { return core.CloneJSON(s) }
 
 // resolvedJob is one validated tenant: its label, weight, the derived
 // single-job problem (canonical spec for engine calls, built problem for
@@ -431,11 +408,4 @@ func (s *Spec) MarshalCanonical() ([]byte, error) {
 // Fingerprint returns a stable hex digest of the canonical spec. Two
 // specs describing the same cluster study fingerprint identically
 // regardless of spelling.
-func (s *Spec) Fingerprint() (string, error) {
-	data, err := s.MarshalCanonical()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
-}
+func (s *Spec) Fingerprint() (string, error) { return core.Digest(s.MarshalCanonical()) }

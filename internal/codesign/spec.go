@@ -1,9 +1,6 @@
 package codesign
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -71,31 +68,13 @@ type Spec struct {
 	MaxCandidates int `json:"max_candidates,omitempty"`
 }
 
-// ParseSpec decodes a Spec from JSON, rejecting unknown fields so typos in
-// hand-written spec files fail loudly.
+// ParseSpec decodes a Spec from JSON (see core.DecodeStrict).
 func ParseSpec(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("codesign: bad spec: %w", err)
-	}
-	return &s, nil
+	return core.DecodeStrict[Spec](data, "codesign: bad spec")
 }
 
 // Clone deep-copies the spec (via its JSON form).
-func (s *Spec) Clone() *Spec {
-	data, err := json.Marshal(s)
-	if err != nil {
-		cp := *s
-		return &cp
-	}
-	var cp Spec
-	if err := json.Unmarshal(data, &cp); err != nil {
-		cp = *s
-	}
-	return &cp
-}
+func (s *Spec) Clone() *Spec { return core.CloneJSON(s) }
 
 // sweptModel is the resolved transformer whose strategy the study sweeps.
 type sweptModel struct {
@@ -436,11 +415,4 @@ func (s *Spec) MarshalCanonical() ([]byte, error) {
 // Fingerprint returns a stable hex digest of the canonical spec. Two specs
 // describing the same co-design study fingerprint identically regardless
 // of spelling.
-func (s *Spec) Fingerprint() (string, error) {
-	data, err := s.MarshalCanonical()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
-}
+func (s *Spec) Fingerprint() (string, error) { return core.Digest(s.MarshalCanonical()) }

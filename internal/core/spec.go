@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 
@@ -415,19 +416,62 @@ func policyKey(p timemodel.MappingPolicy) string {
 	return ""
 }
 
-// ---- Spec → Problem ----
+// ---- The spec contract ----
+//
+// Every spec type (ProblemSpec here, and the codesign, validate and
+// cluster specs) parses, clones and fingerprints the same way; these
+// three helpers are that shared contract, and each type's ParseSpec,
+// Clone and Fingerprint is a one-line delegation.
 
-// ParseSpec decodes a ProblemSpec from JSON, rejecting unknown fields so
-// typos in hand-written spec files fail loudly.
-func ParseSpec(data []byte) (*ProblemSpec, error) {
+// DecodeStrict decodes exactly one JSON value into a new T. Unknown
+// fields are rejected so typos in hand-written specs fail loudly, and so
+// is anything but whitespace after the value. Errors are prefixed with
+// what.
+func DecodeStrict[T any](data []byte, what string) (*T, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var s ProblemSpec
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("core: bad problem spec: %w", err)
+	var v T
+	err := dec.Decode(&v)
+	if err == nil && len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) > 0 {
+		err = errors.New("trailing data after the JSON value")
 	}
-	return &s, nil
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", what, err)
+	}
+	return &v, nil
 }
+
+// CloneJSON deep-copies v through its JSON form, falling back to a
+// shallow copy for a value that does not round-trip.
+func CloneJSON[T any](v *T) *T {
+	var cp T
+	data, err := json.Marshal(v)
+	if err == nil {
+		err = json.Unmarshal(data, &cp)
+	}
+	if err != nil {
+		cp = *v
+	}
+	return &cp
+}
+
+// Digest is the hex SHA-256 of data, or err when err is set — shaped to
+// take a canonical marshaler's results directly:
+// Digest(s.MarshalCanonical()).
+func Digest(data []byte, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// ParseSpec decodes a ProblemSpec from JSON (see DecodeStrict).
+func ParseSpec(data []byte) (*ProblemSpec, error) {
+	return DecodeStrict[ProblemSpec](data, "core: bad problem spec")
+}
+
+// ---- Spec → Problem ----
 
 // resolveTopology reads a preset name or block notation plus optional
 // tier overrides.
@@ -563,18 +607,7 @@ func (s *ProblemSpec) Build() (*Problem, error) {
 }
 
 // Clone deep-copies the spec (via its JSON form).
-func (s *ProblemSpec) Clone() *ProblemSpec {
-	data, err := json.Marshal(s)
-	if err != nil {
-		cp := *s
-		return &cp
-	}
-	var cp ProblemSpec
-	if err := json.Unmarshal(data, &cp); err != nil {
-		cp = *s
-	}
-	return &cp
-}
+func (s *ProblemSpec) Clone() *ProblemSpec { return CloneJSON(s) }
 
 // ---- Problem → Spec ----
 
@@ -699,28 +732,27 @@ func tiersOf(net *topology.Network) []topology.Tier {
 // same instance ("ppc" vs "perf-per-cost", implied vs explicit defaults)
 // maps to identical bytes.
 func (s *ProblemSpec) MarshalCanonical() ([]byte, error) {
-	p, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	canon, err := p.Spec()
+	canon, err := s.Canonical()
 	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(canon)
 }
 
+// Canonical returns the spec's canonical form as a value (the spec
+// MarshalCanonical serializes), for payloads that embed a problem spec.
+func (s *ProblemSpec) Canonical() (*ProblemSpec, error) {
+	p, err := s.Build()
+	if err != nil {
+		return nil, err
+	}
+	return p.Spec()
+}
+
 // Fingerprint returns a stable hex digest of the canonical spec — the
 // Engine's cache key. Two specs describing the same optimization instance
 // fingerprint identically regardless of spelling.
-func (s *ProblemSpec) Fingerprint() (string, error) {
-	data, err := s.MarshalCanonical()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
-}
+func (s *ProblemSpec) Fingerprint() (string, error) { return Digest(s.MarshalCanonical()) }
 
 // Fingerprint returns the canonical digest of the problem (see
 // ProblemSpec.Fingerprint); it fails for non-serializable problems.
@@ -729,10 +761,5 @@ func (p *Problem) Fingerprint() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	data, err := json.Marshal(s)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return Digest(json.Marshal(s))
 }

@@ -66,13 +66,11 @@ func (jsonCodec[T]) Encode(v any) ([]byte, error) {
 }
 
 func (jsonCodec[T]) Decode(data []byte) (any, error) {
-	var t T
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&t); err != nil {
+	t, err := DecodeStrict[T](data, "core: stored result")
+	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	return *t, nil
 }
 
 // JSONCodec builds a Codec persisting values of type T as JSON. Decoding

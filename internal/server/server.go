@@ -81,13 +81,9 @@ func New(opts Options) http.Handler {
 		mux.Handle(route, s.instrument(route, h))
 	}
 	// v1: one shim per kind over the same dispatch v2 uses.
-	handle("/v1/optimize", s.v1(task.KindOptimize))
-	handle("/v1/evaluate", s.v1(task.KindEvaluate))
-	handle("/v1/sweep", s.v1(task.KindSweep))
-	handle("/v1/frontier", s.v1(task.KindFrontier))
-	handle("/v1/codesign", s.v1(task.KindCoDesign))
-	handle("/v1/validate", s.v1(task.KindValidate))
-	handle("/v1/cluster", s.v1(task.KindCluster))
+	for _, kind := range task.Kinds() {
+		handle("/v1/"+string(kind), s.v1(kind))
+	}
 	handle("/v1/stats", s.handleStats)
 	// v2: the task envelope, sync and async.
 	handle("/v2/tasks", s.handleTasks)

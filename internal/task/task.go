@@ -5,24 +5,24 @@
 // A Task is `{"kind": ..., "spec": ...}` where kind selects one of the
 // seven operations the Engine answers (optimize, evaluate, sweep,
 // frontier, codesign, validate, cluster) and spec is exactly that kind's
-// request payload —
-// the same bodies the /v1 endpoints accept, so every existing spec JSON
-// embeds unchanged. Parse is strict (unknown fields rejected at every
-// level), MarshalCanonical reuses each kind's canonicalization so every
-// spelling of the same task maps to identical bytes, and Fingerprint
-// digests the canonical form — the cache/idempotency key of the task.
+// request payload — the same bodies the /v1 endpoints accept, so every
+// existing spec JSON embeds unchanged. Parse is strict (unknown fields
+// and trailing data rejected at every level), MarshalCanonical reuses
+// each kind's canonicalization so every spelling of the same task maps to
+// identical bytes, and Fingerprint digests the canonical form — the
+// cache/idempotency key of the task.
 //
-// Run is the single dispatch the whole service stack collapses onto: one
-// switch from envelope to Engine call, returning the identical payload
-// the corresponding /v1 endpoint serializes. Anything above it (sync
-// HTTP, async jobs, CLI, remote client) is transport.
+// Everything the package knows about a kind lives in one row of the
+// registry table: how its payload parses and canonicalizes, how it runs
+// against the Engine, and how its JSON result decodes. Parse, the
+// marshalers, Run and DecodeResult are lookups in that table, and so are
+// the surfaces built on it (the /v1 routes, the CLI's remote runner, the
+// client's typed accessors). Anything above Run is transport.
 package task
 
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -55,16 +55,17 @@ const (
 
 // Kinds returns every valid kind in canonical order.
 func Kinds() []Kind {
-	return []Kind{KindOptimize, KindEvaluate, KindSweep, KindFrontier, KindCoDesign, KindValidate, KindCluster}
+	out := make([]Kind, len(registry))
+	for i, d := range registry {
+		out[i] = d.kind()
+	}
+	return out
 }
 
 // Valid reports whether k names a known kind.
 func (k Kind) Valid() bool {
-	switch k {
-	case KindOptimize, KindEvaluate, KindSweep, KindFrontier, KindCoDesign, KindValidate, KindCluster:
-		return true
-	}
-	return false
+	_, err := lookup(k)
+	return err == nil
 }
 
 // EvaluateSpec is the evaluate-kind payload: price one explicit
@@ -95,42 +96,37 @@ type SweepResult struct {
 	Points []core.SweepPoint `json:"points"`
 }
 
-// Task is the parsed envelope: Kind plus exactly the matching payload
-// field (the others are nil). Build one with the New* constructors or
-// Parse; the zero Task is invalid.
+// Task is the parsed envelope: Kind plus that kind's payload in Spec
+// (*core.ProblemSpec for optimize, *EvaluateSpec, *SweepSpec,
+// *FrontierSpec, *codesign.Spec, *validate.Spec or *cluster.Spec). Build
+// one with the New* constructors or Parse; the zero Task is invalid, and
+// a Spec whose type does not match Kind is rejected with core.ErrBadSpec.
 type Task struct {
 	Kind Kind
-
-	Optimize *core.ProblemSpec
-	Evaluate *EvaluateSpec
-	Sweep    *SweepSpec
-	Frontier *FrontierSpec
-	CoDesign *codesign.Spec
-	Validate *validate.Spec
-	Cluster  *cluster.Spec
+	Spec any
 }
 
 // NewOptimize wraps a ProblemSpec as an optimize task.
-func NewOptimize(spec *core.ProblemSpec) *Task { return &Task{Kind: KindOptimize, Optimize: spec} }
+func NewOptimize(spec *core.ProblemSpec) *Task { return &Task{Kind: KindOptimize, Spec: spec} }
 
 // NewEvaluate wraps a ProblemSpec plus an explicit bandwidth allocation
 // as an evaluate task.
 func NewEvaluate(spec *core.ProblemSpec, bw topology.BWConfig) *Task {
-	return &Task{Kind: KindEvaluate, Evaluate: &EvaluateSpec{Spec: spec, BW: bw}}
+	return &Task{Kind: KindEvaluate, Spec: &EvaluateSpec{Spec: spec, BW: bw}}
 }
 
 // NewSweep wraps a base spec and sweep axes as a sweep task.
 func NewSweep(spec *core.ProblemSpec, req core.SweepRequest) *Task {
-	return &Task{Kind: KindSweep, Sweep: &SweepSpec{Spec: spec, Sweep: req}}
+	return &Task{Kind: KindSweep, Spec: &SweepSpec{Spec: spec, Sweep: req}}
 }
 
 // NewFrontier wraps a base spec and frontier axes as a frontier task.
 func NewFrontier(spec *core.ProblemSpec, req frontier.Request) *Task {
-	return &Task{Kind: KindFrontier, Frontier: &FrontierSpec{Spec: spec, Frontier: req}}
+	return &Task{Kind: KindFrontier, Spec: &FrontierSpec{Spec: spec, Frontier: req}}
 }
 
 // NewCoDesign wraps a co-design study spec as a codesign task.
-func NewCoDesign(spec *codesign.Spec) *Task { return &Task{Kind: KindCoDesign, CoDesign: spec} }
+func NewCoDesign(spec *codesign.Spec) *Task { return &Task{Kind: KindCoDesign, Spec: spec} }
 
 // NewValidate wraps a conformance-matrix spec as a validate task; nil
 // selects the default matrix.
@@ -138,7 +134,7 @@ func NewValidate(spec *validate.Spec) *Task {
 	if spec == nil {
 		spec = &validate.Spec{}
 	}
-	return &Task{Kind: KindValidate, Validate: spec}
+	return &Task{Kind: KindValidate, Spec: spec}
 }
 
 // NewCluster wraps a multi-job allocation study spec as a cluster task;
@@ -147,29 +143,184 @@ func NewCluster(spec *cluster.Spec) *Task {
 	if spec == nil {
 		spec = &cluster.Spec{}
 	}
-	return &Task{Kind: KindCluster, Cluster: spec}
+	return &Task{Kind: KindCluster, Spec: spec}
 }
 
-// envelope is the wire form of a Task.
-type envelope struct {
-	Kind Kind            `json:"kind"`
-	Spec json.RawMessage `json:"spec,omitempty"`
+// ---- The registry ----
+
+// registry is every kind in canonical order, one row each. Adding a task
+// kind means writing its payload and result types and one kindDef row
+// here; nothing else in the service switches on Kind.
+var registry = []descriptor{
+	kindDef[core.ProblemSpec, core.EngineResult]{
+		name:      KindOptimize,
+		canonical: (*core.ProblemSpec).MarshalCanonical,
+		run: func(ctx context.Context, e *core.Engine, s *core.ProblemSpec) (core.EngineResult, error) {
+			return e.Optimize(ctx, s)
+		},
+	},
+	kindDef[EvaluateSpec, core.EngineResult]{
+		name: KindEvaluate,
+		base: func(s *EvaluateSpec) **core.ProblemSpec { return &s.Spec },
+		run: func(ctx context.Context, e *core.Engine, s *EvaluateSpec) (core.EngineResult, error) {
+			return e.Evaluate(ctx, s.Spec, s.BW)
+		},
+	},
+	kindDef[SweepSpec, *SweepResult]{
+		name: KindSweep,
+		base: func(s *SweepSpec) **core.ProblemSpec { return &s.Spec },
+		run: func(ctx context.Context, e *core.Engine, s *SweepSpec) (*SweepResult, error) {
+			points, err := e.Sweep(ctx, s.Spec, s.Sweep)
+			if err != nil {
+				return nil, err
+			}
+			return &SweepResult{Points: points}, nil
+		},
+	},
+	kindDef[FrontierSpec, *frontier.Result]{
+		name: KindFrontier,
+		base: func(s *FrontierSpec) **core.ProblemSpec { return &s.Spec },
+		run: func(ctx context.Context, e *core.Engine, s *FrontierSpec) (*frontier.Result, error) {
+			return frontier.Compute(ctx, e, s.Spec, s.Frontier)
+		},
+	},
+	kindDef[codesign.Spec, *codesign.Report]{
+		name:      KindCoDesign,
+		canonical: (*codesign.Spec).MarshalCanonical,
+		run: func(ctx context.Context, e *core.Engine, s *codesign.Spec) (*codesign.Report, error) {
+			return codesign.Compute(ctx, e, s)
+		},
+	},
+	kindDef[validate.Spec, *validate.Report]{
+		name:      KindValidate,
+		defaulted: true,
+		canonical: (*validate.Spec).MarshalCanonical,
+		run: func(ctx context.Context, e *core.Engine, s *validate.Spec) (*validate.Report, error) {
+			return validate.Compute(ctx, e, s)
+		},
+	},
+	kindDef[cluster.Spec, *cluster.Report]{
+		name:      KindCluster,
+		defaulted: true,
+		canonical: (*cluster.Spec).MarshalCanonical,
+		run: func(ctx context.Context, e *core.Engine, s *cluster.Spec) (*cluster.Report, error) {
+			return cluster.Compute(ctx, e, s)
+		},
+	},
 }
 
-// Parse strictly decodes a task envelope: unknown fields are rejected in
-// the envelope and in every kind payload, exactly as the /v1 endpoints
-// reject them. All parse failures are ErrBadSpec — the caller's fault.
-func Parse(data []byte) (*Task, error) {
-	var env envelope
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&env); err != nil {
-		return nil, fmt.Errorf("%w: task envelope: %w", core.ErrBadSpec, err)
+// descriptor is the kind-erased view of a registry row.
+type descriptor interface {
+	kind() Kind
+	// parse strictly decodes a kind payload; an empty payload selects
+	// the kind's default spec or fails.
+	parse(payload []byte) (any, error)
+	// marshal emits a Task.Spec's payload bytes, canonical or verbatim.
+	marshal(spec any, canonical bool) ([]byte, error)
+	// runSpec answers a Task.Spec through the engine.
+	runSpec(ctx context.Context, e *core.Engine, spec any) (any, error)
+	// decodeResult decodes run's JSON result into the type run returns.
+	decodeResult(data []byte) (any, error)
+}
+
+// kindDef is one registry row for a kind whose payload is *S and whose
+// Run result is R.
+type kindDef[S, R any] struct {
+	name Kind
+	// defaulted kinds treat an empty payload (or a nil Spec) as the zero
+	// S, their default study; the others need a spec.
+	defaulted bool
+	// canonical marshals a payload that is a spec type itself.
+	canonical func(*S) ([]byte, error)
+	// base instead addresses the problem embedded in a problem-plus-axes
+	// payload (evaluate, sweep, frontier): that problem must be set, and
+	// the canonical form is the payload with it canonicalized.
+	base func(*S) **core.ProblemSpec
+	run  func(context.Context, *core.Engine, *S) (R, error)
+}
+
+func (d kindDef[S, R]) kind() Kind { return d.name }
+
+// spec resolves a Task.Spec to the row's payload type, applying the
+// default and rejecting a missing or mistyped payload.
+func (d kindDef[S, R]) spec(v any) (*S, error) {
+	s, ok := v.(*S)
+	if v != nil && !ok {
+		return nil, fmt.Errorf("%w: %s task carries a %T payload, want %T", core.ErrBadSpec, d.name, v, s)
 	}
-	if !env.Kind.Valid() {
-		return nil, fmt.Errorf("%w: unknown task kind %q (want one of %s)", core.ErrBadSpec, env.Kind, kindList())
+	if s == nil && d.defaulted {
+		s = new(S)
 	}
-	return FromKindPayload(env.Kind, env.Spec)
+	if s == nil || (d.base != nil && *d.base(s) == nil) {
+		return nil, fmt.Errorf("%w: %s task needs a spec", core.ErrBadSpec, d.name)
+	}
+	return s, nil
+}
+
+func (d kindDef[S, R]) parse(payload []byte) (any, error) {
+	var s *S
+	if len(bytes.TrimSpace(payload)) > 0 {
+		var err error
+		if s, err = core.DecodeStrict[S](payload, string(d.name)); err != nil {
+			return nil, fmt.Errorf("%w: %w", core.ErrBadSpec, err)
+		}
+	}
+	s, err := d.spec(s)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+func (d kindDef[S, R]) marshal(v any, canonical bool) ([]byte, error) {
+	s, err := d.spec(v)
+	if err != nil {
+		return nil, err
+	}
+	if !canonical {
+		return json.Marshal(s)
+	}
+	if d.base == nil {
+		return d.canonical(s)
+	}
+	cp := *s
+	canon, err := (*d.base(&cp)).Canonical()
+	if err != nil {
+		return nil, err
+	}
+	*d.base(&cp) = canon
+	return json.Marshal(&cp)
+}
+
+func (d kindDef[S, R]) runSpec(ctx context.Context, e *core.Engine, v any) (any, error) {
+	s, err := d.spec(v)
+	if err != nil {
+		return nil, err
+	}
+	res, err := d.run(ctx, e, s)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+func (d kindDef[S, R]) decodeResult(data []byte) (any, error) {
+	var res R
+	if err := json.Unmarshal(data, &res); err != nil {
+		return nil, fmt.Errorf("task: decode %s result: %w", d.name, err)
+	}
+	return res, nil
+}
+
+// lookup returns kind k's registry row, or an ErrBadSpec naming the
+// valid kinds.
+func lookup(k Kind) (descriptor, error) {
+	for _, d := range registry {
+		if d.kind() == k {
+			return d, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: unknown task kind %q (want one of %s)", core.ErrBadSpec, k, kindList())
 }
 
 func kindList() string {
@@ -181,202 +332,55 @@ func kindList() string {
 	return strings.Join(out, "|")
 }
 
+// envelope is the wire form of a Task.
+type envelope struct {
+	Kind Kind            `json:"kind"`
+	Spec json.RawMessage `json:"spec,omitempty"`
+}
+
+// Parse strictly decodes a task envelope: unknown fields and trailing
+// data are rejected in the envelope and in every kind payload, exactly
+// as the /v1 endpoints reject them. All parse failures are ErrBadSpec —
+// the caller's fault.
+func Parse(data []byte) (*Task, error) {
+	env, err := core.DecodeStrict[envelope](data, "task envelope")
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", core.ErrBadSpec, err)
+	}
+	return FromKindPayload(env.Kind, env.Spec)
+}
+
 // FromKindPayload parses a bare kind payload — the exact /v1 request body
 // for that kind — into a Task, with the same strictness as Parse. An
 // empty payload is only legal for validate (the default matrix) and
 // cluster (the default Fig. 17(a) scenario).
 func FromKindPayload(kind Kind, payload []byte) (*Task, error) {
-	if !kind.Valid() {
-		return nil, fmt.Errorf("%w: unknown task kind %q (want one of %s)", core.ErrBadSpec, kind, kindList())
-	}
-	empty := len(bytes.TrimSpace(payload)) == 0
-	if empty && kind != KindValidate && kind != KindCluster {
-		return nil, fmt.Errorf("%w: %s task needs a spec", core.ErrBadSpec, kind)
-	}
-	switch kind {
-	case KindOptimize:
-		spec, err := core.ParseSpec(payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", core.ErrBadSpec, err)
-		}
-		return NewOptimize(spec), nil
-	case KindEvaluate:
-		var req struct {
-			Spec json.RawMessage   `json:"spec"`
-			BW   topology.BWConfig `json:"bw"`
-		}
-		if err := strictUnmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		spec, err := parseSpecField(req.Spec)
-		if err != nil {
-			return nil, err
-		}
-		return NewEvaluate(spec, req.BW), nil
-	case KindSweep:
-		var req struct {
-			Spec  json.RawMessage   `json:"spec"`
-			Sweep core.SweepRequest `json:"sweep"`
-		}
-		if err := strictUnmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		spec, err := parseSpecField(req.Spec)
-		if err != nil {
-			return nil, err
-		}
-		return NewSweep(spec, req.Sweep), nil
-	case KindFrontier:
-		var req struct {
-			Spec     json.RawMessage  `json:"spec"`
-			Frontier frontier.Request `json:"frontier"`
-		}
-		if err := strictUnmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		spec, err := parseSpecField(req.Spec)
-		if err != nil {
-			return nil, err
-		}
-		return NewFrontier(spec, req.Frontier), nil
-	case KindCoDesign:
-		spec, err := codesign.ParseSpec(payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", core.ErrBadSpec, err)
-		}
-		return NewCoDesign(spec), nil
-	case KindValidate:
-		if empty {
-			return NewValidate(nil), nil
-		}
-		spec, err := validate.ParseSpec(payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", core.ErrBadSpec, err)
-		}
-		return NewValidate(spec), nil
-	case KindCluster:
-		if empty {
-			return NewCluster(nil), nil
-		}
-		spec, err := cluster.ParseSpec(payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", core.ErrBadSpec, err)
-		}
-		return NewCluster(spec), nil
-	}
-	panic("unreachable")
-}
-
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: %w", core.ErrBadSpec, err)
-	}
-	return nil
-}
-
-func parseSpecField(raw json.RawMessage) (*core.ProblemSpec, error) {
-	if len(raw) == 0 {
-		return nil, fmt.Errorf("%w: missing spec", core.ErrBadSpec)
-	}
-	spec, err := core.ParseSpec(raw)
+	d, err := lookup(kind)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", core.ErrBadSpec, err)
+		return nil, err
 	}
-	return spec, nil
+	spec, err := d.parse(payload)
+	if err != nil {
+		return nil, err
+	}
+	return &Task{Kind: kind, Spec: spec}, nil
 }
 
-// payload returns the kind payload for marshaling. canonical selects each
-// kind's canonical form (reusing the spec types' own canonicalization);
-// otherwise payloads marshal verbatim.
-func (t *Task) payload(canonical bool) (json.RawMessage, error) {
-	marshalSpec := func(s *core.ProblemSpec) (json.RawMessage, error) {
-		if s == nil {
-			return nil, fmt.Errorf("%w: %s task needs a spec", core.ErrBadSpec, t.Kind)
-		}
-		if canonical {
-			return s.MarshalCanonical()
-		}
-		return json.Marshal(s)
+// marshal emits the envelope with the payload canonical or verbatim.
+func (t *Task) marshal(canonical bool) ([]byte, error) {
+	d, err := lookup(t.Kind)
+	if err != nil {
+		return nil, err
 	}
-	switch t.Kind {
-	case KindOptimize:
-		return marshalSpec(t.Optimize)
-	case KindEvaluate:
-		if t.Evaluate == nil {
-			return nil, fmt.Errorf("%w: evaluate task needs a spec", core.ErrBadSpec)
-		}
-		spec, err := marshalSpec(t.Evaluate.Spec)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(struct {
-			Spec json.RawMessage   `json:"spec"`
-			BW   topology.BWConfig `json:"bw"`
-		}{spec, t.Evaluate.BW})
-	case KindSweep:
-		if t.Sweep == nil {
-			return nil, fmt.Errorf("%w: sweep task needs a spec", core.ErrBadSpec)
-		}
-		spec, err := marshalSpec(t.Sweep.Spec)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(struct {
-			Spec  json.RawMessage   `json:"spec"`
-			Sweep core.SweepRequest `json:"sweep"`
-		}{spec, t.Sweep.Sweep})
-	case KindFrontier:
-		if t.Frontier == nil {
-			return nil, fmt.Errorf("%w: frontier task needs a spec", core.ErrBadSpec)
-		}
-		spec, err := marshalSpec(t.Frontier.Spec)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(struct {
-			Spec     json.RawMessage  `json:"spec"`
-			Frontier frontier.Request `json:"frontier"`
-		}{spec, t.Frontier.Frontier})
-	case KindCoDesign:
-		if t.CoDesign == nil {
-			return nil, fmt.Errorf("%w: codesign task needs a spec", core.ErrBadSpec)
-		}
-		if canonical {
-			return t.CoDesign.MarshalCanonical()
-		}
-		return json.Marshal(t.CoDesign)
-	case KindValidate:
-		spec := t.Validate
-		if spec == nil {
-			spec = &validate.Spec{}
-		}
-		if canonical {
-			return spec.MarshalCanonical()
-		}
-		return json.Marshal(spec)
-	case KindCluster:
-		spec := t.Cluster
-		if spec == nil {
-			spec = &cluster.Spec{}
-		}
-		if canonical {
-			return spec.MarshalCanonical()
-		}
-		return json.Marshal(spec)
-	}
-	return nil, fmt.Errorf("%w: unknown task kind %q (want one of %s)", core.ErrBadSpec, t.Kind, kindList())
-}
-
-// MarshalJSON emits the envelope wire form with the payload verbatim.
-func (t *Task) MarshalJSON() ([]byte, error) {
-	payload, err := t.payload(false)
+	payload, err := d.marshal(t.Spec, canonical)
 	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(envelope{Kind: t.Kind, Spec: payload})
 }
+
+// MarshalJSON emits the envelope wire form with the payload verbatim.
+func (t *Task) MarshalJSON() ([]byte, error) { return t.marshal(false) }
 
 // UnmarshalJSON parses the envelope wire form (see Parse).
 func (t *Task) UnmarshalJSON(data []byte) error {
@@ -395,13 +399,7 @@ func (t *Task) UnmarshalJSON(data []byte) error {
 // explicit defaults — maps to identical bytes.
 //
 //libra:allow speccontract Task is the kind envelope, not a spec type: canonical form, parsing (Parse), and cloning all delegate to the per-kind specs
-func (t *Task) MarshalCanonical() ([]byte, error) {
-	payload, err := t.payload(true)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(envelope{Kind: t.Kind, Spec: payload})
-}
+func (t *Task) MarshalCanonical() ([]byte, error) { return t.marshal(true) }
 
 // Fingerprint digests the canonical envelope — a stable identity for
 // caching, idempotency, and job bookkeeping. Two tasks fingerprint
@@ -409,21 +407,18 @@ func (t *Task) MarshalCanonical() ([]byte, error) {
 // (wrapping core.ErrBadSpec) for tasks whose spec cannot build, so
 // services can pre-validate a submission cheaply.
 func (t *Task) Fingerprint() (string, error) {
-	data, err := t.MarshalCanonical()
-	if err != nil {
-		if !errors.Is(err, core.ErrBadSpec) {
-			err = fmt.Errorf("%w: %w", core.ErrBadSpec, err)
-		}
-		return "", err
+	fp, err := core.Digest(t.MarshalCanonical())
+	if err != nil && !errors.Is(err, core.ErrBadSpec) {
+		err = fmt.Errorf("%w: %w", core.ErrBadSpec, err)
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return fp, err
 }
 
-// Run answers the task through the engine — the single dispatch every
+// Run answers the task through the engine — the single entry every
 // service surface (HTTP v1 and v2, async jobs, the CLI, remote clients)
-// funnels through. The returned payload is exactly what the matching
-// /v1 endpoint serializes:
+// funnels through — by running the kind's registry row. The returned
+// payload is exactly what the matching /v1 endpoint serializes, and
+// DecodeResult turns that JSON back into the same type:
 //
 //	optimize → core.EngineResult
 //	evaluate → core.EngineResult
@@ -458,7 +453,7 @@ func Run(ctx context.Context, engine *core.Engine, t *Task) (any, error) {
 	return result, err
 }
 
-// dispatch is the uninstrumented envelope→engine switch.
+// dispatch is the uninstrumented registry lookup behind Run.
 func dispatch(ctx context.Context, engine *core.Engine, t *Task) (any, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("task: nil engine")
@@ -466,49 +461,20 @@ func dispatch(ctx context.Context, engine *core.Engine, t *Task) (any, error) {
 	if t == nil {
 		return nil, fmt.Errorf("%w: nil task", core.ErrBadSpec)
 	}
-	missing := func() error { return fmt.Errorf("%w: %s task needs a spec", core.ErrBadSpec, t.Kind) }
-	switch t.Kind {
-	case KindOptimize:
-		if t.Optimize == nil {
-			return nil, missing()
-		}
-		return engine.Optimize(ctx, t.Optimize)
-	case KindEvaluate:
-		if t.Evaluate == nil || t.Evaluate.Spec == nil {
-			return nil, missing()
-		}
-		return engine.Evaluate(ctx, t.Evaluate.Spec, t.Evaluate.BW)
-	case KindSweep:
-		if t.Sweep == nil || t.Sweep.Spec == nil {
-			return nil, missing()
-		}
-		points, err := engine.Sweep(ctx, t.Sweep.Spec, t.Sweep.Sweep)
-		if err != nil {
-			return nil, err
-		}
-		return &SweepResult{Points: points}, nil
-	case KindFrontier:
-		if t.Frontier == nil || t.Frontier.Spec == nil {
-			return nil, missing()
-		}
-		return frontier.Compute(ctx, engine, t.Frontier.Spec, t.Frontier.Frontier)
-	case KindCoDesign:
-		if t.CoDesign == nil {
-			return nil, missing()
-		}
-		return codesign.Compute(ctx, engine, t.CoDesign)
-	case KindValidate:
-		spec := t.Validate
-		if spec == nil {
-			spec = &validate.Spec{}
-		}
-		return validate.Compute(ctx, engine, spec)
-	case KindCluster:
-		spec := t.Cluster
-		if spec == nil {
-			spec = &cluster.Spec{}
-		}
-		return cluster.Compute(ctx, engine, spec)
+	d, err := lookup(t.Kind)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w: unknown task kind %q (want one of %s)", core.ErrBadSpec, t.Kind, kindList())
+	return d.runSpec(ctx, engine, t.Spec)
+}
+
+// DecodeResult decodes a kind's JSON result — what /v1/<kind>, /v2/tasks
+// and a done job serve — into the same dynamic type Run returns for that
+// kind (see Run), so remote and in-process answers render alike.
+func DecodeResult(kind Kind, data []byte) (any, error) {
+	d, err := lookup(kind)
+	if err != nil {
+		return nil, err
+	}
+	return d.decodeResult(data)
 }

@@ -1,9 +1,14 @@
 package task
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,44 +36,110 @@ func testEngine(t *testing.T) *core.Engine {
 	return e
 }
 
-// Every kind parses from its envelope form, round-trips through
-// MarshalJSON, and fingerprints stably.
-func TestParseRoundTripAllKinds(t *testing.T) {
-	bodies := map[Kind]string{
-		KindOptimize: `{"kind":"optimize","spec":{"topology":"RI(4)_SW(8)","budget_gbps":200,"workloads":[{"preset":"DLRM"}]}}`,
-		KindEvaluate: `{"kind":"evaluate","spec":{"spec":{"topology":"RI(4)_SW(8)","budget_gbps":200,"workloads":[{"preset":"DLRM"}]},"bw":[100,100]}}`,
-		KindSweep:    `{"kind":"sweep","spec":{"spec":{"topology":"RI(4)_SW(8)","budget_gbps":200,"workloads":[{"preset":"DLRM"}]},"sweep":{"budgets":[100,200]}}}`,
-		KindFrontier: `{"kind":"frontier","spec":{"spec":{"topology":"RI(4)_SW(8)","budget_gbps":200,"workloads":[{"preset":"DLRM"}]},"frontier":{"budgets":[100,200]}}}`,
-		KindCoDesign: `{"kind":"codesign","spec":{"base":{"topology":"RI(4)_SW(8)","budget_gbps":200,"workloads":[{"transformer":{"num_layers":2,"hidden":256,"seq_len":64,"tp":2,"minibatch":4}}]},"tps":[2,4]}}`,
-		KindValidate: `{"kind":"validate","spec":{"topologies":["3D-Torus"],"workloads":["DLRM"]}}`,
-		KindCluster:  `{"kind":"cluster","spec":{"topology":"RI(4)_SW(8)","budget_gbps":200,"jobs":[{"transformer":{"num_layers":2,"hidden":256,"seq_len":64,"tp":2,"minibatch":4}},{"name":"two","transformer":{"num_layers":2,"hidden":128,"seq_len":64,"tp":2,"minibatch":4},"weight":2}],"partition_steps":4}}`,
-	}
-	for kind, body := range bodies {
-		tk, err := Parse([]byte(body))
+var update = flag.Bool("update", false, "rewrite testdata/canonical.golden")
+
+// kindCases spells every kind at least twice: a minimal body plus a
+// respelling (reordered keys, aliases, explicit defaults, or the empty
+// default payload). The first case of each kind is cheap enough to Run.
+var kindCases = []struct {
+	name string
+	kind Kind
+	body string
+}{
+	{"optimize/minimal", KindOptimize, `{"kind":"optimize","spec":{"topology":"RI(4)_SW(8)","budget_gbps":200,"workloads":[{"preset":"DLRM"}]}}`},
+	{"optimize/respelled", KindOptimize, `{"spec":{"workloads":[{"preset":"DLRM","weight":1}],"objective":"perf","loop":"no-overlap","budget_gbps":200,"topology":"RI(4)_SW(8)"},"kind":"optimize"}`},
+	{"optimize/ppc", KindOptimize, `{"kind":"optimize","spec":{"topology":"RI(4)_SW(8)","budget_gbps":200,"objective":"ppc","workloads":[{"preset":"DLRM"}]}}`},
+	{"optimize/perf-per-cost", KindOptimize, `{"kind":"optimize","spec":{"topology":"RI(4)_SW(8)","budget_gbps":200,"objective":"perf-per-cost","workloads":[{"preset":"DLRM","weight":1}]}}`},
+	{"evaluate/minimal", KindEvaluate, `{"kind":"evaluate","spec":{"spec":{"topology":"RI(4)_SW(8)","budget_gbps":200,"workloads":[{"preset":"DLRM"}]},"bw":[100,100]}}`},
+	{"evaluate/respelled", KindEvaluate, `{"kind":"evaluate","spec":{"bw":[100.0,1e2],"spec":{"workloads":[{"preset":"DLRM","weight":1}],"topology":"RI(4)_SW(8)","budget_gbps":200,"objective":"perf"}}}`},
+	{"sweep/minimal", KindSweep, `{"kind":"sweep","spec":{"spec":{"topology":"RI(4)_SW(8)","budget_gbps":200,"workloads":[{"preset":"DLRM"}]},"sweep":{"budgets":[100,200]}}}`},
+	{"sweep/respelled", KindSweep, `{"kind":"sweep","spec":{"sweep":{"budgets":[100,200],"objectives":["perf","ppc"]},"spec":{"workloads":[{"preset":"DLRM","weight":1}],"topology":"RI(4)_SW(8)","budget_gbps":200}}}`},
+	{"frontier/minimal", KindFrontier, `{"kind":"frontier","spec":{"spec":{"topology":"RI(4)_SW(8)","budget_gbps":200,"workloads":[{"preset":"DLRM"}]},"frontier":{"budgets":[100,200]}}}`},
+	{"frontier/respelled", KindFrontier, `{"kind":"frontier","spec":{"frontier":{"budget_min":100,"budget_max":200,"budget_steps":3,"skip_equal_bw":true},"spec":{"objective":"perf-per-cost","workloads":[{"preset":"DLRM","weight":1}],"topology":"RI(4)_SW(8)","budget_gbps":200}}}`},
+	{"codesign/minimal", KindCoDesign, `{"kind":"codesign","spec":{"base":{"topology":"RI(4)_SW(8)","budget_gbps":200,"workloads":[{"transformer":{"num_layers":2,"hidden":256,"seq_len":64,"tp":2,"minibatch":4}}]},"tps":[2,4]}}`},
+	{"codesign/respelled", KindCoDesign, `{"spec":{"tps":[2,4],"base":{"workloads":[{"weight":1,"transformer":{"minibatch":4,"tp":2,"seq_len":64,"hidden":256,"num_layers":2}}],"budget_gbps":200,"topology":"RI(4)_SW(8)","objective":"perf"}},"kind":"codesign"}`},
+	{"validate/minimal", KindValidate, `{"kind":"validate","spec":{"topologies":["3D-Torus"],"workloads":["DLRM"]}}`},
+	{"validate/default-empty", KindValidate, `{"kind":"validate"}`},
+	{"validate/default-object", KindValidate, `{"kind":"validate","spec":{}}`},
+	{"cluster/minimal", KindCluster, `{"kind":"cluster","spec":{"topology":"RI(4)_SW(8)","budget_gbps":200,"jobs":[{"transformer":{"num_layers":2,"hidden":256,"seq_len":64,"tp":2,"minibatch":4}},{"name":"two","transformer":{"num_layers":2,"hidden":128,"seq_len":64,"tp":2,"minibatch":4},"weight":2}],"partition_steps":4}}`},
+	{"cluster/default-empty", KindCluster, `{"kind":"cluster"}`},
+	{"cluster/default-explicit", KindCluster, `{"kind":"cluster","spec":{"topology":"4D-4K","budget_gbps":1000,"jobs":[{"preset":"Turing-NLG"},{"preset":"GPT-3"},{"preset":"MSFT-1T"}]}}`},
+}
+
+// TestCanonicalGolden locks every kind's wire form, canonical envelope
+// bytes and fingerprint: fingerprints key the result cache, the on-disk
+// store and ETags, so any drift is a compatibility break. Regenerate with
+// `go test ./internal/task -run TestCanonicalGolden -update`.
+func TestCanonicalGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, tc := range kindCases {
+		tk, err := Parse([]byte(tc.body))
 		if err != nil {
-			t.Fatalf("%s: parse: %v", kind, err)
-		}
-		if tk.Kind != kind {
-			t.Fatalf("%s: parsed kind %q", kind, tk.Kind)
-		}
-		fp1, err := tk.Fingerprint()
-		if err != nil {
-			t.Fatalf("%s: fingerprint: %v", kind, err)
+			t.Fatalf("%s: parse: %v", tc.name, err)
 		}
 		wire, err := json.Marshal(tk)
 		if err != nil {
-			t.Fatalf("%s: marshal: %v", kind, err)
+			t.Fatalf("%s: marshal: %v", tc.name, err)
+		}
+		canon, err := tk.MarshalCanonical()
+		if err != nil {
+			t.Fatalf("%s: canonical: %v", tc.name, err)
+		}
+		fp, err := tk.Fingerprint()
+		if err != nil {
+			t.Fatalf("%s: fingerprint: %v", tc.name, err)
+		}
+		fmt.Fprintf(&buf, "# %s\nin:          %s\nwire:        %s\ncanonical:   %s\nfingerprint: %s\n\n",
+			tc.name, tc.body, wire, canon, fp)
+	}
+	golden := filepath.Join("testdata", "canonical.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("canonical forms drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, buf.Bytes(), want)
+	}
+}
+
+// Every kind parses from its envelope form, round-trips through
+// MarshalJSON, and fingerprints stably.
+func TestParseRoundTripAllKinds(t *testing.T) {
+	for _, tc := range kindCases {
+		tk, err := Parse([]byte(tc.body))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", tc.name, err)
+		}
+		if tk.Kind != tc.kind {
+			t.Fatalf("%s: parsed kind %q", tc.name, tk.Kind)
+		}
+		fp1, err := tk.Fingerprint()
+		if err != nil {
+			t.Fatalf("%s: fingerprint: %v", tc.name, err)
+		}
+		wire, err := json.Marshal(tk)
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", tc.name, err)
 		}
 		again, err := Parse(wire)
 		if err != nil {
-			t.Fatalf("%s: reparse %s: %v", kind, wire, err)
+			t.Fatalf("%s: reparse %s: %v", tc.name, wire, err)
 		}
 		fp2, err := again.Fingerprint()
 		if err != nil {
-			t.Fatalf("%s: refingerprint: %v", kind, err)
+			t.Fatalf("%s: refingerprint: %v", tc.name, err)
 		}
 		if fp1 != fp2 {
-			t.Errorf("%s: fingerprint drifted across wire round-trip: %s != %s", kind, fp1, fp2)
+			t.Errorf("%s: fingerprint drifted across wire round-trip: %s != %s", tc.name, fp1, fp2)
 		}
 	}
 }
@@ -125,8 +196,11 @@ func TestParseRejections(t *testing.T) {
 		t.Errorf("empty optimize payload: %v", err)
 	}
 	tk, err := FromKindPayload(KindValidate, nil)
-	if err != nil || tk.Validate == nil {
-		t.Fatalf("empty validate payload: %+v, %v", tk, err)
+	if err != nil {
+		t.Fatalf("empty validate payload: %v", err)
+	}
+	if _, ok := tk.Spec.(*validate.Spec); !ok {
+		t.Fatalf("empty validate payload parsed to %T", tk.Spec)
 	}
 }
 
@@ -218,8 +292,11 @@ func TestRunDispatchAllKinds(t *testing.T) {
 // mirroring validate's default matrix — without running it.
 func TestEmptyClusterPayloadDefaults(t *testing.T) {
 	tk, err := FromKindPayload(KindCluster, nil)
-	if err != nil || tk.Cluster == nil {
-		t.Fatalf("empty cluster payload: %+v, %v", tk, err)
+	if err != nil {
+		t.Fatalf("empty cluster payload: %v", err)
+	}
+	if _, ok := tk.Spec.(*cluster.Spec); !ok {
+		t.Fatalf("empty cluster payload parsed to %T", tk.Spec)
 	}
 	fpEmpty, err := tk.Fingerprint()
 	if err != nil {
@@ -289,7 +366,7 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(ctx, engine, NewOptimize(bad)); !errors.Is(err, core.ErrBadSpec) {
 		t.Errorf("bad topology: %v", err)
 	}
-	if _, err := (&Task{Kind: KindOptimize, Optimize: bad}).Fingerprint(); !errors.Is(err, core.ErrBadSpec) {
+	if _, err := (&Task{Kind: KindOptimize, Spec: bad}).Fingerprint(); !errors.Is(err, core.ErrBadSpec) {
 		t.Errorf("bad-spec fingerprint: %v", err)
 	}
 }
@@ -313,4 +390,165 @@ func TestEnvelopeMatchesV1Bodies(t *testing.T) {
 	if !strings.Contains(kindList(), "codesign") {
 		t.Error("kind list lost codesign")
 	}
+}
+
+// Every registry row round-trips its result: parse → Run → JSON →
+// DecodeResult yields the dynamic type Run returned and an equal value,
+// which is what the CLI's remote runner and the client accessors rely on.
+func TestRegistryParity(t *testing.T) {
+	engine := testEngine(t)
+	first := map[Kind]string{}
+	for _, tc := range kindCases {
+		if _, ok := first[tc.kind]; !ok {
+			first[tc.kind] = tc.body
+		}
+	}
+	for _, kind := range Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			body, ok := first[kind]
+			if !ok {
+				t.Fatalf("no kindCases entry for %s", kind)
+			}
+			tk, err := Parse([]byte(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(context.Background(), engine, tk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := DecodeResult(kind, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reflect.TypeOf(back) != reflect.TypeOf(res) {
+				t.Fatalf("DecodeResult gave %T, Run gave %T", back, res)
+			}
+			if !reflect.DeepEqual(back, res) {
+				t.Errorf("decoded result differs from Run's:\n%+v\n%+v", back, res)
+			}
+		})
+	}
+	if _, err := DecodeResult(Kind("bogus"), []byte(`{}`)); !errors.Is(err, core.ErrBadSpec) {
+		t.Errorf("unknown kind decode: %v", err)
+	}
+}
+
+// Every strict decoder rejects data after the JSON value (a second
+// document, garbage, a stray brace) and still accepts trailing
+// whitespace: the envelope, each kind's bare payload, and the four
+// ParseSpec entry points.
+func TestTrailingDataRejected(t *testing.T) {
+	type entry struct {
+		name  string
+		parse func([]byte) error
+		good  string
+	}
+	var entries []entry
+	payloads := map[Kind]string{}
+	for _, tc := range kindCases {
+		if _, ok := payloads[tc.kind]; ok {
+			continue
+		}
+		env, err := core.DecodeStrict[envelope]([]byte(tc.body), "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind := tc.kind
+		payloads[kind] = string(env.Spec)
+		entries = append(entries,
+			entry{"envelope/" + string(kind), func(b []byte) error { _, err := Parse(b); return err }, tc.body},
+			entry{"payload/" + string(kind), func(b []byte) error { _, err := FromKindPayload(kind, b); return err }, string(env.Spec)})
+	}
+	entries = append(entries,
+		entry{"core.ParseSpec", func(b []byte) error { _, err := core.ParseSpec(b); return err }, payloads[KindOptimize]},
+		entry{"codesign.ParseSpec", func(b []byte) error { _, err := codesign.ParseSpec(b); return err }, payloads[KindCoDesign]},
+		entry{"validate.ParseSpec", func(b []byte) error { _, err := validate.ParseSpec(b); return err }, payloads[KindValidate]},
+		entry{"cluster.ParseSpec", func(b []byte) error { _, err := cluster.ParseSpec(b); return err }, payloads[KindCluster]},
+	)
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			if err := e.parse([]byte(e.good + " \n\t")); err != nil {
+				t.Fatalf("trailing whitespace rejected: %v", err)
+			}
+			for _, tail := range []string{"xyz", ` {"kind":"cluster"} trailing-garbage`, "}", " 1", " nope"} {
+				err := e.parse([]byte(e.good + tail))
+				if err == nil {
+					t.Errorf("accepted trailing %q", tail)
+				} else if strings.HasPrefix(e.name, "envelope/") || strings.HasPrefix(e.name, "payload/") {
+					if !errors.Is(err, core.ErrBadSpec) {
+						t.Errorf("trailing %q: error %v is not ErrBadSpec", tail, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// A Spec whose type does not match the task's Kind is ErrBadSpec on
+// every registry path, never a panic or a silent reinterpretation.
+func TestMistypedSpecRejected(t *testing.T) {
+	engine := testEngine(t)
+	tk := &Task{Kind: KindOptimize, Spec: &validate.Spec{}}
+	if _, err := tk.Fingerprint(); !errors.Is(err, core.ErrBadSpec) {
+		t.Errorf("fingerprint: %v", err)
+	}
+	if _, err := json.Marshal(tk); !errors.Is(err, core.ErrBadSpec) {
+		t.Errorf("marshal: %v", err)
+	}
+	if _, err := Run(context.Background(), engine, tk); !errors.Is(err, core.ErrBadSpec) {
+		t.Errorf("run: %v", err)
+	}
+	if _, err := Run(context.Background(), engine, NewEvaluate(nil, topology.BWConfig{1, 1})); !errors.Is(err, core.ErrBadSpec) {
+		t.Errorf("evaluate without a base spec: %v", err)
+	}
+}
+
+// FuzzTaskParse drives the envelope parser with arbitrary bytes: it must
+// never panic, and for any accepted task whose spec builds,
+// MarshalCanonical → Parse → MarshalCanonical is a fixed point and the
+// fingerprint is stable.
+func FuzzTaskParse(f *testing.F) {
+	for _, tc := range kindCases {
+		f.Add([]byte(tc.body))
+	}
+	for _, s := range []string{`{}`, `{"kind":"divinate"}`, `{"kind":"optimize","spec":null}`,
+		`{"kind":"evaluate","spec":{"spec":null,"bw":[1]}}`, `{"kind":"validate","spec":[]}`, `nul`} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tk, err := Parse(data)
+		if err != nil {
+			if !errors.Is(err, core.ErrBadSpec) {
+				t.Fatalf("parse error %v is not ErrBadSpec", err)
+			}
+			return
+		}
+		canon, err := tk.MarshalCanonical()
+		if err != nil {
+			if _, fpErr := tk.Fingerprint(); !errors.Is(fpErr, core.ErrBadSpec) {
+				t.Fatalf("unbuildable task fingerprints: %v", fpErr)
+			}
+			return
+		}
+		re, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("canonical form does not parse: %v\n%s", err, canon)
+		}
+		canon2, err := re.MarshalCanonical()
+		if err != nil || !bytes.Equal(canon, canon2) {
+			t.Fatalf("canonical form is not a fixed point (%v):\n%s\n%s", err, canon, canon2)
+		}
+		fp, err := tk.Fingerprint()
+		if err != nil {
+			t.Fatalf("canonicalizable task does not fingerprint: %v", err)
+		}
+		if fp2, err := re.Fingerprint(); err != nil || fp2 != fp {
+			t.Fatalf("fingerprint not stable: %q vs %q (%v)", fp, fp2, err)
+		}
+	})
 }
