@@ -23,7 +23,8 @@ FUZZTIME    ?= 10s
 FUZZTARGETS ?= ./internal/core:FuzzParseSpec ./internal/codesign:FuzzParseSpec \
 	./internal/validate:FuzzParseSpec ./internal/cluster:FuzzParseSpec \
 	./internal/task:FuzzTaskParse \
-	./internal/opt:FuzzOptionsValidate ./internal/store:FuzzStoreLog
+	./internal/opt:FuzzOptionsValidate ./internal/opt:FuzzSeparableProject \
+	./internal/store:FuzzStoreLog
 
 # Where profile writes its pprof output.
 PROFILEDIR ?= profiles

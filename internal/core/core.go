@@ -484,8 +484,23 @@ func (o *Optimizer) solve(ctx context.Context, budget float64, solverOpts opt.Op
 	if err != nil {
 		return Result{}, err
 	}
+	objective, convex := o.objective()
+	solverOpts.Convex = convex
+	prob := opt.Problem{N: p.Net.NumDims(), Objective: objective, Cons: cons}
+	sol, err := opt.MinimizeContext(ctx, prob, solverOpts)
+	if err != nil {
+		return Result{}, fmt.Errorf("core: %s solve failed: %w", p.Objective, err)
+	}
+	return o.eval.Evaluate(topology.BWConfig(sol.X))
+}
+
+// objective returns the function the solver minimizes under the
+// problem's current objective — the weighted iteration time, or that
+// time multiplied by the network's dollar cost — and whether it is
+// convex (only the pure time objective is).
+func (o *Optimizer) objective() (f func([]float64) float64, convex bool) {
+	p := o.p
 	costRates := o.eval.rates
-	n := p.Net.NumDims()
 	fns, wsum := o.fns, o.wsum
 	weightedTime := func(x []float64) float64 {
 		bw := topology.BWConfig(x)
@@ -499,30 +514,20 @@ func (o *Optimizer) solve(ctx context.Context, budget float64, solverOpts opt.Op
 		}
 		return total / wsum
 	}
-	objective := weightedTime
-	convex := true
-	if p.Objective == PerfPerCostOpt {
-		convex = false
-		objective = func(x []float64) float64 {
-			t := weightedTime(x)
-			if math.IsInf(t, 1) {
-				return t
-			}
-			dollars := 0.0
-			for d, r := range costRates {
-				dollars += r * x[d]
-			}
-			return t * dollars
+	if p.Objective != PerfPerCostOpt {
+		return weightedTime, true
+	}
+	return func(x []float64) float64 {
+		t := weightedTime(x)
+		if math.IsInf(t, 1) {
+			return t
 		}
-	}
-
-	solverOpts.Convex = convex
-	prob := opt.Problem{N: n, Objective: objective, Cons: cons}
-	sol, err := opt.MinimizeContext(ctx, prob, solverOpts)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: %s solve failed: %w", p.Objective, err)
-	}
-	return o.eval.Evaluate(topology.BWConfig(sol.X))
+		dollars := 0.0
+		for d, r := range costRates {
+			dollars += r * x[d]
+		}
+		return t * dollars
+	}, false
 }
 
 // ScaleWarmStart rescales a neighboring design point's bandwidth vector to

@@ -2,12 +2,16 @@ package opt
 
 import (
 	"math"
+	"slices"
 )
 
 // Project returns the Euclidean projection of x0 onto the constraint
-// polyhedron. It runs the primal active-set QP solver (Q = I) and falls
-// back to Dykstra's alternating projections if the active-set method
-// stalls on a degenerate working set.
+// polyhedron. A set of box bounds plus at most one general row with
+// all-positive coefficients (a budget) is projected exactly by a
+// breakpoint search (see separable). Every other set runs the primal
+// active-set QP solver (Q = I), falling back to Dykstra's alternating
+// projections if the active-set method stalls on a degenerate working
+// set.
 //
 // Project builds a fresh projector on every call. The solver instead keeps
 // one projector per worker: it projects its seeds and runs every start's
@@ -51,6 +55,15 @@ type projector struct {
 	lam     []float64
 	z       []float64
 	dir     []float64
+	// sep marks a set the exact breakpoint projection handles: box
+	// bounds plus at most one general row sepA·x ≤ sepB (= when sepEq)
+	// with every coefficient > 0 (sepA nil: box only). bp is that
+	// projection's breakpoint scratch, 2n long.
+	sep   bool
+	sepA  []float64
+	sepB  float64
+	sepEq bool
+	bp    []float64
 }
 
 func newProjector(c *Constraints) *projector {
@@ -59,18 +72,19 @@ func newProjector(c *Constraints) *projector {
 	// All scratch comes from one float, one bool and one int allocation:
 	// a solve builds a projector per worker, and per-slice allocations
 	// were most of its bytes.
-	fs := make([]float64, 5*n+m*n+2*m+m*(m+1))
+	fs := make([]float64, 7*n+m*n+2*m+m*(m+1))
 	take := func(k int) []float64 {
 		out := fs[:k:k]
 		fs = fs[k:]
 		return out
 	}
 	bs := make([]bool, 3*m)
-	return &projector{
+	pr := &projector{
 		c:         c,
 		rows:      rows,
 		n:         n,
 		res:       take(n),
+		bp:        take(2 * n),
 		y:         take(n),
 		corr:      take(m * n),
 		prev:      take(n),
@@ -85,6 +99,51 @@ func newProjector(c *Constraints) *projector {
 		z:         take(n),
 		dir:       take(n),
 	}
+	pr.sepA, pr.sepB, pr.sepEq, pr.sep = separableRow(c)
+	return pr
+}
+
+// separableRow classifies a constraint set once per projector. It
+// reports ok for box bounds plus at most one general row whose
+// coefficients are all finite and > 0 — the shape of every budget the
+// solver sees (ΣB = budget, a dollar budget, a positive weighted sum,
+// with dimension caps and floors as bounds) — and returns that row (a
+// nil a for box only). Any other shape, or a set that is empty, is not
+// separable and stays on the active-set/Dykstra path.
+func separableRow(c *Constraints) (a []float64, b float64, eq, ok bool) {
+	if len(c.ineqA)+len(c.eqA) > 1 {
+		return nil, 0, false, false
+	}
+	for i := range c.lo {
+		if !(c.lo[i] <= c.hi[i]) || math.IsInf(c.lo[i], 1) || math.IsInf(c.hi[i], -1) {
+			return nil, 0, false, false
+		}
+	}
+	switch {
+	case len(c.ineqA) == 1:
+		a, b = c.ineqA[0], c.ineqB[0]
+	case len(c.eqA) == 1:
+		a, b, eq = c.eqA[0], c.eqB[0], true
+	default:
+		return nil, 0, false, true
+	}
+	if math.IsNaN(b) || math.IsInf(b, 0) {
+		return nil, 0, false, false
+	}
+	// With a > 0 the set is nonempty iff a·lo ≤ b (and b ≤ a·hi for an
+	// equality); infinite bounds make these sums infinite, never NaN.
+	sumLo, sumHi := 0.0, 0.0
+	for i, ai := range a {
+		if !(ai > 0) || math.IsInf(ai, 1) {
+			return nil, 0, false, false
+		}
+		sumLo += ai * c.lo[i]
+		sumHi += ai * c.hi[i]
+	}
+	if !(sumLo <= b) || (eq && !(b <= sumHi)) {
+		return nil, 0, false, false
+	}
+	return a, b, eq, true
 }
 
 // project computes the projection of x0 into pr.res and returns it. x0
@@ -94,11 +153,131 @@ func (pr *projector) project(x0 []float64) []float64 {
 		copy(pr.res, x0)
 		return pr.res
 	}
+	if pr.sep {
+		pr.separable(x0)
+		// A result that rounding pushed out of the set (extreme
+		// magnitudes only) is recomputed on the general path.
+		if pr.c.Feasible(pr.res, 1e-7) {
+			return pr.res
+		}
+	}
 	if pr.activeSet(x0) && pr.c.Feasible(pr.res, 1e-7) {
 		return pr.res
 	}
 	pr.dykstra(x0, 2000, 1e-12)
 	return pr.res
+}
+
+// separable writes the exact projection of x0 onto a separable set into
+// pr.res and returns its multiplier. With the row a·x ≤ b (or = b) the
+// projection is x(λ) = clip(x0 − λa, lo, hi) for the λ that puts x(λ)
+// on the row — λ = 0 when clip(x0) already satisfies an inequality — so
+// the work is finding λ (see lambda). Box-only sets take λ = 0.
+//
+//libra:hotpath
+func (pr *projector) separable(x0 []float64) float64 {
+	lam := 0.0
+	if a := pr.sepA; a != nil && (pr.sepEq || rowAt(a, pr.c.lo, pr.c.hi, x0, 0) > pr.sepB) {
+		lam = pr.lambda(x0)
+	}
+	lo, hi, x := pr.c.lo, pr.c.hi, pr.res
+	for i := range x {
+		v := x0[i]
+		if lam != 0 {
+			v -= lam * pr.sepA[i]
+		}
+		x[i] = clamp(v, lo[i], hi[i])
+	}
+	return lam
+}
+
+// lambda returns the λ solving g(λ) = b for g(λ) = a·clip(x0 − λa, lo, hi).
+// g is continuous, nonincreasing and linear between the breakpoints
+// where a coordinate reaches a bound: (x0_i − hi_i)/a_i and
+// (x0_i − lo_i)/a_i. lambda sorts those breakpoints, binary-searches the
+// first one with g ≤ b, and solves the linear piece that brackets the
+// root in closed form. An inequality row reaches here only with
+// g(0) > b, so its search starts at 0 and λ > 0.
+//
+//libra:hotpath
+func (pr *projector) lambda(x0 []float64) float64 {
+	a, b, lo, hi := pr.sepA, pr.sepB, pr.c.lo, pr.c.hi
+	lower, upper := 0.0, math.Inf(1)
+	if pr.sepEq {
+		lower = math.Inf(-1)
+	}
+	// Infinite bounds give infinite breakpoints, which are never reached.
+	bp := pr.bp[:0]
+	for i, ai := range a {
+		if t := (x0[i] - hi[i]) / ai; lower < t && t < upper {
+			bp = append(bp, t)
+		}
+		if t := (x0[i] - lo[i]) / ai; lower < t && t < upper {
+			bp = append(bp, t)
+		}
+	}
+	slices.Sort(bp)
+	k, j := 0, len(bp)
+	for k < j {
+		mid := int(uint(k+j) >> 1)
+		if rowAt(a, lo, hi, x0, bp[mid]) <= b {
+			j = mid
+		} else {
+			k = mid + 1
+		}
+	}
+	if k < len(bp) {
+		upper = bp[k]
+		if rowAt(a, lo, hi, x0, upper) == b {
+			return upper
+		}
+	}
+	if k > 0 {
+		lower = bp[k-1]
+	}
+	// On (lower, upper) every coordinate is pinned at a bound or free;
+	// the free ones move as x0_i − λa_i, so g(λ) = b is linear in λ.
+	num, den := -b, 0.0
+	for i, ai := range a {
+		switch {
+		case (x0[i]-hi[i])/ai >= upper:
+			num += ai * hi[i]
+		case (x0[i]-lo[i])/ai <= lower:
+			num += ai * lo[i]
+		default:
+			num += ai * x0[i]
+			den += ai * ai
+		}
+	}
+	if den == 0 {
+		// g is flat on the bracket (rounding only): stay on its edge.
+		if k < len(bp) {
+			return upper
+		}
+		return lower
+	}
+	return num / den
+}
+
+// rowAt returns g(λ) = a·clip(x0 − λa, lo, hi).
+//
+//libra:hotpath
+func rowAt(a, lo, hi, x0 []float64, lam float64) float64 {
+	s := 0.0
+	for i, ai := range a {
+		s += ai * clamp(x0[i]-lam*ai, lo[i], hi[i])
+	}
+	return s
+}
+
+func clamp(v, lo, hi float64) float64 {
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
 }
 
 // dykstra implements Dykstra's alternating-projection algorithm over the

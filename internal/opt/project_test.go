@@ -96,10 +96,14 @@ func sameBits(a, b []float64) bool {
 // seeded random sequence of points and checks every result against a
 // fresh Project call and against the dense reference implementation: a
 // projector must reset all per-call state (corrections, touched flags,
-// working set, KKT scratch) so that reuse never moves a bit.
+// working set, KKT scratch, breakpoints) so that reuse never moves a bit.
+// Sets on the active-set/Dykstra path must also match the reference bit
+// for bit. Separable sets project exactly, so there the reference (an
+// iterative method) is only matched to within rounding, and the exact
+// result must be at least as close to x0.
 func TestProjectorReuseMatchesFreshProject(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	points := 0
+	points, separable := 0, 0
 	for poly := 0; poly < 60; poly++ {
 		c := randomPolyhedron(rng)
 		pr := newProjector(c)
@@ -111,13 +115,186 @@ func TestProjectorReuseMatchesFreshProject(t *testing.T) {
 			if !sameBits(reused, fresh) {
 				t.Fatalf("polyhedron %d point %d: reused projector %v, fresh Project %v (x0 %v)", poly, k, reused, fresh, x0)
 			}
-			if !sameBits(fresh, ref) {
-				t.Fatalf("polyhedron %d point %d: Project %v, dense reference %v (x0 %v)", poly, k, fresh, ref, x0)
+			if !pr.sep {
+				if !sameBits(fresh, ref) {
+					t.Fatalf("polyhedron %d point %d: Project %v, dense reference %v (x0 %v)", poly, k, fresh, ref, x0)
+				}
+			} else {
+				separable++
+				if d := normDiff(fresh, ref); d > 1e-9*(1+norm2(x0)) {
+					t.Fatalf("polyhedron %d point %d: exact projection %v is %g from the reference %v (x0 %v)", poly, k, fresh, d, ref, x0)
+				}
+				if got, want := normDiff(fresh, x0), normDiff(ref, x0); got > want+1e-9 {
+					t.Fatalf("polyhedron %d point %d: exact projection is %v from x0, the reference %v", poly, k, got, want)
+				}
 			}
 			points++
 		}
 	}
-	t.Logf("%d projections", points)
+	t.Logf("%d projections, %d on separable sets", points, separable)
+}
+
+// randomSeparable builds a box + one-row set over 1–6 variables: bounds
+// that may be infinite, coefficients and bounds drawn from a small grid
+// so breakpoints tie, and a row through a random point z of the box (=
+// form) or above it (≤ form); z is returned as a feasible point. empty
+// moves the row below the box, which makes the set empty.
+func randomSeparable(rng *rand.Rand, empty bool) (c *Constraints, a []float64, b float64, eq bool, z []float64) {
+	n := 1 + rng.Intn(6)
+	c = NewConstraints(n)
+	a = make([]float64, n)
+	z = make([]float64, n)
+	for i := range a {
+		a[i] = float64(1+rng.Intn(4)) / 2
+		lo, hi := math.Inf(-1), math.Inf(1)
+		if empty || rng.Intn(4) > 0 {
+			lo = float64(rng.Intn(5) * 10)
+		}
+		if rng.Intn(3) > 0 {
+			hi = math.Max(lo, 0) + float64(rng.Intn(4)*20)
+		}
+		c.SetLower(i, lo)
+		c.SetUpper(i, hi)
+		z[i] = clamp(float64(rng.Intn(8)*10), lo, hi)
+	}
+	b = dot(a, z)
+	eq = rng.Intn(2) == 0
+	switch {
+	case empty:
+		lo := 0.0
+		for i := range a {
+			lo += a[i] * c.Lower(i)
+		}
+		b = lo - 1 - float64(rng.Intn(10))
+	case eq:
+	default:
+		b += float64(rng.Intn(3) * 15)
+	}
+	if eq {
+		c.AddEQ(a, b)
+	} else {
+		c.AddLE(a, b)
+	}
+	return c, a, b, eq, z
+}
+
+// checkSeparable projects x0 onto a separable set and checks the result:
+// feasible to 1e-9, of the KKT form x = clip(x0 − λa, lo, hi) (λ ≥ 0 and
+// λ·(a·x − b) = 0 for an inequality), and at least as close to x0 as the
+// dense reference's answer, to within 1e-9·(1+‖x0‖).
+func checkSeparable(t *testing.T, c *Constraints, a []float64, b float64, eq bool, x0 []float64) {
+	t.Helper()
+	pr := newProjector(c)
+	if !pr.sep {
+		t.Fatalf("nonempty box + one positive row classified as general (a %v, b %v, eq %v)", a, b, eq)
+	}
+	lam := pr.separable(x0)
+	x := clone(pr.res)
+	if got := pr.project(x0); !c.Feasible(x0, 1e-12) && !sameBits(got, x) {
+		t.Fatalf("project %v, separable kernel %v", got, x)
+	}
+	if v := c.Violation(x); v > 1e-9 {
+		t.Fatalf("x0 %v → %v violates the set by %g (a %v, b %v, eq %v)", x0, x, v, a, b, eq)
+	}
+	tol := 1e-9 * (1 + norm2(x0))
+	for i := range x {
+		free := x0[i] - lam*a[i]
+		lo, hi := c.Lower(i), c.Upper(i)
+		switch {
+		case x[i] == lo && x[i] == hi:
+		case x[i] == lo:
+			if free > lo+tol {
+				t.Fatalf("x[%d] = %v sits on its lower bound, but x0 − λa = %v (λ %v)", i, x[i], free, lam)
+			}
+		case x[i] == hi:
+			if free < hi-tol {
+				t.Fatalf("x[%d] = %v sits on its upper bound, but x0 − λa = %v (λ %v)", i, x[i], free, lam)
+			}
+		default:
+			if math.Abs(x[i]-free) > tol {
+				t.Fatalf("x[%d] = %v is free, but x0 − λa = %v (λ %v)", i, x[i], free, lam)
+			}
+		}
+	}
+	if !eq {
+		if lam < 0 {
+			t.Fatalf("inequality multiplier λ = %v < 0", lam)
+		}
+		if slack := lam * (dot(a, x) - b); math.Abs(slack) > tol*(1+lam) {
+			t.Fatalf("complementary slackness: λ·(a·x − b) = %v", slack)
+		}
+	}
+	// The reference is iterative: it may stop up to 1e-9 outside the set
+	// and so sit slightly closer to x0 than any feasible point, by more
+	// the farther x0 lies, hence the tolerance scales with x0. A
+	// reference further outside is no bound at all.
+	if ref := referenceProject(c, x0); c.Feasible(ref, 1e-9) {
+		if got, want := normDiff(x, x0), normDiff(ref, x0); got > want+tol {
+			t.Fatalf("x0 %v: exact projection %v is %v away, reference %v only %v", x0, x, got, ref, want)
+		}
+	}
+}
+
+// TestSeparableProjectionKKT checks the exact breakpoint projection on
+// random box + one-row sets in both = and ≤ form: infinite bounds, tied
+// breakpoints, points already inside, and empty sets, which must stay on
+// the general path and match its reference bit for bit.
+func TestSeparableProjectionKKT(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for k := 0; k < 3000; k++ {
+		c, a, b, eq, z := randomSeparable(rng, k%10 == 9)
+		x0 := make([]float64, c.N())
+		for i := range x0 {
+			x0[i] = float64(rng.Intn(41)*5 - 50)
+		}
+		if k%7 == 0 && k%10 != 9 {
+			// Already feasible: the projection is x0 itself.
+			copy(x0, z)
+			if got := Project(c, x0); !sameBits(got, x0) {
+				t.Fatalf("feasible x0 %v moved to %v", x0, got)
+			}
+		}
+		if k%10 == 9 {
+			if pr := newProjector(c); pr.sep {
+				t.Fatalf("empty set (a %v, b %v, eq %v) classified separable", a, b, eq)
+			}
+			if got, ref := Project(c, x0), referenceProject(c, x0); !sameBits(got, ref) {
+				t.Fatalf("empty set: Project %v, reference %v", got, ref)
+			}
+			continue
+		}
+		checkSeparable(t, c, a, b, eq, x0)
+	}
+}
+
+// TestSeparableClassification pins which constraint shapes take the exact
+// projection.
+func TestSeparableClassification(t *testing.T) {
+	cases := []struct {
+		name string
+		c    *Constraints
+		want bool
+	}{
+		{"box only", NewConstraints(3).SetAllLower(1), true},
+		{"budget", NewConstraints(3).SetAllLower(1).SumEquals(30), true},
+		{"budget with cap", NewConstraints(3).SetAllLower(1).SumEquals(30).VarAtMost(0, 5), true},
+		{"sum at most", NewConstraints(3).SumAtMost(30), true},
+		{"positive weighted sum", NewConstraints(3).SetAllLower(0).WeightedSumAtMost([]float64{1, 2, 3}, 30), true},
+		{"zero coefficient", NewConstraints(3).SetAllLower(0).WeightedSumAtMost([]float64{1, 0, 3}, 30), false},
+		{"ge row", NewConstraints(3).SetAllLower(0).AddGE([]float64{1, 1, 1}, 3), false},
+		{"ordered", NewConstraints(3).SetAllLower(1).SumEquals(30).Ordered(0, 1), false},
+		{"pair sum", NewConstraints(3).SetAllLower(1).PairSumEquals(0, 1, 10), false},
+		{"budget and pair sum", NewConstraints(3).SetAllLower(1).SumEquals(30).PairSumEquals(0, 1, 10), false},
+		{"two rows", NewConstraints(3).SetAllLower(1).SumEquals(30).SumAtMost(40), false},
+		{"empty: floors above budget", NewConstraints(3).SetAllLower(20).SumEquals(30), false},
+		{"empty: caps below budget", NewConstraints(2).SetAllLower(0).VarAtMost(0, 1).VarAtMost(1, 1).SumEquals(30), false},
+		{"empty: crossed bounds", NewConstraints(2).SetAllLower(5).VarAtMost(0, 1), false},
+	}
+	for _, tc := range cases {
+		if got := newProjector(tc.c).sep; got != tc.want {
+			t.Errorf("%s: separable = %v, want %v", tc.name, got, tc.want)
+		}
+	}
 }
 
 // TestRowDotMatchesDense pins the O(1) bound-row product to the dense

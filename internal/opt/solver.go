@@ -222,6 +222,9 @@ func MinimizeContext(ctx context.Context, p Problem, o Options) (Result, error) 
 	// Solve-level accounting: one atomic bump per solve, nothing inside
 	// the per-start searches.
 	telemetry.SolverSolves.Inc()
+	if !pr.sep {
+		telemetry.SolverGeneralPathSolves.Inc()
+	}
 	if warm {
 		telemetry.SolverWarmSolves.Inc()
 		if res.WarmCut {

@@ -64,6 +64,8 @@ var (
 
 	SolverSolves = Default.NewCounter("libra_solver_solves_total",
 		"Multistart solves completed.")
+	SolverGeneralPathSolves = Default.NewCounter("libra_solver_general_path_solves_total",
+		"Solves whose constraint set needed the active-set/Dykstra projection (ordered or pair-sum rows, several general rows, a non-positive coefficient, or an empty set); the rest project exactly by breakpoint search.")
 	SolverStarts = Default.NewCounter("libra_solver_starts_total",
 		"Local-search starts launched (including speculative parallel starts).")
 	SolverStartsSkipped = Default.NewCounter("libra_solver_starts_skipped_total",
