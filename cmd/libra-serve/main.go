@@ -125,7 +125,7 @@ func main() {
 		engineCfg.Store = st
 		ds := st.Stats()
 		logger.Info("persistent cache open",
-			"dir", *cacheDir, "entries", ds.Entries, "bytes", ds.Bytes)
+			"dir", *cacheDir, "entries", ds.Entries, "bytes", ds.Bytes, "stale", ds.Stale)
 	}
 	engine := libra.NewEngine(engineCfg)
 	defer engine.Close()

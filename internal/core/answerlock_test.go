@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -104,5 +105,20 @@ func TestAnswerLock(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("solver answers moved:\n--- got\n%s--- want\n%s", buf.Bytes(), want)
+	}
+}
+
+// TestAnswerEpochPinsAnswerLock: regenerating the answer lock means
+// answers moved under unchanged fingerprints, and a disk store written
+// before the move would keep serving the old ones, so the lock's hash is
+// pinned next to AnswerEpoch and both move together.
+func TestAnswerEpochPinsAnswerLock(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "answerlock.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(data)); sum != answerLockSHA256 {
+		t.Errorf("answerlock.golden changed (sha256 %s, pinned %s): bump AnswerEpoch past %q and re-pin answerLockSHA256 next to it",
+			sum, answerLockSHA256, AnswerEpoch)
 	}
 }

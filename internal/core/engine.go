@@ -317,7 +317,7 @@ func (e *Engine) doShared(ctx context.Context, key string, codec Codec, compute 
 		// to decode (schema drift, bit rot past the CRC) falls through to
 		// a fresh solve rather than surfacing an error.
 		if e.store != nil && codec != nil {
-			if data, elapsedMS, ok := e.store.Get(op, key); ok {
+			if data, elapsedMS, ok := e.store.Get(op, AnswerEpoch+key); ok {
 				if v, derr := codec.Decode(data); derr == nil {
 					res = cacheEntry{value: v, elapsedMS: elapsedMS}
 					fromDisk = true
@@ -347,7 +347,7 @@ func (e *Engine) doShared(ctx context.Context, key string, codec Codec, compute 
 		// against a solve — and absent a store it costs nothing.
 		if err == nil && !fromDisk && e.store != nil && codec != nil {
 			if data, eerr := codec.Encode(res.value); eerr == nil {
-				_ = e.store.Put(op, key, data, res.elapsedMS)
+				_ = e.store.Put(op, AnswerEpoch+key, data, res.elapsedMS)
 			} else {
 				telemetry.StorePutErrors.Inc()
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"libra/internal/opt"
 	"libra/internal/topology"
 )
 
@@ -174,17 +175,31 @@ func TestEngineOptimizeAllAndSweep(t *testing.T) {
 	}
 }
 
-// A long solve must stop promptly when its context is canceled.
-func TestOptimizeContextCancellation(t *testing.T) {
-	// Many targets × many starts × many iterations: seconds of work.
-	spec := &ProblemSpec{
-		Topology:   "4D-4K",
-		Workloads:  []WorkloadSpec{{Preset: "GPT-3"}, {Preset: "MSFT-1T"}, {Preset: "Turing-NLG"}},
+// slowSolveSpec is a perf-per-cost problem sized to keep the solver busy
+// for about a second on two cores: a 7D network, 36 weighted targets, and
+// an exact tolerance that runs every Nelder-Mead polish to its iteration
+// cap. A small perf-per-cost solve finishes in milliseconds, and more
+// starts do not help (the seed generator stops adding random starts at
+// ~87 for the default seed), so the length comes from pricing and polish.
+func slowSolveSpec() *ProblemSpec {
+	var ws []WorkloadSpec
+	for i := 0; i < 12; i++ {
+		for _, name := range []string{"GPT-3", "MSFT-1T", "Turing-NLG"} {
+			ws = append(ws, WorkloadSpec{Preset: name, Weight: 1 + float64(i)/12})
+		}
+	}
+	return &ProblemSpec{
+		Topology:   "RI(2)_RI(2)_FC(8)_RI(2)_RI(2)_SW(4)_SW(8)",
+		Workloads:  ws,
 		BudgetGBps: 500,
 		Objective:  "perf-per-cost",
-		Solver:     &SolverSpec{Starts: 64, MaxIters: 5000},
+		Solver:     &SolverSpec{Starts: 64, MaxIters: 5000, Tol: opt.TolExact},
 	}
-	p, err := spec.Build()
+}
+
+// A long solve must stop promptly when its context is canceled.
+func TestOptimizeContextCancellation(t *testing.T) {
+	p, err := slowSolveSpec().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +223,7 @@ func TestOptimizeContextCancellation(t *testing.T) {
 func TestEngineCancellationWhileWaiting(t *testing.T) {
 	e := NewEngine(EngineConfig{Workers: 1, CacheSize: 8})
 	defer e.Close()
-	spec := &ProblemSpec{
-		Topology:   "4D-4K",
-		Workloads:  []WorkloadSpec{{Preset: "GPT-3"}, {Preset: "MSFT-1T"}},
-		BudgetGBps: 500,
-		Objective:  "perf-per-cost",
-		Solver:     &SolverSpec{Starts: 64, MaxIters: 5000},
-	}
+	spec := slowSolveSpec()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -9,35 +9,39 @@ import (
 	"libra/internal/telemetry"
 )
 
-// gridQuanta is the oracle's resolution: every dimension takes a whole
-// number of budget/gridQuanta quanta.
-const gridQuanta = 600
-
-// gridBest exhaustively searches the three-dimensional design grid on the
-// budget plane — B_d = k_d·budget/gridQuanta with Σk_d = gridQuanta and
-// every B_d at or above floor — and returns the lowest objective found.
-// This is the exhaustive search over bandwidth quanta of the original
-// LIBRA study, used as an oracle independent of the solver.
-func gridBest(f func([]float64) float64, budget, floor float64) (best float64, at []float64) {
-	q := budget / gridQuanta
+// gridBest exhaustively searches the n-dimensional design grid on the
+// budget plane — B_d = k_d·budget/quanta with Σk_d = quanta and every B_d
+// at or above floor — and returns the lowest objective found. This is
+// the exhaustive search over bandwidth quanta of the original LIBRA
+// study, used as an oracle independent of the solver.
+func gridBest(f func([]float64) float64, n, quanta int, budget, floor float64) (best float64, at []float64) {
+	q := budget / float64(quanta)
 	kmin := int(math.Ceil(floor/q - 1e-9))
 	best = math.Inf(1)
-	x := make([]float64, 3)
-	for k1 := kmin; k1 <= gridQuanta-2*kmin; k1++ {
-		for k2 := kmin; k2 <= gridQuanta-k1-kmin; k2++ {
-			x[0], x[1], x[2] = float64(k1)*q, float64(k2)*q, float64(gridQuanta-k1-k2)*q
+	x := make([]float64, n)
+	var walk func(d, left int)
+	walk = func(d, left int) {
+		if d == n-1 {
+			x[d] = float64(left) * q
 			if v := f(x); v < best {
 				best, at = v, append(at[:0], x...)
 			}
+			return
+		}
+		for k := kmin; k <= left-(n-1-d)*kmin; k++ {
+			x[d] = float64(k) * q
+			walk(d+1, left-k)
 		}
 	}
+	walk(0, quanta)
 	return best, at
 }
 
 // TestSolverMatchesGridOracle checks the solver against the exhaustive
 // grid on seeded cold-solve-shaped mixes (the three Table II transformers
-// at random weights and budgets) on 3D-4K and 3D-1K, under both
-// objectives, scoring both with the optimizer's own objective.
+// at random weights and budgets), scoring both with the optimizer's own
+// objective: 3D-4K and 3D-1K under both objectives on a 600-quanta grid,
+// and 4D-4K perf-per-cost on a 120-quanta grid (~300k points).
 //
 // perf-per-cost must match or beat the grid's best point. perf is held to
 // a 1e-3 relative gap: on 3D-1K the solver misses the grid by up to
@@ -46,12 +50,22 @@ func gridBest(f func([]float64) float64, budget, floor float64) (best float64, a
 // time objective, where projected gradient stalls and the polish cannot
 // leave; fixing it would change every perf solve's path, so it is open.
 func TestSolverMatchesGridOracle(t *testing.T) {
-	for _, topo := range []string{"3D-4K", "3D-1K"} {
+	both := []string{"perf-per-cost", "perf"}
+	cases := []struct {
+		topo       string
+		objectives []string
+		quanta     int
+	}{
+		{"3D-4K", both, 600},
+		{"3D-1K", both, 600},
+		{"4D-4K", []string{"perf-per-cost"}, 120},
+	}
+	for _, c := range cases {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			w := func() float64 { return 0.5 + rng.Float64() }
 			spec := ProblemSpec{
-				Topology: topo,
+				Topology: c.topo,
 				Workloads: []WorkloadSpec{
 					{Preset: "GPT-3", Weight: w()},
 					{Preset: "Turing-NLG", Weight: w()},
@@ -59,7 +73,7 @@ func TestSolverMatchesGridOracle(t *testing.T) {
 				},
 				BudgetGBps: 200 + 800*rng.Float64(),
 			}
-			for _, objective := range []string{"perf-per-cost", "perf"} {
+			for _, objective := range c.objectives {
 				spec.Objective = objective
 				p, err := spec.Build()
 				if err != nil {
@@ -75,17 +89,17 @@ func TestSolverMatchesGridOracle(t *testing.T) {
 				}
 				f, _ := o.objective()
 				got := f(res.BW)
-				grid, at := gridBest(f, p.BWBudget, p.minDimBW())
+				grid, at := gridBest(f, p.Net.NumDims(), c.quanta, p.BWBudget, p.minDimBW())
 				gap := (got - grid) / math.Abs(grid)
 				t.Logf("%s seed %d %s budget %.3f: solver %.10g at %.4g, grid %.10g at %.4g, gap %+.2e",
-					topo, seed, objective, p.BWBudget, got, res.BW, grid, at, gap)
+					c.topo, seed, objective, p.BWBudget, got, res.BW, grid, at, gap)
 				switch {
 				case objective == "perf-per-cost" && gap > 0:
 					t.Errorf("%s seed %d perf-per-cost: solver %v is worse than the grid's %v (gap %.2e)",
-						topo, seed, got, grid, gap)
+						c.topo, seed, got, grid, gap)
 				case gap > 1e-3:
 					t.Errorf("%s seed %d %s: solver %v misses the grid's %v by %.2e > 1e-3",
-						topo, seed, objective, got, grid, gap)
+						c.topo, seed, objective, got, grid, gap)
 				}
 			}
 		}

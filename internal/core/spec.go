@@ -176,8 +176,11 @@ type SolverSpec struct {
 	Tol      float64 `json:"tol,omitempty"`
 	Starts   int     `json:"starts,omitempty"`
 	Seed     int64   `json:"seed,omitempty"`
-	// Strategy selects the per-start local search: "projected-gradient"
-	// (default) or "coordinate-descent".
+	// Strategy selects the per-start local search. The default ("",
+	// also spelled "projected-gradient" or "pgd") picks it from the
+	// objective's convexity: projected gradient for perf, coordinate
+	// descent for perf-per-cost, each with a Nelder-Mead polish.
+	// "coordinate-descent" runs coordinate descent alone.
 	Strategy string `json:"strategy,omitempty"`
 	// WarmStart seeds the solve with a neighboring point's solution (see
 	// opt.Options.WarmStart). Runtime-only: never serialized, never
@@ -205,8 +208,9 @@ func (s *SolverSpec) options() (opt.Options, error) {
 }
 
 // strategyKey canonicalizes the strategy for serialization: aliases
-// ("cd", "pgd") normalize, unknown strategies fail, and the default
-// projected-gradient spells as the empty string, like every other enum.
+// ("cd", "pgd") normalize, unknown strategies fail, and the default, with
+// its projected-gradient spellings, is the empty string, like every
+// other enum.
 func strategyKey(s opt.Strategy) (string, error) {
 	strat, err := opt.ParseStrategy(string(s))
 	if err != nil {

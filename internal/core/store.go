@@ -6,6 +6,22 @@ import (
 	"fmt"
 )
 
+// AnswerEpoch versions the answers the engine persists: every disk-tier
+// key the engine reads or writes starts with it, and store.Open skips
+// records written under any other epoch (epoch 1's keys carry no
+// prefix). A fingerprint names a question, not the code that answered
+// it, so a solver or model change that moves answer bits under unchanged
+// fingerprints bumps the epoch in the same change that regenerates
+// testdata/answerlock.golden, and re-pins answerLockSHA256 below
+// (TestAnswerEpochPinsAnswerLock). Fingerprints, and the ETags made from
+// them, stay unversioned. Epoch 2 picks each start's local search by
+// convexity.
+const AnswerEpoch = "e2|"
+
+// answerLockSHA256 is the SHA-256 of testdata/answerlock.golden at
+// AnswerEpoch.
+const answerLockSHA256 = "7f3f1be03bf50be5ca76203e43a18224ccbf800c7d02a91bb60cdcdc5f2839cd"
+
 // ResultStore is the engine's second cache tier: a durable,
 // fingerprint-keyed byte store consulted on LRU miss and written behind
 // fresh solves (memory → disk → solve). internal/store provides the
@@ -28,9 +44,12 @@ type ResultStore interface {
 // DiskStats is the disk tier's view of cache effectiveness, surfaced
 // through EngineStats and the libra_store_* metric series.
 type DiskStats struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Expired     uint64 `json:"expired"`
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
+	Expired uint64 `json:"expired"`
+	// Stale counts recovered entries written at another answer epoch:
+	// never served, dropped by the next compaction.
+	Stale       uint64 `json:"stale"`
 	Puts        uint64 `json:"puts"`
 	PutErrors   uint64 `json:"put_errors"`
 	Compactions uint64 `json:"compactions"`

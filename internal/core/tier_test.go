@@ -80,8 +80,8 @@ func TestTierMissComputePut(t *testing.T) {
 	if computes.Load() != 1 || fs.puts.Load() != 1 {
 		t.Fatalf("computes %d puts %d", computes.Load(), fs.puts.Load())
 	}
-	if string(fs.data["optimize|k1"]) != `{"s":"fresh"}` {
-		t.Fatalf("spilled %q", fs.data["optimize|k1"])
+	if string(fs.data[AnswerEpoch+"optimize|k1"]) != `{"s":"fresh"}` {
+		t.Fatalf("spilled %q", fs.data[AnswerEpoch+"optimize|k1"])
 	}
 }
 
@@ -90,17 +90,20 @@ func TestTierMissComputePut(t *testing.T) {
 // the memory tier (the next hit never reaches the store).
 func TestTierDiskHit(t *testing.T) {
 	fs := newFakeStore()
-	fs.data["optimize|warm"] = []byte(`{"s":"from-disk"}`)
-	fs.elapsed["optimize|warm"] = 250
+	fs.data[AnswerEpoch+"optimize|warm"] = []byte(`{"s":"from-disk"}`)
+	fs.elapsed[AnswerEpoch+"optimize|warm"] = 250
 	e := NewEngine(EngineConfig{Workers: 2, CacheSize: 8, Store: fs})
 	defer e.Close()
 	compute := func(context.Context) (any, error) {
 		t.Fatal("disk hit must not compute")
 		return nil, nil
 	}
-	v, cached, err := e.DoCodec(context.Background(), "optimize|warm", tierCodec, compute)
-	if err != nil || !cached || v.(tierVal).S != "from-disk" {
-		t.Fatalf("got %v cached=%v err=%v", v, cached, err)
+	res, cached, err := e.doShared(context.Background(), "optimize|warm", tierCodec, compute)
+	if err != nil || !cached || res.value.(tierVal).S != "from-disk" {
+		t.Fatalf("got %v cached=%v err=%v", res.value, cached, err)
+	}
+	if res.elapsedMS != 250 {
+		t.Fatalf("elapsed %v, want the stored 250 ms", res.elapsedMS)
 	}
 	if fs.puts.Load() != 0 {
 		t.Fatal("a disk hit must not be re-spilled")
@@ -124,7 +127,7 @@ func TestTierDiskHit(t *testing.T) {
 // surfacing a decode error.
 func TestTierCorruptPayloadFallsBack(t *testing.T) {
 	fs := newFakeStore()
-	fs.data["optimize|drift"] = []byte(`{"unknown_field":1}`)
+	fs.data[AnswerEpoch+"optimize|drift"] = []byte(`{"unknown_field":1}`)
 	e := NewEngine(EngineConfig{Workers: 2, CacheSize: 8, Store: fs})
 	defer e.Close()
 	var computes atomic.Int64
@@ -138,8 +141,8 @@ func TestTierCorruptPayloadFallsBack(t *testing.T) {
 	if computes.Load() != 1 {
 		t.Fatalf("computes %d", computes.Load())
 	}
-	if string(fs.data["optimize|drift"]) != `{"s":"recomputed"}` {
-		t.Fatalf("fresh result must overwrite the corrupt payload, have %q", fs.data["optimize|drift"])
+	if string(fs.data[AnswerEpoch+"optimize|drift"]) != `{"s":"recomputed"}` {
+		t.Fatalf("fresh result must overwrite the corrupt payload, have %q", fs.data[AnswerEpoch+"optimize|drift"])
 	}
 }
 
@@ -149,7 +152,7 @@ func TestTierCorruptPayloadFallsBack(t *testing.T) {
 // flight, so the coalescing window is deterministic.
 func TestTierSingleFlightOneDiskRead(t *testing.T) {
 	fs := newFakeStore()
-	fs.data["optimize|shared"] = []byte(`{"s":"disk"}`)
+	fs.data[AnswerEpoch+"optimize|shared"] = []byte(`{"s":"disk"}`)
 	fs.blockGet = make(chan struct{})
 	e := NewEngine(EngineConfig{Workers: 2, CacheSize: -1, Store: fs})
 	defer e.Close()

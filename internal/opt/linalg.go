@@ -8,8 +8,9 @@
 //     convex in B (sums of max_d(v_d/B_d) terms over B_d > 0). Projected
 //     gradient descent with exact polyhedron projection converges to the
 //     global optimum.
-//   - PerfPerCostOptBW minimizes time × cost, smooth but nonconvex;
-//     deterministic multistart (projected gradient + penalized
+//   - PerfPerCostOptBW minimizes time × cost, nonconvex and kinked
+//     wherever a collective's slowest dimension changes; deterministic
+//     multistart (pairwise-transfer coordinate descent + penalized
 //     Nelder-Mead) recovers the global optimum at LIBRA's dimensionality
 //     (N ≤ 8).
 //

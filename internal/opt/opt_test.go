@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"libra/internal/telemetry"
 )
 
 func approx(a, b, tol float64) bool {
@@ -446,6 +448,52 @@ func TestCoordinateDescentHonorsConstraints(t *testing.T) {
 	}
 	if !p.Cons.Feasible(res.X, 1e-6) {
 		t.Errorf("coordinate descent left the feasible set: %v (violation %v)", res.X, p.Cons.Violation(res.X))
+	}
+}
+
+// The default strategy picks each start's local search from Convex:
+// projected gradient for a convex objective, coordinate descent for a
+// non-convex one, each followed by the polish. "projected-gradient" is a
+// spelling of the default and must solve identically; only an explicit
+// coordinate-descent skips the polish.
+func TestDefaultStrategyFollowsConvexity(t *testing.T) {
+	p := perfPerCostProblem(3)
+	cases := []struct {
+		strategy        Strategy
+		convex          bool
+		pgd, cd, polish bool
+	}{
+		{StrategyAuto, true, true, false, true},
+		{StrategyAuto, false, false, true, true},
+		{StrategyProjectedGradient, false, false, true, true},
+		{StrategyCoordinateDescent, true, false, true, false},
+		{StrategyCoordinateDescent, false, false, true, false},
+	}
+	var nonConvexDefault *Result
+	for _, c := range cases {
+		pgd, cd, nm := telemetry.SolverPGDIterations.Value(), telemetry.SolverCDIterations.Value(), telemetry.SolverNMIterations.Value()
+		res, err := Minimize(p, Options{Starts: 4, Workers: 1, Convex: c.convex, Strategy: c.strategy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := func(before uint64, v interface{ Value() uint64 }) bool { return v.Value() > before }
+		if got := ran(pgd, telemetry.SolverPGDIterations); got != c.pgd {
+			t.Errorf("%q convex=%v: ran projected gradient = %v, want %v", c.strategy, c.convex, got, c.pgd)
+		}
+		if got := ran(cd, telemetry.SolverCDIterations); got != c.cd {
+			t.Errorf("%q convex=%v: ran coordinate descent = %v, want %v", c.strategy, c.convex, got, c.cd)
+		}
+		if got := ran(nm, telemetry.SolverNMIterations); got != c.polish {
+			t.Errorf("%q convex=%v: ran the polish = %v, want %v", c.strategy, c.convex, got, c.polish)
+		}
+		if c.strategy == StrategyCoordinateDescent || c.convex {
+			continue
+		}
+		if nonConvexDefault == nil {
+			nonConvexDefault = &res
+		} else if res.F != nonConvexDefault.F || normDiff(res.X, nonConvexDefault.X) != 0 {
+			t.Errorf("%q solved differently from the default: %+v vs %+v", c.strategy, res, *nonConvexDefault)
+		}
 	}
 }
 

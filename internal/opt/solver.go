@@ -53,15 +53,17 @@ type Options struct {
 	// the default seed 1; use SeedZero for the literal seed 0.
 	Seed int64
 	// Convex declares the objective convex, enabling single-start early
-	// exit once the local search converges.
+	// exit once the local search converges. Under the default strategy it
+	// also picks each start's local search: projected gradient when
+	// convex, coordinate descent otherwise (see StrategyAuto).
 	Convex bool
 	// Workers bounds the goroutines running starts concurrently:
 	// 0 selects GOMAXPROCS, 1 forces the sequential path. Whatever the
 	// worker count, the result is bit-identical to the sequential solve
 	// for a fixed seed.
 	Workers int
-	// Strategy selects the per-start local search (default
-	// StrategyProjectedGradient).
+	// Strategy selects the per-start local search (default StrategyAuto:
+	// chosen by Convex).
 	Strategy Strategy
 	// WarmStart, when non-empty, seeds the multistart with a known-good
 	// solution from a neighboring problem (the previous point of a budget
@@ -167,7 +169,8 @@ type Result struct {
 }
 
 // Minimize solves the problem with deterministic multistart local search
-// (projected gradient + Nelder-Mead polish by default; see Strategy). For
+// (by default projected gradient for convex objectives and coordinate
+// descent otherwise, each with a Nelder-Mead polish; see Strategy). For
 // convex problems the first converged start is returned.
 func Minimize(p Problem, o Options) (Result, error) {
 	return MinimizeContext(context.Background(), p, o) //libra:allow ctxflow compat wrapper: context-free entry point deliberately roots here
@@ -256,23 +259,28 @@ type startOutcome struct {
 //libra:hotpath
 func runStart(ctx context.Context, p Problem, pr *projector, start []float64, o Options) startOutcome {
 	telemetry.SolverStarts.Inc()
-	switch o.Strategy {
-	case StrategyCoordinateDescent:
-		x, f, conv := coordinateDescent(ctx, p, pr, start, o)
-		return startOutcome{x: x, f: f, conv: conv}
-	default: // StrategyProjectedGradient
-		x, f, conv, pgdIters := projectedGradient(ctx, p, pr, start, o)
-		// Polish with direct search from the PGD endpoint.
-		x2, f2, nmIters := nelderMead(ctx, p, pr, x, o)
-		// Iteration totals land as two atomic adds per start — the inner
-		// loops stay untouched.
-		telemetry.SolverPGDIterations.Add(uint64(pgdIters))
-		telemetry.SolverNMIterations.Add(uint64(nmIters))
-		if f2 < f {
-			x, f = x2, f2
+	// The default strategy picks the local search by convexity (see
+	// StrategyAuto). Iteration totals land as one atomic add per search
+	// per start — the inner loops stay untouched.
+	var out startOutcome
+	var iters int
+	if o.Convex && o.Strategy != StrategyCoordinateDescent {
+		out.x, out.f, out.conv, iters = projectedGradient(ctx, p, pr, start, o)
+		telemetry.SolverPGDIterations.Add(uint64(iters))
+	} else {
+		out.x, out.f, out.conv, iters = coordinateDescent(ctx, p, pr, start, o)
+		telemetry.SolverCDIterations.Add(uint64(iters))
+		if o.Strategy == StrategyCoordinateDescent {
+			return out
 		}
-		return startOutcome{x: x, f: f, conv: conv}
 	}
+	// Polish with direct search from the local-search endpoint.
+	x2, f2, nmIters := nelderMead(ctx, p, pr, out.x, o)
+	telemetry.SolverNMIterations.Add(uint64(nmIters))
+	if f2 < out.f {
+		out.x, out.f = x2, f2
+	}
+	return out
 }
 
 // folder replays the historical sequential selection (strict improvement,

@@ -10,7 +10,9 @@
 // snapshot then log (log wins), drops corrupt records individually,
 // truncates a torn tail, and removes an orphaned tmp from a compaction
 // that died before its rename — so a hard kill at any instant loses at
-// most the record being written.
+// most the record being written. Open also skips records written at
+// another answer epoch (keys without core.AnswerEpoch), so a
+// restarted server never serves an older solver's answers.
 package store
 
 import (
@@ -20,6 +22,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,8 +43,8 @@ var ErrClosed = errors.New("store: closed")
 // DefaultTTLs is the per-kind expiry policy used when Config.TTLs is
 // nil: validate results age (the simulator conformance surface moves
 // with the code), while optimize/evaluate results on a pinned model
-// version never expire — the solve is a pure function of the
-// fingerprint. Frontier/codesign/cluster sweeps fan out through
+// version never expire — within one answer epoch the solve is a pure
+// function of the fingerprint. Frontier/codesign/cluster sweeps fan out through
 // engine.Optimize, so their points are governed by the optimize kind.
 var DefaultTTLs = map[string]time.Duration{
 	"validate": 24 * time.Hour,
@@ -92,7 +95,7 @@ type Store struct {
 	snapSize int64
 
 	// Lock-free counters: Get bumps them under the read lock.
-	hits, misses, expired, puts, putErrors, compactions atomic.Uint64
+	hits, misses, expired, stale, puts, putErrors, compactions atomic.Uint64
 
 	sweepStop chan struct{}
 	sweepDone chan struct{}
@@ -172,14 +175,27 @@ func (s *Store) loadSnapshot() error {
 	}
 	s.snap = f
 	s.snapSize = int64(len(data))
+	s.indexRecords(f, recs)
+	return nil
+}
+
+// indexRecords indexes recovered records read from src, later records
+// overriding earlier ones. A record whose key lacks core.AnswerEpoch
+// was written at another answer epoch: it is counted as stale instead,
+// never served, and dropped by the next compaction.
+func (s *Store) indexRecords(src *os.File, recs []Record) {
 	for _, r := range recs {
+		if !strings.HasPrefix(r.Key, core.AnswerEpoch) {
+			s.stale.Add(1)
+			telemetry.StoreStale.With(r.Kind).Inc()
+			continue
+		}
 		s.index[r.Key] = indexEntry{
-			src: f, off: r.DataOff, n: len(r.Data),
+			src: src, off: r.DataOff, n: len(r.Data),
 			kind: r.Kind, insertedAt: r.InsertedAt, expiresAt: r.ExpiresAt,
 			elapsedMS: r.ElapsedMS,
 		}
 	}
-	return nil
 }
 
 // loadLog indexes store.log (its records override snapshot entries),
@@ -207,13 +223,7 @@ func (s *Store) loadLog() error {
 	if dropped > 0 {
 		telemetry.StoreDroppedRecords.Add(uint64(dropped))
 	}
-	for _, r := range recs {
-		s.index[r.Key] = indexEntry{
-			src: f, off: r.DataOff, n: len(r.Data),
-			kind: r.Kind, insertedAt: r.InsertedAt, expiresAt: r.ExpiresAt,
-			elapsedMS: r.ElapsedMS,
-		}
-	}
+	s.indexRecords(f, recs)
 	if tail < int64(len(data)) {
 		telemetry.StoreDroppedRecords.Inc()
 		if err := f.Truncate(tail); err != nil {
@@ -504,7 +514,7 @@ func (s *Store) Stats() core.DiskStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return core.DiskStats{
-		Hits: s.hits.Load(), Misses: s.misses.Load(), Expired: s.expired.Load(),
+		Hits: s.hits.Load(), Misses: s.misses.Load(), Expired: s.expired.Load(), Stale: s.stale.Load(),
 		Puts: s.puts.Load(), PutErrors: s.putErrors.Load(), Compactions: s.compactions.Load(),
 		Entries: len(s.index), Bytes: s.logSize + s.snapSize,
 	}

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"libra/internal/core"
 )
 
 // openTest opens a store in dir with test-friendly defaults, failing the
@@ -44,17 +46,17 @@ func mustGet(t *testing.T, s *Store, kind, key string) []byte {
 func TestRoundTrip(t *testing.T) {
 	s := openTest(t, t.TempDir(), Config{})
 	payload := []byte(`{"answer":42}`)
-	if err := s.Put("optimize", "optimize|abc", payload, 12.5); err != nil {
+	if err := s.Put("optimize", core.AnswerEpoch+"optimize|abc", payload, 12.5); err != nil {
 		t.Fatal(err)
 	}
-	data, elapsed, ok := s.Get("optimize", "optimize|abc")
+	data, elapsed, ok := s.Get("optimize", core.AnswerEpoch+"optimize|abc")
 	if !ok || !bytes.Equal(data, payload) {
 		t.Fatalf("get = %q, %v", data, ok)
 	}
 	if elapsed != 12.5 {
 		t.Fatalf("elapsed %v, want 12.5", elapsed)
 	}
-	if _, _, ok := s.Get("optimize", "optimize|nope"); ok {
+	if _, _, ok := s.Get("optimize", core.AnswerEpoch+"optimize|nope"); ok {
 		t.Fatal("absent key must miss")
 	}
 	st := s.Stats()
@@ -71,16 +73,16 @@ func TestRoundTrip(t *testing.T) {
 func TestReopenPersistence(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Config{})
-	mustPut(t, s, "optimize", "optimize|a", []byte("v1"))
-	mustPut(t, s, "optimize", "optimize|b", []byte("other"))
-	mustPut(t, s, "optimize", "optimize|a", []byte("v2-overwrites"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|a", []byte("v1"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|b", []byte("other"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|a", []byte("v2-overwrites"))
 	s.Close()
 
 	r := openTest(t, dir, Config{})
-	if got := mustGet(t, r, "optimize", "optimize|a"); !bytes.Equal(got, []byte("v2-overwrites")) {
+	if got := mustGet(t, r, "optimize", core.AnswerEpoch+"optimize|a"); !bytes.Equal(got, []byte("v2-overwrites")) {
 		t.Fatalf("replayed %q, want the later record", got)
 	}
-	if got := mustGet(t, r, "optimize", "optimize|b"); !bytes.Equal(got, []byte("other")) {
+	if got := mustGet(t, r, "optimize", core.AnswerEpoch+"optimize|b"); !bytes.Equal(got, []byte("other")) {
 		t.Fatalf("replayed %q", got)
 	}
 	if r.Len() != 2 {
@@ -95,12 +97,12 @@ func TestReopenPersistence(t *testing.T) {
 func TestTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Config{})
-	mustPut(t, s, "optimize", "optimize|keep1", []byte("payload-1"))
-	mustPut(t, s, "optimize", "optimize|keep2", []byte("payload-2"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|keep1", []byte("payload-1"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|keep2", []byte("payload-2"))
 	s.Close()
 
 	logPath := filepath.Join(dir, logName)
-	full := EncodeRecord(Entry{Kind: "optimize", Key: "optimize|torn", InsertedAt: 1, Data: []byte("torn-away")})
+	full := EncodeRecord(Entry{Kind: "optimize", Key: core.AnswerEpoch + "optimize|torn", InsertedAt: 1, Data: []byte("torn-away")})
 	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -114,16 +116,16 @@ func TestTornTailRecovery(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("entries %d, want the 2 intact records", r.Len())
 	}
-	mustGet(t, r, "optimize", "optimize|keep1")
-	mustGet(t, r, "optimize", "optimize|keep2")
-	if _, _, ok := r.Get("optimize", "optimize|torn"); ok {
+	mustGet(t, r, "optimize", core.AnswerEpoch+"optimize|keep1")
+	mustGet(t, r, "optimize", core.AnswerEpoch+"optimize|keep2")
+	if _, _, ok := r.Get("optimize", core.AnswerEpoch+"optimize|torn"); ok {
 		t.Fatal("torn record must be dropped")
 	}
 	// The tail was truncated, so a fresh append must round-trip.
-	mustPut(t, r, "optimize", "optimize|after", []byte("post-recovery"))
+	mustPut(t, r, "optimize", core.AnswerEpoch+"optimize|after", []byte("post-recovery"))
 	r.Close()
 	r2 := openTest(t, dir, Config{})
-	if got := mustGet(t, r2, "optimize", "optimize|after"); !bytes.Equal(got, []byte("post-recovery")) {
+	if got := mustGet(t, r2, "optimize", core.AnswerEpoch+"optimize|after"); !bytes.Equal(got, []byte("post-recovery")) {
 		t.Fatalf("post-recovery append %q", got)
 	}
 }
@@ -134,10 +136,10 @@ func TestTornTailRecovery(t *testing.T) {
 func TestCorruptRecordSkipped(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Config{})
-	mustPut(t, s, "optimize", "optimize|before", []byte("intact-before"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|before", []byte("intact-before"))
 	victimStart := s.logSize
-	mustPut(t, s, "optimize", "optimize|victim", []byte("to-be-corrupted"))
-	mustPut(t, s, "optimize", "optimize|after", []byte("intact-after"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|victim", []byte("to-be-corrupted"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|after", []byte("intact-after"))
 	s.Close()
 
 	logPath := filepath.Join(dir, logName)
@@ -154,9 +156,9 @@ func TestCorruptRecordSkipped(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("entries %d, want 2 survivors", r.Len())
 	}
-	mustGet(t, r, "optimize", "optimize|before")
-	mustGet(t, r, "optimize", "optimize|after")
-	if _, _, ok := r.Get("optimize", "optimize|victim"); ok {
+	mustGet(t, r, "optimize", core.AnswerEpoch+"optimize|before")
+	mustGet(t, r, "optimize", core.AnswerEpoch+"optimize|after")
+	if _, _, ok := r.Get("optimize", core.AnswerEpoch+"optimize|victim"); ok {
 		t.Fatal("corrupt record must be rejected by its CRC")
 	}
 }
@@ -172,10 +174,48 @@ func TestForeignLogReset(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("entries %d", s.Len())
 	}
-	mustPut(t, s, "optimize", "optimize|x", []byte("fresh"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|x", []byte("fresh"))
 	s.Close()
 	r := openTest(t, dir, Config{})
-	mustGet(t, r, "optimize", "optimize|x")
+	mustGet(t, r, "optimize", core.AnswerEpoch+"optimize|x")
+}
+
+// TestOpenSkipsOtherEpochs: reopening never indexes entries whose key
+// lacks core.AnswerEpoch (written at another answer epoch; epoch 1's
+// keys carry no prefix), counts them as stale, and the next compaction
+// drops them for good.
+func TestOpenSkipsOtherEpochs(t *testing.T) {
+	dir := t.TempDir()
+	current := core.AnswerEpoch + "optimize|new"
+	others := []string{"optimize|old", "e1|optimize|older", "e99|optimize|newer"}
+	s := openTest(t, dir, Config{CompactBytes: -1})
+	for _, key := range others {
+		mustPut(t, s, "optimize", key, []byte("another epoch's answer"))
+	}
+	mustPut(t, s, "optimize", current, []byte("current answer"))
+	s.Close()
+
+	r := openTest(t, dir, Config{CompactBytes: -1})
+	if st := r.Stats(); st.Stale != uint64(len(others)) || st.Entries != 1 {
+		t.Fatalf("stats after reopen: %+v, want %d stale and 1 entry", st, len(others))
+	}
+	for _, key := range others {
+		if _, _, ok := r.Get("optimize", key); ok {
+			t.Fatalf("%s: served an entry from another epoch", key)
+		}
+	}
+	if got := mustGet(t, r, "optimize", current); !bytes.Equal(got, []byte("current answer")) {
+		t.Fatalf("current entry = %q", got)
+	}
+	if err := r.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+
+	c := openTest(t, dir, Config{CompactBytes: -1})
+	if st := c.Stats(); st.Stale != 0 || st.Entries != 1 {
+		t.Fatalf("stats after compaction: %+v, want 0 stale and 1 entry", st)
+	}
 }
 
 // TestCompaction: compaction folds the log into the snapshot, shrinks
@@ -187,9 +227,9 @@ func TestCompaction(t *testing.T) {
 	// Overwrite one key many times: the log holds every version, the
 	// snapshot only the last.
 	for i := 0; i < 50; i++ {
-		mustPut(t, s, "optimize", "optimize|hot", []byte(fmt.Sprintf("version-%02d", i)))
+		mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|hot", []byte(fmt.Sprintf("version-%02d", i)))
 	}
-	mustPut(t, s, "optimize", "optimize|cold", []byte("steady"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|cold", []byte("steady"))
 	before := s.Stats().Bytes
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
@@ -198,22 +238,22 @@ func TestCompaction(t *testing.T) {
 	if after >= before {
 		t.Fatalf("compaction grew disk use: %d → %d", before, after)
 	}
-	if got := mustGet(t, s, "optimize", "optimize|hot"); !bytes.Equal(got, []byte("version-49")) {
+	if got := mustGet(t, s, "optimize", core.AnswerEpoch+"optimize|hot"); !bytes.Equal(got, []byte("version-49")) {
 		t.Fatalf("post-compact read %q", got)
 	}
-	mustGet(t, s, "optimize", "optimize|cold")
+	mustGet(t, s, "optimize", core.AnswerEpoch+"optimize|cold")
 	if s.Stats().Compactions != 1 {
 		t.Fatalf("compactions %d", s.Stats().Compactions)
 	}
 	// Appends after compaction land in the (now-empty) log and win over
 	// the snapshot on reopen.
-	mustPut(t, s, "optimize", "optimize|hot", []byte("post-compact"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|hot", []byte("post-compact"))
 	s.Close()
 	r := openTest(t, dir, Config{})
-	if got := mustGet(t, r, "optimize", "optimize|hot"); !bytes.Equal(got, []byte("post-compact")) {
+	if got := mustGet(t, r, "optimize", core.AnswerEpoch+"optimize|hot"); !bytes.Equal(got, []byte("post-compact")) {
 		t.Fatalf("reopen after compact %q", got)
 	}
-	if got := mustGet(t, r, "optimize", "optimize|cold"); !bytes.Equal(got, []byte("steady")) {
+	if got := mustGet(t, r, "optimize", core.AnswerEpoch+"optimize|cold"); !bytes.Equal(got, []byte("steady")) {
 		t.Fatalf("reopen after compact %q", got)
 	}
 }
@@ -224,12 +264,12 @@ func TestAutoCompaction(t *testing.T) {
 	s := openTest(t, t.TempDir(), Config{CompactBytes: 512})
 	payload := bytes.Repeat([]byte("x"), 64)
 	for i := 0; i < 32; i++ {
-		mustPut(t, s, "optimize", "optimize|hot", payload)
+		mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|hot", payload)
 	}
 	if s.Stats().Compactions == 0 {
 		t.Fatal("auto-compaction never triggered")
 	}
-	mustGet(t, s, "optimize", "optimize|hot")
+	mustGet(t, s, "optimize", core.AnswerEpoch+"optimize|hot")
 }
 
 // TestOrphanTmpRemoved: a tmp file from a compaction killed before its
@@ -238,7 +278,7 @@ func TestAutoCompaction(t *testing.T) {
 func TestOrphanTmpRemoved(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Config{})
-	mustPut(t, s, "optimize", "optimize|live", []byte("authoritative"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|live", []byte("authoritative"))
 	s.Close()
 	tmpPath := filepath.Join(dir, tmpName)
 	if err := os.WriteFile(tmpPath, []byte("half-written snapshot"), 0o644); err != nil {
@@ -248,7 +288,7 @@ func TestOrphanTmpRemoved(t *testing.T) {
 	if _, err := os.Stat(tmpPath); !os.IsNotExist(err) {
 		t.Fatalf("orphan tmp still present (err %v)", err)
 	}
-	if got := mustGet(t, r, "optimize", "optimize|live"); !bytes.Equal(got, []byte("authoritative")) {
+	if got := mustGet(t, r, "optimize", core.AnswerEpoch+"optimize|live"); !bytes.Equal(got, []byte("authoritative")) {
 		t.Fatalf("read %q", got)
 	}
 }
@@ -260,8 +300,8 @@ func TestOrphanTmpRemoved(t *testing.T) {
 func TestCrashBetweenRenameAndTruncate(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Config{CompactBytes: -1})
-	mustPut(t, s, "optimize", "optimize|a", []byte("alpha"))
-	mustPut(t, s, "validate", "validate|b", []byte("beta"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|a", []byte("alpha"))
+	mustPut(t, s, "validate", core.AnswerEpoch+"validate|b", []byte("beta"))
 	s.Close()
 
 	// Build the snapshot the compactor would have written, but leave the
@@ -286,10 +326,10 @@ func TestCrashBetweenRenameAndTruncate(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("entries %d, want 2", r.Len())
 	}
-	if got := mustGet(t, r, "optimize", "optimize|a"); !bytes.Equal(got, []byte("alpha")) {
+	if got := mustGet(t, r, "optimize", core.AnswerEpoch+"optimize|a"); !bytes.Equal(got, []byte("alpha")) {
 		t.Fatalf("read %q", got)
 	}
-	if got := mustGet(t, r, "validate", "validate|b"); !bytes.Equal(got, []byte("beta")) {
+	if got := mustGet(t, r, "validate", core.AnswerEpoch+"validate|b"); !bytes.Equal(got, []byte("beta")) {
 		t.Fatalf("read %q", got)
 	}
 }
@@ -297,14 +337,14 @@ func TestCrashBetweenRenameAndTruncate(t *testing.T) {
 // TestClosedStore: operations on a closed store fail cleanly.
 func TestClosedStore(t *testing.T) {
 	s := openTest(t, t.TempDir(), Config{})
-	mustPut(t, s, "optimize", "optimize|x", []byte("v"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|x", []byte("v"))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.Get("optimize", "optimize|x"); ok {
+	if _, _, ok := s.Get("optimize", core.AnswerEpoch+"optimize|x"); ok {
 		t.Fatal("closed store must miss")
 	}
-	if err := s.Put("optimize", "optimize|y", []byte("v"), 0); err != ErrClosed {
+	if err := s.Put("optimize", core.AnswerEpoch+"optimize|y", []byte("v"), 0); err != ErrClosed {
 		t.Fatalf("put on closed store: %v", err)
 	}
 	if err := s.Compact(); err != ErrClosed {
@@ -364,7 +404,7 @@ func TestSweepInterval(t *testing.T) {
 		Now:           clk.Now,
 		SweepInterval: time.Millisecond,
 	})
-	mustPut(t, s, "validate", "validate|x", []byte("ages"))
+	mustPut(t, s, "validate", core.AnswerEpoch+"validate|x", []byte("ages"))
 	clk.Advance(2 * time.Minute)
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Len() != 0 {

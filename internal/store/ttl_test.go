@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"libra/internal/core"
 )
 
 // fakeClock is a deterministic, manually advanced time source.
@@ -40,13 +42,13 @@ func TestTTLBoundaries(t *testing.T) {
 		TTLs: map[string]time.Duration{"validate": ttl},
 		Now:  clk.Now,
 	})
-	mustPut(t, s, "validate", "validate|x", []byte("fresh"))
+	mustPut(t, s, "validate", core.AnswerEpoch+"validate|x", []byte("fresh"))
 
 	clk.Advance(ttl - time.Nanosecond) // one tick short of expiry
-	mustGet(t, s, "validate", "validate|x")
+	mustGet(t, s, "validate", core.AnswerEpoch+"validate|x")
 
 	clk.Advance(time.Nanosecond) // now == insertedAt + ttl: dead
-	if _, _, ok := s.Get("validate", "validate|x"); ok {
+	if _, _, ok := s.Get("validate", core.AnswerEpoch+"validate|x"); ok {
 		t.Fatal("entry must expire exactly at insertedAt+ttl")
 	}
 	st := s.Stats()
@@ -58,9 +60,9 @@ func TestTTLBoundaries(t *testing.T) {
 	}
 
 	// Re-solve: a fresh Put under the same key restarts the clock.
-	mustPut(t, s, "validate", "validate|x", []byte("resolved"))
+	mustPut(t, s, "validate", core.AnswerEpoch+"validate|x", []byte("resolved"))
 	clk.Advance(ttl / 2)
-	mustGet(t, s, "validate", "validate|x")
+	mustGet(t, s, "validate", core.AnswerEpoch+"validate|x")
 }
 
 // TestNoExpiryDefault: kinds with TTL 0 (the optimize default — a solve
@@ -72,18 +74,18 @@ func TestNoExpiryDefault(t *testing.T) {
 		TTLs: map[string]time.Duration{"validate": time.Minute}, // optimize absent → 0
 		Now:  clk.Now,
 	})
-	mustPut(t, s, "optimize", "optimize|eternal", []byte("pinned"))
-	mustPut(t, s, "validate", "validate|aging", []byte("aging"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|eternal", []byte("pinned"))
+	mustPut(t, s, "validate", core.AnswerEpoch+"validate|aging", []byte("aging"))
 
 	clk.Advance(1000 * 24 * time.Hour)
-	mustGet(t, s, "optimize", "optimize|eternal")
-	if _, _, ok := s.Get("validate", "validate|aging"); ok {
+	mustGet(t, s, "optimize", core.AnswerEpoch+"optimize|eternal")
+	if _, _, ok := s.Get("validate", core.AnswerEpoch+"validate|aging"); ok {
 		t.Fatal("validate entry must age out")
 	}
 	if s.SweepExpired() != 0 {
 		t.Fatal("nothing further to sweep")
 	}
-	mustGet(t, s, "optimize", "optimize|eternal")
+	mustGet(t, s, "optimize", core.AnswerEpoch+"optimize|eternal")
 }
 
 // TestRemainingTTLPreserved: snapshot/restore (compaction, close,
@@ -101,7 +103,7 @@ func TestRemainingTTLPreserved(t *testing.T) {
 				CompactBytes: -1,
 			}
 			s := openTest(t, dir, cfg)
-			mustPut(t, s, "validate", "validate|x", []byte("timed"))
+			mustPut(t, s, "validate", core.AnswerEpoch+"validate|x", []byte("timed"))
 
 			clk.Advance(6 * time.Hour) // 4h of TTL left
 			switch restore {
@@ -121,9 +123,9 @@ func TestRemainingTTLPreserved(t *testing.T) {
 			}
 
 			clk.Advance(3 * time.Hour) // 9h elapsed total: still alive
-			mustGet(t, s, "validate", "validate|x")
+			mustGet(t, s, "validate", core.AnswerEpoch+"validate|x")
 			clk.Advance(time.Hour + time.Nanosecond) // past 10h: dead
-			if _, _, ok := s.Get("validate", "validate|x"); ok {
+			if _, _, ok := s.Get("validate", core.AnswerEpoch+"validate|x"); ok {
 				t.Fatalf("%s must not reset the TTL", restore)
 			}
 		})
@@ -143,8 +145,8 @@ func TestExpiredEntriesDropFromCompaction(t *testing.T) {
 		CompactBytes: -1,
 	}
 	s := openTest(t, dir, cfg)
-	mustPut(t, s, "validate", "validate|dies", []byte("short-lived"))
-	mustPut(t, s, "optimize", "optimize|lives", []byte("forever"))
+	mustPut(t, s, "validate", core.AnswerEpoch+"validate|dies", []byte("short-lived"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|lives", []byte("forever"))
 	clk.Advance(2 * time.Minute)
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
@@ -154,10 +156,10 @@ func TestExpiredEntriesDropFromCompaction(t *testing.T) {
 	}
 	s.Close()
 	s = openTest(t, dir, cfg)
-	if _, _, ok := s.Get("validate", "validate|dies"); ok {
+	if _, _, ok := s.Get("validate", core.AnswerEpoch+"validate|dies"); ok {
 		t.Fatal("expired entry resurrected by reopen")
 	}
-	mustGet(t, s, "optimize", "optimize|lives")
+	mustGet(t, s, "optimize", core.AnswerEpoch+"optimize|lives")
 }
 
 // TestTTLProperty is a randomized property check: for a run of inserts

@@ -60,7 +60,7 @@ var (
 	// ---- Solver hot path (internal/opt) ----
 	//
 	// Everything below is bumped once per solve or per start with plain
-	// atomic adds — never inside the PGD/NM inner loops.
+	// atomic adds — never inside the PGD/CD/NM inner loops.
 
 	SolverSolves = Default.NewCounter("libra_solver_solves_total",
 		"Multistart solves completed.")
@@ -75,7 +75,9 @@ var (
 	SolverWarmCuts = Default.NewCounter("libra_solver_warm_cuts_total",
 		"Warm-started solves answered by the adaptive cutoff (warm-start hit rate = warm_cuts / warm_solves).")
 	SolverPGDIterations = Default.NewCounter("libra_solver_pgd_iterations_total",
-		"Projected-gradient-descent iterations executed across all starts.")
+		"Projected-gradient-descent iterations executed across all starts (the local search of convex solves).")
+	SolverCDIterations = Default.NewCounter("libra_solver_cd_iterations_total",
+		"Coordinate-descent sweeps executed across all starts (the local search of non-convex solves and of the coordinate-descent strategy).")
 	SolverNMIterations = Default.NewCounter("libra_solver_nm_iterations_total",
 		"Nelder-Mead polish iterations executed across all starts.")
 
@@ -100,6 +102,9 @@ var (
 		"kind")
 	StoreExpired = Default.NewCounterVec("libra_store_expired_total",
 		"Disk-store entries removed because their TTL elapsed, by TTL kind.",
+		"kind")
+	StoreStale = Default.NewCounterVec("libra_store_stale_total",
+		"Disk-store entries skipped at open because another answer epoch wrote them (never served; the next compaction drops them), by TTL kind.",
 		"kind")
 	StorePuts = Default.NewCounterVec("libra_store_puts_total",
 		"Results spilled to the disk store, by TTL kind.",

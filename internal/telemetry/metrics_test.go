@@ -275,6 +275,7 @@ func TestDefaultCatalogRegistered(t *testing.T) {
 		"libra_engine_cache_hits_total",
 		"libra_engine_solve_duration_seconds",
 		"libra_solver_starts_total",
+		"libra_solver_cd_iterations_total",
 		"libra_sweep_points_total",
 		"libra_jobs_submitted_total",
 		"libra_warmstart_guard_trips_total",
