@@ -17,6 +17,7 @@ import (
 	"libra/internal/experiments"
 	"libra/internal/opt"
 	"libra/internal/sim"
+	"libra/internal/telemetry"
 	"libra/internal/themis"
 	"libra/internal/timemodel"
 	"libra/internal/topology"
@@ -112,12 +113,41 @@ func BenchmarkIterationEstimate(b *testing.B) {
 	}
 }
 
+// solverWork lists the solver counters whose per-op deltas the solver
+// benchmarks report. Unlike ns/op they are exactly reproducible: an
+// algorithmic change shows up in them on any machine.
+var solverWork = []struct {
+	unit string
+	c    *telemetry.Counter
+}{
+	{"starts/op", telemetry.SolverStarts},
+	{"pgd-iters/op", telemetry.SolverPGDIterations},
+	{"nm-iters/op", telemetry.SolverNMIterations},
+	{"cd-iters/op", telemetry.SolverCDIterations},
+}
+
+// reportSolverWork snapshots the solverWork counters and returns a func
+// that reports their deltas per op. Call it right before the timed loop
+// and defer the result: defer reportSolverWork(b)().
+func reportSolverWork(b *testing.B) func() {
+	before := make([]uint64, len(solverWork))
+	for i, w := range solverWork {
+		before[i] = w.c.Value()
+	}
+	return func() {
+		for i, w := range solverWork {
+			b.ReportMetric(float64(w.c.Value()-before[i])/float64(b.N), w.unit)
+		}
+	}
+}
+
 func BenchmarkPerfOptSolve(b *testing.B) {
 	net := topology.FourD4K()
 	w, err := workload.MSFT1T(net.NPUs())
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer reportSolverWork(b)()
 	for i := 0; i < b.N; i++ {
 		p := libra.NewProblem(net, 500, w)
 		if _, err := p.Optimize(); err != nil {
@@ -126,11 +156,13 @@ func BenchmarkPerfOptSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkMinimizeSequential / BenchmarkMinimizeParallel compare the
-// multistart solver's two execution paths on the nonconvex perf-per-cost
-// shape (convex PerfOpt early-exits after one start, leaving nothing to
-// parallelize). Results are bit-identical by construction; on a 4+ core
-// machine the parallel path should run the 12 starts ≥2x faster.
+// BenchmarkMinimizeSequential / BenchmarkMinimizeParallel compare one
+// worker with GOMAXPROCS workers on the nonconvex perf-per-cost shape,
+// whose cold starts all fan out. A convex (perf) solve runs its starts
+// one at a time whatever the worker count, because every start can end
+// it, so it has nothing to parallelize. Results are bit-identical by
+// construction; on a 4+ core machine the parallel path should run the
+// 12 starts ≥2x faster.
 func minimizeBenchProblem(workers int) *libra.Problem {
 	net := topology.FourD4K()
 	w, err := workload.MSFT1T(net.NPUs())
@@ -165,6 +197,7 @@ func BenchmarkPerfPerCostSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer reportSolverWork(b)()
 	for i := 0; i < b.N; i++ {
 		p := libra.NewProblem(net, 500, w)
 		p.Objective = libra.PerfPerCostOpt
@@ -197,6 +230,7 @@ func coldSolveMixSpecs() []*libra.ProblemSpec {
 func BenchmarkColdSolveMix(b *testing.B) {
 	specs := coldSolveMixSpecs()
 	b.ReportAllocs()
+	defer reportSolverWork(b)()
 	for i := 0; i < b.N; i++ {
 		for _, s := range specs {
 			p, err := s.Build()
@@ -296,6 +330,7 @@ func BenchmarkFrontier(b *testing.B) {
 	ctx := context.Background()
 	spec := engineBenchSpec(0)
 	req := libra.FrontierRequest{BudgetMin: 200, BudgetMax: 1000, BudgetSteps: 5, SkipEqualBW: true}
+	defer reportSolverWork(b)()
 	for i := 0; i < b.N; i++ {
 		res, err := libra.Frontier(ctx, e, spec, req)
 		if err != nil {

@@ -12,7 +12,9 @@
 // suffix so runs from machines with different core counts share names,
 // and writes {"unit": "ns/op", "benchmarks": {name: ns}}. When the run
 // used -benchmem, per-benchmark "bytes_per_op" and "allocs_per_op" maps
-// are captured alongside.
+// are captured alongside. Units a benchmark reports with b.ReportMetric
+// (printed between ns/op and B/op) land in a "metrics" map, unit →
+// benchmark → value; they are recorded but not gated.
 //
 // compare loads two parse outputs and fails (exit 1) when any benchmark
 // regresses by more than -threshold (fractional; 0.25 = 25%), or when a
@@ -64,6 +66,9 @@ type report struct {
 	Benchmarks  map[string]float64 `json:"benchmarks"`
 	BytesPerOp  map[string]float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
+	// Metrics holds b.ReportMetric values: unit → benchmark → value.
+	// They are recorded, not gated.
+	Metrics map[string]map[string]float64 `json:"metrics,omitempty"`
 }
 
 func main() {
@@ -89,9 +94,10 @@ func fatal(err error) {
 	}
 }
 
-// benchLine matches one result line: name, iterations, ns/op, and the
-// optional -benchmem B/op + allocs/op pair.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.e+]+) ns/op(?:\s+([0-9.e+]+) B/op\s+([0-9.e+]+) allocs/op)?`)
+// benchLine matches one result line: name, iteration count, then the
+// "<value> <unit>" pairs — ns/op first, any b.ReportMetric units next,
+// and the -benchmem B/op + allocs/op pair last.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.+)$`)
 
 // benchEntry is one parsed benchmark result line.
 type benchEntry struct {
@@ -99,6 +105,43 @@ type benchEntry struct {
 	ns            float64
 	bytes, allocs float64
 	hasMem        bool
+	// metrics holds the b.ReportMetric units (e.g. "starts/op").
+	metrics map[string]float64
+}
+
+// parseBenchLine reads one result line; ok is false for any other line.
+func parseBenchLine(line string) (e benchEntry, ok bool, err error) {
+	m := benchLine.FindStringSubmatch(line)
+	if m == nil {
+		return e, false, nil
+	}
+	fields := strings.Fields(m[2])
+	if len(fields)%2 != 0 {
+		return e, false, nil
+	}
+	e.name = m[1]
+	var hasNs, hasBytes, hasAllocs bool
+	for i := 0; i < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			return e, false, fmt.Errorf("line %q: %w", line, err)
+		}
+		switch unit := fields[i+1]; unit {
+		case "ns/op":
+			e.ns, hasNs = v, true
+		case "B/op":
+			e.bytes, hasBytes = v, true
+		case "allocs/op":
+			e.allocs, hasAllocs = v, true
+		default:
+			if e.metrics == nil {
+				e.metrics = map[string]float64{}
+			}
+			e.metrics[unit] = v
+		}
+	}
+	e.hasMem = hasBytes && hasAllocs
+	return e, hasNs, nil
 }
 
 func runParse(args []string) error {
@@ -120,25 +163,13 @@ func runParse(args []string) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		ns, err := strconv.ParseFloat(m[2], 64)
+		e, ok, err := parseBenchLine(sc.Text())
 		if err != nil {
-			return fmt.Errorf("line %q: %w", sc.Text(), err)
+			return err
 		}
-		e := benchEntry{name: m[1], ns: ns}
-		if m[3] != "" {
-			if e.bytes, err = strconv.ParseFloat(m[3], 64); err != nil {
-				return fmt.Errorf("line %q: %w", sc.Text(), err)
-			}
-			if e.allocs, err = strconv.ParseFloat(m[4], 64); err != nil {
-				return fmt.Errorf("line %q: %w", sc.Text(), err)
-			}
-			e.hasMem = true
+		if ok {
+			entries = append(entries, e)
 		}
-		entries = append(entries, e)
 	}
 	if err := sc.Err(); err != nil {
 		return err
@@ -170,6 +201,15 @@ func runParse(args []string) error {
 			}
 			res.BytesPerOp[name] = e.bytes
 			res.AllocsPerOp[name] = e.allocs
+		}
+		for unit, v := range e.metrics {
+			if res.Metrics == nil {
+				res.Metrics = map[string]map[string]float64{}
+			}
+			if res.Metrics[unit] == nil {
+				res.Metrics[unit] = map[string]float64{}
+			}
+			res.Metrics[unit][name] = v
 		}
 	}
 	for _, e := range entries {
@@ -379,13 +419,14 @@ func runCompare(args []string) error {
 
 // historyEntry is one line of the JSONL perf log written by record.
 type historyEntry struct {
-	Time        string             `json:"time"`
-	Label       string             `json:"label,omitempty"`
-	Unit        string             `json:"unit"`
-	Benchmarks  map[string]float64 `json:"benchmarks"`
-	BytesPerOp  map[string]float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
-	VsBaseline  map[string]float64 `json:"vs_baseline,omitempty"`
+	Time        string                        `json:"time"`
+	Label       string                        `json:"label,omitempty"`
+	Unit        string                        `json:"unit"`
+	Benchmarks  map[string]float64            `json:"benchmarks"`
+	BytesPerOp  map[string]float64            `json:"bytes_per_op,omitempty"`
+	AllocsPerOp map[string]float64            `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]map[string]float64 `json:"metrics,omitempty"`
+	VsBaseline  map[string]float64            `json:"vs_baseline,omitempty"`
 }
 
 func runRecord(args []string) error {
@@ -407,6 +448,7 @@ func runRecord(args []string) error {
 		Benchmarks:  cur.Benchmarks,
 		BytesPerOp:  cur.BytesPerOp,
 		AllocsPerOp: cur.AllocsPerOp,
+		Metrics:     cur.Metrics,
 	}
 	if *basePath != "" {
 		base, baseErr := loadReport(*basePath)

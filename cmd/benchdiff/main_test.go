@@ -70,6 +70,50 @@ PASS
 	}
 }
 
+// b.ReportMetric units print between ns/op and the -benchmem pair (real
+// `go test -bench -benchmem` output below); B/op and allocs/op must still
+// be captured, so the alloc gate keeps covering such benchmarks, and the
+// extra units land in the metrics map.
+func TestParseReportMetricColumns(t *testing.T) {
+	dir := t.TempDir()
+	in := writeFile(t, dir, "bench.txt", `
+goos: linux
+goarch: amd64
+pkg: libra
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkPerfOptSolve-2       	     800	    264060 ns/op	         0 cd-iters/op	       138.0 nm-iters/op	        40.00 pgd-iters/op	         1.000 starts/op	    6585 B/op	      84 allocs/op
+BenchmarkColdSolveMix-2       	      82	   3175146 ns/op	      1067 cd-iters/op	      2686 nm-iters/op	         0 pgd-iters/op	        22.00 starts/op	   33373 B/op	     488 allocs/op
+BenchmarkTimeFuncEval-2       	 1000000	      1105 ns/op
+PASS
+`)
+	out := filepath.Join(dir, "out.json")
+	if err := runParse([]string{"-in", in, "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	r := readReport(t, out)
+	if got := r.Benchmarks["BenchmarkPerfOptSolve"]; got != 264060 {
+		t.Errorf("BenchmarkPerfOptSolve ns = %v, want 264060", got)
+	}
+	if got := r.BytesPerOp["BenchmarkPerfOptSolve"]; got != 6585 {
+		t.Errorf("BenchmarkPerfOptSolve bytes = %v, want 6585", got)
+	}
+	if got := r.AllocsPerOp["BenchmarkColdSolveMix"]; got != 488 {
+		t.Errorf("BenchmarkColdSolveMix allocs = %v, want 488", got)
+	}
+	if got := r.Metrics["nm-iters/op"]["BenchmarkColdSolveMix"]; got != 2686 {
+		t.Errorf("BenchmarkColdSolveMix nm-iters/op = %v, want 2686", got)
+	}
+	if got, ok := r.Metrics["cd-iters/op"]["BenchmarkPerfOptSolve"]; !ok || got != 0 {
+		t.Errorf("BenchmarkPerfOptSolve cd-iters/op = %v (present %v), want a recorded 0", got, ok)
+	}
+	if got := r.Benchmarks["BenchmarkTimeFuncEval"]; got != 1105 {
+		t.Errorf("BenchmarkTimeFuncEval ns = %v, want 1105", got)
+	}
+	if _, ok := r.AllocsPerOp["BenchmarkTimeFuncEval"]; ok {
+		t.Error("BenchmarkTimeFuncEval should have no allocs/op entry")
+	}
+}
+
 func TestCompareTimeGateTrips(t *testing.T) {
 	dir := t.TempDir()
 	base := writeReport(t, dir, "base.json", report{

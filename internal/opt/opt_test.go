@@ -381,9 +381,8 @@ func TestMinimizeParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// The convex early exit must report the same Starts count either way: the
-// parallel path computes later starts speculatively but may not let them
-// into the result.
+// The convex early exit must report the same Starts count at any worker
+// count: convex starts run one at a time whatever Workers says.
 func TestMinimizeParallelConvexEarlyExit(t *testing.T) {
 	p := Problem{
 		N: 2,
@@ -411,6 +410,77 @@ func TestMinimizeParallelCancellation(t *testing.T) {
 	p := perfPerCostProblem(3)
 	if _, err := MinimizeContext(ctx, p, Options{Workers: 4}); err == nil {
 		t.Fatal("canceled context should error")
+	}
+}
+
+// doubleWell is a non-convex 2-variable problem on the plane x0 + x1 = 10
+// with its global minimum 0 at (8, 2) and a worse local minimum 1 at
+// (2, 8): a warm start in the worse well loses to the first cold start
+// (the equal split descends into the global one), so the warm cutoff
+// does not fire, while a warm start in the global well fires it.
+func doubleWell() Problem {
+	return Problem{
+		N: 2,
+		Objective: func(x []float64) float64 {
+			a := (x[0]-8)*(x[0]-8) + (x[1]-2)*(x[1]-2)
+			b := (x[0]-2)*(x[0]-2) + (x[1]-8)*(x[1]-8) + 1
+			return math.Min(a, b)
+		},
+		Cons: NewConstraints(2).SumEquals(10).SetAllLower(0),
+	}
+}
+
+// No start may run whose outcome the fold throws away: convex starts run
+// one at a time, a warm pair runs before the rest while the cutoff is
+// undecided, and cold non-convex starts fan out in full. So the starts
+// counter moves by exactly Result.Starts, and worker count changes
+// nothing in the result.
+func TestSolverRunsOnlyFoldedStarts(t *testing.T) {
+	quad := Problem{
+		N: 3,
+		Objective: func(x []float64) float64 {
+			return (x[0]-5)*(x[0]-5) + (x[1]-3)*(x[1]-3) + (x[2]-2)*(x[2]-2)
+		},
+		Cons: NewConstraints(3).SumEquals(10).SetAllLower(0),
+	}
+	cases := []struct {
+		name    string
+		p       Problem
+		o       Options
+		warmCut bool
+	}{
+		{"convex cold", quad, Options{Convex: true, Seed: 7}, false},
+		{"non-convex cold", perfPerCostProblem(3), Options{Seed: 7}, false},
+		{"non-convex warm cut", doubleWell(), Options{WarmStart: []float64{8, 2}, WarmTol: DefaultWarmTol}, true},
+		{"non-convex warm no cut", doubleWell(), Options{WarmStart: []float64{2, 8}, WarmTol: DefaultWarmTol}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var first *Result
+			for _, workers := range []int{1, 8} {
+				o := c.o
+				o.Workers = workers
+				before := telemetry.SolverStarts.Value()
+				res, err := Minimize(c.p, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ran := telemetry.SolverStarts.Value() - before; ran != uint64(res.Starts) {
+					t.Errorf("workers=%d: ran %d starts, folded %d", workers, ran, res.Starts)
+				}
+				if res.WarmCut != c.warmCut {
+					t.Errorf("workers=%d: WarmCut = %v, want %v", workers, res.WarmCut, c.warmCut)
+				}
+				if first == nil {
+					first = &res
+					continue
+				}
+				if !sameBits(res.X, first.X) || math.Float64bits(res.F) != math.Float64bits(first.F) ||
+					res.Starts != first.Starts || res.WarmCut != first.WarmCut {
+					t.Errorf("workers=%d diverged from workers=1: %+v vs %+v", workers, res, *first)
+				}
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"libra/internal/telemetry"
 )
@@ -57,10 +58,13 @@ type Options struct {
 	// also picks each start's local search: projected gradient when
 	// convex, coordinate descent otherwise (see StrategyAuto).
 	Convex bool
-	// Workers bounds the goroutines running starts concurrently:
-	// 0 selects GOMAXPROCS, 1 forces the sequential path. Whatever the
-	// worker count, the result is bit-identical to the sequential solve
-	// for a fixed seed.
+	// Workers is an upper bound on the goroutines running starts
+	// concurrently: 0 selects GOMAXPROCS, 1 forces the sequential path.
+	// Only starts whose outcome the solve keeps ever run, so a convex
+	// solve runs its starts one at a time whatever Workers says (every
+	// start can end it), and a warm solve with WarmTol > 0 runs at most
+	// two until the cutoff is decided. Whatever the worker count, the
+	// result is bit-identical to the sequential solve for a fixed seed.
 	Workers int
 	// Strategy selects the per-start local search (default StrategyAuto:
 	// chosen by Convex).
@@ -180,9 +184,11 @@ func Minimize(p Problem, o Options) (Result, error) {
 // iterations and returns ctx.Err() (wrapped) as soon as the context is
 // canceled or its deadline passes, discarding any partial progress.
 //
-// Starts run concurrently on up to Options.Workers goroutines, but result
-// selection replays the sequential order, so the returned X/F/Starts are
-// bit-identical to a Workers: 1 solve for the same seed.
+// No start runs whose outcome the selection would discard (see
+// folder.span): convex starts run one at a time, the others fan out over
+// up to Options.Workers goroutines. Selection replays the sequential
+// order, so the returned X/F/Starts are bit-identical to a Workers: 1
+// solve for the same seed.
 //
 // Warm-starting (Options.WarmStart) is equally deterministic: the warm
 // point is prepended to the unchanged cold seed set, so a fixed
@@ -202,39 +208,47 @@ func MinimizeContext(ctx context.Context, p Problem, o Options) (Result, error) 
 	}
 
 	// One projector serves the seeds and every start the calling goroutine
-	// runs; parallel workers build their own.
+	// runs; other workers build their own.
 	pr := newProjector(p.Cons)
-	seeds, warm := seedPoints(p, pr, o)
-	if len(seeds) == 0 {
+	sd := newSeeder(p, pr, o)
+	defer sd.release()
+	fd := newFolder(o, sd.warm)
+	stop := false
+	for si := 0; !stop; {
+		batch := sd.take(fd.span(si))
+		if len(batch) == 0 {
+			break
+		}
+		outs, err := runStarts(ctx, p, pr, batch, o)
+		if err != nil {
+			return Result{}, err
+		}
+		for j := 0; j < len(outs) && !stop; j++ {
+			stop = fd.fold(outs[j], si)
+			si++
+		}
+	}
+	switch {
+	case fd.best.Starts == 0:
 		return Result{}, fmt.Errorf("opt: could not build any feasible start (empty feasible set?)")
+	case fd.best.X == nil:
+		return Result{}, fmt.Errorf("opt: no start produced a finite objective")
 	}
-
-	workers := o.Workers
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	var res Result
-	if workers <= 1 {
-		res, err = minimizeSequential(ctx, p, pr, seeds, o, warm)
-	} else {
-		res, err = minimizeParallel(ctx, p, seeds, o, workers, warm)
-	}
-	if err != nil {
-		return res, err
-	}
+	res := fd.best
 	// Solve-level accounting: one atomic bump per solve, nothing inside
-	// the per-start searches.
+	// the per-start searches. Every seed the plan allowed but no start
+	// ran — past an early exit, or never built — counts as skipped.
 	telemetry.SolverSolves.Inc()
 	if !pr.sep {
 		telemetry.SolverGeneralPathSolves.Inc()
 	}
-	if warm {
+	if skipped := sd.limit - res.Starts; skipped > 0 {
+		telemetry.SolverStartsSkipped.Add(uint64(skipped))
+	}
+	if sd.warm {
 		telemetry.SolverWarmSolves.Inc()
 		if res.WarmCut {
 			telemetry.SolverWarmCuts.Inc()
-			if skipped := len(seeds) - res.Starts; skipped > 0 {
-				telemetry.SolverStartsSkipped.Add(uint64(skipped))
-			}
 		}
 	}
 	return res, nil
@@ -285,9 +299,9 @@ func runStart(ctx context.Context, p Problem, pr *projector, start []float64, o 
 
 // folder replays the historical sequential selection (strict improvement,
 // first-come ties) over per-start outcomes and decides the early exits:
-// the convex single-start exit and the warm-start adaptive cutoff. Both
-// execution paths drive one folder, so their selection semantics cannot
-// drift apart.
+// the convex single-start exit and the warm-start adaptive cutoff. It
+// also says how many starts may run before the next decision (span), so
+// scheduling follows the same rules as selection.
 type folder struct {
 	o    Options
 	warm bool // seeds[0] is an injected warm start
@@ -328,102 +342,91 @@ func (fd *folder) fold(out startOutcome, si int) bool {
 	return false
 }
 
-func minimizeSequential(ctx context.Context, p Problem, pr *projector, seeds [][]float64, o Options, warm bool) (Result, error) {
-	fd := newFolder(o, warm)
-	for si, s := range seeds {
-		out := runStart(ctx, p, pr, s, o)
-		if err := ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("opt: solve canceled: %w", err)
-		}
-		if fd.fold(out, si) {
-			break
-		}
+// span is how many starts from si on may run before a fold can end the
+// solve, so that no start runs whose outcome the fold would discard: one
+// for a convex solve (any converged start ends it), the rest of the warm
+// pair while the warm cutoff is undecided, and all remaining seeds
+// otherwise (nothing else ends a non-convex solve early).
+func (fd *folder) span(si int) int {
+	switch {
+	case fd.o.Convex:
+		return 1
+	case fd.warm && fd.o.WarmTol > 0 && si < 2:
+		return 2 - si
 	}
-	return finish(fd.best)
+	return math.MaxInt
 }
 
-// minimizeParallel fans the starts out over a bounded worker pool and
-// replays the sequential selection over the per-start outcomes in seed
-// order. Outcomes past a convex early exit are computed speculatively and
-// discarded; the shared context cancels whatever is still in flight.
-func minimizeParallel(ctx context.Context, p Problem, seeds [][]float64, o Options, workers int, warm bool) (Result, error) {
-	runCtx, cancel := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	// On return: cancel speculative in-flight starts first, then wait for
-	// the workers to drain (deferred calls run last-registered-first). No
-	// worker may outlive this call — callers are free to repurpose the
-	// objective closure as soon as we return.
-	defer wg.Wait()
-	defer cancel()
-
-	outcomes := make([]startOutcome, len(seeds))
-	done := make([]chan struct{}, len(seeds))
-	for i := range done {
-		done[i] = make(chan struct{})
+// runStarts runs one local search per seed on up to o.Workers goroutines,
+// the calling one included (it projects with pr; the others build their
+// own projector), and returns the outcomes in seed order. Every worker
+// has returned by the time runStarts does, so callers are free to
+// repurpose the objective closure. A canceled context fails the batch.
+func runStarts(ctx context.Context, p Problem, pr *projector, seeds [][]float64, o Options) ([]startOutcome, error) {
+	outs := make([]startOutcome, len(seeds))
+	var next atomic.Int64
+	work := func(pr *projector) {
+		for ctx.Err() == nil {
+			si := int(next.Add(1) - 1)
+			if si >= len(seeds) {
+				return
+			}
+			outs[si] = runStart(ctx, p, pr, seeds[si], o)
+		}
 	}
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for w := 1; w < min(o.Workers, len(seeds)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pr := newProjector(p.Cons)
-			for si := range jobs {
-				outcomes[si] = runStart(runCtx, p, pr, seeds[si], o)
-				close(done[si])
-			}
+			work(newProjector(p.Cons))
 		}()
 	}
-	go func() {
-		// Feed every seed: canceled starts drain in microseconds, so no
-		// select on runCtx is needed to keep this goroutine from leaking.
-		for si := range seeds {
-			jobs <- si
-		}
-		close(jobs)
-	}()
-
-	fd := newFolder(o, warm)
-	for si := range seeds {
-		<-done[si]
-		// A consumed outcome always ran under a live context here: cancel
-		// only happens on return, after consumption stops.
-		if err := ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("opt: solve canceled: %w", err)
-		}
-		if fd.fold(outcomes[si], si) {
-			break
-		}
+	work(pr)
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("opt: solve canceled: %w", err)
 	}
-	return finish(fd.best)
+	return outs, nil
 }
 
-func finish(best Result) (Result, error) {
-	if best.X == nil {
-		return Result{}, fmt.Errorf("opt: no start produced a finite objective")
-	}
-	return best, nil
-}
-
-// rngPool recycles seedPoints' PRNGs. Seed resets a rand.Rand to exactly
+// rngPool recycles the seeders' PRNGs. Seed resets a rand.Rand to exactly
 // the state of rand.New(rand.NewSource(seed)), so a recycled generator
 // draws the same sequence, and a solve skips allocating the source's
 // ~5 KB state.
 var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
-// seedPoints builds deterministic feasible starting points: the optional
-// projected warm start first, then the projected center of the box/budget,
-// projected per-variable emphasis points, and seeded-random interior
-// points. The PRNG is consumed fully before any start runs, so the seed
-// set is independent of execution order. A warm start raises the seed cap
-// by one, so the cold seeds — and the PRNG draws producing them — are
-// exactly those of the equivalent cold solve. warm reports whether
-// seeds[0] is the warm start. Every seed is projected with pr.
-func seedPoints(p Problem, pr *projector, o Options) (seeds [][]float64, warm bool) {
-	n := p.N
+// seeder builds the deterministic feasible starting points one at a time,
+// in a fixed order: the optional projected warm start, then the projected
+// center of the box/budget, projected per-variable emphasis points, a
+// geometric-decay point, and seeded-random interior points. A candidate
+// whose projection is infeasible or prices at +Inf is skipped. At most
+// limit seeds are yielded: Starts + N, plus one for a kept warm start, so
+// the cold seeds — and the PRNG draws producing them — are exactly those
+// of the equivalent cold solve. A seed is built only when a start needs
+// it, and the PRNG is taken from rngPool and seeded only when the first
+// random candidate is; each seed depends on (p, o) alone, never on when
+// it is asked for. Every seed is projected with pr.
+type seeder struct {
+	p       Problem
+	pr      *projector
+	seed    int64
+	scale   float64
+	limit   int
+	warm    bool      // the first seed is the kept warm start
+	head    []float64 // the warm seed until it is yielded
+	raw     []float64 // candidate scratch; projection only reads it
+	k       int       // next candidate: 0 equal split, 1..N emphasis, N+1 geometric, then random
+	yielded int       // seeds yielded so far
+	rng     *rand.Rand
+	dry     bool // the safety valve fired: no further random candidates
+}
+
+func newSeeder(p Problem, pr *projector, o Options) *seeder {
 	c := p.Cons
 	// Estimate a characteristic scale from bounds or budget rows.
 	scale := 1.0
-	for i := 0; i < n; i++ {
+	for i := 0; i < p.N; i++ {
 		if !math.IsInf(c.Upper(i), 1) && c.Upper(i) > 0 {
 			scale = math.Max(scale, c.Upper(i))
 		}
@@ -450,68 +453,106 @@ func seedPoints(p Problem, pr *projector, o Options) (seeds [][]float64, warm bo
 			scale = math.Max(scale, c.ineqB[i]/pos)
 		}
 	}
-
-	add := func(raw []float64) {
-		x := clone(pr.project(raw))
-		if !c.Feasible(x, 1e-6) {
-			return
-		}
-		if math.IsInf(p.Objective(x), 1) {
-			return
-		}
-		seeds = append(seeds, x)
-	}
+	s := &seeder{p: p, pr: pr, seed: o.Seed, scale: scale, limit: o.Starts + p.N, raw: make([]float64, p.N)}
 	// Warm start first: an infeasible or non-finite warm point is simply
 	// dropped, falling back to the regular multistart.
 	if len(o.WarmStart) > 0 {
-		add(o.WarmStart)
-		warm = len(seeds) == 1
-	}
-	limit := o.Starts + n
-	if warm {
-		limit++
-	}
-	// Equal split.
-	eq := make([]float64, n)
-	for i := range eq {
-		eq[i] = scale / float64(n)
-	}
-	add(eq)
-	// Emphasis on each variable.
-	for i := 0; i < n; i++ {
-		e := make([]float64, n)
-		for j := range e {
-			e[j] = scale / float64(4*n)
+		if s.head = s.admit(o.WarmStart); s.head != nil {
+			s.warm = true
+			s.limit++
 		}
-		e[i] = scale / 2
-		add(e)
 	}
-	// Geometric decay (inner dims carry more traffic in LIBRA problems).
-	g := make([]float64, n)
-	v := scale / 2
-	for i := 0; i < n; i++ {
-		g[i] = v
-		v /= 2
-	}
-	add(g)
-	// Seeded random interior points.
-	rng := rngPool.Get().(*rand.Rand)
-	defer rngPool.Put(rng)
-	rng.Seed(o.Seed)
-	for len(seeds) < limit {
-		r := make([]float64, n)
-		for i := range r {
-			r[i] = rng.Float64() * scale
-		}
-		add(r)
-		if rng.Intn(1000) == 999 { // safety valve against infeasible models
+	return s
+}
+
+// take returns up to k further seeds, fewer when the seeds run out.
+func (s *seeder) take(k int) [][]float64 {
+	var seeds [][]float64
+	for len(seeds) < k {
+		x := s.next()
+		if x == nil {
 			break
 		}
+		seeds = append(seeds, x)
 	}
-	if len(seeds) > limit {
-		seeds = seeds[:limit]
+	return seeds
+}
+
+// next returns the next seed, or nil once limit seeds were yielded or the
+// candidates ran out.
+func (s *seeder) next() []float64 {
+	if s.head != nil {
+		x := s.head
+		s.head = nil
+		s.yielded++
+		return x
 	}
-	return seeds, warm
+	for s.yielded < s.limit {
+		raw := s.candidate()
+		if raw == nil {
+			return nil
+		}
+		if x := s.admit(raw); x != nil {
+			s.yielded++
+			return x
+		}
+	}
+	return nil
+}
+
+// candidate writes the next raw candidate into s.raw and returns it, or
+// nil when no candidates are left.
+func (s *seeder) candidate() []float64 {
+	n, raw := s.p.N, s.raw
+	k := s.k
+	s.k++
+	switch {
+	case k == 0: // equal split
+		for i := range raw {
+			raw[i] = s.scale / float64(n)
+		}
+	case k <= n: // emphasis on variable k-1
+		for i := range raw {
+			raw[i] = s.scale / float64(4*n)
+		}
+		raw[k-1] = s.scale / 2
+	case k == n+1: // geometric decay (inner dims carry more traffic in LIBRA problems)
+		v := s.scale / 2
+		for i := range raw {
+			raw[i] = v
+			v /= 2
+		}
+	case s.dry:
+		return nil
+	default: // seeded random interior point
+		if s.rng == nil {
+			s.rng = rngPool.Get().(*rand.Rand)
+			s.rng.Seed(s.seed)
+		}
+		for i := range raw {
+			raw[i] = s.rng.Float64() * s.scale
+		}
+		s.dry = s.rng.Intn(1000) == 999 // safety valve against infeasible models
+	}
+	return raw
+}
+
+// admit projects raw and returns the seed, or nil when the projection is
+// infeasible or prices at +Inf.
+func (s *seeder) admit(raw []float64) []float64 {
+	x := clone(s.pr.project(raw))
+	if !s.p.Cons.Feasible(x, 1e-6) || math.IsInf(s.p.Objective(x), 1) {
+		return nil
+	}
+	return x
+}
+
+// release returns the PRNG, if one was taken, to rngPool.
+func (s *seeder) release() {
+	if s.rng != nil {
+		rngPool.Put(s.rng)
+		s.rng = nil
+	}
 }
 
 // numGrad computes a central-difference gradient.

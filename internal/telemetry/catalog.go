@@ -67,9 +67,9 @@ var (
 	SolverGeneralPathSolves = Default.NewCounter("libra_solver_general_path_solves_total",
 		"Solves whose constraint set needed the active-set/Dykstra projection (ordered or pair-sum rows, several general rows, a non-positive coefficient, or an empty set); the rest project exactly by breakpoint search.")
 	SolverStarts = Default.NewCounter("libra_solver_starts_total",
-		"Local-search starts launched (including speculative parallel starts).")
+		"Local-search starts run; every one is folded into its solve's answer, none is speculative.")
 	SolverStartsSkipped = Default.NewCounter("libra_solver_starts_skipped_total",
-		"Starts skipped by the warm-start WarmTol adaptive cutoff.")
+		"Planned seeds never run, per solve: Starts + N (+1 with a kept warm start) minus the starts run, after a convex early exit, a WarmTol cutoff, or seeds that could not be built.")
 	SolverWarmSolves = Default.NewCounter("libra_solver_warm_solves_total",
 		"Solves that ran with an injected warm start.")
 	SolverWarmCuts = Default.NewCounter("libra_solver_warm_cuts_total",
