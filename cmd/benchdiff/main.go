@@ -14,7 +14,7 @@
 // used -benchmem, per-benchmark "bytes_per_op" and "allocs_per_op" maps
 // are captured alongside. Units a benchmark reports with b.ReportMetric
 // (printed between ns/op and B/op) land in a "metrics" map, unit →
-// benchmark → value; they are recorded but not gated.
+// benchmark → value.
 //
 // compare loads two parse outputs and fails (exit 1) when any benchmark
 // regresses by more than -threshold (fractional; 0.25 = 25%), or when a
@@ -34,7 +34,11 @@
 // allocs/op is machine-independent, so when both reports carry alloc
 // data, compare additionally gates raw allocs/op growth beyond
 // -allocthreshold (default 0.25) with no normalization; benchmarks
-// missing alloc data on either side are not alloc-gated.
+// missing alloc data on either side are not alloc-gated. The solver work
+// counts (the countUnits metrics: starts and per-search iterations per
+// op) are exactly reproducible on any host, so compare fails on any
+// increase in them; a count present on only one side is printed, not
+// gated.
 //
 // record appends the current report to a JSONL history file — one line
 // per run with a timestamp, an optional -label, the full per-benchmark
@@ -67,7 +71,7 @@ type report struct {
 	BytesPerOp  map[string]float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp map[string]float64 `json:"allocs_per_op,omitempty"`
 	// Metrics holds b.ReportMetric values: unit → benchmark → value.
-	// They are recorded, not gated.
+	// Only the countUnits are gated.
 	Metrics map[string]map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -259,6 +263,10 @@ func loadReport(path string) (report, error) {
 	return r, nil
 }
 
+// countUnits are the deterministic solver work counts the benchmarks
+// report; compare gates them exactly.
+var countUnits = []string{"starts/op", "pgd-iters/op", "nm-iters/op", "cd-iters/op"}
+
 func runCompare(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	basePath := fs.String("baseline", "BENCH_baseline.json", "baseline JSON (benchdiff parse output)")
@@ -400,6 +408,8 @@ func runCompare(args []string) error {
 		}
 	}
 
+	countRegressions := compareCounts(base, cur, skipped)
+
 	if len(missing) > 0 {
 		sort.Strings(missing)
 		return fmt.Errorf("%d baseline benchmark(s) missing from the current run (renamed, deleted, or the run crashed; regenerate the baseline with `make bench-baseline` if intentional):\n  %s",
@@ -413,8 +423,59 @@ func runCompare(args []string) error {
 		return fmt.Errorf("%d allocs/op regression(s):\n  %s",
 			len(allocRegressions), strings.Join(allocRegressions, "\n  "))
 	}
+	if len(countRegressions) > 0 {
+		return fmt.Errorf("%d solver work count regression(s):\n  %s",
+			len(countRegressions), strings.Join(countRegressions, "\n  "))
+	}
 	fmt.Println("no regressions")
 	return nil
+}
+
+// compareCounts prints every countUnits metric of either report and
+// returns one line per benchmark and unit whose count grew. The counts are
+// deterministic, so the gate is exact: any increase fails, any decrease or
+// tie passes. A count missing on one side is printed but not gated.
+func compareCounts(base, cur report, skipped map[string]bool) []string {
+	var regressions []string
+	header := false
+	for _, unit := range countUnits {
+		bm, cm := base.Metrics[unit], cur.Metrics[unit]
+		var names []string
+		for name := range bm {
+			names = append(names, name)
+		}
+		for name := range cm {
+			if _, ok := bm[name]; !ok {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if !header {
+				fmt.Printf("\n%-44s %14s %14s %14s\n", "benchmark", "unit", "base", "cur")
+				header = true
+			}
+			b, okB := bm[name]
+			c, okC := cm[name]
+			switch {
+			case !okB:
+				fmt.Printf("%-44s %14s %14s %14g  (new, not gated)\n", name, unit, "-", c)
+			case !okC:
+				fmt.Printf("%-44s %14s %14g %14s  (missing, not gated)\n", name, unit, b, "-")
+			default:
+				mark := ""
+				switch {
+				case skipped[name]:
+					mark = "  (skipped)"
+				case c > b:
+					mark = "  << COUNT REGRESSION"
+					regressions = append(regressions, fmt.Sprintf("%s: %s %g -> %g", name, unit, b, c))
+				}
+				fmt.Printf("%-44s %14s %14g %14g%s\n", name, unit, b, c, mark)
+			}
+		}
+	}
+	return regressions
 }
 
 // historyEntry is one line of the JSONL perf log written by record.

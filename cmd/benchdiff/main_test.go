@@ -187,6 +187,69 @@ func TestCompareAllocGateSlackAndSkip(t *testing.T) {
 	}
 }
 
+// The solver work counts are deterministic, so compare gates them
+// exactly: any increase fails and names the benchmark and unit; a tie or a
+// decrease passes; a count on only one side, or a metric outside the
+// gated units, is not gated.
+func TestCompareCountGate(t *testing.T) {
+	base := report{
+		Unit:       "ns/op",
+		Benchmarks: map[string]float64{"BenchmarkSolve": 100, "BenchmarkMix": 100},
+		Metrics: map[string]map[string]float64{
+			"starts/op":    {"BenchmarkSolve": 1, "BenchmarkMix": 22},
+			"nm-iters/op":  {"BenchmarkSolve": 138, "BenchmarkMix": 2686},
+			"cd-iters/op":  {"BenchmarkMix": 1067},
+			"speedup-x":    {"BenchmarkSolve": 1.2},
+			"pgd-iters/op": {"BenchmarkSolve": 40},
+		},
+	}
+	for _, tc := range []struct {
+		name    string
+		metrics map[string]map[string]float64
+		wantErr string // "" = passes
+	}{
+		{"equal counts", base.Metrics, ""},
+		{"an increase", map[string]map[string]float64{
+			"starts/op":    {"BenchmarkSolve": 1, "BenchmarkMix": 22},
+			"nm-iters/op":  {"BenchmarkSolve": 138, "BenchmarkMix": 2686},
+			"cd-iters/op":  {"BenchmarkMix": 1068},
+			"pgd-iters/op": {"BenchmarkSolve": 40},
+		}, "BenchmarkMix: cd-iters/op 1067 -> 1068"},
+		{"a decrease", map[string]map[string]float64{
+			"starts/op":    {"BenchmarkSolve": 1, "BenchmarkMix": 11},
+			"nm-iters/op":  {"BenchmarkSolve": 100, "BenchmarkMix": 2686},
+			"cd-iters/op":  {"BenchmarkMix": 0},
+			"pgd-iters/op": {"BenchmarkSolve": 4},
+		}, ""},
+		{"a count on one side only", map[string]map[string]float64{
+			"starts/op":    {"BenchmarkSolve": 1, "BenchmarkNew": 99},
+			"nm-iters/op":  {"BenchmarkSolve": 138, "BenchmarkMix": 2686},
+			"cd-iters/op":  {"BenchmarkMix": 1067},
+			"pgd-iters/op": {"BenchmarkSolve": 40},
+		}, ""},
+		{"an ungated metric grows", map[string]map[string]float64{
+			"starts/op":    {"BenchmarkSolve": 1, "BenchmarkMix": 22},
+			"nm-iters/op":  {"BenchmarkSolve": 138, "BenchmarkMix": 2686},
+			"cd-iters/op":  {"BenchmarkMix": 1067},
+			"speedup-x":    {"BenchmarkSolve": 9},
+			"pgd-iters/op": {"BenchmarkSolve": 40},
+		}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			b := writeReport(t, dir, "base.json", base)
+			c := writeReport(t, dir, "cur.json", report{Unit: "ns/op", Benchmarks: base.Benchmarks, Metrics: tc.metrics})
+			err := runCompare([]string{"-baseline", b, "-current", c})
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("want pass, got %v", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("want error naming %q, got %v", tc.wantErr, err)
+			}
+		})
+	}
+}
+
 func TestCompareMissingBaselineEntry(t *testing.T) {
 	dir := t.TempDir()
 	base := writeReport(t, dir, "base.json", report{

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"libra"
+	"libra/internal/core"
 	"libra/internal/jobs"
 )
 
@@ -601,6 +602,11 @@ func TestErrorCodes(t *testing.T) {
 	resp, body = postJSON(t, srv.URL+"/v1/optimize", tinyProblem+`xyz`)
 	check(resp, body, http.StatusBadRequest, "bad_spec")
 	resp, body = postJSON(t, srv.URL+"/v2/tasks", `{"kind":"optimize","spec":`+tinyProblem+`} {"kind":"cluster"} trailing-garbage`)
+	check(resp, body, http.StatusBadRequest, "bad_spec")
+	// A sweep whose axes multiply past the point limit is bad_spec,
+	// rejected before any cell is solved.
+	budgets := strings.TrimSuffix(strings.Repeat("300,", core.MaxPoints+1), ",")
+	resp, body = postJSON(t, srv.URL+"/v1/sweep", `{"spec":`+tinyProblem+`,"sweep":{"budgets":[`+budgets+`]}}`)
 	check(resp, body, http.StatusBadRequest, "bad_spec")
 
 	// not_found.

@@ -27,13 +27,9 @@ func main() {
 	fmt.Printf("PerfPerCostOptBW on %s for %s @ %.0f GB/s per NPU\n\n", net.Name(), w.Name, budget)
 	fmt.Printf("%-22s %-36s %12s %16s\n", "pkg link ($/GBps)", "optimized BW", "cost ($M)", "ppc vs EqualBW")
 	for _, dollars := range []float64{1, 2, 3, 4, 5} {
-		p, err := libra.New(net, budget,
-			libra.WithWorkload(w),
-			libra.WithCostTable(cost.Default().WithPackageLink(dollars)),
-			libra.WithObjective(libra.PerfPerCostOpt))
-		if err != nil {
-			log.Fatal(err)
-		}
+		p := libra.NewProblem(net, budget, w)
+		p.Cost = cost.Default().WithPackageLink(dollars)
+		p.Objective = libra.PerfPerCostOpt
 		eq, err := p.EqualBW()
 		if err != nil {
 			log.Fatal(err)

@@ -44,14 +44,10 @@ func main() {
 		own[w.Name] = r
 	}
 
-	// One weighted group design, assembled with functional options.
-	var groupOpts []libra.Option
-	for _, n := range names {
-		groupOpts = append(groupOpts, libra.WithWeightedPreset(n, weights[n]))
-	}
-	group, err := libra.New(net, budget, groupOpts...)
-	if err != nil {
-		log.Fatal(err)
+	// One weighted group design.
+	group := libra.NewProblem(net, budget)
+	for i, n := range names {
+		group.AddTarget(ws[i], weights[n])
 	}
 	rg, err := group.Optimize()
 	if err != nil {

@@ -31,14 +31,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The same instance assembled with functional options, switched to the
-	// perf-per-cost objective.
-	ppcProblem, err := libra.New(net, budget,
-		libra.WithWorkload(gpt3),
-		libra.WithObjective(libra.PerfPerCostOpt))
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The same instance switched to the perf-per-cost objective.
+	ppcProblem := libra.NewProblem(net, budget, gpt3)
+	ppcProblem.Objective = libra.PerfPerCostOpt
 	ppc, err := ppcProblem.Optimize() // PerfPerCostOptBW
 	if err != nil {
 		log.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"libra/internal/core"
-	"libra/internal/frontier"
 	"libra/internal/topology"
 )
 
@@ -331,8 +330,8 @@ func (s *Spec) resolve() (*resolved, error) {
 		solves += len(r.jobs) * (r.steps - len(r.jobs) + 1)
 	}
 	solves += len(r.budgets)
-	if solves > frontier.MaxPoints {
-		return nil, bad("%d solves exceed the %d-solve limit (jobs × partition_steps × budgets)", solves, frontier.MaxPoints)
+	if solves > core.MaxPoints {
+		return nil, bad("%d solves exceed the %d-solve limit (jobs × partition_steps × budgets)", solves, core.MaxPoints)
 	}
 	return r, nil
 }

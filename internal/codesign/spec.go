@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"libra/internal/core"
-	"libra/internal/frontier"
 	"libra/internal/topology"
 	"libra/internal/workload"
 )
@@ -280,9 +279,9 @@ func (s *Spec) enumerate(m *sweptModel) ([]candidate, []Skipped, error) {
 	// mode runs one budget sweep per candidate — so the total solve count
 	// of one study is bounded too, or a small request body could queue
 	// candidates × budgets full optimizations on a shared engine.
-	if n := len(cands) * (1 + len(s.Budgets)); n > frontier.MaxPoints {
+	if n := len(cands) * (1 + len(s.Budgets)); n > core.MaxPoints {
 		return nil, nil, fmt.Errorf("%w: codesign: %d candidates × %d budget-axis points exceed the %d-solve limit",
-			core.ErrBadSpec, len(cands), len(s.Budgets), frontier.MaxPoints)
+			core.ErrBadSpec, len(cands), len(s.Budgets), core.MaxPoints)
 	}
 	return cands, skipped, nil
 }

@@ -14,9 +14,8 @@
 // The EqualBW baseline — the paper's workload-agnostic straw person —
 // splits the bandwidth budget evenly across dimensions.
 //
-// The package offers three construction paths, from most to least
-// declarative: a serializable ProblemSpec (spec.go) for tooling and
-// services, functional options (options.go) for idiomatic Go callers, and
+// The package offers two construction paths: a serializable ProblemSpec
+// (spec.go) for tooling, services and Go literals, and NewProblem plus
 // direct field assignment for full control. Long solves are cancellable
 // through the Context variants of Optimize/Evaluate, and Engine
 // (engine.go) layers a concurrent, cached service on top.
@@ -91,18 +90,12 @@ type Problem struct {
 
 	// Constraints holds declarative, serializable design constraints
 	// (dimension caps/floors, ordering, pair sums, dollar budgets...)
-	// applied on top of the budget row. Unlike Extra they survive a
-	// Problem → ProblemSpec round-trip.
+	// applied on top of the budget row. They survive a Problem →
+	// ProblemSpec round-trip.
 	Constraints []ConstraintSpec
 
-	// Extra holds additional user constraints as an opaque callback. It
-	// remains as an escape hatch for constraint shapes ConstraintSpec
-	// cannot express, but makes the problem non-serializable: Spec()
-	// fails while Extra is set. May be nil.
-	Extra func(c *opt.Constraints)
-
-	// SkipBudget drops the ΣB budget row entirely, leaving only MinDimBW,
-	// Constraints, and Extra. Used for iso-cost designs where the binding
+	// SkipBudget drops the ΣB budget row entirely, leaving only MinDimBW
+	// and Constraints. Used for iso-cost designs where the binding
 	// constraint is a dollar budget instead of a bandwidth budget.
 	SkipBudget bool
 
@@ -119,9 +112,9 @@ type Problem struct {
 
 	// sources records, per target, the declarative origin of the
 	// workload (preset name or transformer shape) when one is known, so
-	// Spec() can reconstruct a serializable description. Construction
-	// through ProblemSpec.Build or the workload options fills it; targets
-	// appended by hand fall back to preset-name matching.
+	// Spec() can reconstruct a serializable description. ProblemSpec.Build
+	// and AddTarget fill it; targets appended to Targets by hand fall back
+	// to preset-name matching.
 	sources []WorkloadSpec
 }
 
@@ -141,27 +134,6 @@ func NewProblem(net *topology.Network, budget float64, targets ...*workload.Work
 		p.AddTarget(w, 1)
 	}
 	return p
-}
-
-// New builds a Problem from the paper's defaults plus functional options
-// (options.go): workloads via WithWorkload/WithPreset/WithTransformer,
-// then objective, loop, models, and declarative constraints.
-//
-//	p, err := core.New(net, 500,
-//	    core.WithPreset("GPT-3"),
-//	    core.WithObjective(core.PerfPerCostOpt),
-//	    core.WithDimCap(4, 50))
-func New(net *topology.Network, budget float64, opts ...Option) (*Problem, error) {
-	p := NewProblem(net, budget)
-	for _, o := range opts {
-		if o == nil {
-			continue
-		}
-		if err := o(p); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
 }
 
 // AddTarget appends a weighted target workload, keeping the provenance
@@ -362,7 +334,7 @@ func (p *Problem) EqualBW() (Result, error) {
 }
 
 // buildConstraints assembles the solver constraint set from the budget
-// row, the declarative constraint specs, and the Extra escape hatch.
+// row and the declarative constraint specs.
 func (p *Problem) buildConstraints() (*opt.Constraints, error) {
 	return p.buildConstraintsAt(p.BWBudget)
 }
@@ -379,9 +351,6 @@ func (p *Problem) buildConstraintsAt(budget float64) (*opt.Constraints, error) {
 		if err := spec.apply(c, p); err != nil {
 			return nil, err
 		}
-	}
-	if p.Extra != nil {
-		p.Extra(c)
 	}
 	return c, nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"libra/internal/cost"
-	"libra/internal/opt"
 	"libra/internal/timemodel"
 	"libra/internal/topology"
 	"libra/internal/workload"
@@ -129,9 +128,7 @@ func TestPerfOptFavorsInnerDims(t *testing.T) {
 func TestExtraConstraintsRespected(t *testing.T) {
 	net := topology.ThreeD4K()
 	p := NewProblem(net, 300, mustMSFT(t, 4096))
-	p.Extra = func(c *opt.Constraints) {
-		c.VarAtMost(0, 120) // cap the inner dim
-	}
+	p.Constraints = []ConstraintSpec{DimCap(1, 120)} // cap the inner dim
 	res, err := p.Optimize()
 	if err != nil {
 		t.Fatal(err)
@@ -215,16 +212,10 @@ func TestWeightsSkewGroupOptimization(t *testing.T) {
 func TestSkipBudgetWithCostConstraint(t *testing.T) {
 	net := topology.FourD4K()
 	w := mustMSFT(t, 4096)
-	rates, err := cost.Rates(cost.Default(), net)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const dollars = 15e6
 	p := NewProblem(net, 0, w)
 	p.SkipBudget = true
-	p.Extra = func(c *opt.Constraints) {
-		c.WeightedSumAtMost(rates, dollars)
-	}
+	p.Constraints = []ConstraintSpec{DollarBudget(dollars)}
 	res, err := p.Optimize()
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,12 @@ import (
 // from solver failures (HTTP 500).
 var ErrBadSpec = errors.New("core: invalid problem spec")
 
+// MaxPoints bounds the solves one batch request (a sweep, frontier,
+// co-design or cluster study) may expand to. Each point allocates state and
+// a goroutine up front, so an unbounded request from a small JSON body
+// could exhaust memory before the worker pool throttles it.
+const MaxPoints = 4096
+
 // EngineConfig tunes the service layer. Zero values select defaults.
 type EngineConfig struct {
 	// Workers bounds concurrent solves (default GOMAXPROCS). Each solve's
@@ -469,6 +475,10 @@ func (e *Engine) Sweep(ctx context.Context, base *ProblemSpec, req SweepRequest)
 	objectives := req.Objectives
 	if len(objectives) == 0 {
 		objectives = []string{base.Objective}
+	}
+	if n := len(topos) * len(budgets) * len(objectives); n > MaxPoints {
+		return nil, fmt.Errorf("%w: sweep of %d topologies × %d budgets × %d objectives = %d points exceeds the %d-point limit",
+			ErrBadSpec, len(topos), len(budgets), len(objectives), n, MaxPoints)
 	}
 	var points []SweepPoint
 	var specs []*ProblemSpec

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -128,6 +130,52 @@ func TestEngineConcurrentSafety(t *testing.T) {
 	s := e.Stats()
 	if s.Hits+s.Misses == 0 || s.InFlight != 0 {
 		t.Errorf("stats = %+v", s)
+	}
+}
+
+// A sweep whose axes multiply past MaxPoints is a client error, rejected
+// before any cell is cloned or solved; an empty axis counts as one value
+// (the base spec's). Within the bound the sweep runs every cell: under a
+// cancelled context each cell fails fast with the context's error.
+func TestSweepBoundsPointsBeforeWork(t *testing.T) {
+	e := NewEngine(EngineConfig{Workers: 1, CacheSize: 8})
+	defer e.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	axis := func(n int) []float64 {
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = float64(100 + i)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name    string
+		req     SweepRequest
+		points  int
+		wantBad bool
+	}{
+		{"at the bound", SweepRequest{Topologies: []string{"RI(4)_SW(8)", "3D-512"}, Budgets: axis(1024), Objectives: []string{"perf", "perf-per-cost"}}, MaxPoints, false},
+		{"bound + 1", SweepRequest{Budgets: axis(MaxPoints + 1)}, MaxPoints + 1, true},
+		{"empty topology axis, at the bound", SweepRequest{Budgets: axis(MaxPoints / 2), Objectives: []string{"perf", "perf-per-cost"}}, MaxPoints, false},
+		{"empty objective axis, over the bound", SweepRequest{Topologies: []string{"RI(4)_SW(8)", "3D-512", "4D-4K"}, Budgets: axis(MaxPoints/3 + 1)}, 3 * (MaxPoints/3 + 1), true},
+		{"every axis empty", SweepRequest{}, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			points, err := e.Sweep(ctx, smallSpec(300), tc.req)
+			if tc.wantBad {
+				if !errors.Is(err, ErrBadSpec) || points != nil {
+					t.Fatalf("%d points: got %d points, err %v; want ErrBadSpec and no points", tc.points, len(points), err)
+				}
+				if want := fmt.Sprintf("%d points exceeds the %d-point limit", tc.points, MaxPoints); !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+				return
+			}
+			if errors.Is(err, ErrBadSpec) || len(points) != tc.points {
+				t.Fatalf("got %d points, err %v; want %d points", len(points), err, tc.points)
+			}
+		})
 	}
 }
 

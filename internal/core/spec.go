@@ -224,8 +224,7 @@ func strategyKey(s opt.Strategy) (string, error) {
 
 // ---- Declarative constraints ----
 
-// ConstraintKind enumerates the declarative constraint vocabulary that
-// replaces the opaque Extra callback for serializable problems.
+// ConstraintKind enumerates the declarative design-constraint vocabulary.
 type ConstraintKind string
 
 const (
@@ -625,15 +624,11 @@ func isPresetWorkload(name string) bool {
 }
 
 // Spec reconstructs the declarative description of the problem. It fails
-// when the problem is not serializable: an opaque Extra constraint
-// callback, or a hand-assembled target workload that is neither a Table II
-// preset nor carries transformer provenance.
+// when the problem is not serializable: a hand-assembled target workload
+// that is neither a Table II preset nor carries transformer provenance.
 func (p *Problem) Spec() (*ProblemSpec, error) {
 	if p.Net == nil {
 		return nil, fmt.Errorf("core: problem has no network")
-	}
-	if p.Extra != nil {
-		return nil, fmt.Errorf("core: problem carries an opaque Extra constraint callback; express it as ConstraintSpecs to serialize")
 	}
 	s := &ProblemSpec{
 		Topology:   p.Net.Name(),

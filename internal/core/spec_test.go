@@ -249,20 +249,6 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// Problems with an opaque Extra callback are not serializable.
-func TestSpecRejectsOpaqueExtra(t *testing.T) {
-	p := NewProblem(topology.FourD4K(), 500)
-	w, err := workload.GPT3(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.AddTarget(w, 1)
-	p.Extra = func(c *opt.Constraints) {}
-	if _, err := p.Spec(); err == nil {
-		t.Fatal("expected error for Extra callback")
-	}
-}
-
 // The spec-built problem and the classic construction path must price
 // design points identically, and declarative constraints must bind.
 func TestSpecBuildMatchesClassicPath(t *testing.T) {
@@ -305,18 +291,26 @@ func TestSpecBuildMatchesClassicPath(t *testing.T) {
 	}
 }
 
-// Functional options must record provenance so option-built problems stay
-// serializable.
-func TestOptionsProduceSerializableProblem(t *testing.T) {
-	p, err := New(topology.FourD4K(), 500,
-		WithPreset("GPT-3"),
-		WithWeightedPreset("MSFT-1T", 2),
-		WithObjective(PerfPerCostOpt),
-		WithDimCap(4, 50),
-	)
-	if err != nil {
-		t.Fatal(err)
+// A problem built by NewProblem + AddTarget + field assignment must record
+// provenance, so it serializes to the same fingerprint as the equivalent
+// ProblemSpec literal and survives Spec → Build → Spec unchanged.
+func TestFieldBuiltProblemIsSerializable(t *testing.T) {
+	net := topology.FourD4K()
+	p := NewProblem(net, 500)
+	for _, tw := range []struct {
+		name   string
+		weight float64
+	}{{"GPT-3", 1}, {"MSFT-1T", 2}} {
+		w, err := workload.Preset(tw.name, net.NPUs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.AddTarget(w, tw.weight)
 	}
+	p.Objective = PerfPerCostOpt
+	p.SkipBudget = true
+	p.Constraints = []ConstraintSpec{DimCap(4, 50), DollarBudget(15e6)}
+
 	s, err := p.Spec()
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +318,33 @@ func TestOptionsProduceSerializableProblem(t *testing.T) {
 	if len(s.Workloads) != 2 || s.Workloads[0].Preset != "GPT-3" || s.Workloads[1].Weight != 2 {
 		t.Errorf("workload specs = %+v", s.Workloads)
 	}
-	if s.Objective != "perf-per-cost" || len(s.Constraints) != 1 {
+	if s.Objective != "perf-per-cost" || !s.SkipBudget || len(s.Constraints) != 2 {
 		t.Errorf("spec = %+v", s)
+	}
+	want, err := s.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	literal := &ProblemSpec{
+		Topology:    "4D-4K",
+		BudgetGBps:  500,
+		SkipBudget:  true,
+		Objective:   "perf-per-cost",
+		Workloads:   []WorkloadSpec{{Preset: "GPT-3"}, {Preset: "MSFT-1T", Weight: 2}},
+		Constraints: []ConstraintSpec{DimCap(4, 50), DollarBudget(15e6)},
+	}
+	if got, err := literal.Fingerprint(); err != nil || got != want {
+		t.Errorf("literal spec fingerprint = %s, %v; field-built %s", got, err, want)
+	}
+	p2, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := p2.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.Fingerprint(); err != nil || got != want {
+		t.Errorf("fingerprint after Spec → Build → Spec = %s, %v; want %s", got, err, want)
 	}
 }

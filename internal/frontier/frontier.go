@@ -61,15 +61,10 @@ type Request struct {
 	NoWarmStart bool `json:"no_warm_start,omitempty"`
 }
 
-// MaxPoints bounds one frontier computation (budgets × caps). Each point
-// allocates state and a goroutine up front, so an unbounded request from
-// a small JSON body could exhaust memory before the Solver throttles it.
-const MaxPoints = 4096
-
 // BudgetAxis resolves the budget axis to an explicit list: Budgets
 // verbatim when set, otherwise the inclusive BudgetMin..BudgetMax grid of
-// BudgetSteps points — validated and MaxPoints-bounded either way. Callers
-// that consume the axis outside a frontier computation (the CLI's
+// BudgetSteps points — validated and core.MaxPoints-bounded either way.
+// Callers that consume the axis outside a frontier computation (the CLI's
 // -codesign mode) share this expansion so the grid semantics exist once.
 func (r Request) BudgetAxis() ([]float64, error) { return r.budgets() }
 
@@ -87,8 +82,8 @@ func (r Request) budgets() ([]float64, error) {
 		return nil, fmt.Errorf("%w: frontier needs explicit budgets or 0 < budget_min < budget_max with budget_steps ≥ 2",
 			core.ErrBadSpec)
 	}
-	if r.BudgetSteps > MaxPoints {
-		return nil, fmt.Errorf("%w: budget_steps %d exceeds the %d-point limit", core.ErrBadSpec, r.BudgetSteps, MaxPoints)
+	if r.BudgetSteps > core.MaxPoints {
+		return nil, fmt.Errorf("%w: budget_steps %d exceeds the %d-point limit", core.ErrBadSpec, r.BudgetSteps, core.MaxPoints)
 	}
 	out := make([]float64, r.BudgetSteps)
 	span := r.BudgetMax - r.BudgetMin
@@ -160,8 +155,8 @@ func Compute(ctx context.Context, s Solver, base *core.ProblemSpec, req Request)
 	if len(caps) == 0 {
 		caps = []float64{0} // single no-cap column
 	}
-	if n := len(budgets) * len(caps); n > MaxPoints {
-		return nil, fmt.Errorf("%w: %d frontier points exceed the %d-point limit", core.ErrBadSpec, n, MaxPoints)
+	if n := len(budgets) * len(caps); n > core.MaxPoints {
+		return nil, fmt.Errorf("%w: %d frontier points exceed the %d-point limit", core.ErrBadSpec, n, core.MaxPoints)
 	}
 
 	// Build the base problem once: it validates the spec up front. The

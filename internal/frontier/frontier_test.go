@@ -162,7 +162,7 @@ func TestComputeBadRequests(t *testing.T) {
 		{"bad spec", &core.ProblemSpec{Topology: "no-such"}, Request{Budgets: []float64{100}}},
 		{"grid too large", baseSpec(), Request{BudgetMin: 1, BudgetMax: 2, BudgetSteps: 500_000_000}},
 		{"cross product too large", baseSpec(), Request{
-			BudgetMin: 100, BudgetMax: 1000, BudgetSteps: MaxPoints,
+			BudgetMin: 100, BudgetMax: 1000, BudgetSteps: core.MaxPoints,
 			CapDim: 1, CapsGBps: []float64{10, 20},
 		}},
 	}

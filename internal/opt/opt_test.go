@@ -646,7 +646,8 @@ func TestSeedZeroIsDeterministic(t *testing.T) {
 func TestNumGradMatchesAnalytic(t *testing.T) {
 	f := func(x []float64) float64 { return 3*x[0]*x[0] + 2*x[0]*x[1] + x[1]*x[1] }
 	x := []float64{1.5, -2}
-	g := numGrad(f, x)
+	g := make([]float64, len(x))
+	numGradInto(g, f, x, clone(x), clone(x))
 	want := []float64{6*x[0] + 2*x[1], 2*x[0] + 2*x[1]}
 	for i := range g {
 		if !approx(g[i], want[i], 1e-4) {

@@ -17,12 +17,11 @@ type Problem struct {
 	N int
 	// Objective must be finite on the feasible set; +Inf outside is fine.
 	// Unless Options.Workers is 1, multistart runs concurrently, so the
-	// objective (and Grad) must be safe for concurrent calls — pure
-	// functions of x, as every closure in this repository is.
+	// objective must be safe for concurrent calls — a pure function of x,
+	// as every closure in this repository is. Gradients are central finite
+	// differences of it.
 	Objective func(x []float64) float64
-	// Grad is optional; nil uses central finite differences.
-	Grad func(x []float64) []float64
-	Cons *Constraints
+	Cons      *Constraints
 }
 
 // Sentinel option values. The zero value of an Options field selects the
@@ -555,13 +554,6 @@ func (s *seeder) release() {
 	}
 }
 
-// numGrad computes a central-difference gradient.
-func numGrad(f func([]float64) float64, x []float64) []float64 {
-	g := make([]float64, len(x))
-	numGradInto(g, f, x, clone(x), clone(x))
-	return g
-}
-
 // numGradInto computes a central-difference gradient into g, using xp/xm
 // as perturbation scratch (each restored to x after its component), so a
 // gradient-heavy local search performs zero allocations per gradient.
@@ -604,15 +596,8 @@ func projectedGradient(ctx context.Context, p Problem, pr *projector, start []fl
 	// The candidate and the finite-difference gradient's buffers share
 	// one allocation.
 	scratch := make([]float64, 4*n)
-	cand := scratch[:n:n]
-	grad := p.Grad
-	if grad == nil {
-		gbuf, xp, xm := scratch[n:2*n:2*n], scratch[2*n:3*n:3*n], scratch[3*n:]
-		grad = func(x []float64) []float64 {
-			numGradInto(gbuf, p.Objective, x, xp, xm)
-			return gbuf
-		}
-	}
+	cand, g := scratch[:n:n], scratch[n:2*n:2*n]
+	xp, xm := scratch[2*n:3*n:3*n], scratch[3*n:]
 	x = clone(start)
 	f = p.Objective(x)
 	step := 1.0
@@ -622,7 +607,7 @@ func projectedGradient(ctx context.Context, p Problem, pr *projector, start []fl
 		if ctx.Err() != nil {
 			return x, f, false, iters
 		}
-		g := grad(x)
+		numGradInto(g, p.Objective, x, xp, xm)
 		gn := norm2(g)
 		if gn == 0 {
 			return x, f, true, iters

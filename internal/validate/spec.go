@@ -40,7 +40,7 @@ const (
 	// simulates; larger systems are reported as skipped. Scheduling is
 	// O(transfers²) and transfer counts grow with NPUs × chunks.
 	DefaultNPULevelMaxNPUs = 128
-	// MaxScenarios bounds one validation run, like frontier.MaxPoints.
+	// MaxScenarios bounds one validation run, like core.MaxPoints.
 	MaxScenarios = 4096
 )
 

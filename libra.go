@@ -19,16 +19,22 @@
 //	result, _ := problem.Optimize()
 //	fmt.Println(result.BW) // optimized GB/s per dimension
 //
-// Problems can equivalently be assembled with functional options,
+// That is one of two construction paths: NewProblem plus direct field
+// assignment (Objective, Loop, Constraints, SkipBudget, ...), or a
+// declarative, serializable ProblemSpec (a Go literal or JSON) that Build
+// turns into a Problem, that round-trips through Problem.Spec, and that
+// fingerprints canonically for caching:
 //
-//	p, _ := libra.New(net, 500,
-//	    libra.WithPreset("GPT-3"),
-//	    libra.WithObjective(libra.PerfPerCostOpt),
-//	    libra.WithDimCap(4, 50))
+//	spec := &libra.ProblemSpec{
+//	    Topology:    "4D-4K",
+//	    BudgetGBps:  500,
+//	    Workloads:   []libra.WorkloadSpec{{Preset: "GPT-3"}},
+//	    Objective:   "perf-per-cost",
+//	    Constraints: []libra.ConstraintSpec{libra.DimCap(4, 50)},
+//	}
+//	p, _ := spec.Build()
 //	r, _ := p.OptimizeContext(ctx) // cancellable
 //
-// or described declaratively as a serializable ProblemSpec (JSON), which
-// round-trips through Problem and fingerprints canonically for caching.
 // Engine layers a concurrent service on top: a bounded worker pool, an
 // LRU result cache keyed by spec fingerprint, and batch/sweep APIs —
 // cmd/libra-serve exposes it over HTTP.
@@ -47,23 +53,18 @@ import (
 	"context"
 	"io"
 	"log/slog"
-	"net/http"
 
 	"libra/internal/cluster"
 	"libra/internal/codesign"
 	"libra/internal/collective"
 	"libra/internal/compute"
 	"libra/internal/core"
-	"libra/internal/cost"
-	"libra/internal/experiments"
 	"libra/internal/frontier"
 	"libra/internal/jobs"
 	"libra/internal/opt"
-	"libra/internal/sim"
 	"libra/internal/tacos"
 	"libra/internal/task"
 	"libra/internal/telemetry"
-	"libra/internal/themis"
 	"libra/internal/timemodel"
 	"libra/internal/topology"
 	"libra/internal/validate"
@@ -131,20 +132,6 @@ var (
 	ResNet50  = workload.ResNet50
 )
 
-// NewTransformer builds a Megatron-LM + ZeRO-2 workload from an
-// architecture config, a strategy, and a per-replica minibatch.
-func NewTransformer(cfg TransformerConfig, s Strategy, minibatch int) (*Workload, error) {
-	return workload.Transformer(cfg, s, minibatch)
-}
-
-// NewTransformerPP builds a pipelined transformer under a 3-way
-// HP-(TP, PP, DP) strategy: GPipe-style microbatching with stage-boundary
-// point-to-point transfers priced as m/B (§IV-C's pipeline-parallel
-// extension).
-func NewTransformerPP(cfg TransformerConfig, s Strategy, minibatch, microbatches int) (*Workload, error) {
-	return workload.TransformerPP(cfg, s, minibatch, microbatches)
-}
-
 // MemoryFootprint is a per-NPU training-memory breakdown (fp16 weights
 // and ZeRO-sharded gradients/optimizer state, checkpointed activations).
 type MemoryFootprint = workload.MemoryFootprint
@@ -166,22 +153,11 @@ func WorkloadPreset(name string, npus int) (*Workload, error) { return workload.
 
 // ---- Cost and compute models ----
 
-// CostTable is a per-tier network cost model in $/GBps.
-type CostTable = cost.Table
-
 // ComputeModel converts FLOPs/bytes to NPU seconds.
 type ComputeModel = compute.Model
 
-// DefaultCostTable returns the paper's Table I (lowest published values).
-func DefaultCostTable() CostTable { return cost.Default() }
-
 // A100 returns the paper's compute model (234 TFLOPS effective).
 func A100() ComputeModel { return compute.A100() }
-
-// NetworkCost prices a network design under a cost table.
-func NetworkCost(t CostTable, net *Network, bw BWConfig) (float64, error) {
-	return cost.Network(t, net, bw)
-}
 
 // ---- The LIBRA framework ----
 
@@ -196,9 +172,6 @@ type Result = core.Result
 
 // Objective selects PerfOptBW or PerfPerCostOptBW.
 type Objective = core.Objective
-
-// Constraints is the linear design-constraint set handed to the solver.
-type Constraints = opt.Constraints
 
 // Optimization objectives.
 const (
@@ -217,88 +190,6 @@ const (
 func NewProblem(net *Network, budgetGBps float64, targets ...*Workload) *Problem {
 	return core.NewProblem(net, budgetGBps, targets...)
 }
-
-// EqualBWForCost returns the equal-per-dimension allocation that spends a
-// dollar budget exactly — the iso-cost baseline of §VI-D.
-func EqualBWForCost(t CostTable, net *Network, dollars float64) (BWConfig, error) {
-	return core.EqualBWForCost(t, net, dollars)
-}
-
-// ---- Functional options ----
-
-// Option configures a Problem during construction with New (or later with
-// Problem.Apply).
-type Option = core.Option
-
-// New builds a Problem from the paper's defaults plus functional options:
-// workloads via WithPreset/WithWorkload/WithTransformer, then objective,
-// loop, models, and declarative constraints.
-func New(net *Network, budgetGBps float64, opts ...Option) (*Problem, error) {
-	return core.New(net, budgetGBps, opts...)
-}
-
-// WithObjective selects PerfOpt or PerfPerCostOpt.
-func WithObjective(o Objective) Option { return core.WithObjective(o) }
-
-// WithLoop selects the training loop (Fig. 5).
-func WithLoop(l timemodel.Loop) Option { return core.WithLoop(l) }
-
-// WithCompute replaces the A100 compute model.
-func WithCompute(m ComputeModel) Option { return core.WithCompute(m) }
-
-// WithCostTable replaces the Table I cost model.
-func WithCostTable(t CostTable) Option { return core.WithCostTable(t) }
-
-// WithMinDimBW sets the per-dimension bandwidth floor (GB/s).
-func WithMinDimBW(gbps float64) Option { return core.WithMinDimBW(gbps) }
-
-// WithSolver tunes the optimizer.
-func WithSolver(o SolverOptions) Option { return core.WithSolver(o) }
-
-// WithSkipBudget drops the ΣB budget row; pair with WithDollarBudget for
-// iso-cost designs.
-func WithSkipBudget() Option { return core.WithSkipBudget() }
-
-// WithWorkload adds a target workload at weight 1.
-func WithWorkload(w *Workload) Option { return core.WithWorkload(w) }
-
-// WithWeightedWorkload adds a target workload with a relative weight.
-func WithWeightedWorkload(w *Workload, weight float64) Option {
-	return core.WithWeightedWorkload(w, weight)
-}
-
-// WithPreset adds a Table II workload by name at weight 1, instantiated
-// on the problem network's NPU count.
-func WithPreset(name string) Option { return core.WithPreset(name) }
-
-// WithWeightedPreset adds a Table II workload by name with a weight.
-func WithWeightedPreset(name string, weight float64) Option {
-	return core.WithWeightedPreset(name, weight)
-}
-
-// WithTransformer adds a custom transformer workload from its declarative
-// shape, keeping the problem serializable.
-func WithTransformer(t TransformerSpec, weight float64) Option {
-	return core.WithTransformer(t, weight)
-}
-
-// WithConstraint appends one declarative design constraint.
-func WithConstraint(c ConstraintSpec) Option { return core.WithConstraint(c) }
-
-// WithDimCap caps dimension dim (1-based) at gbps.
-func WithDimCap(dim int, gbps float64) Option { return core.WithDimCap(dim, gbps) }
-
-// WithDimFloor floors dimension dim (1-based) at gbps.
-func WithDimFloor(dim int, gbps float64) Option { return core.WithDimFloor(dim, gbps) }
-
-// WithOrderedDims requires B_hi ≥ B_lo (1-based dimensions).
-func WithOrderedDims(hi, lo int) Option { return core.WithOrderedDims(hi, lo) }
-
-// WithPairSum pins B_a + B_b = gbps (1-based dimensions).
-func WithPairSum(a, b int, gbps float64) Option { return core.WithPairSum(a, b, gbps) }
-
-// WithDollarBudget bounds network dollars under the problem's cost table.
-func WithDollarBudget(dollars float64) Option { return core.WithDollarBudget(dollars) }
 
 // ---- Declarative specs ----
 
@@ -332,10 +223,6 @@ type (
 // and the per-start search strategy.
 type SolverOptions = opt.Options
 
-// SolverStrategy selects the per-start local search of the multistart
-// solver.
-type SolverStrategy = opt.Strategy
-
 // Solver strategies. The default (the zero value) picks each start's
 // local search from the objective's convexity: projected gradient for
 // perf, coordinate descent for perf-per-cost, each with a Nelder-Mead
@@ -362,10 +249,6 @@ const (
 	SeedZero = opt.SeedZero
 )
 
-// ParseSolverStrategy reads a strategy key ("projected-gradient"/"pgd",
-// "coordinate-descent"/"cd").
-func ParseSolverStrategy(s string) (SolverStrategy, error) { return opt.ParseStrategy(s) }
-
 // Evaluator prices design points for a validated Problem with per-problem
 // work (validation, mapping resolution, cost rates) hoisted out of the
 // per-point path.
@@ -373,12 +256,6 @@ type Evaluator = core.Evaluator
 
 // ParseSpec decodes a ProblemSpec from JSON, rejecting unknown fields.
 func ParseSpec(data []byte) (*ProblemSpec, error) { return core.ParseSpec(data) }
-
-// ParseObjective reads an objective key ("perf", "perf-per-cost").
-func ParseObjective(s string) (Objective, error) { return core.ParseObjective(s) }
-
-// ParseLoop reads a training-loop key ("no-overlap", "tp-dp-overlap").
-func ParseLoop(s string) (timemodel.Loop, error) { return core.ParseLoop(s) }
 
 // Declarative constraint constructors.
 var (
@@ -455,10 +332,8 @@ func TaskKinds() []TaskKind { return task.Kinds() }
 // /v2/tasks serialize them.
 type SweepTaskResult = task.SweepResult
 
-// Task constructors, one per kind.
-func NewOptimizeTask(spec *ProblemSpec) *Task                { return task.NewOptimize(spec) }
-func NewEvaluateTask(spec *ProblemSpec, bw BWConfig) *Task   { return task.NewEvaluate(spec, bw) }
-func NewSweepTask(spec *ProblemSpec, req SweepRequest) *Task { return task.NewSweep(spec, req) }
+// Task constructors; ParseTask builds any kind from its JSON envelope.
+func NewOptimizeTask(spec *ProblemSpec) *Task { return task.NewOptimize(spec) }
 func NewFrontierTask(spec *ProblemSpec, req FrontierRequest) *Task {
 	return task.NewFrontier(spec, req)
 }
@@ -536,11 +411,6 @@ func NewJobManager(cfg JobConfig) *JobManager { return jobs.NewManager(cfg) }
 
 // ---- Observability ----
 
-// MetricsHandler serves the process-wide metric registry in Prometheus
-// text exposition format — what libra-serve mounts at GET /metrics.
-// Embedders running their own HTTP server mount it wherever they like.
-func MetricsHandler() http.Handler { return telemetry.Default.Handler() }
-
 // TraceSpan is one timed unit of work inside a trace, as recorded on a
 // job's event log (JobEvent.Span).
 type TraceSpan = telemetry.Span
@@ -554,9 +424,6 @@ func NewTraceID() string { return telemetry.NewTraceID() }
 func WithTraceID(ctx context.Context, id string) context.Context {
 	return telemetry.WithTraceID(ctx, id)
 }
-
-// TraceIDFrom returns the context's trace ID, "" when none is attached.
-func TraceIDFrom(ctx context.Context) string { return telemetry.TraceID(ctx) }
 
 // NewLogger builds a structured slog logger: level is
 // debug|info|warn|error, format is text|json — the same construction
@@ -631,10 +498,6 @@ func CoDesign(ctx context.Context, s CoDesignSolver, spec *CoDesignSpec) (*CoDes
 	return codesign.Compute(ctx, s, spec)
 }
 
-// ParseCoDesignSpec decodes a CoDesignSpec from JSON, rejecting unknown
-// fields.
-func ParseCoDesignSpec(data []byte) (*CoDesignSpec, error) { return codesign.ParseSpec(data) }
-
 // ---- Analytical-vs-simulator conformance validation ----
 
 // ValidateSpec describes one conformance run: the scenario-matrix axes
@@ -673,10 +536,6 @@ const DefaultValidationTolerance = validate.DefaultTolerance
 func Validate(ctx context.Context, r ValidateRunner, spec *ValidateSpec) (*ValidationReport, error) {
 	return validate.Compute(ctx, r, spec)
 }
-
-// ParseValidateSpec decodes a ValidateSpec from JSON, rejecting unknown
-// fields.
-func ParseValidateSpec(data []byte) (*ValidateSpec, error) { return validate.ParseSpec(data) }
 
 // ---- Multi-job cluster bandwidth allocation ----
 
@@ -758,43 +617,7 @@ func CollectiveTime(op CollectiveOp, bytes float64, net *Network, bw BWConfig) f
 	return collective.Time(op, bytes, collective.FullMapping(net), bw)
 }
 
-// TrainingConfig drives iteration-level simulation.
-type TrainingConfig = sim.TrainingConfig
-
-// TrainingResult is a simulated training iteration.
-type TrainingResult = sim.TrainingResult
-
-// PipelineResult is a chunk-level collective simulation outcome.
-type PipelineResult = sim.PipelineResult
-
-// SimulateCollective runs a chunked multi-rail collective on the
-// symmetric pipeline simulator (the ASTRA-sim substitute).
-func SimulateCollective(op CollectiveOp, bytes float64, net *Network, bw BWConfig, chunks int) (PipelineResult, error) {
-	return sim.SimulateCollective(op, bytes, collective.FullMapping(net), bw, chunks)
-}
-
-// SimulateIteration simulates one training iteration with chunked
-// collectives (64 chunks by default, as in the paper).
-func SimulateIteration(cfg TrainingConfig, w *Workload, bw BWConfig) (TrainingResult, error) {
-	return sim.SimulateIteration(cfg, w, bw)
-}
-
 // ---- Runtime co-design substrates ----
-
-// ThemisResult is a Themis-scheduled collective execution.
-type ThemisResult = themis.Result
-
-// ThemisSchedule runs a collective under the Themis greedy chunk
-// scheduler (never worse than the default multi-rail schedule).
-func ThemisSchedule(op CollectiveOp, bytes float64, net *Network, bw BWConfig, chunks int) (ThemisResult, error) {
-	return themis.Schedule(op, bytes, collective.FullMapping(net), bw, chunks)
-}
-
-// ThemisIteration simulates a training iteration with Themis scheduling
-// every Reduce-Scatter/All-Gather/All-Reduce.
-func ThemisIteration(cfg TrainingConfig, w *Workload, bw BWConfig) (TrainingResult, error) {
-	return themis.SimulateIteration(cfg, w, bw)
-}
 
 // TacosSchedule is a synthesized collective schedule.
 type TacosSchedule = tacos.Schedule
@@ -809,20 +632,4 @@ func TacosAllGather(net *Network, bw BWConfig, bytes float64, chunksPerNPU int) 
 // All-Gather phases, falling back to multi-rail when that is faster).
 func TacosAllReduceTime(net *Network, bw BWConfig, bytes float64, chunksPerNPU int) (float64, TacosSchedule, error) {
 	return tacos.AllReduceTime(net, bw, bytes, chunksPerNPU)
-}
-
-// ---- Paper experiments ----
-
-// RunExperiments regenerates every paper table and figure into dir
-// (CSV + text), streaming renderings to w (nil to silence). quick trims
-// the bandwidth sweeps. It is RunExperimentsContext with a root context,
-// for callers with nothing to cancel.
-func RunExperiments(dir string, quick bool, w io.Writer) error {
-	return RunExperimentsContext(context.Background(), dir, quick, w) //libra:allow ctxflow compat wrapper: context-free entry point deliberately roots here
-}
-
-// RunExperimentsContext is RunExperiments with cancellation: a cancelled
-// ctx stops between experiments and aborts the in-flight solve.
-func RunExperimentsContext(ctx context.Context, dir string, quick bool, w io.Writer) error {
-	return experiments.RunAll(ctx, dir, quick, w)
 }

@@ -6,6 +6,10 @@ import (
 	"testing"
 
 	"libra"
+	"libra/internal/collective"
+	"libra/internal/cost"
+	"libra/internal/sim"
+	"libra/internal/themis"
 	"libra/internal/workload"
 )
 
@@ -52,15 +56,15 @@ func TestFacadePresets(t *testing.T) {
 func TestFacadeCostAndCollectives(t *testing.T) {
 	net := libra.MustParseTopology("RI(4)_SW(2)")
 	bw := libra.EqualBW(100, 2)
-	c, err := libra.NetworkCost(libra.DefaultCostTable(), net, bw)
+	c, err := cost.Network(cost.Default(), net, bw)
 	if err != nil || c <= 0 {
-		t.Errorf("NetworkCost = %v, %v", c, err)
+		t.Errorf("cost.Network = %v, %v", c, err)
 	}
 	ct := libra.CollectiveTime(libra.AllReduce, 1e9, net, bw)
 	if ct <= 0 {
 		t.Errorf("CollectiveTime = %v", ct)
 	}
-	pr, err := libra.SimulateCollective(libra.AllReduce, 1e9, net, bw, 8)
+	pr, err := sim.SimulateCollective(collective.AllReduce, 1e9, collective.FullMapping(net), bw, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,18 +76,18 @@ func TestFacadeCostAndCollectives(t *testing.T) {
 func TestFacadeSimAndCoDesign(t *testing.T) {
 	net := libra.MustParseTopology("RI(4)_RI(4)_RI(4)")
 	bw := libra.EqualBW(300, 3)
-	w, err := libra.NewTransformer(libra.TransformerConfig{
+	w, err := workload.Transformer(libra.TransformerConfig{
 		Name: "tiny", NumLayers: 2, Hidden: 1024, SeqLen: 128,
 	}, libra.Strategy{TP: 4, DP: 16}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := libra.TrainingConfig{Net: net, Compute: libra.A100(), Chunks: 8}
-	base, err := libra.SimulateIteration(cfg, w, bw)
+	cfg := sim.TrainingConfig{Net: net, Compute: libra.A100(), Chunks: 8}
+	base, err := sim.SimulateIteration(cfg, w, bw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, err := libra.ThemisIteration(cfg, w, bw)
+	th, err := themis.SimulateIteration(cfg, w, bw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,23 +105,35 @@ func TestFacadeSimAndCoDesign(t *testing.T) {
 	if err != nil || art <= 0 {
 		t.Errorf("TacosAllReduceTime = %v, %v", art, err)
 	}
-	tr, err := libra.ThemisSchedule(libra.AllReduce, 64e6, net, bw, 4)
+	tr, err := themis.Schedule(collective.AllReduce, 64e6, collective.FullMapping(net), bw, 4)
 	if err != nil || tr.Makespan <= 0 {
 		t.Errorf("ThemisSchedule = %v, %v", tr, err)
 	}
 }
 
-// The redesigned construction paths — functional options, ProblemSpec,
-// and the Engine — must agree with the classic path end to end.
+// The two construction paths — a ProblemSpec literal and NewProblem plus
+// field assignment — and the Engine must agree end to end.
 func TestFacadeOptionsSpecEngine(t *testing.T) {
-	net := libra.MustParseTopology("RI(4)_SW(8)")
-	p, err := libra.New(net, 300,
-		libra.WithPreset("Turing-NLG"),
-		libra.WithObjective(libra.PerfOpt),
-		libra.WithDimCap(2, 200),
-	)
+	built, err := (&libra.ProblemSpec{
+		Topology:    "RI(4)_SW(8)",
+		BudgetGBps:  300,
+		Workloads:   []libra.WorkloadSpec{{Preset: "Turing-NLG"}},
+		Objective:   "perf",
+		Constraints: []libra.ConstraintSpec{libra.DimCap(2, 200)},
+	}).Build()
 	if err != nil {
 		t.Fatal(err)
+	}
+	net := libra.MustParseTopology("RI(4)_SW(8)")
+	tnlg, err := libra.WorkloadPreset("Turing-NLG", net.NPUs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := libra.NewProblem(net, 300, tnlg)
+	p.Objective = libra.PerfOpt
+	p.Constraints = []libra.ConstraintSpec{libra.DimCap(2, 200)}
+	if fb, fp := mustFingerprint(t, built), mustFingerprint(t, p); fb != fp {
+		t.Errorf("spec-built fingerprint %s != field-built %s", fb, fp)
 	}
 	r, err := p.OptimizeContext(context.Background())
 	if err != nil {
@@ -154,16 +170,15 @@ func TestFacadeOptionsSpecEngine(t *testing.T) {
 // closures tolerate concurrent starts.
 func TestFacadeParallelSolveDeterminism(t *testing.T) {
 	net := libra.MustParseTopology("RI(4)_FC(8)_SW(16)")
+	gpt3, err := libra.WorkloadPreset("GPT-3", net.NPUs())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, seed := range []int64{1, 9} {
 		mk := func(workers int) *libra.Problem {
-			p, err := libra.New(net, 400,
-				libra.WithPreset("GPT-3"),
-				libra.WithObjective(libra.PerfPerCostOpt),
-				libra.WithSolver(libra.SolverOptions{Seed: seed, Starts: 6, Workers: workers}),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := libra.NewProblem(net, 400, gpt3)
+			p.Objective = libra.PerfPerCostOpt
+			p.Solver = libra.SolverOptions{Seed: seed, Starts: 6, Workers: workers}
 			return p
 		}
 		seq, err := mk(1).Optimize()
@@ -312,17 +327,15 @@ func TestFacadeCoDesignReproducesParacoopt(t *testing.T) {
 	}
 }
 
-func TestFacadeEqualBWForCost(t *testing.T) {
-	net := libra.MustParseTopology("RI(4)_FC(8)_RI(4)_SW(32)")
-	bw, err := libra.EqualBWForCost(libra.DefaultCostTable(), net, 15e6)
+func mustFingerprint(t *testing.T, p *libra.Problem) string {
+	t.Helper()
+	spec, err := p.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := libra.NetworkCost(libra.DefaultCostTable(), net, bw)
+	fp, err := spec.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(c-15e6) > 1 {
-		t.Errorf("iso-cost EqualBW costs %v", c)
-	}
+	return fp
 }
