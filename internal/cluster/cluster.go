@@ -25,9 +25,10 @@
 // core.Evaluator per job (the evaluator depends only on the job and the
 // fabric, never on the design being priced), mirroring frontier's
 // shared-Evaluator baseline curve; only optimizations go through the
-// Solver. Per-job and per-design failures are reported in place; the
-// optional Budgets axis composes with internal/frontier into a cluster
-// frontier for the group problem.
+// Solver. Per-job and per-design failures are reported in place. The
+// partition share grid runs as one internal/frontier column per job,
+// and the optional Budgets axis composes with internal/frontier into a
+// cluster frontier for the group problem.
 package cluster
 
 import (
@@ -254,8 +255,7 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 		wg       sync.WaitGroup
 		groupRes core.EngineResult
 		groupErr error
-		partRes  = make([]core.EngineResult, nJobs*shares)
-		partErr  = make([]error, nJobs*shares)
+		part     = make([][]frontier.Point, nJobs)
 	)
 	for i := range r.jobs {
 		wg.Add(1)
@@ -284,39 +284,36 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 			tracker.Tick(groupErr == nil && groupRes.Cached)
 		}()
 	}
-	// Each job's share grid is a sequential warm chain over ascending
-	// slice budgets — slice k seeds from slice k−1's optimum — while the
-	// per-job chains run concurrently. Warm state is attached after Clone
-	// (runtime-only solver fields never survive the JSON round-trip).
+	// Each job's share grid is one frontier column over ascending slice
+	// budgets — slice k warm-starts from slice k−1's optimum — while the
+	// per-job columns run concurrently. The column's progress lands on
+	// the cluster stage.
 	for job := 0; shares > 0 && job < nJobs; job++ {
 		wg.Add(1)
 		go func(job int) {
 			defer wg.Done()
-			var prevBW topology.BWConfig
-			var prevBudget float64
-			for k := 1; k <= shares; k++ {
-				cell := job*shares + k - 1
-				cspec := r.jobs[job].spec.Clone()
-				cspec.BudgetGBps = r.budget * float64(k) / float64(r.steps)
-				if warm := core.ScaleWarmStart(prevBW, prevBudget, cspec.BudgetGBps); warm != nil {
-					sol := &core.SolverSpec{}
-					if cspec.Solver != nil {
-						*sol = *cspec.Solver
-					}
-					sol.WarmStart = warm
-					cspec.Solver = sol
-				}
-				partRes[cell], partErr[cell] = s.Optimize(ctx, cspec)
-				if partErr[cell] != nil && cspec.Solver != nil && cspec.Solver.WarmStart != nil && ctx.Err() == nil {
-					// An unusable warm vector must not sink the cell.
-					cspec.Solver.WarmStart = nil
-					partRes[cell], partErr[cell] = s.Optimize(ctx, cspec)
-				}
-				if partErr[cell] == nil {
-					prevBW, prevBudget = partRes[cell].Result.BW, cspec.BudgetGBps
-				}
-				tracker.Tick(partErr[cell] == nil && partRes[cell].Cached)
+			slices := make([]float64, shares)
+			for k := range slices {
+				slices[k] = r.budget * float64(k+1) / float64(r.steps)
 			}
+			var done, hits int
+			fctx := core.WithProgress(ctx, func(p core.Progress) {
+				if p.Done > done {
+					tracker.TickN(p.Done-done, p.CacheHits-hits)
+					done, hits = p.Done, p.CacheHits
+				}
+			})
+			fr, err := frontier.Compute(fctx, s, r.jobs[job].spec, frontier.Request{Budgets: slices, SkipEqualBW: true})
+			if err != nil {
+				// A job spec no slice can build fails every cell.
+				part[job] = make([]frontier.Point, shares)
+				for k := range part[job] {
+					part[job][k].Err = err
+				}
+				tracker.TickN(shares-done, 0)
+				return
+			}
+			part[job] = fr.Points
 		}(job)
 	}
 	wg.Wait()
@@ -331,9 +328,11 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 	if wantGroup && groupErr == nil {
 		countHit(groupRes.Cached)
 	}
-	for i := range partRes {
-		if partErr[i] == nil {
-			countHit(partRes[i].Cached)
+	for _, column := range part {
+		for _, pt := range column {
+			if pt.Err == nil {
+				countHit(pt.Cached)
+			}
 		}
 	}
 
@@ -426,7 +425,7 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 	}
 
 	if shares > 0 {
-		rep.Partition = bestPartition(r, rep.Jobs, partRes, partErr, shares)
+		rep.Partition = bestPartition(r, rep.Jobs, part, shares)
 	}
 	rep.Summary = summarize(rep)
 
@@ -524,15 +523,14 @@ func deriveMetrics(jobs []Job, weights, times []float64) Metrics {
 // exactly `steps` units granting every job at least one. Infeasible
 // cells (failed solves) price +Inf and simply lose the search; the
 // partition only fails when no composition is fully feasible.
-func bestPartition(r *resolved, jobs []Job, partRes []core.EngineResult, partErr []error, shares int) *Partition {
+func bestPartition(r *resolved, jobs []Job, part [][]frontier.Point, shares int) *Partition {
 	nJobs := len(r.jobs)
 	p := &Partition{Steps: r.steps}
 	cellTime := func(job, k int) float64 { // k is 1-based units
-		cell := job*shares + k - 1
-		if partErr[cell] != nil {
-			return math.Inf(1)
+		if cell := part[job][k-1]; cell.Err == nil {
+			return cell.Result.Times[0]
 		}
-		return partRes[cell].Result.Times[0]
+		return math.Inf(1)
 	}
 	// dp[j][s]: minimal weighted-time sum over the first j jobs using
 	// exactly s units; choose[j][s] records the winning slice of job j-1.
@@ -586,7 +584,7 @@ func bestPartition(r *resolved, jobs []Job, partRes []core.EngineResult, partErr
 	times := make([]float64, nJobs)
 	for i, k := range units {
 		p.SharesGBps[i] = r.budget * float64(k) / float64(r.steps)
-		res := partRes[i*shares+k-1].Result
+		res := part[i][k-1].Result
 		p.JobBW[i] = res.BW
 		times[i] = res.Times[0]
 	}

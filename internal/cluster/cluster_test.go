@@ -520,3 +520,35 @@ func TestProgressMonotonic(t *testing.T) {
 		t.Error("inner frontier stage leaked through unrelabeled")
 	}
 }
+
+// A share grid whose largest slice cannot cover the dimension floors
+// fails its whole frontier column: the partition finds no split, and the
+// cluster stage still lands every cell.
+func TestPartitionColumnBelowFloors(t *testing.T) {
+	e := newEngine(t)
+	var mu sync.Mutex
+	var last core.Progress
+	ctx := core.WithProgress(context.Background(), func(p core.Progress) {
+		mu.Lock()
+		defer mu.Unlock()
+		if p.Stage != "cluster" {
+			t.Errorf("stage %q reached the watcher", p.Stage)
+		}
+		last = p
+	})
+	spec := tinySpec()
+	spec.BudgetGBps = 0.3 // two dims need 0.2 GB/s; each 0.15 GB/s slice falls short
+	spec.PartitionSteps = 2
+	rep, err := Compute(ctx, e, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := rep.Partition; p == nil || p.Error == "" || p.SharesGBps != nil {
+		t.Errorf("partition = %+v, want a no-split error", p)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if last.Total == 0 || last.Done != last.Total {
+		t.Errorf("cluster stage = %+v, want every cell landed", last)
+	}
+}

@@ -374,9 +374,11 @@ func (p *Problem) OptimizeContext(ctx context.Context) (Result, error) {
 // Optimizer hoists every budget-independent preparation of a Problem out
 // of sweep loops: problem validation, the Actual-policy Evaluator (target
 // mappings + cost rates), and the optimizer-policy time closures. Sweeps
-// that solve one Problem at many budgets — frontier columns, partition
-// grids, the figure sweeps — build one Optimizer and call SolveBudget per
-// point, optionally warm-starting each point from its neighbor's solution.
+// that solve one Problem at many budgets (the figure sweeps) build one
+// Optimizer and call SolveBudget per point, optionally warm-starting each
+// point from its neighbor's solution. Every solve, OptimizeContext's
+// included, runs through Optimizer.solve, the one place a warm vector
+// enters the solver.
 //
 // The Optimizer reads p.Objective and p.Solver at each solve (the figure
 // sweeps flip the objective between solves of one problem); everything
@@ -412,32 +414,18 @@ func (p *Problem) NewOptimizer() (*Optimizer, error) {
 // price baselines (EqualBW points) without re-preparing the problem.
 func (o *Optimizer) Evaluator() *Evaluator { return o.eval }
 
-// Solve optimizes at the problem's own budget with the problem's own
-// solver options.
-func (o *Optimizer) Solve(ctx context.Context) (Result, error) {
-	return o.solve(ctx, o.p.BWBudget, o.p.Solver)
-}
-
 // SolveBudget optimizes with the ΣB row pinned to budget, seeding the
 // multistart from warm — a neighboring point's solution, typically scaled
-// with ScaleWarmStart — or running cold when warm is nil. Warm solves use
-// opt.DefaultWarmTol for the adaptive cutoff unless the problem's solver
-// options already set one; if a warm solve fails, it is retried cold.
+// with ScaleWarmStart — or running cold when warm is nil.
 func (o *Optimizer) SolveBudget(ctx context.Context, budget float64, warm []float64) (Result, error) {
 	so := o.p.Solver
 	so.WarmStart = warm
-	if warm != nil && so.WarmTol == 0 {
-		so.WarmTol = opt.DefaultWarmTol
-	}
-	res, err := o.solve(ctx, budget, so)
-	if err != nil && warm != nil && ctx.Err() == nil {
-		so.WarmStart = nil
-		so.WarmTol = o.p.Solver.WarmTol
-		return o.solve(ctx, budget, so)
-	}
-	return res, err
+	return o.solve(ctx, budget, so)
 }
 
+// solve runs the multistart at budget. A warm start (solverOpts.WarmStart)
+// whose solve fails — a vector of the wrong length, a non-finite entry —
+// is solved again cold, so an unusable warm vector never sinks a point.
 func (o *Optimizer) solve(ctx context.Context, budget float64, solverOpts opt.Options) (Result, error) {
 	p := o.p
 	if !p.SkipBudget {
@@ -457,6 +445,10 @@ func (o *Optimizer) solve(ctx context.Context, budget float64, solverOpts opt.Op
 	solverOpts.Convex = convex
 	prob := opt.Problem{N: p.Net.NumDims(), Objective: objective, Cons: cons}
 	sol, err := opt.MinimizeContext(ctx, prob, solverOpts)
+	if err != nil && solverOpts.WarmStart != nil && ctx.Err() == nil {
+		solverOpts.WarmStart = nil
+		sol, err = opt.MinimizeContext(ctx, prob, solverOpts)
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("core: %s solve failed: %w", p.Objective, err)
 	}
@@ -504,7 +496,7 @@ func (o *Optimizer) objective() (f func([]float64) float64, convex bool) {
 // row active, scaling by to/from lands exactly on the new budget plane,
 // which is what keeps the projected warm start adjacent to the neighbor's
 // optimum and lets the adaptive cutoff fire. Returns nil — no warm start —
-// for unusable inputs.
+// unless every scaled entry is finite and positive.
 func ScaleWarmStart(bw topology.BWConfig, from, to float64) []float64 {
 	if len(bw) == 0 || !(from > 0) || !(to > 0) {
 		return nil
@@ -512,10 +504,10 @@ func ScaleWarmStart(bw topology.BWConfig, from, to float64) []float64 {
 	f := to / from
 	out := make([]float64, len(bw))
 	for i, v := range bw {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		out[i] = v * f
+		if !(out[i] > 0) || math.IsInf(out[i], 1) {
 			return nil
 		}
-		out[i] = v * f
 	}
 	return out
 }

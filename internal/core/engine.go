@@ -220,24 +220,21 @@ func (e *Engine) Evaluate(ctx context.Context, spec *ProblemSpec, bw topology.BW
 	})
 }
 
-// Do runs an arbitrary keyed computation under the engine's machinery:
-// the bounded worker pool, single-flight deduplication of identical
-// concurrent keys, and the LRU result cache (sharing the hit/miss
-// accounting Stats reports). The returned value is the computation's
-// result — served from cache (cached == true) when the key was answered
-// before. Cached values are shared across callers, so compute must return
-// an immutable (or never-mutated) value. Subsystems with non-Result
-// payloads (internal/validate's conformance scenarios) run through here;
-// choose keys that fully determine the computation's inputs.
-func (e *Engine) Do(ctx context.Context, key string, compute func(context.Context) (any, error)) (value any, cached bool, err error) {
-	return e.DoCodec(ctx, key, nil, compute)
-}
-
-// DoCodec is Do with a persistence codec: when the engine has a disk
-// store, the computation's value is spilled through codec on insert and
-// revived on a memory miss (memory → disk → solve, still single-flight —
-// concurrent callers of one key share a single disk read). A nil codec
-// keeps the key memory-only.
+// DoCodec runs an arbitrary keyed computation under the engine's
+// machinery: the bounded worker pool, single-flight deduplication of
+// identical concurrent keys, and the LRU result cache (sharing the
+// hit/miss accounting Stats reports). The returned value is the
+// computation's result — served from cache (cached == true) when the key
+// was answered before. Cached values are shared across callers, so
+// compute must return an immutable (or never-mutated) value. Subsystems
+// with non-Result payloads (internal/validate's conformance scenarios)
+// run through here; choose keys that fully determine the computation's
+// inputs.
+//
+// When the engine has a disk store, the value is spilled through codec
+// on insert and revived on a memory miss (memory → disk → solve, still
+// single-flight — concurrent callers of one key share a single disk
+// read). A nil codec keeps the key memory-only.
 func (e *Engine) DoCodec(ctx context.Context, key string, codec Codec, compute func(context.Context) (any, error)) (value any, cached bool, err error) {
 	entry, cached, err := e.doShared(ctx, key, codec, compute)
 	if err != nil {

@@ -113,7 +113,7 @@ func TestEngineStressMixedConcurrent(t *testing.T) {
 				case 3:
 					// Generic Do traffic interleaved on its own key space.
 					k := fmt.Sprintf("stress|%d", (g+it)%distinctSpecs)
-					v, _, err := e.Do(ctx, k, func(context.Context) (any, error) {
+					v, _, err := e.DoCodec(ctx, k, nil, func(context.Context) (any, error) {
 						return k + "!", nil
 					})
 					if err != nil {

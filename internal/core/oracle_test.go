@@ -83,7 +83,7 @@ func TestSolverMatchesGridOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := o.Solve(context.Background())
+				res, err := p.OptimizeContext(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}

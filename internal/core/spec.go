@@ -165,12 +165,11 @@ func (c *CostSpec) table() (cost.Table, error) {
 // is deterministic) is deliberately absent: specs describe the problem,
 // and including worker counts would fracture the fingerprint cache.
 //
-// WarmStart/WarmTol are runtime solver state in the same sense: a warm
-// start only relocates where the search begins, the answer it converges
-// to is the spec's answer (within solver tolerance). They are json:"-" so
-// Clone, MarshalCanonical, and Fingerprint can never see them — warm and
-// cold runs of one spec share a fingerprint, and therefore an engine
-// cache entry.
+// WarmStart is runtime solver state in the same sense: a warm start only
+// relocates where the search begins, the answer it converges to is the
+// spec's answer (within solver tolerance). It is json:"-" so Clone,
+// MarshalCanonical, and Fingerprint can never see it — warm and cold runs
+// of one spec share a fingerprint, and therefore an engine cache entry.
 type SolverSpec struct {
 	MaxIters int     `json:"max_iters,omitempty"`
 	Tol      float64 `json:"tol,omitempty"`
@@ -183,13 +182,11 @@ type SolverSpec struct {
 	// "coordinate-descent" runs coordinate descent alone.
 	Strategy string `json:"strategy,omitempty"`
 	// WarmStart seeds the solve with a neighboring point's solution (see
-	// opt.Options.WarmStart). Runtime-only: never serialized, never
-	// fingerprinted. Note ProblemSpec.Clone round-trips through JSON, so
-	// warm state must be attached after cloning.
+	// opt.Options.WarmStart). A vector the solver cannot use is solved
+	// again cold (see Optimizer.solve). Runtime-only: never serialized,
+	// never fingerprinted. Note ProblemSpec.Clone round-trips through
+	// JSON, so warm state must be attached after cloning.
 	WarmStart []float64 `json:"-"`
-	// WarmTol is the adaptive warm-start cutoff tolerance (see
-	// opt.Options.WarmTol). Runtime-only, like WarmStart.
-	WarmTol float64 `json:"-"`
 }
 
 func (s *SolverSpec) options() (opt.Options, error) {
@@ -197,14 +194,8 @@ func (s *SolverSpec) options() (opt.Options, error) {
 	if err != nil {
 		return opt.Options{}, err
 	}
-	// A warm spec without an explicit cutoff gets the standard one — the
-	// cutoff is the point of warm-starting a spec-layer solve.
-	warmTol := s.WarmTol
-	if s.WarmStart != nil && warmTol == 0 {
-		warmTol = opt.DefaultWarmTol
-	}
 	return opt.Options{MaxIters: s.MaxIters, Tol: s.Tol, Starts: s.Starts, Seed: s.Seed, Strategy: strat,
-		WarmStart: s.WarmStart, WarmTol: warmTol}, nil
+		WarmStart: s.WarmStart}, nil
 }
 
 // strategyKey canonicalizes the strategy for serialization: aliases

@@ -59,7 +59,7 @@ type DiskStats struct {
 
 // Codec translates one computation's in-memory value to and from the
 // byte payload a ResultStore persists. A computation without a codec
-// (plain Engine.Do) stays memory-only.
+// (DoCodec with a nil codec) stays memory-only.
 type Codec interface {
 	Encode(v any) ([]byte, error)
 	Decode(data []byte) (any, error)

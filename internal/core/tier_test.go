@@ -198,18 +198,18 @@ func TestTierSingleFlightOneDiskRead(t *testing.T) {
 	}
 }
 
-// TestTierNilCodecMemoryOnly: Do (no codec) never touches the store.
+// TestTierNilCodecMemoryOnly: DoCodec with a nil codec never touches the store.
 func TestTierNilCodecMemoryOnly(t *testing.T) {
 	fs := newFakeStore()
 	e := NewEngine(EngineConfig{Workers: 2, CacheSize: 8, Store: fs})
 	defer e.Close()
-	if _, _, err := e.Do(context.Background(), "other|plain", func(context.Context) (any, error) {
+	if _, _, err := e.DoCodec(context.Background(), "other|plain", nil, func(context.Context) (any, error) {
 		return 42, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if fs.gets.Load() != 0 || fs.puts.Load() != 0 {
-		t.Fatalf("codec-less Do reached the store (gets %d puts %d)", fs.gets.Load(), fs.puts.Load())
+		t.Fatalf("codec-less DoCodec reached the store (gets %d puts %d)", fs.gets.Load(), fs.puts.Load())
 	}
 }
 

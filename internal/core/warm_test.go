@@ -4,10 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
-	"libra/internal/opt"
 	"libra/internal/topology"
 	"libra/internal/workload"
 )
@@ -20,7 +20,6 @@ func TestWarmStateExcludedFromSpecIdentity(t *testing.T) {
 	cold := smallSpec(300)
 	warm := smallSpec(300)
 	warm.Solver.WarmStart = []float64{150, 150}
-	warm.Solver.WarmTol = opt.DefaultWarmTol
 
 	cfp, err := cold.Fingerprint()
 	if err != nil {
@@ -52,7 +51,7 @@ func TestWarmStateExcludedFromSpecIdentity(t *testing.T) {
 		t.Errorf("warm state serialized: %s", data)
 	}
 	clone := warm.Clone()
-	if clone.Solver == nil || clone.Solver.WarmStart != nil || clone.Solver.WarmTol != 0 {
+	if clone.Solver == nil || clone.Solver.WarmStart != nil {
 		t.Errorf("Clone carried warm state: %+v", clone.Solver)
 	}
 }
@@ -88,24 +87,52 @@ func TestEngineCacheSharedBetweenWarmAndCold(t *testing.T) {
 	}
 }
 
-// A warm spec without an explicit cutoff gets the standard one; explicit
-// values and cold specs pass through untouched.
+// A warm spec's vector reaches the solver options as is (the cutoff
+// margin is the solver's own constant); a cold spec grows no warm state.
 func TestSolverSpecOptionsWarmDefaults(t *testing.T) {
 	warm := &SolverSpec{WarmStart: []float64{1, 2}}
 	o, err := warm.options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.WarmTol != opt.DefaultWarmTol {
-		t.Errorf("WarmTol = %v, want DefaultWarmTol", o.WarmTol)
-	}
-	explicit := &SolverSpec{WarmStart: []float64{1, 2}, WarmTol: 1e-3}
-	if o, err = explicit.options(); err != nil || o.WarmTol != 1e-3 {
-		t.Errorf("explicit WarmTol = %v (%v), want 1e-3", o.WarmTol, err)
+	if len(o.WarmStart) != 2 || o.WarmStart[0] != 1 || o.WarmStart[1] != 2 {
+		t.Errorf("WarmStart = %v, want [1 2]", o.WarmStart)
 	}
 	cold := &SolverSpec{}
-	if o, err = cold.options(); err != nil || o.WarmTol != 0 || o.WarmStart != nil {
+	if o, err = cold.options(); err != nil || o.WarmStart != nil {
 		t.Errorf("cold spec grew warm state: %+v (%v)", o, err)
+	}
+}
+
+// Engine.Optimize of a spec whose runtime warm vector the solver rejects
+// must fall back to the cold solve and return its answer bit for bit.
+func TestEngineUnusableWarmStartSolvesCold(t *testing.T) {
+	ctx := context.Background()
+	solve := func(t *testing.T, warm []float64) Result {
+		t.Helper()
+		e := NewEngine(EngineConfig{Workers: 1, CacheSize: -1})
+		defer e.Close()
+		spec := smallSpec(300)
+		spec.Solver.WarmStart = warm
+		r, err := e.Optimize(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Result
+	}
+	cold := solve(t, nil)
+	for _, c := range []struct {
+		name string
+		warm []float64
+	}{
+		{"wrong length", []float64{100, 100, 100}},
+		{"NaN entry", []float64{150, math.NaN()}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := solve(t, c.warm); !reflect.DeepEqual(got, cold) {
+				t.Errorf("warm solve = %+v, want the cold answer %+v", got, cold)
+			}
+		})
 	}
 }
 
@@ -133,6 +160,8 @@ func TestScaleWarmStart(t *testing.T) {
 		{"zero to", topology.BWConfig{30}, 60, 0},
 		{"NaN entry", topology.BWConfig{math.NaN()}, 60, 120},
 		{"Inf entry", topology.BWConfig{math.Inf(1)}, 60, 120},
+		{"scale overflows", topology.BWConfig{1e-301, 2e-301}, 1e-300, 1e300},
+		{"entries overflow", topology.BWConfig{1e300, 2e300}, 1e-10, 1e10},
 	}
 	for _, c := range bad {
 		if got := ScaleWarmStart(c.bw, c.from, c.to); got != nil {

@@ -55,13 +55,6 @@ func designSweep(ctx context.Context, net *topology.Network, w *workload.Workloa
 		if err != nil {
 			return err
 		}
-		// More budget can never cost time under the perf objective; a warm
-		// chain that regressed gets a cold re-solve, keeping the better.
-		if warmPerf != nil && perf.WeightedTime > perfPrev.WeightedTime*(1+1e-9) {
-			if cold, coldErr := o.SolveBudget(ctx, budget, nil); coldErr == nil && cold.WeightedTime < perf.WeightedTime {
-				perf = cold
-			}
-		}
 		p.Objective = core.PerfPerCostOpt
 		ppc, err := o.SolveBudget(ctx, budget, warmPPC)
 		if err != nil {

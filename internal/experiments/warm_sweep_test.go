@@ -35,11 +35,11 @@ func TestDesignSweepWarmMatchesColdPointwise(t *testing.T) {
 
 	// Agreement tolerance: warm and cold are both multistart local optima.
 	// The warm cutoff guarantees the warm basin matched the strongest cold
-	// seed within opt.DefaultWarmTol, but the skipped remainder of the
-	// multistart can wobble either answer by a few percent on the big
-	// budget jumps of the quick grid — neither side dominates. Divergence
-	// beyond this band means the chain latched onto a genuinely wrong
-	// basin.
+	// seed within the solver's 1e-6 cutoff margin, but the skipped
+	// remainder of the multistart can wobble either answer by a few
+	// percent on the big budget jumps of the quick grid — neither side
+	// dominates. Divergence beyond this band means the chain latched onto
+	// a genuinely wrong basin.
 	const tol = 5e-2
 	ctx := context.Background()
 	for _, budget := range budgets {

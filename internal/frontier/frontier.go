@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"libra/internal/core"
-	"libra/internal/telemetry"
 	"libra/internal/topology"
 )
 
@@ -207,10 +206,11 @@ func Compute(ctx context.Context, s Solver, base *core.ProblemSpec, req Request)
 	}
 	sort.SliceStable(order, func(a, b int) bool { return budgets[order[a]] < budgets[order[b]] })
 
-	// pointSpec derives the point's spec from the base. Warm state is
-	// attached after cloning — Clone round-trips JSON and warm fields are
-	// runtime-only (json:"-"), so it can never carry them.
-	pointSpec := func(pt *Point, warm []float64) *core.ProblemSpec {
+	// solveOne derives the point's spec from the base and solves it. Warm
+	// state is attached after cloning — Clone round-trips JSON and warm
+	// fields are runtime-only (json:"-"), so it can never carry them. A
+	// warm vector the solver cannot use is solved again cold inside core.
+	solveOne := func(pt *Point, warm []float64) {
 		spec := base.Clone()
 		spec.BudgetGBps = pt.BudgetGBps
 		if req.CapDim > 0 {
@@ -224,16 +224,7 @@ func Compute(ctx context.Context, s Solver, base *core.ProblemSpec, req Request)
 			sol.WarmStart = warm
 			spec.Solver = sol
 		}
-		return spec
-	}
-	solveOne := func(pt *Point, warm []float64) {
-		spec := pointSpec(pt, warm)
 		r, err := s.Optimize(ctx, spec)
-		if err != nil && warm != nil && ctx.Err() == nil {
-			// An unusable warm vector must not sink the point: retry cold.
-			spec.Solver.WarmStart = nil
-			r, err = s.Optimize(ctx, spec)
-		}
 		if err != nil {
 			pt.Err, pt.Error = err, err.Error()
 			tracker.Tick(false)
@@ -244,7 +235,6 @@ func Compute(ctx context.Context, s Solver, base *core.ProblemSpec, req Request)
 		pt.Cached = r.Cached
 		tracker.Tick(r.Cached)
 	}
-	perfObjective := baseProblem.Objective == core.PerfOpt
 
 	var wg sync.WaitGroup
 	for ci := range caps {
@@ -259,25 +249,9 @@ func Compute(ctx context.Context, s Solver, base *core.ProblemSpec, req Request)
 					warm = core.ScaleWarmStart(prev.Result.BW, prev.BudgetGBps, pt.BudgetGBps)
 				}
 				solveOne(pt, warm)
-				if pt.Err != nil {
-					continue // keep the last good neighbor as the seed
+				if pt.Err == nil {
+					prev = pt // a failed point keeps the last good neighbor as the seed
 				}
-				// Under the perf objective more budget can never cost time,
-				// so a warm-started point slower than its smaller-budget
-				// neighbor means the chain latched onto a worse basin.
-				// Re-solve cold (directly — the solver's cache already holds
-				// the warm answer for this fingerprint) and keep the better.
-				if warm != nil && perfObjective &&
-					pt.Result.WeightedTime > prev.Result.WeightedTime*(1+1e-9) {
-					telemetry.WarmGuardTrips.Inc()
-					if p, err := pointSpec(pt, nil).Build(); err == nil {
-						if r, err := p.OptimizeContext(ctx); err == nil && r.WeightedTime < pt.Result.WeightedTime {
-							pt.Result = r
-							pt.Cached = false
-						}
-					}
-				}
-				prev = pt
 			}
 		}(ci)
 	}

@@ -7,23 +7,22 @@ import (
 
 // FuzzOptionsValidate drives Options.Validate with arbitrary field values:
 // it must never panic, must reject every malformed warm-start vector
-// (wrong length, NaN/±Inf entries) and every invalid WarmTol or negative
-// count, and whatever it accepts must already be in validated form — the
-// safety contract the spec layer relies on before handing warm state to
-// the solver.
+// (wrong length, NaN/±Inf entries) and every negative count, and whatever
+// it accepts must already be in validated form — the safety contract the
+// spec layer relies on before handing warm state to the solver.
 func FuzzOptionsValidate(f *testing.F) {
-	f.Add(0, 0, 0, int64(0), 0.0, 3, []byte{})
-	f.Add(600, 8, 4, int64(1), 1e-6, 4, []byte{1, 2, 3, 4})
-	f.Add(-1, 0, 0, int64(0), 0.0, 2, []byte{})
-	f.Add(0, -3, 0, int64(0), 0.0, 2, []byte{})
-	f.Add(0, 0, -2, int64(0), 0.0, 2, []byte{})
-	f.Add(0, 0, 0, int64(0), -1e-9, 2, []byte{})
-	f.Add(0, 0, 0, int64(0), math.NaN(), 2, []byte{})
-	f.Add(0, 0, 0, int64(0), math.Inf(1), 2, []byte{})
-	f.Add(0, 0, 0, int64(0), 0.0, 2, []byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 0})       // +Inf entry
-	f.Add(0, 0, 0, int64(0), 0.0, 1, []byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 0, 0}) // NaN entry
+	f.Add(0, 0, 0, int64(0), 3, []byte{})
+	f.Add(600, 8, 4, int64(1), 4, []byte{1, 2, 3, 4})
+	f.Add(-1, 0, 0, int64(0), 2, []byte{})
+	f.Add(0, -3, 0, int64(0), 2, []byte{})
+	f.Add(0, 0, -2, int64(0), 2, []byte{})
+	f.Add(0, 0, 0, int64(0), 3, []byte{0x3f, 0xf0, 0, 0, 0, 0, 0, 0})                            // one entry for n=3
+	f.Add(0, 0, 0, int64(0), 1, []byte{0xff, 0xf0, 0, 0, 0, 0, 0, 0})                            // -Inf entry
+	f.Add(0, 0, 0, int64(0), 0, []byte{0x3f, 0xf0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0}) // unknown dimension
+	f.Add(0, 0, 0, int64(0), 2, []byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 0})                            // +Inf entry
+	f.Add(0, 0, 0, int64(0), 1, []byte{0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 0, 0})                      // NaN entry
 
-	f.Fuzz(func(t *testing.T, maxIters, starts, workers int, seed int64, warmTol float64, n int, warmBytes []byte) {
+	f.Fuzz(func(t *testing.T, maxIters, starts, workers int, seed int64, n int, warmBytes []byte) {
 		// Decode the fuzzed bytes into a warm vector, 8 bytes per entry
 		// big-endian — arbitrary bit patterns, including every NaN/Inf
 		// encoding.
@@ -35,14 +34,10 @@ func FuzzOptionsValidate(f *testing.F) {
 			}
 			warm = append(warm, math.Float64frombits(bits))
 		}
-		o := Options{
-			MaxIters: maxIters, Starts: starts, Workers: workers, Seed: seed,
-			WarmTol: warmTol, WarmStart: warm,
-		}
+		o := Options{MaxIters: maxIters, Starts: starts, Workers: workers, Seed: seed, WarmStart: warm}
 		err := o.Validate(n)
 
-		wantErr := maxIters < 0 || starts < 0 || workers < 0 ||
-			warmTol < 0 || math.IsNaN(warmTol) || math.IsInf(warmTol, 0)
+		wantErr := maxIters < 0 || starts < 0 || workers < 0
 		if len(warm) > 0 {
 			if n > 0 && len(warm) != n {
 				wantErr = true

@@ -22,10 +22,7 @@
 // parallel worker owns one, so reuse never changes a result bit.
 package opt
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // dot returns aᵀb.
 //
@@ -63,70 +60,9 @@ func scale(alpha float64, x []float64) []float64 {
 	return out
 }
 
-// sub returns a−b as a new slice.
-func sub(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // clone copies a vector.
 func clone(a []float64) []float64 {
 	out := make([]float64, len(a))
 	copy(out, a)
 	return out
-}
-
-// solveDense solves the n×n linear system Ax = b by Gaussian elimination
-// with partial pivoting. A and b are not modified. Returns an error for
-// (numerically) singular systems.
-func solveDense(A [][]float64, b []float64) ([]float64, error) {
-	n := len(A)
-	if n == 0 || len(b) != n {
-		return nil, fmt.Errorf("opt: bad system dimensions (%d×?, rhs %d)", n, len(b))
-	}
-	// Augmented working copy.
-	m := make([][]float64, n)
-	for i := range m {
-		if len(A[i]) != n {
-			return nil, fmt.Errorf("opt: row %d has %d columns, want %d", i, len(A[i]), n)
-		}
-		m[i] = make([]float64, n+1)
-		copy(m[i], A[i])
-		m[i][n] = b[i]
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[piv][col]) {
-				piv = r
-			}
-		}
-		if math.Abs(m[piv][col]) < 1e-12 {
-			return nil, fmt.Errorf("opt: singular system (pivot %g at column %d)", m[piv][col], col)
-		}
-		m[col], m[piv] = m[piv], m[col]
-		inv := 1 / m[col][col]
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-		}
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := m[i][n]
-		for c := i + 1; c < n; c++ {
-			s -= m[i][c] * x[c]
-		}
-		x[i] = s / m[i][i]
-	}
-	return x, nil
 }

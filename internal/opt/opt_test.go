@@ -17,11 +17,9 @@ func approx(a, b, tol float64) bool {
 }
 
 func TestSolveDense(t *testing.T) {
-	A := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{5, 10}
-	x, err := solveDense(A, b)
-	if err != nil {
-		t.Fatal(err)
+	x := make([]float64, 2)
+	if !solveAugmented([][]float64{{2, 1, 5}, {1, 3, 10}}, x) {
+		t.Fatal("nonsingular system reported singular")
 	}
 	if !approx(x[0], 1, 1e-9) || !approx(x[1], 3, 1e-9) {
 		t.Errorf("x = %v, want [1 3]", x)
@@ -30,11 +28,9 @@ func TestSolveDense(t *testing.T) {
 
 func TestSolveDensePivoting(t *testing.T) {
 	// Zero on the diagonal forces pivoting.
-	A := [][]float64{{0, 1}, {1, 0}}
-	b := []float64{2, 3}
-	x, err := solveDense(A, b)
-	if err != nil {
-		t.Fatal(err)
+	x := make([]float64, 2)
+	if !solveAugmented([][]float64{{0, 1, 2}, {1, 0, 3}}, x) {
+		t.Fatal("nonsingular system reported singular")
 	}
 	if !approx(x[0], 3, 1e-9) || !approx(x[1], 2, 1e-9) {
 		t.Errorf("x = %v", x)
@@ -42,9 +38,8 @@ func TestSolveDensePivoting(t *testing.T) {
 }
 
 func TestSolveDenseSingular(t *testing.T) {
-	A := [][]float64{{1, 2}, {2, 4}}
-	if _, err := solveDense(A, []float64{1, 2}); err == nil {
-		t.Error("singular system should error")
+	if solveAugmented([][]float64{{1, 2, 1}, {2, 4, 2}}, make([]float64, 2)) {
+		t.Error("singular system should fail")
 	}
 }
 
@@ -451,8 +446,8 @@ func TestSolverRunsOnlyFoldedStarts(t *testing.T) {
 	}{
 		{"convex cold", quad, Options{Convex: true, Seed: 7}, false},
 		{"non-convex cold", perfPerCostProblem(3), Options{Seed: 7}, false},
-		{"non-convex warm cut", doubleWell(), Options{WarmStart: []float64{8, 2}, WarmTol: DefaultWarmTol}, true},
-		{"non-convex warm no cut", doubleWell(), Options{WarmStart: []float64{2, 8}, WarmTol: DefaultWarmTol}, false},
+		{"non-convex warm cut", doubleWell(), Options{WarmStart: []float64{8, 2}}, true},
+		{"non-convex warm no cut", doubleWell(), Options{WarmStart: []float64{2, 8}}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -661,7 +656,7 @@ func TestNumGradMatchesAnalytic(t *testing.T) {
 func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	p := perfPerCostProblem(3)
 	warm := []float64{40, 30, 20}
-	base := Options{Seed: 7, Starts: 8, WarmStart: warm, WarmTol: DefaultWarmTol}
+	base := Options{Seed: 7, Starts: 8, WarmStart: warm}
 	seq := base
 	seq.Workers = 1
 	par := base
@@ -688,28 +683,8 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 
 // Seeding the solve with its own cold optimum must fire the adaptive
 // cutoff: the warm search re-converges to the proven basin, matches the
-// first cold start within WarmTol, and the remaining starts are skipped.
+// first cold start within warmTol, and the remaining starts are skipped.
 func TestWarmStartCutoffFires(t *testing.T) {
-	p := perfPerCostProblem(3)
-	cold, err := Minimize(p, Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := Minimize(p, Options{Seed: 7, WarmStart: cold.X, WarmTol: DefaultWarmTol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.WarmCut || warm.Starts != 2 {
-		t.Fatalf("cutoff should stop after the warm + first cold start: %+v", warm)
-	}
-	if warm.F > cold.F*(1+1e-6) {
-		t.Errorf("warm-cut result %v worse than cold optimum %v", warm.F, cold.F)
-	}
-}
-
-// WarmTol 0 disables the cutoff: the warm point joins a full multistart,
-// adding exactly one start and never losing to the cold solve.
-func TestWarmStartZeroTolRunsFullMultistart(t *testing.T) {
 	p := perfPerCostProblem(3)
 	cold, err := Minimize(p, Options{Seed: 7})
 	if err != nil {
@@ -719,14 +694,11 @@ func TestWarmStartZeroTolRunsFullMultistart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.WarmCut {
-		t.Errorf("WarmTol 0 must not cut: %+v", warm)
+	if !warm.WarmCut || warm.Starts != 2 {
+		t.Fatalf("cutoff should stop after the warm + first cold start: %+v", warm)
 	}
-	if warm.Starts != cold.Starts+1 {
-		t.Errorf("warm starts = %d, want cold %d + 1", warm.Starts, cold.Starts)
-	}
-	if warm.F > cold.F {
-		t.Errorf("adding a seed made the solve worse: %v vs %v", warm.F, cold.F)
+	if warm.F > cold.F*(1+1e-6) {
+		t.Errorf("warm-cut result %v worse than cold optimum %v", warm.F, cold.F)
 	}
 }
 
@@ -752,7 +724,7 @@ func TestWarmStartInfeasibleDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Minimize(p, Options{Seed: 7, WarmStart: []float64{0.05, 50, 49}, WarmTol: DefaultWarmTol})
+	warm, err := Minimize(p, Options{Seed: 7, WarmStart: []float64{0.05, 50, 49}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -761,30 +733,10 @@ func TestWarmStartInfeasibleDropped(t *testing.T) {
 	}
 }
 
-// WarmTol without WarmStart is inert: bit-identical to the plain cold
-// solve.
-func TestWarmTolIgnoredWithoutWarmStart(t *testing.T) {
-	p := perfPerCostProblem(3)
-	cold, err := Minimize(p, Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tol, err := Minimize(p, Options{Seed: 7, WarmTol: DefaultWarmTol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.F != tol.F || normDiff(cold.X, tol.X) != 0 || cold.Starts != tol.Starts || tol.WarmCut {
-		t.Errorf("WarmTol alone changed the solve: %+v vs %+v", tol, cold)
-	}
-}
-
 // Validate must reject malformed warm-start state exactly like the other
 // zero/negative field rules, and accept the well-formed spellings.
 func TestOptionsValidateWarmFields(t *testing.T) {
 	bad := []Options{
-		{WarmTol: -1e-9},
-		{WarmTol: math.NaN()},
-		{WarmTol: math.Inf(1)},
 		{WarmStart: []float64{1, 2}},               // wrong length for n=3
 		{WarmStart: []float64{1, 2, math.NaN()}},   // NaN entry
 		{WarmStart: []float64{1, math.Inf(-1), 2}}, // -Inf entry
@@ -798,8 +750,6 @@ func TestOptionsValidateWarmFields(t *testing.T) {
 	good := []Options{
 		{},
 		{WarmStart: []float64{1, 2, 3}},
-		{WarmStart: []float64{1, 2, 3}, WarmTol: DefaultWarmTol},
-		{WarmTol: DefaultWarmTol}, // inert but valid
 	}
 	for i, o := range good {
 		if err := o.Validate(3); err != nil {

@@ -510,8 +510,7 @@ func (pr *projector) eqProject(x0 []float64, working []int) (z, lambda []float64
 
 // solveAugmented runs Gaussian elimination with partial pivoting on an
 // in-place augmented system [A|b] (n rows of length n+1), writing the
-// solution into x. Returns false for (numerically) singular systems. The
-// arithmetic matches solveDense exactly, minus the defensive copies.
+// solution into x. Returns false for (numerically) singular systems.
 func solveAugmented(m [][]float64, x []float64) bool {
 	n := len(m)
 	for col := 0; col < n; col++ {

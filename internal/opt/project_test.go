@@ -415,7 +415,10 @@ func referenceActiveSet(c *Constraints, rows []row, x0 []float64) ([]float64, bo
 			working = working[:len(working)-1]
 			continue
 		}
-		dir := sub(z, x)
+		dir := make([]float64, len(x))
+		for i := range dir {
+			dir[i] = z[i] - x[i]
+		}
 		if norm2(dir) < 1e-10 {
 			minLambda, minIdx := 0.0, -1
 			for k, wi := range working {

@@ -61,9 +61,9 @@ type Options struct {
 	// concurrently: 0 selects GOMAXPROCS, 1 forces the sequential path.
 	// Only starts whose outcome the solve keeps ever run, so a convex
 	// solve runs its starts one at a time whatever Workers says (every
-	// start can end it), and a warm solve with WarmTol > 0 runs at most
-	// two until the cutoff is decided. Whatever the worker count, the
-	// result is bit-identical to the sequential solve for a fixed seed.
+	// start can end it), and a warm solve runs at most two until the
+	// cutoff is decided. Whatever the worker count, the result is
+	// bit-identical to the sequential solve for a fixed seed.
 	Workers int
 	// Strategy selects the per-start local search (default StrategyAuto:
 	// chosen by Convex).
@@ -77,29 +77,25 @@ type Options struct {
 	// entry must be finite (see Validate); a warm start that projects
 	// outside the feasible set is dropped, falling back to the regular
 	// multistart.
+	//
+	// A kept warm start arms the adaptive cutoff. The warm start and the
+	// first cold (heuristic) start both run the full local search; when
+	// the warm search converged and its objective matches or beats the
+	// cold start's within a warmTol relative margin, the neighbor's basin
+	// has proven itself against the strongest cold seed and the remaining
+	// starts are skipped. When the cold start wins by more than the
+	// margin, the full multistart continues unchanged.
 	WarmStart []float64
-	// WarmTol enables the adaptive warm-start cutoff. The warm start and
-	// the first cold (heuristic) start both run the full local search;
-	// when the warm search converged and its objective matches or beats
-	// the cold start's within a WarmTol relative margin, the neighbor's
-	// basin has proven itself against the strongest cold seed and the
-	// remaining starts are skipped. When the cold start wins by more than
-	// the margin, the full multistart continues unchanged. 0 disables the
-	// cutoff (the warm start joins a full multistart); negative or
-	// non-finite values are rejected. Ignored without WarmStart.
-	WarmTol float64
 }
 
-// DefaultWarmTol is the warm-start cutoff margin the sweep layers
-// (frontier columns, cluster partition grids, figure sweeps) use: loose
-// enough that two converged descents into one basin always match, tight
-// enough that a genuinely better cold basin keeps the full multistart
-// alive.
-const DefaultWarmTol = 1e-6
+// warmTol is the warm-start cutoff margin: loose enough that two
+// converged descents into one basin always match, tight enough that a
+// genuinely better cold basin keeps the full multistart alive.
+const warmTol = 1e-6
 
 // Validate checks o against an n-variable problem without solving:
 // negative counts, unknown strategies, and malformed warm-start state
-// (wrong length, NaN/±Inf entries, negative WarmTol) are rejected exactly
+// (wrong length, NaN/±Inf entries) are rejected exactly
 // as MinimizeContext would reject them. Pass n ≤ 0 to skip the
 // warm-start length check when the dimension is not yet known.
 func (o Options) Validate(n int) error {
@@ -116,9 +112,6 @@ func (o Options) withDefaults(n int) (Options, error) {
 	}
 	if o.Workers < 0 {
 		return o, fmt.Errorf("opt: negative Workers %d", o.Workers)
-	}
-	if o.WarmTol < 0 || math.IsNaN(o.WarmTol) || math.IsInf(o.WarmTol, 0) {
-		return o, fmt.Errorf("opt: invalid WarmTol %v (want a finite value ≥ 0)", o.WarmTol)
 	}
 	if len(o.WarmStart) > 0 {
 		if n > 0 && len(o.WarmStart) != n {
@@ -167,7 +160,7 @@ type Result struct {
 	Converged bool
 	// WarmCut reports that the warm-start adaptive cutoff answered the
 	// solve: the warm start converged, matched or beat the first cold
-	// start within WarmTol, and the remaining starts were skipped.
+	// start within warmTol, and the remaining starts were skipped.
 	WarmCut bool
 }
 
@@ -323,16 +316,16 @@ func (fd *folder) fold(out startOutcome, si int) bool {
 	if fd.o.Convex && out.conv {
 		return true
 	}
-	if fd.warm && fd.o.WarmTol > 0 {
+	if fd.warm {
 		switch si {
 		case 0:
 			fd.warmOut = out
 		case 1:
 			// Adaptive cutoff: the warm search converged and matched or
-			// beat the strongest cold seed's full search within WarmTol,
+			// beat the strongest cold seed's full search within warmTol,
 			// so the neighbor's basin has proven itself and the remaining
 			// starts are skipped.
-			if fd.warmOut.conv && fd.warmOut.f <= out.f+fd.o.WarmTol*math.Max(math.Abs(out.f), 1e-12) {
+			if fd.warmOut.conv && fd.warmOut.f <= out.f+warmTol*math.Max(math.Abs(out.f), 1e-12) {
 				fd.best.WarmCut = true
 				return true
 			}
@@ -350,7 +343,7 @@ func (fd *folder) span(si int) int {
 	switch {
 	case fd.o.Convex:
 		return 1
-	case fd.warm && fd.o.WarmTol > 0 && si < 2:
+	case fd.warm && si < 2:
 		return 2 - si
 	}
 	return math.MaxInt

@@ -69,7 +69,7 @@ var (
 	SolverStarts = Default.NewCounter("libra_solver_starts_total",
 		"Local-search starts run; every one is folded into its solve's answer, none is speculative.")
 	SolverStartsSkipped = Default.NewCounter("libra_solver_starts_skipped_total",
-		"Planned seeds never run, per solve: Starts + N (+1 with a kept warm start) minus the starts run, after a convex early exit, a WarmTol cutoff, or seeds that could not be built.")
+		"Planned seeds never run, per solve: Starts + N (+1 with a kept warm start) minus the starts run, after a convex early exit, a warm-start cutoff, or seeds that could not be built.")
 	SolverWarmSolves = Default.NewCounter("libra_solver_warm_solves_total",
 		"Solves that ran with an injected warm start.")
 	SolverWarmCuts = Default.NewCounter("libra_solver_warm_cuts_total",
@@ -89,8 +89,6 @@ var (
 	SweepCacheHits = Default.NewCounterVec("libra_sweep_cache_hits_total",
 		"Batch fan-out points served from the engine result cache, by progress stage.",
 		"stage")
-	WarmGuardTrips = Default.NewCounter("libra_warmstart_guard_trips_total",
-		"Warm-chain monotonicity-guard trips: warm-started sweep points re-solved cold because they regressed past their neighbor.")
 
 	// ---- Persistent result store (internal/store) ----
 

@@ -278,7 +278,6 @@ func TestDefaultCatalogRegistered(t *testing.T) {
 		"libra_solver_cd_iterations_total",
 		"libra_sweep_points_total",
 		"libra_jobs_submitted_total",
-		"libra_warmstart_guard_trips_total",
 	} {
 		if !strings.Contains(out, "# TYPE "+name+" ") {
 			t.Errorf("default catalog missing %s", name)

@@ -15,9 +15,10 @@
 // caps, strategies that do not map onto a topology).
 //
 // Scenarios execute concurrently through a Runner — typically
-// *core.Engine via its generic Do API, which bounds workers, deduplicates
-// identical scenarios in flight, and memoizes outcomes in the LRU cache —
-// so repeated validation runs (CI on every push) are nearly free.
+// *core.Engine via its generic DoCodec API, which bounds workers,
+// deduplicates identical scenarios in flight, and memoizes outcomes in
+// the LRU cache — so repeated validation runs (CI on every push) are
+// nearly free.
 package validate
 
 import (
@@ -37,17 +38,11 @@ import (
 )
 
 // Runner executes cached scenario computations; *core.Engine satisfies
-// it. Implementations must be safe for concurrent use — Compute issues
-// every scenario at once and bounds nothing itself.
+// it, letting validate outcomes spill through codec to the engine's disk
+// tier (under the "validate" TTL kind) and survive restarts.
+// Implementations must be safe for concurrent use — Compute issues every
+// scenario at once and bounds nothing itself.
 type Runner interface {
-	Do(ctx context.Context, key string, compute func(context.Context) (any, error)) (any, bool, error)
-}
-
-// CodecRunner is the optional persistence-aware Runner surface:
-// *core.Engine implements it, letting validate outcomes spill to the
-// engine's disk tier (under the "validate" TTL kind) and survive
-// restarts. Runners without it stay memory-only.
-type CodecRunner interface {
 	DoCodec(ctx context.Context, key string, codec core.Codec, compute func(context.Context) (any, error)) (any, bool, error)
 }
 
@@ -396,14 +391,7 @@ func Compute(ctx context.Context, r Runner, spec *Spec) (*Report, error) {
 		wg.Add(1)
 		go func(j *job) {
 			defer wg.Done()
-			var v any
-			var cached bool
-			var err error
-			if cr, ok := r.(CodecRunner); ok {
-				v, cached, err = cr.DoCodec(ctx, j.key, outcomeCodec, j.run)
-			} else {
-				v, cached, err = r.Do(ctx, j.key, j.run)
-			}
+			v, cached, err := r.DoCodec(ctx, j.key, outcomeCodec, j.run)
 			tracker.Tick(err == nil && cached)
 			if err != nil {
 				j.scenario.Err, j.scenario.Error = err, err.Error()

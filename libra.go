@@ -520,7 +520,7 @@ type ValidationScenario = validate.Scenario
 type ValidationBaseline = validate.BaselineReport
 
 // ValidateRunner executes cached validation scenarios; *Engine satisfies
-// it through its generic Do API.
+// it through its generic DoCodec API.
 type ValidateRunner = validate.Runner
 
 // DefaultValidationTolerance is the committed divergence gate of the
