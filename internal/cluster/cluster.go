@@ -6,10 +6,10 @@
 // is how the fabric serves them.
 //
 // A study derives one single-job core.ProblemSpec per tenant plus a
-// weighted group spec, and solves them concurrently through a Solver —
-// typically *core.Engine, which bounds workers, deduplicates identical
-// solves via the spec fingerprint cache, and honors context
-// cancellation. Three allocation policies are compared:
+// weighted group spec, and solves them concurrently through a
+// frontier.Solver — typically *core.Engine, which bounds workers,
+// deduplicates identical solves via the spec fingerprint cache, and
+// honors context cancellation. Three allocation policies are compared:
 //
 //   - group-opt: one shared bandwidth configuration minimizing the
 //     weighted aggregate iteration time of every positive-weight job
@@ -25,7 +25,7 @@
 // core.Evaluator per job (the evaluator depends only on the job and the
 // fabric, never on the design being priced), mirroring frontier's
 // shared-Evaluator baseline curve; only optimizations go through the
-// Solver. Per-job and per-design failures are reported in place. The
+// solver. Per-job and per-design failures are reported in place. The
 // partition share grid runs as one internal/frontier column per job,
 // and the optional Budgets axis composes with internal/frontier into a
 // cluster frontier for the group problem.
@@ -33,6 +33,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -42,15 +43,6 @@ import (
 	"libra/internal/frontier"
 	"libra/internal/topology"
 )
-
-// Solver answers the derived per-job and group specs; *core.Engine
-// satisfies it. Implementations must be safe for concurrent use —
-// Compute issues every optimization at once and bounds nothing itself.
-// The interface matches frontier.Solver, so the budget-axis composition
-// reuses the study's solver (and its cache) directly.
-type Solver interface {
-	Optimize(ctx context.Context, spec *core.ProblemSpec) (core.EngineResult, error)
-}
 
 // GroupDesignName labels the group-optimized shared design in the
 // report's design list (and the Fig. 17 tables).
@@ -165,7 +157,7 @@ type Report struct {
 	// Frontier is the group problem swept over the Budgets axis.
 	Frontier *frontier.Result `json:"frontier,omitempty"`
 	// Solves counts fresh solver answers; CacheHits counts answers
-	// served from the Solver's fingerprint cache. Local evaluator
+	// served from the solver's fingerprint cache. Local evaluator
 	// pricing is not counted — like frontier's EqualBW curve, it never
 	// reaches the solver.
 	Solves    int     `json:"solves"`
@@ -195,8 +187,10 @@ func (r *Report) GroupDesign() *Design {
 // invalid spec, a canceled context, or an unpriceable job problem;
 // per-job and per-design failures are reported in place. A context
 // progress hook observes the fan-out under the "cluster" stage (and the
-// budget-axis sweep under "cluster-frontier").
-func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
+// budget-axis sweep under "cluster-frontier"). The solver must be safe
+// for concurrent use: Compute issues every optimization at once and
+// bounds nothing itself.
+func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error) {
 	if s == nil {
 		return nil, fmt.Errorf("cluster: nil solver")
 	}
@@ -296,21 +290,17 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 			for k := range slices {
 				slices[k] = r.budget * float64(k+1) / float64(r.steps)
 			}
-			var done, hits int
-			fctx := core.WithProgress(ctx, func(p core.Progress) {
-				if p.Done > done {
-					tracker.TickN(p.Done-done, p.CacheHits-hits)
-					done, hits = p.Done, p.CacheHits
-				}
-			})
-			fr, err := frontier.Compute(fctx, s, r.jobs[job].spec, frontier.Request{Budgets: slices, SkipEqualBW: true})
+			fr, err := frontier.Compute(core.WithStage(ctx, tracker), s, r.jobs[job].spec,
+				frontier.Request{Budgets: slices, SkipEqualBW: true})
 			if err != nil {
 				// A job spec no slice can build fails every cell.
 				part[job] = make([]frontier.Point, shares)
 				for k := range part[job] {
 					part[job][k].Err = err
 				}
-				tracker.TickN(shares-done, 0)
+				if !errors.Is(err, ctx.Err()) {
+					tracker.TickN(shares, 0) // failed before its first point
+				}
 				return
 			}
 			part[job] = fr.Points
@@ -430,16 +420,8 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 	rep.Summary = summarize(rep)
 
 	if len(r.budgets) > 0 {
-		// The inner frontier reports its own "frontier" stage; relabel it
-		// so job watchers see one coherent stage family per task kind.
-		fctx := core.WithProgress(ctx, nil)
-		if fn := core.ProgressFromContext(ctx); fn != nil {
-			fctx = core.WithProgress(ctx, func(p core.Progress) {
-				p.Stage = "cluster-frontier"
-				fn(p)
-			})
-		}
-		fr, err := frontier.Compute(fctx, s, r.group, frontier.Request{Budgets: r.budgets})
+		ft := core.NewProgressTracker(ctx, "cluster-frontier", len(r.budgets))
+		fr, err := frontier.Compute(core.WithStage(ctx, ft), s, r.group, frontier.Request{Budgets: r.budgets})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: frontier: %w", err)
 		}

@@ -20,6 +20,7 @@ package codesign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -291,15 +292,11 @@ func computeFrontier(ctx context.Context, s Solver, rep *Report, specs []*core.P
 	// failed: solvability is budget-dependent (a constraint set satisfiable
 	// at one budget need not be at another), so the frontier probes each
 	// (strategy, budget) cell itself and failures stay per-point. The
-	// study's cands×budgets bound caps the worst case.
-	//
-	// Each candidate's sweep would report its own interleaved "frontier"
-	// stage (non-monotonic as a merged stream), so the inner hooks are
-	// detached and the study re-reports one aggregate stage, ticking a
-	// candidate's whole budget axis as its sweep returns.
+	// study's cands×budgets bound caps the worst case. Every sweep lands
+	// its points on the one "codesign-frontier" stage as they finish.
 	req := frontier.Request{Budgets: budgets, SkipEqualBW: true}
-	innerCtx := core.WithProgress(ctx, nil)
 	tracker := core.NewProgressTracker(ctx, "codesign-frontier", len(cands)*len(budgets))
+	innerCtx := core.WithStage(ctx, tracker)
 	results := make([]*frontier.Result, len(cands))
 	errs := make([]error, len(cands))
 	var wg sync.WaitGroup
@@ -308,10 +305,8 @@ func computeFrontier(ctx context.Context, s Solver, rep *Report, specs []*core.P
 		go func(i int) {
 			defer wg.Done()
 			results[i], errs[i] = frontier.Compute(innerCtx, s, specs[i], req)
-			if fr := results[i]; fr != nil {
-				tracker.TickN(len(fr.Points), fr.CacheHits)
-			} else {
-				tracker.TickN(len(budgets), 0)
+			if err := errs[i]; err != nil && !errors.Is(err, ctx.Err()) {
+				tracker.TickN(len(budgets), 0) // failed before its first point
 			}
 		}(i)
 	}

@@ -21,9 +21,10 @@ import (
 var ErrBadSpec = errors.New("core: invalid problem spec")
 
 // MaxPoints bounds the solves one batch request (a sweep, frontier,
-// co-design or cluster study) may expand to. Each point allocates state and
-// a goroutine up front, so an unbounded request from a small JSON body
-// could exhaust memory before the worker pool throttles it.
+// co-design or cluster study) or the scenarios one validation run may
+// expand to. Each point allocates state and a goroutine up front, so an
+// unbounded request from a small JSON body could exhaust memory before
+// the worker pool throttles it.
 const MaxPoints = 4096
 
 // EngineConfig tunes the service layer. Zero values select defaults.
@@ -399,40 +400,13 @@ func (e *Engine) wait(ctx context.Context, f *flight) (cacheEntry, bool, error) 
 	}
 }
 
-// BatchResult is one entry of a batch operation; failed entries carry the
-// error in place so one bad spec does not sink the batch.
+// BatchResult is the outcome of one sweep cell; failed cells carry the
+// error in place so one bad spec does not sink the sweep.
 type BatchResult struct {
 	Index int `json:"index"`
 	EngineResult
 	Err   error  `json:"-"`
 	Error string `json:"error,omitempty"`
-}
-
-// OptimizeAll solves every spec concurrently under the worker pool and
-// returns results in input order. A context progress hook (WithProgress)
-// observes points as they land under the "batch" stage.
-func (e *Engine) OptimizeAll(ctx context.Context, specs []*ProblemSpec) []BatchResult {
-	return e.optimizeAll(ctx, specs, NewProgressTracker(ctx, "batch", len(specs)))
-}
-
-// optimizeAll is OptimizeAll under a caller-labeled progress stage.
-func (e *Engine) optimizeAll(ctx context.Context, specs []*ProblemSpec, tracker *ProgressTracker) []BatchResult {
-	out := make([]BatchResult, len(specs))
-	var wg sync.WaitGroup
-	for i, s := range specs {
-		wg.Add(1)
-		go func(i int, s *ProblemSpec) {
-			defer wg.Done()
-			r, err := e.Optimize(ctx, s)
-			out[i] = BatchResult{Index: i, EngineResult: r, Err: err}
-			if err != nil {
-				out[i].Error = err.Error()
-			}
-			tracker.Tick(err == nil && r.Cached)
-		}(i, s)
-	}
-	wg.Wait()
-	return out
 }
 
 // SweepRequest axes multiply against a base spec: every listed topology ×
@@ -491,10 +465,21 @@ func (e *Engine) Sweep(ctx context.Context, base *ProblemSpec, req SweepRequest)
 			}
 		}
 	}
-	results := e.optimizeAll(ctx, specs, NewProgressTracker(ctx, "sweep", len(specs)))
-	for i := range points {
-		points[i].BatchResult = results[i]
+	tracker := NewProgressTracker(ctx, "sweep", len(specs))
+	var wg sync.WaitGroup
+	for i, s := range specs {
+		wg.Add(1)
+		go func(pt *SweepPoint, i int, s *ProblemSpec) {
+			defer wg.Done()
+			r, err := e.Optimize(ctx, s)
+			pt.BatchResult = BatchResult{Index: i, EngineResult: r, Err: err}
+			if err != nil {
+				pt.Error = err.Error()
+			}
+			tracker.Tick(err == nil && r.Cached)
+		}(&points[i], i, s)
 	}
+	wg.Wait()
 	return points, ctx.Err()
 }
 

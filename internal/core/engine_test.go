@@ -179,20 +179,15 @@ func TestSweepBoundsPointsBeforeWork(t *testing.T) {
 	}
 }
 
-func TestEngineOptimizeAllAndSweep(t *testing.T) {
+func TestEngineOptimizeAndSweep(t *testing.T) {
 	e := NewEngine(EngineConfig{Workers: 4, CacheSize: 32})
 	defer e.Close()
 	ctx := context.Background()
 
-	specs := []*ProblemSpec{smallSpec(200), smallSpec(300), {Topology: "bogus"}}
-	results := e.OptimizeAll(ctx, specs)
-	if len(results) != 3 {
-		t.Fatalf("%d results", len(results))
+	if _, err := e.Optimize(ctx, smallSpec(300)); err != nil {
+		t.Fatalf("good spec failed: %v", err)
 	}
-	if results[0].Err != nil || results[1].Err != nil {
-		t.Fatalf("good specs failed: %v %v", results[0].Err, results[1].Err)
-	}
-	if results[2].Err == nil {
+	if _, err := e.Optimize(ctx, &ProblemSpec{Topology: "bogus"}); err == nil {
 		t.Fatal("bogus spec succeeded")
 	}
 
@@ -211,7 +206,7 @@ func TestEngineOptimizeAllAndSweep(t *testing.T) {
 			t.Errorf("sweep point @%v spent only %v GB/s", pt.BudgetGBps, pt.Result.BW.Total())
 		}
 	}
-	// The 300 GB/s cell was pre-warmed by OptimizeAll above.
+	// The 300 GB/s cell was pre-warmed by Optimize above.
 	found := false
 	for _, pt := range points {
 		if pt.BudgetGBps == 300 && pt.Cached {

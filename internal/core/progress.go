@@ -15,8 +15,9 @@ import (
 // observability substrate the async job API streams to clients.
 type Progress struct {
 	// Stage names the fan-out ("sweep", "frontier", "codesign",
-	// "codesign-frontier", "validate", "batch"). A computation may emit
-	// several stages; Done/Total/CacheHits are per stage.
+	// "codesign-frontier", "validate", "cluster", "cluster-frontier"). A
+	// computation may emit several stages; Done/Total/CacheHits are per
+	// stage.
 	Stage string `json:"stage"`
 	// Done counts landed points (including per-point failures — a failed
 	// point is still finished work); Total is the stage size, fixed at
@@ -34,21 +35,23 @@ type Progress struct {
 // per-stage ordering.
 type ProgressFunc func(Progress)
 
-type progressCtxKey struct{}
+type (
+	progressCtxKey struct{}
+	stageCtxKey    struct{}
+)
 
 // WithProgress returns a context whose batch fan-outs report through fn.
-// Passing nil detaches any inherited hook — composing subsystems
-// (internal/codesign's per-candidate frontier sweeps) silence their inner
-// stages this way and re-report at their own granularity.
 func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 	return context.WithValue(ctx, progressCtxKey{}, fn)
 }
 
-// ProgressFromContext returns the context's progress hook, nil when none
-// (or a nil hook) is installed.
-func ProgressFromContext(ctx context.Context) ProgressFunc {
-	fn, _ := ctx.Value(progressCtxKey{}).(ProgressFunc)
-	return fn
+// WithStage returns a context whose batch fan-outs land their points on
+// t's stage instead of opening their own: a study that composes another
+// (a frontier column inside codesign or cluster) passes its tracker down
+// so each nested point ticks the study's stage, and counts once in the
+// per-stage sweep counters, as it finishes.
+func WithStage(ctx context.Context, t *ProgressTracker) context.Context {
+	return context.WithValue(ctx, stageCtxKey{}, t)
 }
 
 // ProgressTracker serializes one stage's observations: Tick as points
@@ -67,9 +70,15 @@ type ProgressTracker struct {
 
 // NewProgressTracker builds the stage tracker from the context's hook and
 // immediately reports the 0/total observation (when a hook is present),
-// so watchers learn the stage size before the first point lands.
+// so watchers learn the stage size before the first point lands. Inside
+// WithStage it returns the enclosing tracker instead: the caller's points
+// belong to that stage, which already counted them in its total.
 func NewProgressTracker(ctx context.Context, stage string, total int) *ProgressTracker {
-	t := &ProgressTracker{fn: ProgressFromContext(ctx), stage: stage, total: total}
+	if t, _ := ctx.Value(stageCtxKey{}).(*ProgressTracker); t != nil {
+		return t
+	}
+	fn, _ := ctx.Value(progressCtxKey{}).(ProgressFunc)
+	t := &ProgressTracker{fn: fn, stage: stage, total: total}
 	if t.fn != nil {
 		t.fn(Progress{Stage: stage, Total: total})
 	}

@@ -132,7 +132,8 @@ type Result struct {
 // solver. Per-point failures are reported in place, and the call only
 // fails for an invalid request/spec or a canceled context. A context
 // progress hook (core.WithProgress) observes points as they land under
-// the "frontier" stage.
+// the "frontier" stage, or under the enclosing study's stage inside
+// core.WithStage.
 func Compute(ctx context.Context, s Solver, base *core.ProblemSpec, req Request) (*Result, error) {
 	if s == nil {
 		return nil, fmt.Errorf("frontier: nil solver")

@@ -10,13 +10,16 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"libra/internal/cluster"
 	"libra/internal/codesign"
 	"libra/internal/core"
 	"libra/internal/frontier"
+	"libra/internal/telemetry"
 	"libra/internal/topology"
 	"libra/internal/validate"
 )
@@ -312,37 +315,89 @@ func TestEmptyClusterPayloadDefaults(t *testing.T) {
 	}
 }
 
-// Run with a progress hook: a frontier task reports monotonically
-// non-decreasing done/total under the "frontier" stage, finishing at
-// done == total.
+// progressStages names every stage a task can report, so a row can check
+// that no stage outside its own moved /metrics.
+var progressStages = []string{"sweep", "frontier", "codesign", "codesign-frontier", "validate", "cluster", "cluster-frontier"}
+
+// Run with a progress hook: every task reports exactly its own stages,
+// each stage's done never regresses and finishes at its total, and each
+// point counts once in libra_sweep_points_total under the stage that
+// reported it — a frontier nested in a codesign or cluster study ticks
+// the study's stage, never a bare "frontier" one.
 func TestRunFrontierProgress(t *testing.T) {
-	engine := testEngine(t)
-	var events []core.Progress
-	ctx := core.WithProgress(context.Background(), func(p core.Progress) {
-		if p.Stage == "frontier" {
-			events = append(events, p)
-		}
-	})
 	budgets := []float64{100, 150, 200, 250}
-	if _, err := Run(ctx, engine, NewFrontier(tinySpec(), frontier.Request{Budgets: budgets})); err != nil {
+	cspec, err := codesign.ParseSpec([]byte(`{"base":{"topology":"RI(4)_SW(8)","budget_gbps":200,
+		"workloads":[{"transformer":{"num_layers":2,"hidden":256,"seq_len":64,"tp":2,"minibatch":4}}]},
+		"tps":[2,4],"budgets":[100,200]}`))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) < len(budgets)+1 {
-		t.Fatalf("got %d frontier progress events, want ≥ %d", len(events), len(budgets)+1)
+	clspec, err := cluster.ParseSpec([]byte(`{"topology":"RI(4)_SW(8)","budget_gbps":200,
+		"jobs":[{"transformer":{"num_layers":2,"hidden":256,"seq_len":64,"tp":2,"minibatch":4}},
+		        {"name":"two","transformer":{"num_layers":2,"hidden":128,"seq_len":64,"tp":2,"minibatch":4}}],
+		"partition_steps":4,"budgets":[100,200]}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, p := range events {
-		if p.Total != len(budgets) {
-			t.Errorf("event %d: total %d, want %d", i, p.Total, len(budgets))
-		}
-		if i > 0 && p.Done < events[i-1].Done {
-			t.Errorf("event %d: done regressed %d -> %d", i, events[i-1].Done, p.Done)
-		}
-		if p.CacheHits > p.Done {
-			t.Errorf("event %d: cache hits %d exceed done %d", i, p.CacheHits, p.Done)
-		}
-	}
-	if last := events[len(events)-1]; last.Done != last.Total {
-		t.Errorf("final event %d/%d, want complete", last.Done, last.Total)
+	for _, tc := range []struct {
+		name   string
+		task   *Task
+		stages []string
+	}{
+		{"frontier", NewFrontier(tinySpec(), frontier.Request{Budgets: budgets}), []string{"frontier"}},
+		{"codesign", NewCoDesign(cspec), []string{"codesign", "codesign-frontier"}},
+		{"cluster", NewCluster(clspec), []string{"cluster", "cluster-frontier"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := map[string]uint64{}
+			for _, st := range progressStages {
+				before[st] = telemetry.SweepPoints.With(st).Value()
+			}
+			var mu sync.Mutex
+			events := map[string][]core.Progress{}
+			ctx := core.WithProgress(context.Background(), func(p core.Progress) {
+				mu.Lock()
+				defer mu.Unlock()
+				events[p.Stage] = append(events[p.Stage], p)
+			})
+			if _, err := Run(ctx, testEngine(t), tc.task); err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for st := range events {
+				got = append(got, st)
+			}
+			sort.Strings(got)
+			want := append([]string(nil), tc.stages...)
+			sort.Strings(want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("stages %v, want %v", got, want)
+			}
+			final := map[string]int{}
+			for st, evs := range events {
+				for i, p := range evs {
+					if p.Total != evs[0].Total {
+						t.Errorf("%s event %d: total %d, want %d", st, i, p.Total, evs[0].Total)
+					}
+					if i > 0 && p.Done < evs[i-1].Done {
+						t.Errorf("%s event %d: done regressed %d -> %d", st, i, evs[i-1].Done, p.Done)
+					}
+					if p.CacheHits > p.Done {
+						t.Errorf("%s event %d: cache hits %d exceed done %d", st, i, p.CacheHits, p.Done)
+					}
+				}
+				last := evs[len(evs)-1]
+				if last.Done != last.Total || last.Total == 0 {
+					t.Errorf("%s final event %d/%d, want complete", st, last.Done, last.Total)
+				}
+				final[st] = last.Done
+			}
+			for _, st := range progressStages {
+				if delta := telemetry.SweepPoints.With(st).Value() - before[st]; delta != uint64(final[st]) {
+					t.Errorf("libra_sweep_points_total{stage=%q} moved %d, want %d", st, delta, final[st])
+				}
+			}
+		})
 	}
 }
 

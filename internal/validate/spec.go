@@ -11,7 +11,6 @@ import (
 	"libra/internal/sim"
 	"libra/internal/timemodel"
 	"libra/internal/topology"
-	"libra/internal/workload"
 )
 
 // Defaults of the conformance matrix. The default axes are deliberately
@@ -40,8 +39,6 @@ const (
 	// simulates; larger systems are reported as skipped. Scheduling is
 	// O(transfers²) and transfer counts grow with NPUs × chunks.
 	DefaultNPULevelMaxNPUs = 128
-	// MaxScenarios bounds one validation run, like core.MaxPoints.
-	MaxScenarios = 4096
 )
 
 // DefaultTopologies returns the default topology axis: the three Table III
@@ -182,10 +179,15 @@ func (s *Spec) resolve() (*resolved, error) {
 		r.collectives = append(r.collectives, op)
 	}
 	r.collectives = dedupeOps(r.collectives)
+	// The work bound is checked before any topology is parsed.
+	n := len(r.topologies) * (len(r.collectives)*2 + len(r.workloads)*len(r.loops))
+	if n > core.MaxPoints {
+		return nil, bad("%d scenarios exceed the %d-scenario limit", n, core.MaxPoints)
+	}
 	// Every topology must at least resolve; per-scenario failures beyond
 	// that (workload instantiation, strategy mapping) are data, not errors.
 	for _, t := range r.topologies {
-		if _, err := resolveTopology(t); err != nil {
+		if _, err := (&core.ProblemSpec{Topology: t}).Network(); err != nil {
 			return nil, fmt.Errorf("%w: %w", core.ErrBadSpec, err)
 		}
 	}
@@ -225,30 +227,7 @@ func (s *Spec) resolve() (*resolved, error) {
 	if !(r.tolerance > 0) {
 		return nil, bad("tolerance must be positive, got %v", s.Tolerance)
 	}
-	n := len(r.topologies) * (len(r.collectives)*2 + len(r.workloads)*len(r.loops))
-	if n > MaxScenarios {
-		return nil, bad("%d scenarios exceed the %d-scenario limit", n, MaxScenarios)
-	}
 	return r, nil
-}
-
-// resolveTopology reads a preset name or block notation.
-func resolveTopology(name string) (*topology.Network, error) {
-	net, err := topology.Preset(name)
-	if err == nil {
-		return net, nil
-	}
-	net, perr := topology.Parse(name)
-	if perr != nil {
-		return nil, fmt.Errorf("validate: topology %q is neither a preset nor block notation: %w", name, perr)
-	}
-	return net, nil
-}
-
-// buildWorkload instantiates a Table II preset on the topology's NPU
-// count.
-func buildWorkload(name string, npus int) (*workload.Workload, error) {
-	return workload.Preset(name, npus)
 }
 
 // ---- Canonicalization and fingerprinting ----

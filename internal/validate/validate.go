@@ -197,7 +197,7 @@ func (r *resolved) enumerate() []job {
 	collectiveKey := budgetKey + "|m=" + formatFloat(r.bytes)
 
 	for _, topoName := range r.topologies {
-		net, err := resolveTopology(topoName)
+		net, err := (&core.ProblemSpec{Topology: topoName}).Network()
 		if err != nil {
 			continue // resolve() already vetted every topology
 		}
@@ -237,7 +237,7 @@ func (r *resolved) enumerate() []job {
 
 		// Training-iteration scenarios.
 		for _, wlName := range r.workloads {
-			wl, wlErr := buildWorkload(wlName, npus)
+			wl, wlErr := workload.Preset(wlName, npus)
 			for _, loop := range r.loops {
 				sc := Scenario{
 					ID:       fmt.Sprintf("%s/%s/%s/%s", KindIteration, topoName, wlName, loop.Key()),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -339,6 +340,46 @@ func TestSpecErrors(t *testing.T) {
 	}
 	if _, err := Compute(context.Background(), nil, &Spec{}); err == nil {
 		t.Error("nil runner should fail")
+	}
+}
+
+// A run is bounded by core.MaxPoints scenarios: exactly at the bound
+// resolves, one over is a bad_spec error naming the bound, and the bound
+// is checked before any topology is parsed. Workload names are not
+// vetted at resolve time, so distinct names size the matrix cheaply:
+// one topology × (2 × 4 collectives + workloads × loops) scenarios.
+func TestScenarioBound(t *testing.T) {
+	workloads := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("w%d", i)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		spec *Spec
+		fail bool
+	}{
+		{"at the bound", &Spec{Topologies: []string{"3D-Torus"}, Workloads: workloads(2044)}, false},
+		{"one over", &Spec{Topologies: []string{"3D-Torus"}, Workloads: workloads(4089), Loops: []string{"no-overlap"}}, true},
+		{"one over, bad topology", &Spec{Topologies: []string{"definitely-not-a-topology"}, Workloads: workloads(4089), Loops: []string{"no-overlap"}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := tc.spec.resolve()
+			if !tc.fail {
+				if err != nil {
+					t.Fatalf("resolve: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, core.ErrBadSpec) {
+				t.Fatalf("want ErrBadSpec, got %v", err)
+			}
+			if want := "4097 scenarios exceed the 4096-scenario limit"; !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
+		})
 	}
 }
 

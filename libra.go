@@ -284,7 +284,7 @@ type EngineResult = core.EngineResult
 // EngineStats reports cache effectiveness and current load.
 type EngineStats = core.EngineStats
 
-// BatchResult is one entry of a batch operation.
+// BatchResult is the outcome of one sweep cell.
 type BatchResult = core.BatchResult
 
 // SweepRequest and SweepPoint drive Engine.Sweep — topology × budget ×
@@ -575,8 +575,9 @@ type ClusterMetrics = cluster.Metrics
 type ClusterPolicySummary = cluster.PolicySummary
 
 // ClusterSolver solves the derived per-job specs of a cluster study;
-// *Engine satisfies it.
-type ClusterSolver = cluster.Solver
+// *Engine satisfies it. It is FrontierSolver, since the study's budget
+// axis and partition grid run as frontier sweeps.
+type ClusterSolver = frontier.Solver
 
 // Cluster allocation policies.
 const (
