@@ -255,7 +255,7 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := s.Optimize(ctx, r.jobs[i].spec)
+			res, err := frontier.Optimize(ctx, s, r.jobs[i].spec)
 			out := &rep.Jobs[i]
 			if err != nil {
 				out.Err, out.Error = err, err.Error()
@@ -274,7 +274,7 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			groupRes, groupErr = s.Optimize(ctx, r.group)
+			groupRes, groupErr = frontier.Optimize(ctx, s, r.group)
 			tracker.Tick(groupErr == nil && groupRes.Cached)
 		}()
 	}

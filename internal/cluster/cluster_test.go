@@ -447,11 +447,25 @@ type errSolver struct {
 	fail  string
 }
 
-func (s *errSolver) Optimize(ctx context.Context, spec *core.ProblemSpec) (core.EngineResult, error) {
-	if tr := spec.Workloads[0].Transformer; tr != nil && tr.Name == s.fail {
-		return core.EngineResult{}, errors.New("solver down for " + s.fail)
+func (s *errSolver) Column(spec *core.ProblemSpec) (core.Column, error) {
+	c, err := s.inner.Column(spec)
+	if err != nil {
+		return nil, err
 	}
-	return s.inner.Optimize(ctx, spec)
+	if tr := spec.Workloads[0].Transformer; tr != nil && tr.Name == s.fail {
+		return failColumn{c, errors.New("solver down for " + s.fail)}, nil
+	}
+	return c, nil
+}
+
+// failColumn fails every point of an otherwise real column.
+type failColumn struct {
+	core.Column
+	err error
+}
+
+func (c failColumn) Optimize(ctx context.Context, budget float64, warm []float64) (core.EngineResult, error) {
+	return core.EngineResult{}, c.err
 }
 
 func TestComputePerJobErrorsInPlace(t *testing.T) {

@@ -32,11 +32,13 @@ import (
 	"libra/internal/workload"
 )
 
-// Solver answers the derived per-candidate specs; *core.Engine satisfies
+// Solver answers the derived per-candidate specs — each candidate is a
+// column of one point, and the budget axis a frontier column per
+// candidate — and prices their EqualBW baselines; *core.Engine satisfies
 // it. Implementations must be safe for concurrent use — Compute issues
 // every candidate at once and bounds nothing itself.
 type Solver interface {
-	Optimize(ctx context.Context, spec *core.ProblemSpec) (core.EngineResult, error)
+	frontier.Solver
 	Evaluate(ctx context.Context, spec *core.ProblemSpec, bw topology.BWConfig) (core.EngineResult, error)
 }
 
@@ -204,7 +206,7 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 		wg.Add(1)
 		go func(i int, out *Candidate, cspec *core.ProblemSpec) {
 			defer wg.Done()
-			r, err := s.Optimize(ctx, cspec)
+			r, err := frontier.Optimize(ctx, s, cspec)
 			if err != nil {
 				out.Err, out.Error = err, err.Error()
 				tracker.Tick(false)

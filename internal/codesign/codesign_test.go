@@ -234,16 +234,30 @@ func (f *fakeSolver) time(spec *core.ProblemSpec) (float64, int, error) {
 	return 1 + d*d, tr.TP, nil
 }
 
-func (f *fakeSolver) Optimize(ctx context.Context, spec *core.ProblemSpec) (core.EngineResult, error) {
-	f.mu.Lock()
-	f.calls++
-	f.mu.Unlock()
-	tm, tp, err := f.time(spec)
+func (f *fakeSolver) Column(spec *core.ProblemSpec) (core.Column, error) {
+	return fakeColumn{f, spec}, nil
+}
+
+// fakeColumn answers every budget of a candidate's column alike.
+type fakeColumn struct {
+	f    *fakeSolver
+	spec *core.ProblemSpec
+}
+
+func (c fakeColumn) Optimize(ctx context.Context, budget float64, warm []float64) (core.EngineResult, error) {
+	c.f.mu.Lock()
+	c.f.calls++
+	c.f.mu.Unlock()
+	tm, tp, err := c.f.time(c.spec)
 	if err != nil {
 		return core.EngineResult{}, err
 	}
 	return core.EngineResult{Result: core.Result{WeightedTime: tm, Cost: float64(tp)},
 		Fingerprint: fmt.Sprintf("fake-tp%d", tp)}, nil
+}
+
+func (c fakeColumn) Evaluator() (*core.Evaluator, error) {
+	return nil, fmt.Errorf("fake: no evaluator")
 }
 
 func (f *fakeSolver) Evaluate(ctx context.Context, spec *core.ProblemSpec, bw topology.BWConfig) (core.EngineResult, error) {

@@ -184,13 +184,8 @@ func (p *Problem) validate() error {
 	if err := p.Cost.Validate(); err != nil {
 		return err
 	}
-	if !p.SkipBudget && !(p.BWBudget > 0) {
-		return fmt.Errorf("core: bandwidth budget must be positive, got %v", p.BWBudget)
-	}
-	minBW := p.minDimBW()
-	if !p.SkipBudget && minBW*float64(p.Net.NumDims()) > p.BWBudget {
-		return fmt.Errorf("core: budget %v GB/s cannot cover %d dims at the %v GB/s floor",
-			p.BWBudget, p.Net.NumDims(), minBW)
+	if err := p.checkBudget(p.BWBudget); err != nil {
+		return err
 	}
 	for _, c := range p.Constraints {
 		if err := c.Validate(p.Net.NumDims()); err != nil {
@@ -207,6 +202,23 @@ func (p *Problem) validate() error {
 		if err := t.Workload.Validate(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkBudget is the one budget check: Build applies it at the spec's
+// budget, and every per-budget solve (a column point, SolveBudget) at the
+// point's budget. A SkipBudget problem has no ΣB row and accepts any.
+func (p *Problem) checkBudget(budget float64) error {
+	if p.SkipBudget {
+		return nil
+	}
+	if !(budget > 0) {
+		return fmt.Errorf("core: bandwidth budget must be positive, got %v", budget)
+	}
+	if minBW := p.minDimBW(); minBW*float64(p.Net.NumDims()) > budget {
+		return fmt.Errorf("core: budget %v GB/s cannot cover %d dims at the %v GB/s floor",
+			budget, p.Net.NumDims(), minBW)
 	}
 	return nil
 }
@@ -324,13 +336,19 @@ func (p *Problem) EvaluateContext(ctx context.Context, bw topology.BWConfig) (Re
 	return p.Evaluate(bw)
 }
 
+// EqualBW prices the workload-agnostic baseline at budget: the budget
+// split evenly across the network's dimensions.
+func (e *Evaluator) EqualBW(budget float64) (Result, error) {
+	return e.Evaluate(topology.EqualBW(budget, e.p.Net.NumDims()))
+}
+
 // EqualBW evaluates the workload-agnostic baseline: BWBudget split evenly.
 func (p *Problem) EqualBW() (Result, error) {
 	e, err := p.NewEvaluator()
 	if err != nil {
 		return Result{}, err
 	}
-	return e.Evaluate(topology.EqualBW(p.BWBudget, p.Net.NumDims()))
+	return e.EqualBW(p.BWBudget)
 }
 
 // buildConstraints assembles the solver constraint set from the budget
@@ -384,12 +402,15 @@ func (p *Problem) OptimizeContext(ctx context.Context) (Result, error) {
 // sweeps flip the objective between solves of one problem); everything
 // else — network, targets, compute/cost models, mapping policy,
 // constraint specs — is captured at construction, so mutating those
-// fields requires a new Optimizer. Not safe for concurrent use.
+// fields requires a new Optimizer. Solves may run concurrently on one
+// Optimizer (an engine column's abandoned flight and its next point do):
+// a solve only reads the problem and the compiled closures, and builds
+// its own constraint set and solver state. Mutating the Problem while
+// any solve runs is a data race.
 type Optimizer struct {
 	p    *Problem
 	eval *Evaluator
 	fns  []func(topology.BWConfig) float64
-	wsum float64
 }
 
 // NewOptimizer validates the problem and prepares the per-point solve
@@ -399,15 +420,18 @@ func (p *Problem) NewOptimizer() (*Optimizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	fns, err := p.timeFuncs(p.OptPolicy)
+	return eval.optimizer()
+}
+
+// optimizer compiles the optimizer-policy time closures on top of a
+// prepared evaluator, so a caller that already holds one (an engine
+// column) prepares the Actual-policy mappings once.
+func (e *Evaluator) optimizer() (*Optimizer, error) {
+	fns, err := e.p.timeFuncs(e.p.OptPolicy)
 	if err != nil {
 		return nil, err
 	}
-	var wsum float64
-	for i := range p.Targets {
-		wsum += p.weight(i)
-	}
-	return &Optimizer{p: p, eval: eval, fns: fns, wsum: wsum}, nil
+	return &Optimizer{p: e.p, eval: e, fns: fns}, nil
 }
 
 // Evaluator exposes the hoisted Actual-policy evaluator, so sweeps can
@@ -428,14 +452,8 @@ func (o *Optimizer) SolveBudget(ctx context.Context, budget float64, warm []floa
 // is solved again cold, so an unusable warm vector never sinks a point.
 func (o *Optimizer) solve(ctx context.Context, budget float64, solverOpts opt.Options) (Result, error) {
 	p := o.p
-	if !p.SkipBudget {
-		if !(budget > 0) {
-			return Result{}, fmt.Errorf("core: bandwidth budget must be positive, got %v", budget)
-		}
-		if minBW := p.minDimBW(); minBW*float64(p.Net.NumDims()) > budget {
-			return Result{}, fmt.Errorf("core: budget %v GB/s cannot cover %d dims at the %v GB/s floor",
-				budget, p.Net.NumDims(), minBW)
-		}
+	if err := p.checkBudget(budget); err != nil {
+		return Result{}, err
 	}
 	cons, err := p.buildConstraintsAt(budget)
 	if err != nil {
@@ -462,7 +480,7 @@ func (o *Optimizer) solve(ctx context.Context, budget float64, solverOpts opt.Op
 func (o *Optimizer) objective() (f func([]float64) float64, convex bool) {
 	p := o.p
 	costRates := o.eval.rates
-	fns, wsum := o.fns, o.wsum
+	fns, wsum := o.fns, o.eval.wsum
 	weightedTime := func(x []float64) float64 {
 		bw := topology.BWConfig(x)
 		total := 0.0

@@ -173,38 +173,31 @@ func (e *Engine) Ready() error {
 	return nil
 }
 
-// prepare builds and fingerprints the spec once per request — the built
-// Problem is handed to the solve closure, so a cache miss does not pay a
-// second construction. Failures here are the caller's fault (ErrBadSpec).
-func (e *Engine) prepare(spec *ProblemSpec) (*Problem, string, error) {
-	p, err := spec.Build()
-	if err != nil {
-		return nil, "", fmt.Errorf("%w: %w", ErrBadSpec, err)
-	}
-	fp, err := p.Fingerprint()
-	if err != nil {
-		return nil, "", fmt.Errorf("%w: %w", ErrBadSpec, err)
-	}
-	return p, fp, nil
-}
-
 // Optimize solves the spec (or returns the memoized result), honoring ctx
-// for cancellation while waiting and while solving.
+// for cancellation while waiting and while solving: a column of one
+// point at the spec's budget, warm-started from spec.Solver.WarmStart
+// when set.
 func (e *Engine) Optimize(ctx context.Context, spec *ProblemSpec) (EngineResult, error) {
-	p, fp, err := e.prepare(spec)
+	c, err := e.Column(spec)
 	if err != nil {
 		return EngineResult{}, err
 	}
-	return e.doResult(ctx, "optimize|"+fp, fp, func(ctx context.Context) (Result, error) {
-		return p.OptimizeContext(ctx)
-	})
+	var warm []float64
+	if spec.Solver != nil {
+		warm = spec.Solver.WarmStart
+	}
+	return c.Optimize(ctx, spec.BudgetGBps, warm)
 }
 
 // Evaluate prices an explicit bandwidth configuration for the spec.
 func (e *Engine) Evaluate(ctx context.Context, spec *ProblemSpec, bw topology.BWConfig) (EngineResult, error) {
-	p, fp, err := e.prepare(spec)
+	p, err := spec.Build()
 	if err != nil {
-		return EngineResult{}, err
+		return EngineResult{}, fmt.Errorf("%w: %w", ErrBadSpec, err)
+	}
+	fp, err := p.Fingerprint()
+	if err != nil {
+		return EngineResult{}, fmt.Errorf("%w: %w", ErrBadSpec, err)
 	}
 	if err := bw.Validate(p.Net); err != nil {
 		return EngineResult{}, fmt.Errorf("%w: %w", ErrBadSpec, err)

@@ -614,6 +614,10 @@ func isPresetWorkload(name string) bool {
 	return false
 }
 
+// defaultCost is the Table I default Spec compares against; never
+// mutated.
+var defaultCost = cost.Default()
+
 // Spec reconstructs the declarative description of the problem. It fails
 // when the problem is not serializable: a hand-assembled target workload
 // that is neither a Table II preset nor carries transformer provenance.
@@ -650,7 +654,7 @@ func (p *Problem) Spec() (*ProblemSpec, error) {
 			MemoryBWGBps:    p.Compute.MemoryBWGBps,
 		}
 	}
-	if !reflect.DeepEqual(p.Cost, cost.Default()) {
+	if !p.Cost.Equal(defaultCost) {
 		cs := &CostSpec{Name: p.Cost.Name, Tiers: map[string]CostComponentSpec{}}
 		for tier, comp := range p.Cost.Tiers {
 			cs.Tiers[tier.String()] = CostComponentSpec{

@@ -59,6 +59,21 @@ func Default() Table {
 	}
 }
 
+// Equal reports whether two tables have the same name and the same rates
+// for the same tiers. It allocates nothing, unlike reflect.DeepEqual over
+// the tier map, which matters on the fingerprint path.
+func (t Table) Equal(u Table) bool {
+	if t.Name != u.Name || len(t.Tiers) != len(u.Tiers) {
+		return false
+	}
+	for tier, c := range t.Tiers {
+		if d, ok := u.Tiers[tier]; !ok || c != d {
+			return false
+		}
+	}
+	return true
+}
+
 // WithPackageLink returns a copy of the table with the inter-Package link
 // price replaced — the knob swept in the Fig. 18 sensitivity study.
 func (t Table) WithPackageLink(dollarsPerGBps float64) Table {

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"libra/internal/topology"
@@ -145,6 +146,37 @@ func TestWithPackageLink(t *testing.T) {
 	}
 	if base.Tiers[topology.Package].LinkPerGBps != 4.0 {
 		t.Errorf("WithPackageLink mutated the original")
+	}
+}
+
+// Equal must agree with reflect.DeepEqual against the default table, the
+// comparison Spec makes.
+func TestTableEqual(t *testing.T) {
+	drop := Default()
+	delete(drop.Tiers, topology.Pod)
+	extra := Default()
+	extra.Tiers[topology.Tier(99)] = Component{}
+	renamed := Default()
+	renamed.Name = "other"
+	nan := Default()
+	nan.Tiers[topology.Chiplet] = Component{LinkPerGBps: math.NaN()}
+	cases := []struct {
+		name string
+		tab  Table
+	}{
+		{"default", Default()},
+		{"package link", Default().WithPackageLink(4.0)},
+		{"other rate", Default().WithPackageLink(5.0)},
+		{"missing tier", drop},
+		{"extra tier", extra},
+		{"renamed", renamed},
+		{"NaN rate", nan},
+		{"zero", Table{}},
+	}
+	for _, tc := range cases {
+		if got, want := tc.tab.Equal(Default()), reflect.DeepEqual(tc.tab, Default()); got != want {
+			t.Errorf("%s: Equal = %v, reflect.DeepEqual = %v", tc.name, got, want)
+		}
 	}
 }
 

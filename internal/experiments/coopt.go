@@ -103,7 +103,7 @@ func Fig18CostSensitivity(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		eq, err := o.Evaluator().Evaluate(topology.EqualBW(1000, net.NumDims()))
+		eq, err := o.Evaluator().EqualBW(1000)
 		if err != nil {
 			return nil, err
 		}

@@ -37,11 +37,10 @@ func designSweep(ctx context.Context, net *topology.Network, w *workload.Workloa
 	if err != nil {
 		return err
 	}
-	ndims := net.NumDims()
 	var perfPrev, ppcPrev core.Result
 	var prevBudget float64
 	for _, budget := range budgets {
-		eq, err := o.Evaluator().Evaluate(topology.EqualBW(budget, ndims))
+		eq, err := o.Evaluator().EqualBW(budget)
 		if err != nil {
 			return err
 		}

@@ -5,14 +5,15 @@
 // cap) sweeps?
 //
 // A frontier is a batch of optimizations derived from one base
-// ProblemSpec. Each point clones the spec, sets the swept budget/cap, and
-// solves it through a Solver (typically *core.Engine, which bounds
-// concurrency, deduplicates identical points via the spec fingerprint
-// cache, and single-flights concurrent duplicates). The workload-agnostic
-// EqualBW baseline curve is priced separately through one prepared
-// core.Evaluator — the evaluator depends only on the network, workloads,
-// and models, never on the budget, so a single preparation serves every
-// point of the sweep.
+// ProblemSpec. Each cap value is one column: the Solver (typically
+// *core.Engine, which bounds concurrency, deduplicates identical points
+// via the spec fingerprint cache, and single-flights concurrent
+// duplicates) builds the base spec with that cap once, and every budget
+// of the column is a point solved on that one built problem. The
+// workload-agnostic EqualBW baseline curve is priced separately through
+// the first column's core.Evaluator — the evaluator depends only on the
+// network, workloads, and models, never on the budget or a cap, so a
+// single preparation serves every point of the sweep.
 package frontier
 
 import (
@@ -23,14 +24,30 @@ import (
 	"time"
 
 	"libra/internal/core"
-	"libra/internal/topology"
 )
 
-// Solver solves one derived spec; *core.Engine satisfies it. Implementors
-// must be safe for concurrent use — Compute runs one chain per cap column
-// concurrently.
+// Solver opens a column on a spec: the spec built once, then solved at
+// every budget of a frontier column (core.Column). *core.Engine
+// satisfies it. Implementors must be safe for concurrent use — Compute
+// runs one chain per cap column concurrently.
 type Solver interface {
-	Optimize(ctx context.Context, spec *core.ProblemSpec) (core.EngineResult, error)
+	Column(spec *core.ProblemSpec) (core.Column, error)
+}
+
+// Optimize solves one spec as a column of one point at its own budget,
+// warm-started from spec.Solver.WarmStart when set — the single-spec
+// solve of the studies that compose frontiers (cluster's own and group
+// designs, codesign's candidates). On an engine it is Engine.Optimize.
+func Optimize(ctx context.Context, s Solver, spec *core.ProblemSpec) (core.EngineResult, error) {
+	c, err := s.Column(spec)
+	if err != nil {
+		return core.EngineResult{}, err
+	}
+	var warm []float64
+	if spec.Solver != nil {
+		warm = spec.Solver.WarmStart
+	}
+	return c.Optimize(ctx, spec.BudgetGBps, warm)
 }
 
 // Request describes the sweep axes of a frontier computation. Budgets may
@@ -159,31 +176,45 @@ func Compute(ctx context.Context, s Solver, base *core.ProblemSpec, req Request)
 		return nil, fmt.Errorf("%w: %d frontier points exceed the %d-point limit", core.ErrBadSpec, n, core.MaxPoints)
 	}
 
-	// Build the base problem once: it validates the spec up front. The
-	// largest budget is used so a single infeasibly-small grid point
-	// fails per-point below instead of sinking the whole frontier.
+	if d := req.CapDim; d > 0 {
+		net, nerr := base.Network()
+		if nerr != nil {
+			return nil, fmt.Errorf("%w: %w", core.ErrBadSpec, nerr)
+		}
+		if d > net.NumDims() {
+			return nil, fmt.Errorf("%w: cap_dim %d out of range 1..%d", core.ErrBadSpec, d, net.NumDims())
+		}
+	}
+	// Open one column per cap value; opening builds and validates the
+	// spec. Columns open at the largest budget so a single
+	// infeasibly-small grid point fails per-point below instead of
+	// sinking the whole frontier. The spec copies are shallow: only the
+	// budget and the constraint list (copied on append) differ.
 	maxBudget := budgets[0]
 	for _, b := range budgets {
 		if b > maxBudget {
 			maxBudget = b
 		}
 	}
-	baseSpec := base.Clone()
-	baseSpec.BudgetGBps = maxBudget
-	baseProblem, err := baseSpec.Build()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", core.ErrBadSpec, err)
-	}
-	if d := req.CapDim; d > 0 && d > baseProblem.Net.NumDims() {
-		return nil, fmt.Errorf("%w: cap_dim %d out of range 1..%d", core.ErrBadSpec, d, baseProblem.Net.NumDims())
+	cols := make([]core.Column, len(caps))
+	for ci, c := range caps {
+		spec := *base
+		spec.BudgetGBps = maxBudget
+		if req.CapDim > 0 {
+			spec.Constraints = append(base.Constraints[:len(base.Constraints):len(base.Constraints)], core.DimCap(req.CapDim, c))
+		}
+		if cols[ci], err = s.Column(&spec); err != nil {
+			return nil, err
+		}
 	}
 	// The one Evaluator shared by every baseline point (its preparation
-	// is budget-independent). Prepared only when the curve is wanted —
-	// SkipEqualBW callers like codesign's budget sweeps would otherwise
-	// pay a full per-target mapping preparation as pure setup overhead.
+	// is budget- and cap-independent). Prepared only when the curve is
+	// wanted — SkipEqualBW callers like codesign's budget sweeps would
+	// otherwise pay a full per-target mapping preparation as pure setup
+	// overhead.
 	var eval *core.Evaluator
 	if !req.SkipEqualBW {
-		if eval, err = baseProblem.NewEvaluator(); err != nil {
+		if eval, err = cols[0].Evaluator(); err != nil {
 			return nil, fmt.Errorf("%w: %w", core.ErrBadSpec, err)
 		}
 	}
@@ -207,25 +238,10 @@ func Compute(ctx context.Context, s Solver, base *core.ProblemSpec, req Request)
 	}
 	sort.SliceStable(order, func(a, b int) bool { return budgets[order[a]] < budgets[order[b]] })
 
-	// solveOne derives the point's spec from the base and solves it. Warm
-	// state is attached after cloning — Clone round-trips JSON and warm
-	// fields are runtime-only (json:"-"), so it can never carry them. A
-	// warm vector the solver cannot use is solved again cold inside core.
-	solveOne := func(pt *Point, warm []float64) {
-		spec := base.Clone()
-		spec.BudgetGBps = pt.BudgetGBps
-		if req.CapDim > 0 {
-			spec.Constraints = append(spec.Constraints, core.DimCap(req.CapDim, pt.CapGBps))
-		}
-		if warm != nil {
-			sol := &core.SolverSpec{}
-			if spec.Solver != nil {
-				*sol = *spec.Solver
-			}
-			sol.WarmStart = warm
-			spec.Solver = sol
-		}
-		r, err := s.Optimize(ctx, spec)
+	// solveOne solves the point on its column. A warm vector the solver
+	// cannot use is solved again cold inside core.
+	solveOne := func(col core.Column, pt *Point, warm []float64) {
+		r, err := col.Optimize(ctx, pt.BudgetGBps, warm)
 		if err != nil {
 			pt.Err, pt.Error = err, err.Error()
 			tracker.Tick(false)
@@ -249,7 +265,7 @@ func Compute(ctx context.Context, s Solver, base *core.ProblemSpec, req Request)
 				if !req.NoWarmStart && prev != nil {
 					warm = core.ScaleWarmStart(prev.Result.BW, prev.BudgetGBps, pt.BudgetGBps)
 				}
-				solveOne(pt, warm)
+				solveOne(cols[ci], pt, warm)
 				if pt.Err == nil {
 					prev = pt // a failed point keeps the last good neighbor as the seed
 				}
@@ -272,10 +288,9 @@ func Compute(ctx context.Context, s Solver, base *core.ProblemSpec, req Request)
 	}
 
 	if !req.SkipEqualBW {
-		ndims := baseProblem.Net.NumDims()
 		for _, b := range budgets {
 			pt := Point{BudgetGBps: b}
-			r, err := eval.Evaluate(topology.EqualBW(b, ndims))
+			r, err := eval.EqualBW(b)
 			if err != nil {
 				pt.Err, pt.Error = err, err.Error()
 			} else {

@@ -226,13 +226,34 @@ func TestMarkPareto(t *testing.T) {
 	}
 }
 
+// fakeColumn answers every point through point and prices baselines with
+// a real evaluator of its spec.
+type fakeColumn struct {
+	spec  *core.ProblemSpec
+	point func(budget float64, warm []float64) core.EngineResult
+}
+
+func (c fakeColumn) Optimize(ctx context.Context, budget float64, warm []float64) (core.EngineResult, error) {
+	return c.point(budget, warm), nil
+}
+
+func (c fakeColumn) Evaluator() (*core.Evaluator, error) {
+	p, err := c.spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	return p.NewEvaluator()
+}
+
 // fakeSolver counts calls; used to confirm concurrency plumbing without a
 // real solve.
 type fakeSolver struct{ calls atomic.Int64 }
 
-func (f *fakeSolver) Optimize(ctx context.Context, spec *core.ProblemSpec) (core.EngineResult, error) {
-	f.calls.Add(1)
-	return core.EngineResult{Result: core.Result{Cost: spec.BudgetGBps, WeightedTime: 1 / spec.BudgetGBps}}, nil
+func (f *fakeSolver) Column(spec *core.ProblemSpec) (core.Column, error) {
+	return fakeColumn{spec, func(budget float64, _ []float64) core.EngineResult {
+		f.calls.Add(1)
+		return core.EngineResult{Result: core.Result{Cost: budget, WeightedTime: 1 / budget}}
+	}}, nil
 }
 
 func TestComputeUsesSolverPerPoint(t *testing.T) {
@@ -283,25 +304,23 @@ func TestComputeWarmMatchesColdSweep(t *testing.T) {
 	}
 }
 
-// warmSpySolver records which specs carried a warm start and returns a
+// warmSpySolver records which points carried a warm start and returns a
 // fixed BW vector so the chain has something to scale.
 type warmSpySolver struct {
 	mu     sync.Mutex
 	warmed map[float64][]float64 // budget -> warm vector (nil when cold)
 }
 
-func (s *warmSpySolver) Optimize(ctx context.Context, spec *core.ProblemSpec) (core.EngineResult, error) {
-	s.mu.Lock()
-	var warm []float64
-	if spec.Solver != nil {
-		warm = spec.Solver.WarmStart
-	}
-	s.warmed[spec.BudgetGBps] = warm
-	s.mu.Unlock()
-	return core.EngineResult{Result: core.Result{
-		BW:           []float64{spec.BudgetGBps / 2, spec.BudgetGBps / 2},
-		Cost:         spec.BudgetGBps,
-		WeightedTime: 1 / spec.BudgetGBps,
+func (s *warmSpySolver) Column(spec *core.ProblemSpec) (core.Column, error) {
+	return fakeColumn{spec, func(budget float64, warm []float64) core.EngineResult {
+		s.mu.Lock()
+		s.warmed[budget] = warm
+		s.mu.Unlock()
+		return core.EngineResult{Result: core.Result{
+			BW:           []float64{budget / 2, budget / 2},
+			Cost:         budget,
+			WeightedTime: 1 / budget,
+		}}
 	}}, nil
 }
 

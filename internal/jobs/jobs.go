@@ -18,6 +18,7 @@
 package jobs
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -155,6 +156,8 @@ type job struct {
 	stageIdx map[string]int
 
 	cancel context.CancelFunc
+	// expiry is the job's entry in Manager.expiry once it is terminal.
+	expiry *list.Element
 	// done is closed when the worker goroutine has fully unwound — the
 	// "no leaked workers" handle Wait and the tests block on.
 	done chan struct{}
@@ -167,9 +170,14 @@ type job struct {
 type Manager struct {
 	cfg Config
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	order     []string // submission order, oldest first
+	mu    sync.Mutex
+	jobs  map[string]*job
+	order []string // submission order, oldest first
+	// expiry queues the retained terminal jobs in the order they turned
+	// terminal, oldest first: with a monotonic clock that is finish-time
+	// order, so the TTL sweep pops from the head and stops at the first
+	// unexpired job.
+	expiry    *list.List
 	seq       int
 	closed    bool
 	submitted uint64
@@ -222,13 +230,8 @@ func (m *Manager) Ready() error {
 		return ErrClosed
 	}
 	m.sweepLocked(m.now())
-	if len(m.jobs) < m.cfg.Capacity {
-		return nil
-	}
-	for _, j := range m.jobs {
-		if j.status.Terminal() {
-			return nil // a submission can evict this one
-		}
+	if len(m.jobs) < m.cfg.Capacity || m.expiry.Len() > 0 {
+		return nil // room, or a terminal job a submission can evict
 	}
 	return fmt.Errorf("%w: %d jobs retained, none terminal", ErrFull, m.cfg.Capacity)
 }
@@ -249,7 +252,7 @@ func NewManager(cfg Config) *Manager {
 	if cfg.Engine == nil {
 		panic("jobs: Config.Engine is required")
 	}
-	return &Manager{cfg: cfg.withDefaults(), jobs: map[string]*job{}, now: time.Now}
+	return &Manager{cfg: cfg.withDefaults(), jobs: map[string]*job{}, expiry: list.New(), now: time.Now}
 }
 
 // Close cancels every live job and rejects future submissions. It does
@@ -411,6 +414,7 @@ func (m *Manager) finish(j *job, result any, err error, cancelled bool) {
 		j.result = result
 		j.appendEventLocked(Event{Type: EventStatus, Status: StatusDone})
 	}
+	j.expiry = m.expiry.PushBack(j)
 	setStatusGauges(prev, j.status)
 }
 
@@ -432,6 +436,7 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 		j.finished = m.now()
 		j.err = context.Canceled
 		j.appendEventLocked(Event{Type: EventStatus, Status: StatusCancelled, Error: "cancelled"})
+		j.expiry = m.expiry.PushBack(j)
 		cancel = j.cancel
 		setStatusGauges(prev, StatusCancelled)
 	}
@@ -587,22 +592,31 @@ func (j *job) snapshotLocked(withResult bool) *Job {
 	return snap
 }
 
-// sweepLocked evicts terminal jobs past their TTL. Callers hold m.mu.
+// sweepLocked evicts terminal jobs past their TTL. It touches only the
+// expired jobs at the head of the expiry queue, and compacts the
+// submission order only when one left. Callers hold m.mu.
 func (m *Manager) sweepLocked(now time.Time) {
+	removed := false
+	for el := m.expiry.Front(); el != nil; el = m.expiry.Front() {
+		j := el.Value.(*job)
+		if now.Sub(j.finished) < m.cfg.TTL {
+			break
+		}
+		m.expiry.Remove(el)
+		delete(m.jobs, j.id)
+		m.evictions++
+		telemetry.JobsEvicted.With("ttl").Inc()
+		setStatusGauges(j.status, "")
+		removed = true
+	}
+	if !removed {
+		return
+	}
 	keep := m.order[:0]
 	for _, id := range m.order {
-		j, ok := m.jobs[id]
-		if !ok {
-			continue
+		if _, ok := m.jobs[id]; ok {
+			keep = append(keep, id)
 		}
-		if j.status.Terminal() && now.Sub(j.finished) >= m.cfg.TTL {
-			delete(m.jobs, id)
-			m.evictions++
-			telemetry.JobsEvicted.With("ttl").Inc()
-			setStatusGauges(j.status, "")
-			continue
-		}
-		keep = append(keep, id)
 	}
 	m.order = keep
 }
@@ -617,6 +631,7 @@ func (m *Manager) evictOldestTerminalLocked() bool {
 		}
 		if j.status.Terminal() {
 			delete(m.jobs, id)
+			m.expiry.Remove(j.expiry)
 			m.order = append(m.order[:i], m.order[i+1:]...)
 			m.evictions++
 			telemetry.JobsEvicted.With("capacity").Inc()

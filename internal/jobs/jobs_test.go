@@ -274,6 +274,136 @@ func TestTTLEviction(t *testing.T) {
 	}
 }
 
+// fakeClock is a manager clock tests move by hand; workers read it
+// concurrently.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) set(t time.Time) {
+	c.mu.Lock()
+	c.t = t
+	c.mu.Unlock()
+}
+
+// slowTask runs until cancelled: a seconds-long perf-per-cost solve on a
+// 7D fabric with 36 weighted targets and an exact tolerance.
+func slowTask() *task.Task {
+	var ws []core.WorkloadSpec
+	for i := 0; i < 12; i++ {
+		for _, name := range []string{"GPT-3", "MSFT-1T", "Turing-NLG"} {
+			ws = append(ws, core.WorkloadSpec{Preset: name, Weight: 1 + float64(i)/12})
+		}
+	}
+	return task.NewOptimize(&core.ProblemSpec{
+		Topology:   "RI(2)_RI(2)_FC(8)_RI(2)_RI(2)_SW(4)_SW(8)",
+		Workloads:  ws,
+		BudgetGBps: 500,
+		Objective:  "perf-per-cost",
+		Solver:     &core.SolverSpec{Starts: 64, MaxIters: 5000, Tol: -1},
+	})
+}
+
+// Jobs that turn terminal out of submission order expire in finish
+// order, while capacity eviction still takes the oldest terminal job by
+// submission and the listing stays newest-first by submission.
+func TestTTLEvictionFinishOrder(t *testing.T) {
+	m, _ := testManager(t, Config{TTL: time.Minute, Capacity: 3})
+	t0 := time.Now()
+	clock := &fakeClock{t: t0}
+	m.now = clock.now
+	at := func(d time.Duration) { clock.set(t0.Add(d)) }
+	present := func(want map[string]bool) {
+		t.Helper()
+		for id, ok := range want {
+			if _, err := m.Get(id); (err == nil) != ok {
+				t.Errorf("job %s retained = %v, want %v (err %v)", id, err == nil, ok, err)
+			}
+		}
+	}
+
+	var ids []string
+	for i := 0; i < 3; i++ {
+		snap, err := m.Submit(context.Background(), slowTask())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, snap.ID)
+	}
+	a, b, c := ids[0], ids[1], ids[2]
+	// Finish order c, a, b: the reverse-ish of submission order.
+	for _, step := range []struct {
+		id string
+		d  time.Duration
+	}{{c, 0}, {a, 30 * time.Second}, {b, 50 * time.Second}} {
+		at(step.d)
+		if _, err := m.Cancel(step.id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// At capacity, a submission evicts a — the oldest by submission —
+	// not c, the first to finish.
+	at(55 * time.Second)
+	d, err := m.Submit(context.Background(), slowTask())
+	if err != nil {
+		t.Fatal(err)
+	}
+	present(map[string]bool{a: false, b: true, c: true, d.ID: true})
+
+	at(61 * time.Second) // c (finished at 0) expires; b (50 s) does not
+	present(map[string]bool{b: true, c: false, d.ID: true})
+	list := m.List(ListRequest{})
+	if list.Total != 2 || list.Jobs[0].ID != d.ID || list.Jobs[1].ID != b {
+		t.Errorf("listing after sweep = %+v, want [%s %s]", list.Jobs, d.ID, b)
+	}
+
+	at(111 * time.Second) // b expires; d is live and never does
+	present(map[string]bool{b: false, d.ID: true})
+	if st := m.Stats(); st.Depth != 1 || st.Evictions != 3 {
+		t.Errorf("stats = %+v, want depth 1 after 3 evictions", st)
+	}
+	if _, err := m.Cancel(d.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkManagerGet reads one job of a manager at its default capacity
+// of terminal jobs, none expired: the TTL sweep every Get runs must not
+// walk them.
+func BenchmarkManagerGet(b *testing.B) {
+	engine := core.NewEngine(core.EngineConfig{Workers: 2, CacheSize: 128})
+	defer engine.Close()
+	m := NewManager(Config{Engine: engine})
+	defer m.Close()
+	ctx := context.Background()
+	var last string
+	for i := 0; i < m.cfg.Capacity; i++ {
+		snap, err := m.Submit(ctx, task.NewOptimize(tinySpec()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Wait(ctx, snap.ID); err != nil {
+			b.Fatal(err)
+		}
+		last = snap.ID
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Get(last); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Capacity: at the bound, Submit evicts the oldest terminal job; with
 // only live jobs it fails with ErrFull.
 func TestCapacityEviction(t *testing.T) {

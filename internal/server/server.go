@@ -13,6 +13,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -21,6 +22,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"libra/internal/core"
@@ -306,13 +308,35 @@ func solveStatus(r *http.Request, err error) (int, string) {
 
 func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
 
+// respBufs pools the indent buffers of writeJSONStatus; a buffer grown
+// past maxPooledResp by an outsized response is left to the collector.
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledResp = 1 << 20
+
+// writeJSONStatus writes v as two-space-indented JSON with a trailing
+// newline — the bytes json.Encoder with SetIndent("", "  ") writes —
+// marshalled once and indented into a pooled buffer. A value that fails
+// to marshal leaves the body empty.
 func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	data, err := json.Marshal(v)
+	if err != nil {
 		slog.Error("response encode failed", "error", err)
+		return
+	}
+	buf := respBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err = json.Indent(buf, data, "", "  "); err == nil {
+		buf.WriteByte('\n')
+		_, err = w.Write(buf.Bytes())
+	}
+	if err != nil {
+		slog.Error("response encode failed", "error", err)
+	}
+	if buf.Cap() <= maxPooledResp {
+		respBufs.Put(buf)
 	}
 }
 

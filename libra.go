@@ -445,9 +445,16 @@ type FrontierPoint = frontier.Point
 // subset by ascending cost, and the EqualBW baseline curve.
 type FrontierResult = frontier.Result
 
-// FrontierSolver solves one derived spec of a frontier sweep; *Engine
-// satisfies it.
+// FrontierSolver opens a Column per cap value of a frontier sweep — the
+// base spec built once — and solves every budget of it on that column;
+// *Engine satisfies it.
 type FrontierSolver = frontier.Solver
+
+// Column is one built problem solved at many budgets (Engine.Column):
+// every point runs the budget checks Build applies, is fingerprinted as
+// the spec at that budget, and shares the Engine's cache, single-flight
+// and worker pool; a miss solves on the column's one prepared Optimizer.
+type Column = core.Column
 
 // Frontier sweeps budgets (and optional caps) against the base spec
 // through the solver — typically an Engine, whose fingerprint cache
@@ -574,9 +581,10 @@ type ClusterMetrics = cluster.Metrics
 // ClusterPolicySummary is one row of the policy comparison.
 type ClusterPolicySummary = cluster.PolicySummary
 
-// ClusterSolver solves the derived per-job specs of a cluster study;
-// *Engine satisfies it. It is FrontierSolver, since the study's budget
-// axis and partition grid run as frontier sweeps.
+// ClusterSolver solves the derived per-job specs of a cluster study,
+// each own and group design as a Column of one point; *Engine satisfies
+// it. It is FrontierSolver, since the study's budget axis and partition
+// grid run as frontier sweeps.
 type ClusterSolver = frontier.Solver
 
 // Cluster allocation policies.
