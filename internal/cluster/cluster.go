@@ -6,8 +6,8 @@
 // is how the fabric serves them.
 //
 // A study derives one single-job core.ProblemSpec per tenant plus a
-// weighted group spec, and solves them concurrently through a
-// frontier.Solver — typically *core.Engine, which bounds workers,
+// weighted group spec, and solves them concurrently, each on one column
+// of a frontier.Solver — typically *core.Engine, which bounds workers,
 // deduplicates identical solves via the spec fingerprint cache, and
 // honors context cancellation. Three allocation policies are compared:
 //
@@ -21,19 +21,17 @@
 //     optimal network priced for every tenant, plus the workload-
 //     agnostic EqualBW split.
 //
-// Cross-evaluations are priced locally through one hoisted
-// core.Evaluator per job (the evaluator depends only on the job and the
-// fabric, never on the design being priced), mirroring frontier's
-// shared-Evaluator baseline curve; only optimizations go through the
-// solver. Per-job and per-design failures are reported in place. The
-// partition share grid runs as one internal/frontier column per job,
-// and the optional Budgets axis composes with internal/frontier into a
-// cluster frontier for the group problem.
+// A job's column serves its own design, its partition share grid (a
+// frontier.Walk) and its cross-evaluations, priced locally through the
+// column's core.Evaluator (it depends only on the job and the fabric,
+// never on the design priced); only optimizations reach the solver.
+// Per-job and per-design failures are reported in place. The optional
+// Budgets axis composes with internal/frontier into a cluster frontier
+// for the group problem, the one spec a study opens twice.
 package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -240,22 +238,36 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 	if wantGroup {
 		solvePlan++
 	}
+	// One column per job. Opening builds the canonical spec resolve
+	// already built, so only a faulty solver fails here.
+	cols := make([]core.Column, nJobs)
+	for i, j := range r.jobs {
+		var err error
+		if cols[i], err = s.Column(j.spec); err != nil {
+			return nil, fmt.Errorf("cluster: job %s: %w", j.name, err)
+		}
+	}
 	tracker := core.NewProgressTracker(ctx, "cluster", solvePlan+nJobs*(1+nDesigns))
 
 	// Phase A: every optimization at once — own designs, the group
-	// design, and the partition share grid. The solver bounds
-	// parallelism and deduplicates identical specs.
+	// design, and each job's share grid as a warm walk of its column. The
+	// solver bounds parallelism and deduplicates identical specs.
+	// Canonical specs carry no warm start: own and group designs run cold.
 	var (
 		wg       sync.WaitGroup
 		groupRes core.EngineResult
 		groupErr error
 		part     = make([][]frontier.Point, nJobs)
 	)
-	for i := range r.jobs {
+	slices := make([]float64, shares)
+	for k := range slices {
+		slices[k] = r.budget * float64(k+1) / float64(r.steps)
+	}
+	for i := range cols {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := frontier.Optimize(ctx, s, r.jobs[i].spec)
+			res, err := cols[i].Optimize(ctx, r.budget, nil)
 			out := &rep.Jobs[i]
 			if err != nil {
 				out.Err, out.Error = err, err.Error()
@@ -274,37 +286,19 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			groupRes, groupErr = frontier.Optimize(ctx, s, r.group)
+			var col core.Column
+			if col, groupErr = s.Column(r.group); groupErr == nil {
+				groupRes, groupErr = col.Optimize(ctx, r.budget, nil)
+			}
 			tracker.Tick(groupErr == nil && groupRes.Cached)
 		}()
 	}
-	// Each job's share grid is one frontier column over ascending slice
-	// budgets — slice k warm-starts from slice k−1's optimum — while the
-	// per-job columns run concurrently. The column's progress lands on
-	// the cluster stage.
-	for job := 0; shares > 0 && job < nJobs; job++ {
+	for i := 0; shares > 0 && i < nJobs; i++ {
 		wg.Add(1)
-		go func(job int) {
+		go func(i int) {
 			defer wg.Done()
-			slices := make([]float64, shares)
-			for k := range slices {
-				slices[k] = r.budget * float64(k+1) / float64(r.steps)
-			}
-			fr, err := frontier.Compute(core.WithStage(ctx, tracker), s, r.jobs[job].spec,
-				frontier.Request{Budgets: slices, SkipEqualBW: true})
-			if err != nil {
-				// A job spec no slice can build fails every cell.
-				part[job] = make([]frontier.Point, shares)
-				for k := range part[job] {
-					part[job][k].Err = err
-				}
-				if !errors.Is(err, ctx.Err()) {
-					tracker.TickN(shares, 0) // failed before its first point
-				}
-				return
-			}
-			part[job] = fr.Points
-		}(job)
+			part[i] = frontier.Walk(ctx, cols[i], slices, false, tracker)
+		}(i)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -318,12 +312,10 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 	if wantGroup && groupErr == nil {
 		countHit(groupRes.Cached)
 	}
-	for _, column := range part {
-		for _, pt := range column {
-			if pt.Err == nil {
-				countHit(pt.Cached)
-			}
-		}
+	for _, points := range part {
+		solves, hits := frontier.Tally(points)
+		rep.Solves += solves
+		rep.CacheHits += hits
 	}
 
 	// Assemble the design list from the phase-A answers.
@@ -351,11 +343,11 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 		rep.Designs[di].TimesS = make([]float64, nJobs)
 	}
 
-	// Phase B: price EqualBW and every design for every job through one
-	// hoisted Evaluator per job — preparation is per-job, not per
-	// (job, design) pair, and the pricing never reaches the solver.
-	// Each job's goroutine owns its evaluator and its own index of every
-	// design's TimesS slice, so the writes are disjoint.
+	// Phase B: price EqualBW and every design for every job through its
+	// column's Evaluator — preparation is per-job, not per (job, design)
+	// pair, and the pricing never reaches the solver. Each job's
+	// goroutine owns its evaluator and its own index of every design's
+	// TimesS slice, so the writes are disjoint.
 	eqBW := topology.EqualBW(r.budget, r.net.NumDims())
 	designErr := make([]error, nDesigns*nJobs)
 	var evalWG sync.WaitGroup
@@ -363,22 +355,21 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 		evalWG.Add(1)
 		go func(i int) {
 			defer evalWG.Done()
-			ev, err := r.jobs[i].prob.NewEvaluator()
-			if err != nil {
-				// Build succeeded in resolve, so preparation failures are
-				// exotic (unpriceable mapping); fail the job's pricing.
-				if rep.Jobs[i].Err == nil {
-					rep.Jobs[i].Err, rep.Jobs[i].Error = err, err.Error()
-				}
+			// Build succeeded in resolve, so preparation failures are
+			// exotic (unpriceable mapping); they fail the job's pricing.
+			ev, err := cols[i].Evaluator()
+			var eq core.Result
+			if err == nil {
+				eq, err = ev.Evaluate(eqBW)
+			}
+			if err == nil {
+				rep.Jobs[i].EqualBWTimeS = eq.Times[0]
+			} else if rep.Jobs[i].Err == nil {
+				rep.Jobs[i].Err, rep.Jobs[i].Error = err, err.Error()
+			}
+			if ev == nil {
 				tracker.TickN(1+nDesigns, 0)
 				return
-			}
-			if res, err := ev.Evaluate(eqBW); err != nil {
-				if rep.Jobs[i].Err == nil {
-					rep.Jobs[i].Err, rep.Jobs[i].Error = err, err.Error()
-				}
-			} else {
-				rep.Jobs[i].EqualBWTimeS = res.Times[0]
 			}
 			tracker.Tick(false)
 			for di := range rep.Designs {

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"libra/internal/core"
@@ -468,6 +469,31 @@ func (c failColumn) Optimize(ctx context.Context, budget float64, warm []float64
 	return core.EngineResult{}, c.err
 }
 
+// columnCounter counts the columns a study opens on its inner solver.
+type columnCounter struct {
+	inner *core.Engine
+	n     atomic.Int64
+}
+
+func (c *columnCounter) Column(spec *core.ProblemSpec) (core.Column, error) {
+	c.n.Add(1)
+	return c.inner.Column(spec)
+}
+
+// Without a budget axis a study opens each problem once: one column per
+// job, which serves its own design, its partition shares and its
+// cross-pricing, plus the group's.
+func TestComputeOpensOneColumnPerSpec(t *testing.T) {
+	cc := &columnCounter{inner: newEngine(t)}
+	spec := tinySpec()
+	if _, err := Compute(context.Background(), cc, spec); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cc.n.Load(), int64(len(spec.Jobs)+1); got != want {
+		t.Errorf("study opened %d columns, want %d (jobs + group)", got, want)
+	}
+}
+
 func TestComputePerJobErrorsInPlace(t *testing.T) {
 	e := newEngine(t)
 	// Job "b" fails: its own-opt and every partition cell for it error,
@@ -536,7 +562,7 @@ func TestProgressMonotonic(t *testing.T) {
 }
 
 // A share grid whose largest slice cannot cover the dimension floors
-// fails its whole frontier column: the partition finds no split, and the
+// fails every cell of its column: the partition finds no split, and the
 // cluster stage still lands every cell.
 func TestPartitionColumnBelowFloors(t *testing.T) {
 	e := newEngine(t)

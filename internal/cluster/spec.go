@@ -131,14 +131,15 @@ func ParseSpec(data []byte) (*Spec, error) { return core.DecodeStrict[Spec](data
 // Clone deep-copies the spec (via its JSON form).
 func (s *Spec) Clone() *Spec { return core.CloneJSON(s) }
 
-// resolvedJob is one validated tenant: its label, weight, the derived
-// single-job problem (canonical spec for engine calls, built problem for
-// the shared cross-evaluation Evaluator).
+// resolvedJob is one validated tenant: its label, weight, and the
+// canonical spec of its single-job problem. defaultName is the name the
+// job gets when none is given (its workload's), which the canonical
+// form elides.
 type resolvedJob struct {
-	name   string
-	weight float64
-	spec   *core.ProblemSpec
-	prob   *core.Problem
+	name        string
+	defaultName string
+	weight      float64
+	spec        *core.ProblemSpec
 }
 
 // resolved is the validated, default-filled form of a Spec.
@@ -265,15 +266,16 @@ func (s *Spec) resolve() (*resolved, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: cluster: job %d: %w", core.ErrBadSpec, i, err)
 		}
+		defaultName := prob.Targets[0].Workload.Name
 		name := js.Name
 		if name == "" {
-			name = prob.Targets[0].Workload.Name
+			name = defaultName
 		}
 		if seen[name] {
 			return nil, bad("duplicate job name %q; name jobs explicitly to run one workload twice", name)
 		}
 		seen[name] = true
-		r.jobs[i] = resolvedJob{name: name, weight: w, spec: canon, prob: prob}
+		r.jobs[i] = resolvedJob{name: name, defaultName: defaultName, weight: w, spec: canon}
 		if i == 0 {
 			r.net = prob.Net
 			r.topology = canon.Topology
@@ -361,7 +363,7 @@ func (s *Spec) MarshalCanonical() ([]byte, error) {
 	for _, j := range r.jobs {
 		ws := j.spec.Workloads[0]
 		js := JobSpec{Preset: ws.Preset, Transformer: ws.Transformer}
-		if j.name != j.prob.Targets[0].Workload.Name {
+		if j.name != j.defaultName {
 			js.Name = j.name
 		}
 		if j.weight != 1 {

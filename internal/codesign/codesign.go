@@ -10,12 +10,13 @@
 // the network around that distribution (Fig. 21's interior peak).
 //
 // A study derives one core.ProblemSpec per memory-feasible strategy
-// (workload.TransformerFootprint filters the rest) and solves them
-// concurrently through a Solver — typically *core.Engine, which bounds
-// workers, deduplicates identical candidates via the spec fingerprint
-// cache, and honors context cancellation. Per-candidate failures are
-// reported in place; the optional budget axis composes with
-// internal/frontier into a co-design frontier (best strategy per budget).
+// (workload.TransformerFootprint filters the rest) and opens it, like
+// the baseline, as one column of a frontier.Solver — typically
+// *core.Engine, which bounds workers, deduplicates identical candidates
+// via the spec fingerprint cache, and honors context cancellation. The
+// ranking solve, the EqualBW price and the walk over the optional budget
+// axis (the co-design frontier: best strategy per budget) all run on that
+// column. Per-candidate failures are reported in place.
 package codesign
 
 import (
@@ -31,16 +32,6 @@ import (
 	"libra/internal/topology"
 	"libra/internal/workload"
 )
-
-// Solver answers the derived per-candidate specs — each candidate is a
-// column of one point, and the budget axis a frontier column per
-// candidate — and prices their EqualBW baselines; *core.Engine satisfies
-// it. Implementations must be safe for concurrent use — Compute issues
-// every candidate at once and bounds nothing itself.
-type Solver interface {
-	frontier.Solver
-	Evaluate(ctx context.Context, spec *core.ProblemSpec, bw topology.BWConfig) (core.EngineResult, error)
-}
 
 // Baseline is the reference strategy priced on the workload-agnostic
 // EqualBW network — the "what you would build without co-design" anchor
@@ -115,7 +106,7 @@ type Report struct {
 	// (cost, time) across the selected points.
 	Frontier []FrontierPoint `json:"frontier,omitempty"`
 	// Solves counts fresh solver answers; CacheHits counts answers served
-	// from the Solver's fingerprint cache (EqualBW evaluations included).
+	// from the solver's fingerprint cache (EqualBW evaluations included).
 	Solves    int     `json:"solves"`
 	CacheHits int     `json:"cache_hits"`
 	ElapsedMS float64 `json:"elapsed_ms"`
@@ -134,12 +125,12 @@ func (r *Report) Best() *Candidate {
 }
 
 // Compute runs the co-design study: enumerate memory-feasible strategies,
-// co-optimize each candidate's bandwidth allocation concurrently through
-// the solver, rank the joint optima against the reference baseline, and —
+// co-optimize each candidate's bandwidth allocation concurrently on its
+// column, rank the joint optima against the reference baseline, and —
 // when the spec carries a budget axis — assemble the co-design frontier.
 // The call fails only for an invalid spec, a canceled context, or an
 // unpriceable baseline; per-candidate failures are reported in place.
-func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
+func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error) {
 	if s == nil {
 		return nil, fmt.Errorf("codesign: nil solver")
 	}
@@ -171,7 +162,11 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 	// failures, which degrade it).
 	eqBW := topology.EqualBW(base.BudgetGBps, m.net.NumDims())
 	baseCand := m.baselineCandidate()
-	baseRes, err := s.Evaluate(ctx, m.candidateSpec(base, baseCand), eqBW)
+	baseCol, err := s.Column(m.candidateSpec(base, baseCand))
+	var baseRes core.EngineResult
+	if err == nil {
+		baseRes, err = baseCol.Evaluate(ctx, eqBW)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("codesign: baseline %s: %w", baseCand.strat, err)
 	}
@@ -187,11 +182,12 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 
 	// Solve every candidate concurrently; the solver bounds parallelism
 	// and deduplicates identical specs. The progress stage covers the
-	// baseline evaluation plus one tick per candidate.
+	// baseline evaluation plus one tick per candidate. Candidate specs are
+	// JSON-derived and carry no warm start, so ranking solves run cold.
 	tracker := core.NewProgressTracker(ctx, "codesign", 1+len(cands))
 	tracker.Tick(baseRes.Cached)
 	rep.Candidates = make([]Candidate, len(cands))
-	specs := make([]*core.ProblemSpec, len(cands))
+	cols := make([]core.Column, len(cands))
 	eqCached := make([]bool, len(cands))
 	var wg sync.WaitGroup
 	for i, c := range cands {
@@ -202,32 +198,28 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 			Memory:       c.mem,
 			MemoryGB:     c.mem.TotalGB(),
 		}
-		specs[i] = m.candidateSpec(base, c)
 		wg.Add(1)
 		go func(i int, out *Candidate, cspec *core.ProblemSpec) {
 			defer wg.Done()
-			r, err := frontier.Optimize(ctx, s, cspec)
+			var r core.EngineResult
+			col, err := s.Column(cspec)
+			if err == nil {
+				cols[i] = col
+				if r, err = col.Optimize(ctx, cspec.BudgetGBps, nil); err == nil {
+					out.Optimized, out.Fingerprint, out.Cached = r.Result, r.Fingerprint, r.Cached
+				}
+			}
+			if err == nil && !spec.SkipEqualBW {
+				var eq core.EngineResult
+				if eq, err = col.Evaluate(ctx, eqBW); err == nil {
+					out.EqualBW, eqCached[i] = &eq.Result, eq.Cached
+				}
+			}
 			if err != nil {
 				out.Err, out.Error = err, err.Error()
-				tracker.Tick(false)
-				return
-			}
-			out.Optimized = r.Result
-			out.Fingerprint = r.Fingerprint
-			out.Cached = r.Cached
-			if !spec.SkipEqualBW {
-				eq, err := s.Evaluate(ctx, cspec, eqBW)
-				if err != nil {
-					out.Err, out.Error = err, err.Error()
-					tracker.Tick(r.Cached)
-					return
-				}
-				res := eq.Result
-				out.EqualBW = &res
-				eqCached[i] = eq.Cached
 			}
 			tracker.Tick(r.Cached)
-		}(i, &rep.Candidates[i], specs[i])
+		}(i, &rep.Candidates[i], m.candidateSpec(base, c))
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -255,13 +247,12 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 			c.EqualBWSpeedupVsBaseline = baseTime / c.EqualBW.WeightedTime
 		}
 	}
-	rank(rep.Candidates)
-
 	if len(spec.Budgets) > 0 {
-		if err := computeFrontier(ctx, s, rep, specs, cands, spec.Budgets); err != nil {
+		if err := computeFrontier(ctx, rep, cols, cands, spec.Budgets); err != nil {
 			return nil, err
 		}
 	}
+	rank(rep.Candidates)
 	rep.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return rep, nil
 }
@@ -284,64 +275,75 @@ func rank(cands []Candidate) {
 	})
 }
 
-// computeFrontier sweeps every candidate strategy over the budget axis
-// through internal/frontier (sharing the study's solver and its cache)
-// and keeps, per budget, the strategy with the best iteration time. The
-// selected points are Pareto-marked on (cost, time) as a set — the
-// co-design frontier of §VI-E.
-func computeFrontier(ctx context.Context, s Solver, rep *Report, specs []*core.ProblemSpec, cands []candidate, budgets []float64) error {
-	// Every candidate is swept — including ones whose ranking-budget solve
-	// failed: solvability is budget-dependent (a constraint set satisfiable
-	// at one budget need not be at another), so the frontier probes each
-	// (strategy, budget) cell itself and failures stay per-point. The
-	// study's cands×budgets bound caps the worst case. Every sweep lands
-	// its points on the one "codesign-frontier" stage as they finish.
-	req := frontier.Request{Budgets: budgets, SkipEqualBW: true}
+// computeFrontier walks every candidate's column over the budget axis
+// (sharing the study's solver and its cache) and keeps, per budget, the
+// strategy with the best iteration time. The selected points are
+// Pareto-marked on (cost, time) as a set — the co-design frontier of
+// §VI-E. It runs before the ranking, while rep.Candidates is still in
+// enumeration order, the order of cols.
+func computeFrontier(ctx context.Context, rep *Report, cols []core.Column, cands []candidate, budgets []float64) error {
+	// Every candidate is walked — including ones whose ranking-budget
+	// solve failed: solvability is budget-dependent (a constraint set
+	// satisfiable at one budget need not be at another), so the walk
+	// probes each (strategy, budget) cell itself and failures stay
+	// per-point. The study's cands×budgets bound caps the worst case.
+	// Every walk lands its points on the one "codesign-frontier" stage as
+	// they finish.
 	tracker := core.NewProgressTracker(ctx, "codesign-frontier", len(cands)*len(budgets))
-	innerCtx := core.WithStage(ctx, tracker)
-	results := make([]*frontier.Result, len(cands))
-	errs := make([]error, len(cands))
+	results := make([][]frontier.Point, len(cands))
 	var wg sync.WaitGroup
-	for i := range cands {
+	for i, col := range cols {
+		if col == nil {
+			continue // the candidate's column failed to open; checked below
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = frontier.Compute(innerCtx, s, specs[i], req)
-			if err := errs[i]; err != nil && !errors.Is(err, ctx.Err()) {
-				tracker.TickN(len(budgets), 0) // failed before its first point
-			}
+			results[i] = frontier.Walk(ctx, cols[i], budgets, false, tracker)
 		}(i)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("codesign: frontier for %s: %w", cands[i].strat, err)
-		}
-	}
-	for _, fr := range results {
-		rep.Solves += fr.Solves
-		rep.CacheHits += fr.CacheHits
-	}
-
-	// Budgets may repeat in the request; frontier.Compute emits points in
-	// axis order, so index i of every candidate's Points is budget i.
-	rep.Frontier = make([]FrontierPoint, 0, len(budgets))
+	// As a frontier column opens at its axis' largest budget, a candidate
+	// whose problem does not build, or cannot take that budget (its point
+	// there fails core.ErrBadSpec), fails the study; the first such
+	// candidate in enumeration order is named.
 	order := make([]int, len(budgets))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return budgets[order[a]] < budgets[order[b]] })
+	top := order[len(order)-1]
+	for i, col := range cols {
+		err := rep.Candidates[i].Err
+		if col != nil {
+			if err = results[i][top].Err; !errors.Is(err, core.ErrBadSpec) {
+				err = nil
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("codesign: frontier for %s: %w", cands[i].strat, err)
+		}
+	}
+	for _, points := range results {
+		solves, hits := frontier.Tally(points)
+		rep.Solves += solves
+		rep.CacheHits += hits
+	}
+
+	// Budgets may repeat in the request; frontier.Walk returns points in
+	// axis order, so index i of every candidate's walk is budget i.
+	rep.Frontier = make([]FrontierPoint, 0, len(budgets))
 	for _, bi := range order {
 		best := -1
-		for ci, fr := range results {
-			pt := fr.Points[bi]
+		for ci, points := range results {
+			pt := points[bi]
 			if pt.Err != nil {
 				continue
 			}
-			if best < 0 || pt.Result.WeightedTime < results[best].Points[bi].Result.WeightedTime {
+			if best < 0 || pt.Result.WeightedTime < results[best][bi].Result.WeightedTime {
 				best = ci
 			}
 		}
@@ -354,7 +356,7 @@ func computeFrontier(ctx context.Context, s Solver, rep *Report, specs []*core.P
 		}
 		rep.Frontier = append(rep.Frontier, FrontierPoint{
 			Strategy: cands[best].strat,
-			Point:    results[best].Points[bi],
+			Point:    results[best][bi],
 		})
 	}
 	pts := make([]frontier.Point, len(rep.Frontier))

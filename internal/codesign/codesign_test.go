@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"libra/internal/core"
@@ -260,15 +261,15 @@ func (c fakeColumn) Evaluator() (*core.Evaluator, error) {
 	return nil, fmt.Errorf("fake: no evaluator")
 }
 
-func (f *fakeSolver) Evaluate(ctx context.Context, spec *core.ProblemSpec, bw topology.BWConfig) (core.EngineResult, error) {
-	f.mu.Lock()
-	f.calls++
-	f.mu.Unlock()
-	tm, tp, err := f.time(spec)
+func (c fakeColumn) Evaluate(ctx context.Context, bw topology.BWConfig) (core.EngineResult, error) {
+	c.f.mu.Lock()
+	c.f.calls++
+	c.f.mu.Unlock()
+	tm, tp, err := c.f.time(c.spec)
 	if err != nil {
 		return core.EngineResult{}, err
 	}
-	if f.failEval[tp] {
+	if c.f.failEval[tp] {
 		return core.EngineResult{}, fmt.Errorf("fake: TP=%d EqualBW unpriceable", tp)
 	}
 	return core.EngineResult{Result: core.Result{WeightedTime: 2 * tm, Cost: float64(tp)}}, nil
@@ -440,6 +441,35 @@ func TestComputeBudgetAxis(t *testing.T) {
 	// More budget can never slow the best strategy down.
 	if first, last := rep.Frontier[0], rep.Frontier[2]; last.Result.WeightedTime > first.Result.WeightedTime*(1+1e-9) {
 		t.Errorf("frontier time rose with budget: %v → %v", first.Result.WeightedTime, last.Result.WeightedTime)
+	}
+}
+
+// columnCounter counts the columns a study opens on its inner solver.
+type columnCounter struct {
+	inner *core.Engine
+	n     atomic.Int64
+}
+
+func (c *columnCounter) Column(spec *core.ProblemSpec) (core.Column, error) {
+	c.n.Add(1)
+	return c.inner.Column(spec)
+}
+
+// A study opens each problem once: the baseline's column plus one per
+// candidate, whose ranking solve, EqualBW price and budget-axis walk all
+// run on it.
+func TestComputeOpensOneColumnPerSpec(t *testing.T) {
+	engine := core.NewEngine(core.EngineConfig{Workers: 4, CacheSize: 128})
+	defer engine.Close()
+	spec := tinySpec()
+	spec.Budgets = []float64{150, 300}
+	cc := &columnCounter{inner: engine}
+	rep, err := Compute(context.Background(), cc, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := cc.n.Load(), int64(1+len(rep.Candidates)); got > limit {
+		t.Errorf("study opened %d columns, want at most %d (baseline + candidates)", got, limit)
 	}
 }
 

@@ -6,11 +6,14 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"libra/internal/topology"
 )
 
-// Points of one column solved from many goroutines at once share the
-// column's lazily prepared Optimizer; each must equal the same spec
-// solved alone on a fresh engine. Run with -race.
+// Points of one column solved, and allocations priced, from many
+// goroutines at once share the column's lazily prepared Optimizer and
+// Evaluator; each must equal the same spec solved or priced alone on a
+// fresh engine. Run with -race.
 func TestColumnConcurrentPoints(t *testing.T) {
 	base := &ProblemSpec{
 		Topology:   "4D-4K",
@@ -26,24 +29,35 @@ func TestColumnConcurrentPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]EngineResult, len(budgets))
-	errs := make([]error, len(budgets))
+	priced := make([]EngineResult, len(budgets))
+	errs := make([]error, 2*len(budgets))
 	var wg sync.WaitGroup
 	for i, b := range budgets {
-		wg.Add(1)
+		wg.Add(2)
 		go func(i int, b float64) {
 			defer wg.Done()
 			got[i], errs[i] = col.Optimize(context.Background(), b, nil)
 		}(i, b)
+		go func(i int, b float64) {
+			defer wg.Done()
+			priced[i], errs[len(budgets)+i] = col.Evaluate(context.Background(), topology.EqualBW(b, 4))
+		}(i, b)
 	}
 	wg.Wait()
-	for i, b := range budgets {
-		if errs[i] != nil {
-			t.Fatalf("budget %v: %v", b, errs[i])
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
+	}
+	for i, b := range budgets {
 		spec := base.Clone()
 		spec.BudgetGBps = b
 		fresh := NewEngine(EngineConfig{Workers: 1})
 		want, err := fresh.Optimize(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPrice, err := fresh.Evaluate(context.Background(), base, topology.EqualBW(b, 4))
 		fresh.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -51,6 +65,12 @@ func TestColumnConcurrentPoints(t *testing.T) {
 		if got[i].Fingerprint != want.Fingerprint || !reflect.DeepEqual(got[i].Result, want.Result) {
 			t.Errorf("budget %v: column %s %+v, per-spec %s %+v", b, got[i].Fingerprint, got[i].Result, want.Fingerprint, want.Result)
 		}
+		if priced[i].Fingerprint != wantPrice.Fingerprint || !reflect.DeepEqual(priced[i].Result, wantPrice.Result) {
+			t.Errorf("EqualBW(%v): column %s %+v, per-spec %s %+v", b, priced[i].Fingerprint, priced[i].Result, wantPrice.Fingerprint, wantPrice.Result)
+		}
+	}
+	if again, err := col.Evaluate(context.Background(), topology.EqualBW(budgets[0], 4)); err != nil || !again.Cached {
+		t.Errorf("repeated price: cached %v, err %v", again.Cached, err)
 	}
 }
 

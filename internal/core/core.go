@@ -327,15 +327,6 @@ func (p *Problem) Evaluate(bw topology.BWConfig) (Result, error) {
 	return e.Evaluate(bw)
 }
 
-// EvaluateContext is Evaluate, aborting early when ctx is done. A single
-// evaluation is fast; the context matters when callers batch many.
-func (p *Problem) EvaluateContext(ctx context.Context, bw topology.BWConfig) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, fmt.Errorf("core: evaluate canceled: %w", err)
-	}
-	return p.Evaluate(bw)
-}
-
 // EqualBW prices the workload-agnostic baseline at budget: the budget
 // split evenly across the network's dimensions.
 func (e *Evaluator) EqualBW(budget float64) (Result, error) {
@@ -351,14 +342,9 @@ func (p *Problem) EqualBW() (Result, error) {
 	return e.EqualBW(p.BWBudget)
 }
 
-// buildConstraints assembles the solver constraint set from the budget
-// row and the declarative constraint specs.
-func (p *Problem) buildConstraints() (*opt.Constraints, error) {
-	return p.buildConstraintsAt(p.BWBudget)
-}
-
-// buildConstraintsAt is buildConstraints with the ΣB row pinned to an
-// explicit budget — the only per-point rebuild a budget sweep needs.
+// buildConstraintsAt assembles the solver constraint set from the ΣB row
+// pinned to budget and the declarative constraint specs — the only
+// per-point rebuild a budget sweep needs.
 func (p *Problem) buildConstraintsAt(budget float64) (*opt.Constraints, error) {
 	n := p.Net.NumDims()
 	c := opt.NewConstraints(n).SetAllLower(p.minDimBW())

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -189,29 +188,14 @@ func (e *Engine) Optimize(ctx context.Context, spec *ProblemSpec) (EngineResult,
 	return c.Optimize(ctx, spec.BudgetGBps, warm)
 }
 
-// Evaluate prices an explicit bandwidth configuration for the spec.
+// Evaluate prices an explicit bandwidth configuration for the spec: a
+// column of one price.
 func (e *Engine) Evaluate(ctx context.Context, spec *ProblemSpec, bw topology.BWConfig) (EngineResult, error) {
-	p, err := spec.Build()
+	c, err := e.Column(spec)
 	if err != nil {
-		return EngineResult{}, fmt.Errorf("%w: %w", ErrBadSpec, err)
+		return EngineResult{}, err
 	}
-	fp, err := p.Fingerprint()
-	if err != nil {
-		return EngineResult{}, fmt.Errorf("%w: %w", ErrBadSpec, err)
-	}
-	if err := bw.Validate(p.Net); err != nil {
-		return EngineResult{}, fmt.Errorf("%w: %w", ErrBadSpec, err)
-	}
-	var key strings.Builder
-	key.WriteString("evaluate|")
-	key.WriteString(fp)
-	for _, v := range bw {
-		key.WriteByte('|')
-		key.WriteString(strconv.FormatFloat(v, 'g', 17, 64))
-	}
-	return e.doResult(ctx, key.String(), fp, func(ctx context.Context) (Result, error) {
-		return p.EvaluateContext(ctx, bw)
-	})
+	return c.Evaluate(ctx, bw)
 }
 
 // DoCodec runs an arbitrary keyed computation under the engine's

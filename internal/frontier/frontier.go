@@ -8,12 +8,13 @@
 // ProblemSpec. Each cap value is one column: the Solver (typically
 // *core.Engine, which bounds concurrency, deduplicates identical points
 // via the spec fingerprint cache, and single-flights concurrent
-// duplicates) builds the base spec with that cap once, and every budget
-// of the column is a point solved on that one built problem. The
-// workload-agnostic EqualBW baseline curve is priced separately through
-// the first column's core.Evaluator — the evaluator depends only on the
-// network, workloads, and models, never on the budget or a cap, so a
-// single preparation serves every point of the sweep.
+// duplicates) builds the base spec with that cap once, and Walk solves
+// every budget of the column on that one built problem (codesign and
+// cluster walk their own columns the same way). The workload-agnostic
+// EqualBW baseline curve is priced separately through the first column's
+// core.Evaluator — the evaluator depends only on the network, workloads,
+// and models, never on the budget or a cap, so a single preparation
+// serves every point of the sweep.
 package frontier
 
 import (
@@ -26,28 +27,12 @@ import (
 	"libra/internal/core"
 )
 
-// Solver opens a column on a spec: the spec built once, then solved at
-// every budget of a frontier column (core.Column). *core.Engine
-// satisfies it. Implementors must be safe for concurrent use — Compute
-// runs one chain per cap column concurrently.
+// Solver opens a column on a spec (core.Column): a frontier's cap
+// column, a co-design candidate, a cluster job. *core.Engine satisfies
+// it. Implementors must be safe for concurrent use — Compute runs one
+// chain per cap column concurrently.
 type Solver interface {
 	Column(spec *core.ProblemSpec) (core.Column, error)
-}
-
-// Optimize solves one spec as a column of one point at its own budget,
-// warm-started from spec.Solver.WarmStart when set — the single-spec
-// solve of the studies that compose frontiers (cluster's own and group
-// designs, codesign's candidates). On an engine it is Engine.Optimize.
-func Optimize(ctx context.Context, s Solver, spec *core.ProblemSpec) (core.EngineResult, error) {
-	c, err := s.Column(spec)
-	if err != nil {
-		return core.EngineResult{}, err
-	}
-	var warm []float64
-	if spec.Solver != nil {
-		warm = spec.Solver.WarmStart
-	}
-	return c.Optimize(ctx, spec.BudgetGBps, warm)
 }
 
 // Request describes the sweep axes of a frontier computation. Budgets may
@@ -220,72 +205,35 @@ func Compute(ctx context.Context, s Solver, base *core.ProblemSpec, req Request)
 	}
 
 	start := time.Now()
-	res := &Result{Points: make([]Point, 0, len(budgets)*len(caps))}
-	for _, b := range budgets {
-		for _, c := range caps {
-			res.Points = append(res.Points, Point{BudgetGBps: b, CapGBps: c})
-		}
-	}
-	tracker := core.NewProgressTracker(ctx, "frontier", len(res.Points))
-
-	// Budget indices in ascending budget order. Each cap column is walked
-	// along this order as a sequential warm chain — every point seeds from
-	// its nearest already-solved neighbor — while columns run concurrently.
-	// Results still land in res.Points in the original axis order.
-	order := make([]int, len(budgets))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return budgets[order[a]] < budgets[order[b]] })
-
-	// solveOne solves the point on its column. A warm vector the solver
-	// cannot use is solved again cold inside core.
-	solveOne := func(col core.Column, pt *Point, warm []float64) {
-		r, err := col.Optimize(ctx, pt.BudgetGBps, warm)
-		if err != nil {
-			pt.Err, pt.Error = err, err.Error()
-			tracker.Tick(false)
-			return
-		}
-		pt.Result = r.Result
-		pt.Fingerprint = r.Fingerprint
-		pt.Cached = r.Cached
-		tracker.Tick(r.Cached)
-	}
-
+	tracker := core.NewProgressTracker(ctx, "frontier", len(budgets)*len(caps))
+	// One warm chain per cap column, the columns concurrently; a lone
+	// column's points are the frontier's points as they stand.
+	columns := make([][]Point, len(caps))
 	var wg sync.WaitGroup
 	for ci := range caps {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			var prev *Point
-			for _, bi := range order {
-				pt := &res.Points[bi*len(caps)+ci]
-				var warm []float64
-				if !req.NoWarmStart && prev != nil {
-					warm = core.ScaleWarmStart(prev.Result.BW, prev.BudgetGBps, pt.BudgetGBps)
-				}
-				solveOne(cols[ci], pt, warm)
-				if pt.Err == nil {
-					prev = pt // a failed point keeps the last good neighbor as the seed
-				}
-			}
+			columns[ci] = Walk(ctx, cols[ci], budgets, req.NoWarmStart, tracker)
 		}(ci)
 	}
 	wg.Wait()
+	res := &Result{Points: columns[0]}
+	if len(caps) > 1 {
+		res.Points = make([]Point, 0, len(budgets)*len(caps))
+		for bi := range budgets {
+			for ci := range caps {
+				res.Points = append(res.Points, columns[ci][bi])
+			}
+		}
+	}
+	for i := range res.Points {
+		res.Points[i].CapGBps = caps[i%len(caps)]
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for i := range res.Points {
-		if res.Points[i].Err != nil {
-			continue
-		}
-		if res.Points[i].Cached {
-			res.CacheHits++
-		} else {
-			res.Solves++
-		}
-	}
+	res.Solves, res.CacheHits = Tally(res.Points)
 
 	if !req.SkipEqualBW {
 		for _, b := range budgets {
@@ -315,6 +263,59 @@ func Compute(ctx context.Context, s Solver, base *core.ProblemSpec, req Request)
 	})
 	res.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return res, nil
+}
+
+// Walk solves one column at every budget of the axis as a sequential
+// warm chain: budgets in ascending order, each point seeded from its
+// nearest already-solved neighbor scaled to its budget
+// (core.ScaleWarmStart) unless noWarmStart, a failed point keeping the
+// last good neighbor as the seed. Every point ticks t as it lands, and
+// the points come back in axis order with failures in place. Compute
+// walks each of its cap columns; studies walk the columns they already
+// hold (a co-design candidate, a cluster job's partition shares).
+func Walk(ctx context.Context, col core.Column, budgets []float64, noWarmStart bool, t *core.ProgressTracker) []Point {
+	points := make([]Point, len(budgets))
+	order := make([]int, len(budgets))
+	for i, b := range budgets {
+		points[i].BudgetGBps = b
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return budgets[order[a]] < budgets[order[b]] })
+	var prev *Point
+	for _, bi := range order {
+		pt := &points[bi]
+		var warm []float64
+		if !noWarmStart && prev != nil {
+			warm = core.ScaleWarmStart(prev.Result.BW, prev.BudgetGBps, pt.BudgetGBps)
+		}
+		r, err := col.Optimize(ctx, pt.BudgetGBps, warm)
+		if err != nil {
+			pt.Err, pt.Error = err, err.Error()
+			t.Tick(false)
+			continue
+		}
+		pt.Result = r.Result
+		pt.Fingerprint = r.Fingerprint
+		pt.Cached = r.Cached
+		t.Tick(r.Cached)
+		prev = pt
+	}
+	return points
+}
+
+// Tally counts the points answered by a fresh solve and those served
+// from the solver's cache; a failed point is neither.
+func Tally(points []Point) (solves, cacheHits int) {
+	for _, pt := range points {
+		switch {
+		case pt.Err != nil:
+		case pt.Cached:
+			cacheHits++
+		default:
+			solves++
+		}
+	}
+	return solves, cacheHits
 }
 
 // MarkPareto flags the points of the (cost, time)-minimizing Pareto set.

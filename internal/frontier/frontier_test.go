@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"libra/internal/core"
+	"libra/internal/topology"
 )
 
 func baseSpec() *core.ProblemSpec {
@@ -235,6 +236,10 @@ type fakeColumn struct {
 
 func (c fakeColumn) Optimize(ctx context.Context, budget float64, warm []float64) (core.EngineResult, error) {
 	return c.point(budget, warm), nil
+}
+
+func (c fakeColumn) Evaluate(ctx context.Context, bw topology.BWConfig) (core.EngineResult, error) {
+	return core.EngineResult{}, errors.New("fake: frontiers price no explicit allocation")
 }
 
 func (c fakeColumn) Evaluator() (*core.Evaluator, error) {

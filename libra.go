@@ -445,15 +445,17 @@ type FrontierPoint = frontier.Point
 // subset by ascending cost, and the EqualBW baseline curve.
 type FrontierResult = frontier.Result
 
-// FrontierSolver opens a Column per cap value of a frontier sweep — the
-// base spec built once — and solves every budget of it on that column;
-// *Engine satisfies it.
+// FrontierSolver opens Columns: one per cap value of a frontier sweep,
+// one per candidate of a co-design study, one per job (and the group) of
+// a cluster study — each spec built once, then solved at every budget
+// and priced at every allocation on that column; *Engine satisfies it.
 type FrontierSolver = frontier.Solver
 
-// Column is one built problem solved at many budgets (Engine.Column):
-// every point runs the budget checks Build applies, is fingerprinted as
-// the spec at that budget, and shares the Engine's cache, single-flight
-// and worker pool; a miss solves on the column's one prepared Optimizer.
+// Column is one built problem solved at many budgets and priced at many
+// allocations (Engine.Column): every point runs the budget checks Build
+// applies, is fingerprinted as the spec at that budget, and shares the
+// Engine's cache, single-flight and worker pool; a miss solves on the
+// column's one prepared Optimizer.
 type Column = core.Column
 
 // Frontier sweeps budgets (and optional caps) against the base spec
@@ -492,16 +494,12 @@ type CoDesignSkipped = codesign.Skipped
 // co-design frontier.
 type CoDesignFrontierPoint = codesign.FrontierPoint
 
-// CoDesignSolver answers the per-candidate specs of a co-design study;
-// *Engine satisfies it.
-type CoDesignSolver = codesign.Solver
-
 // CoDesign runs a joint parallelization × network study through the
 // solver — typically an Engine, whose fingerprint cache deduplicates
 // repeated candidates: enumerate memory-feasible strategies, co-optimize
 // each candidate's bandwidth concurrently, and rank the joint optima.
 // cmd/libra-serve exposes it as POST /v1/codesign.
-func CoDesign(ctx context.Context, s CoDesignSolver, spec *CoDesignSpec) (*CoDesignReport, error) {
+func CoDesign(ctx context.Context, s FrontierSolver, spec *CoDesignSpec) (*CoDesignReport, error) {
 	return codesign.Compute(ctx, s, spec)
 }
 
@@ -581,12 +579,6 @@ type ClusterMetrics = cluster.Metrics
 // ClusterPolicySummary is one row of the policy comparison.
 type ClusterPolicySummary = cluster.PolicySummary
 
-// ClusterSolver solves the derived per-job specs of a cluster study,
-// each own and group design as a Column of one point; *Engine satisfies
-// it. It is FrontierSolver, since the study's budget axis and partition
-// grid run as frontier sweeps.
-type ClusterSolver = frontier.Solver
-
 // Cluster allocation policies.
 const (
 	ClusterPolicyGroupOpt  = cluster.PolicyGroupOpt
@@ -599,7 +591,7 @@ const (
 // designs: solve each job's own optimum, the group optimum, and the
 // partition grid concurrently, then price every design for every job.
 // cmd/libra-serve exposes it as POST /v1/cluster, cmd/libra as -cluster.
-func Cluster(ctx context.Context, s ClusterSolver, spec *ClusterSpec) (*ClusterReport, error) {
+func Cluster(ctx context.Context, s FrontierSolver, spec *ClusterSpec) (*ClusterReport, error) {
 	return cluster.Compute(ctx, s, spec)
 }
 
