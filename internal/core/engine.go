@@ -174,18 +174,13 @@ func (e *Engine) Ready() error {
 
 // Optimize solves the spec (or returns the memoized result), honoring ctx
 // for cancellation while waiting and while solving: a column of one
-// point at the spec's budget, warm-started from spec.Solver.WarmStart
-// when set.
+// point at the spec's budget, solved cold.
 func (e *Engine) Optimize(ctx context.Context, spec *ProblemSpec) (EngineResult, error) {
 	c, err := e.Column(spec)
 	if err != nil {
 		return EngineResult{}, err
 	}
-	var warm []float64
-	if spec.Solver != nil {
-		warm = spec.Solver.WarmStart
-	}
-	return c.Optimize(ctx, spec.BudgetGBps, warm)
+	return c.Optimize(ctx, spec.BudgetGBps, nil)
 }
 
 // Evaluate prices an explicit bandwidth configuration for the spec: a

@@ -164,12 +164,6 @@ func (c *CostSpec) table() (cost.Table, error) {
 // tuning that cannot change the result (opt.Options.Workers — multistart
 // is deterministic) is deliberately absent: specs describe the problem,
 // and including worker counts would fracture the fingerprint cache.
-//
-// WarmStart is runtime solver state in the same sense: a warm start only
-// relocates where the search begins, the answer it converges to is the
-// spec's answer (within solver tolerance). It is json:"-" so Clone,
-// MarshalCanonical, and Fingerprint can never see it — warm and cold runs
-// of one spec share a fingerprint, and therefore an engine cache entry.
 type SolverSpec struct {
 	MaxIters int     `json:"max_iters,omitempty"`
 	Tol      float64 `json:"tol,omitempty"`
@@ -181,12 +175,6 @@ type SolverSpec struct {
 	// descent for perf-per-cost, each with a Nelder-Mead polish.
 	// "coordinate-descent" runs coordinate descent alone.
 	Strategy string `json:"strategy,omitempty"`
-	// WarmStart seeds the solve with a neighboring point's solution (see
-	// opt.Options.WarmStart). A vector the solver cannot use is solved
-	// again cold (see Optimizer.solve). Runtime-only: never serialized,
-	// never fingerprinted. Note ProblemSpec.Clone round-trips through
-	// JSON, so warm state must be attached after cloning.
-	WarmStart []float64 `json:"-"`
 }
 
 func (s *SolverSpec) options() (opt.Options, error) {
@@ -194,8 +182,7 @@ func (s *SolverSpec) options() (opt.Options, error) {
 	if err != nil {
 		return opt.Options{}, err
 	}
-	return opt.Options{MaxIters: s.MaxIters, Tol: s.Tol, Starts: s.Starts, Seed: s.Seed, Strategy: strat,
-		WarmStart: s.WarmStart}, nil
+	return opt.Options{MaxIters: s.MaxIters, Tol: s.Tol, Starts: s.Starts, Seed: s.Seed, Strategy: strat}, nil
 }
 
 // strategyKey canonicalizes the strategy for serialization: aliases
@@ -204,13 +191,7 @@ func (s *SolverSpec) options() (opt.Options, error) {
 // other enum.
 func strategyKey(s opt.Strategy) (string, error) {
 	strat, err := opt.ParseStrategy(string(s))
-	if err != nil {
-		return "", err
-	}
-	if strat == opt.StrategyCoordinateDescent {
-		return string(opt.StrategyCoordinateDescent), nil
-	}
-	return "", nil
+	return string(strat), err
 }
 
 // ---- Declarative constraints ----

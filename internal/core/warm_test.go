@@ -2,59 +2,13 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"libra/internal/topology"
 	"libra/internal/workload"
 )
-
-// Warm-start state is runtime-only: it must never reach the canonical
-// form, the fingerprint, or a serialized spec, and Clone must drop it —
-// a warm solve and a cold solve of the same problem are the same cache
-// entry.
-func TestWarmStateExcludedFromSpecIdentity(t *testing.T) {
-	cold := smallSpec(300)
-	warm := smallSpec(300)
-	warm.Solver.WarmStart = []float64{150, 150}
-
-	cfp, err := cold.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wfp, err := warm.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfp != wfp {
-		t.Errorf("warm state changed the fingerprint: %q vs %q", cfp, wfp)
-	}
-	ccanon, err := cold.MarshalCanonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcanon, err := warm.MarshalCanonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ccanon) != string(wcanon) {
-		t.Errorf("warm state changed the canonical form:\n%s\n%s", ccanon, wcanon)
-	}
-	data, err := json.Marshal(warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(strings.ToLower(string(data)), "warm") {
-		t.Errorf("warm state serialized: %s", data)
-	}
-	clone := warm.Clone()
-	if clone.Solver == nil || clone.Solver.WarmStart != nil {
-		t.Errorf("Clone carried warm state: %+v", clone.Solver)
-	}
-}
 
 // A warm solve and a cold solve of the same spec share one engine cache
 // entry: whichever runs first populates it, the other hits.
@@ -63,9 +17,11 @@ func TestEngineCacheSharedBetweenWarmAndCold(t *testing.T) {
 	defer e.Close()
 	ctx := context.Background()
 
-	warm := smallSpec(300)
-	warm.Solver.WarmStart = []float64{150, 150}
-	r1, err := e.Optimize(ctx, warm)
+	col, err := e.Column(smallSpec(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := col.Optimize(ctx, 300, []float64{150, 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,34 +43,19 @@ func TestEngineCacheSharedBetweenWarmAndCold(t *testing.T) {
 	}
 }
 
-// A warm spec's vector reaches the solver options as is (the cutoff
-// margin is the solver's own constant); a cold spec grows no warm state.
-func TestSolverSpecOptionsWarmDefaults(t *testing.T) {
-	warm := &SolverSpec{WarmStart: []float64{1, 2}}
-	o, err := warm.options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(o.WarmStart) != 2 || o.WarmStart[0] != 1 || o.WarmStart[1] != 2 {
-		t.Errorf("WarmStart = %v, want [1 2]", o.WarmStart)
-	}
-	cold := &SolverSpec{}
-	if o, err = cold.options(); err != nil || o.WarmStart != nil {
-		t.Errorf("cold spec grew warm state: %+v (%v)", o, err)
-	}
-}
-
-// Engine.Optimize of a spec whose runtime warm vector the solver rejects
-// must fall back to the cold solve and return its answer bit for bit.
+// A column point whose warm vector the solver rejects must fall back to
+// the cold solve and return its answer bit for bit.
 func TestEngineUnusableWarmStartSolvesCold(t *testing.T) {
 	ctx := context.Background()
 	solve := func(t *testing.T, warm []float64) Result {
 		t.Helper()
 		e := NewEngine(EngineConfig{Workers: 1, CacheSize: -1})
 		defer e.Close()
-		spec := smallSpec(300)
-		spec.Solver.WarmStart = warm
-		r, err := e.Optimize(ctx, spec)
+		col, err := e.Column(smallSpec(300))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := col.Optimize(ctx, 300, warm)
 		if err != nil {
 			t.Fatal(err)
 		}

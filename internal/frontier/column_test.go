@@ -23,8 +23,8 @@ type refPoint struct {
 }
 
 // referenceFrontier solves every point of a frontier as its own spec —
-// the base cloned, the budget set, the cap appended, the warm vector
-// attached through SolverSpec.WarmStart, then Build, Fingerprint and
+// the base cloned, the budget set, the cap appended, then Build, the warm
+// vector attached through Problem.Solver.WarmStart, Fingerprint and
 // Problem.OptimizeContext — walking each cap column in ascending budget
 // order as Compute does. A fingerprint seen earlier in the frontier is
 // answered from that earlier solve and marked cached, as a fresh engine
@@ -56,20 +56,13 @@ func referenceFrontier(t *testing.T, base *core.ProblemSpec, req Request) []refP
 			if req.CapDim > 0 {
 				spec.Constraints = append(spec.Constraints, core.DimCap(req.CapDim, c))
 			}
-			if !req.NoWarmStart && prev != nil {
-				if warm := core.ScaleWarmStart(prev.result.BW, prevBudget, budgets[bi]); warm != nil {
-					sol := core.SolverSpec{}
-					if spec.Solver != nil {
-						sol = *spec.Solver
-					}
-					sol.WarmStart = warm
-					spec.Solver = &sol
-				}
-			}
 			p, err := spec.Build()
 			if err != nil {
 				pt.err = fmt.Errorf("%w: %w", core.ErrBadSpec, err).Error()
 				continue
+			}
+			if !req.NoWarmStart && prev != nil {
+				p.Solver.WarmStart = core.ScaleWarmStart(prev.result.BW, prevBudget, budgets[bi])
 			}
 			if pt.fingerprint, err = spec.Fingerprint(); err != nil {
 				t.Fatal(err)

@@ -17,9 +17,11 @@ import (
 //   - MarshalCanonical must funnel through encoding/json on the spec
 //     type itself (json.Marshal of T or *T in its body) — that is what
 //     guarantees every json-tagged field reaches the canonical bytes;
-//   - fields tagged json:"-" are runtime-only hints (WarmStart/WarmTol)
-//     and must not be read while building the canonical form or the
-//     fingerprint: two specs differing only in hints must digest equal.
+//   - fields tagged json:"-" are runtime-only hints and must not be read
+//     while building the canonical form or the fingerprint: two specs
+//     differing only in hints must digest equal. No spec type carries
+//     such a field today (warm vectors reach the solver as arguments);
+//     the rule guards any that is added.
 var SpecContract = &analysis.Analyzer{
 	Name:      "speccontract",
 	Doc:       "spec types declaring MarshalCanonical must provide ParseSpec/Clone/Fingerprint, marshal the spec type itself, and keep json:\"-\" fields out of the canonical bytes",

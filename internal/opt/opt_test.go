@@ -348,7 +348,7 @@ func perfPerCostProblem(n int) Problem {
 // Parallel multistart must return bit-identical Result fields to the
 // sequential path for a fixed seed, for both strategies, convex or not.
 func TestMinimizeParallelMatchesSequential(t *testing.T) {
-	for _, strategy := range []Strategy{StrategyProjectedGradient, StrategyCoordinateDescent} {
+	for _, strategy := range []Strategy{StrategyAuto, StrategyCoordinateDescent} {
 		for _, convex := range []bool{false, true} {
 			for _, seed := range []int64{1, 7, 42} {
 				base := Options{Seed: seed, Starts: 10, Convex: convex, Strategy: strategy}
@@ -519,8 +519,8 @@ func TestCoordinateDescentHonorsConstraints(t *testing.T) {
 // The default strategy picks each start's local search from Convex:
 // projected gradient for a convex objective, coordinate descent for a
 // non-convex one, each followed by the polish. "projected-gradient" is a
-// spelling of the default and must solve identically; only an explicit
-// coordinate-descent skips the polish.
+// spelling of the default (Options normalize it to StrategyAuto) and must
+// solve identically; only an explicit coordinate-descent skips the polish.
 func TestDefaultStrategyFollowsConvexity(t *testing.T) {
 	p := perfPerCostProblem(3)
 	cases := []struct {
@@ -530,7 +530,7 @@ func TestDefaultStrategyFollowsConvexity(t *testing.T) {
 	}{
 		{StrategyAuto, true, true, false, true},
 		{StrategyAuto, false, false, true, true},
-		{StrategyProjectedGradient, false, false, true, true},
+		{"projected-gradient", false, false, true, true},
 		{StrategyCoordinateDescent, true, false, true, false},
 		{StrategyCoordinateDescent, false, false, true, false},
 	}
@@ -565,8 +565,8 @@ func TestDefaultStrategyFollowsConvexity(t *testing.T) {
 func TestParseStrategy(t *testing.T) {
 	cases := map[string]Strategy{
 		"":                   StrategyAuto,
-		"projected-gradient": StrategyProjectedGradient,
-		"pgd":                StrategyProjectedGradient,
+		"projected-gradient": StrategyAuto,
+		"pgd":                StrategyAuto,
 		"coordinate-descent": StrategyCoordinateDescent,
 		"cd":                 StrategyCoordinateDescent,
 	}

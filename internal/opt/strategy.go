@@ -19,12 +19,10 @@ const (
 	// iteration time × dollars kinks wherever a collective's slowest
 	// dimension changes, and projected gradient crawls along the first
 	// kink it meets until the iteration cap, while pairwise transfers stay
-	// on the budget plane and step across kinks.
+	// on the budget plane and step across kinks. "projected-gradient"
+	// and "pgd" parse to it, so specs that name them keep their answers
+	// and fingerprints.
 	StrategyAuto Strategy = ""
-	// StrategyProjectedGradient is a spelling of the default (StrategyAuto),
-	// kept so specs that name it parse; it canonicalizes to "" in spec
-	// fingerprints, so it must behave exactly like the default.
-	StrategyProjectedGradient Strategy = "projected-gradient"
 	// StrategyCoordinateDescent greedily transfers discrete bandwidth
 	// quanta between dimension pairs, halving the quantum as moves stop
 	// paying off — a hill-climbing cousin of the paper's exhaustive
@@ -38,10 +36,7 @@ const (
 func ParseStrategy(s string) (Strategy, error) {
 	switch s {
 	case "", "projected-gradient", "pgd":
-		if s == "" {
-			return StrategyAuto, nil
-		}
-		return StrategyProjectedGradient, nil
+		return StrategyAuto, nil
 	case "coordinate-descent", "cd":
 		return StrategyCoordinateDescent, nil
 	default:

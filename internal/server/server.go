@@ -2,7 +2,7 @@
 // (sync tasks, async jobs with SSE progress) plus the legacy /v1 per-kind
 // endpoints, every one a thin shim over the same task.Run dispatch.
 // cmd/libra-serve wires it to a listener; tests (and embedders) mount
-// New (or the NewMux shim) directly.
+// New directly.
 //
 // Every route is wrapped by one instrument middleware: it mints a trace
 // ID per request (honoring a well-formed inbound X-Request-Id), echoes
@@ -64,14 +64,8 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// NewMux wires the full service surface onto a fresh mux — what main
-// serves and what httptest drives are the same handler. Logging goes to
-// slog.Default(); use New to inject a logger.
-func NewMux(engine *core.Engine, manager *jobs.Manager, maxBody int64) http.Handler {
-	return New(Options{Engine: engine, Jobs: manager, MaxBody: maxBody})
-}
-
-// New wires the full service surface onto a fresh mux.
+// New wires the full service surface onto a fresh mux — what main
+// serves and what httptest drives are the same handler.
 func New(opts Options) http.Handler {
 	lg := opts.Logger
 	if lg == nil {

@@ -11,6 +11,11 @@
 //   - An NPU-level transfer-graph simulator (netsim.go) that schedules
 //     every individual message over per-NPU TX/RX ports, used to validate
 //     the symmetric backend and to execute synthesized (TACOS) schedules.
+//
+// Iterate is the one simulated training iteration: it takes the
+// collective pricer as an argument and folds each layer with
+// timemodel.Loop.LayerTime. SimulateIteration prices with the chunk
+// pipeline; themis.SimulateIteration plugs in the Themis scheduler.
 package sim
 
 import (

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"libra/internal/collective"
 	"libra/internal/compute"
 	"libra/internal/timemodel"
 	"libra/internal/topology"
@@ -38,6 +39,11 @@ type TrainingResult struct {
 	Utilization float64
 }
 
+// CollectivePricer simulates one collective (an m-byte op over mapping,
+// split into chunks): its makespan and per-dimension busy time.
+// SimulateCollective is the baseline pricer.
+type CollectivePricer func(op collective.Op, m float64, mapping collective.Mapping, bw topology.BWConfig, chunks int) (PipelineResult, error)
+
 // SimulateIteration runs one training iteration, pricing every collective
 // with the chunk-pipeline simulator instead of the closed-form model.
 // Chunked pipelining lets consecutive stages of different chunks overlap,
@@ -45,11 +51,20 @@ type TrainingResult struct {
 // analytical bottleneck bound, with a small pipeline fill/drain penalty
 // (the "inevitable scheduling bubbles" of Fig. 9c).
 func SimulateIteration(cfg TrainingConfig, w *workload.Workload, bw topology.BWConfig) (TrainingResult, error) {
+	// Chunks 0 means DefaultChunks, so only a negative count is invalid.
+	if cfg.Chunks < 0 {
+		return TrainingResult{}, fmt.Errorf("sim: chunk count %d must be ≥ 1", cfg.Chunks)
+	}
+	return Iterate(cfg, w, bw, SimulateCollective)
+}
+
+// Iterate runs one training iteration with every collective priced by
+// price: it maps the workload's strategy onto the network, simulates each
+// layer's collectives once, scales them by the layer's copy count, and
+// folds the layer's stage times under cfg.Loop (Fig. 5).
+func Iterate(cfg TrainingConfig, w *workload.Workload, bw topology.BWConfig, price CollectivePricer) (TrainingResult, error) {
 	if cfg.Chunks == 0 {
 		cfg.Chunks = DefaultChunks
-	}
-	if cfg.Chunks < 1 {
-		return TrainingResult{}, fmt.Errorf("sim: chunk count %d must be ≥ 1", cfg.Chunks)
 	}
 	if err := bw.Validate(cfg.Net); err != nil {
 		return TrainingResult{}, err
@@ -66,7 +81,7 @@ func SimulateIteration(cfg TrainingConfig, w *workload.Workload, bw topology.BWC
 	commOf := func(cs []workload.Comm) (float64, error) {
 		total := 0.0
 		for _, c := range cs {
-			pr, err := SimulateCollective(c.Op, c.Bytes, maps.ForScope(c.Scope), bw, cfg.Chunks)
+			pr, err := price(c.Op, c.Bytes, maps.ForScope(c.Scope), bw, cfg.Chunks)
 			if err != nil {
 				return 0, err
 			}
@@ -78,13 +93,14 @@ func SimulateIteration(cfg TrainingConfig, w *workload.Workload, bw topology.BWC
 		return total, nil
 	}
 
+	preBusy := make([]float64, len(res.DimBusy))
 	for _, l := range w.Layers {
 		n := float64(l.Count)
 		fwdComp := cfg.Compute.Time(l.FwdFLOPs, l.FwdBytes)
 		tpComp := cfg.Compute.Time(l.TPFLOPs, l.TPBytes)
 		dpComp := cfg.Compute.Time(l.DPFLOPs, l.DPBytes)
 
-		preBusy := append([]float64(nil), res.DimBusy...)
+		copy(preBusy, res.DimBusy)
 		fwdComm, err := commOf(l.FwdComm)
 		if err != nil {
 			return TrainingResult{}, err
@@ -102,14 +118,7 @@ func SimulateIteration(cfg TrainingConfig, w *workload.Workload, bw topology.BWC
 		}
 		res.CommTime += n * (fwdComm + tpComm + dpComm)
 		res.ComputeOnly += n * (fwdComp + tpComp + dpComp)
-
-		switch cfg.Loop {
-		case timemodel.TPDPOverlap:
-			bwd := tpComp + maxf(tpComm, dpComp+dpComm)
-			res.Total += n * (fwdComp + fwdComm + bwd)
-		default:
-			res.Total += n * (fwdComp + fwdComm + tpComp + tpComm + dpComp + dpComm)
-		}
+		res.Total += n * cfg.Loop.LayerTime(fwdComp, fwdComm, tpComp, tpComm, dpComp, dpComm)
 	}
 	if res.CommTime > 0 {
 		sum := 0.0
@@ -119,11 +128,4 @@ func SimulateIteration(cfg TrainingConfig, w *workload.Workload, bw topology.BWC
 		res.Utilization = sum / (float64(len(res.DimBusy)) * res.CommTime)
 	}
 	return res, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -10,6 +10,10 @@
 // reduced over (and grows as it gathers). When a chunk is ready for its
 // next stage, the scheduler greedily picks the needed dimension that
 // finishes earliest given current port availability.
+//
+// Schedule returns sim's collective result type, and SimulateIteration is
+// sim.Iterate with Schedule as the collective pricer, so Themis and the
+// baseline pipeline share one iteration fold and one result shape.
 package themis
 
 import (
@@ -20,28 +24,6 @@ import (
 	"libra/internal/sim"
 	"libra/internal/topology"
 )
-
-// Result is a Themis-scheduled collective execution.
-type Result struct {
-	// Makespan is the collective completion time in seconds.
-	Makespan float64
-	// DimBusy is per-dimension busy seconds.
-	DimBusy []float64
-	// Chunks is the chunk count.
-	Chunks int
-}
-
-// AvgUtilization returns the mean per-dimension busy fraction.
-func (r Result) AvgUtilization() float64 {
-	if r.Makespan <= 0 || len(r.DimBusy) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, b := range r.DimBusy {
-		s += b
-	}
-	return s / (float64(len(r.DimBusy)) * r.Makespan)
-}
 
 // phase tracks a chunk through reduce-scatter then all-gather.
 type phase int
@@ -63,19 +45,20 @@ type chunkState struct {
 
 // Schedule runs an m-byte collective over the mapping with Themis's
 // greedy chunk-to-dimension policy. Supported ops: ReduceScatter,
-// AllGather, AllReduce (All-to-All has no dimension-order freedom).
-func Schedule(op collective.Op, m float64, mapping collective.Mapping, bw topology.BWConfig, chunks int) (Result, error) {
+// AllGather, AllReduce (All-to-All has no dimension-order freedom). The
+// result carries no Timeline.
+func Schedule(op collective.Op, m float64, mapping collective.Mapping, bw topology.BWConfig, chunks int) (sim.PipelineResult, error) {
 	if chunks < 1 {
-		return Result{}, fmt.Errorf("themis: chunk count %d must be ≥ 1", chunks)
+		return sim.PipelineResult{}, fmt.Errorf("themis: chunk count %d must be ≥ 1", chunks)
 	}
 	if err := mapping.Validate(len(bw)); err != nil {
-		return Result{}, err
+		return sim.PipelineResult{}, err
 	}
 	if op == collective.AllToAll {
-		return Result{}, fmt.Errorf("themis: All-to-All has no dimension-order freedom to schedule")
+		return sim.PipelineResult{}, fmt.Errorf("themis: All-to-All has no dimension-order freedom to schedule")
 	}
 	ndims := len(bw)
-	res := Result{DimBusy: make([]float64, ndims), Chunks: chunks}
+	res := sim.PipelineResult{DimBusy: make([]float64, ndims), Chunks: chunks}
 
 	// Active phases only (groups > 1).
 	groups := make([]int, ndims)

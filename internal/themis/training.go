@@ -3,97 +3,24 @@ package themis
 import (
 	"libra/internal/collective"
 	"libra/internal/sim"
-	"libra/internal/timemodel"
 	"libra/internal/topology"
 	"libra/internal/workload"
 )
 
 // SimulateIteration runs one training iteration with Themis scheduling
 // every Reduce-Scatter/All-Gather/All-Reduce (All-to-All keeps the
-// baseline multi-rail pipeline, which has no ordering freedom). It mirrors
-// sim.SimulateIteration so the two are directly comparable.
+// baseline multi-rail pipeline, which has no ordering freedom). It is
+// sim.SimulateIteration with Themis as the collective pricer, so the two
+// are directly comparable.
 func SimulateIteration(cfg sim.TrainingConfig, w *workload.Workload, bw topology.BWConfig) (sim.TrainingResult, error) {
-	if cfg.Chunks == 0 {
-		cfg.Chunks = sim.DefaultChunks
-	}
-	if err := bw.Validate(cfg.Net); err != nil {
-		return sim.TrainingResult{}, err
-	}
-	if err := w.Validate(); err != nil {
-		return sim.TrainingResult{}, err
-	}
-	maps, err := timemodel.MapStrategy(cfg.Net, w.Strategy, cfg.Policy)
-	if err != nil {
-		return sim.TrainingResult{}, err
-	}
+	return sim.Iterate(cfg, w, bw, price)
+}
 
-	res := sim.TrainingResult{DimBusy: make([]float64, cfg.Net.NumDims())}
-	commOf := func(cs []workload.Comm) (float64, error) {
-		total := 0.0
-		for _, c := range cs {
-			mapping := maps.ForScope(c.Scope)
-			if c.Op == collective.AllToAll {
-				pr, err := sim.SimulateCollective(c.Op, c.Bytes, mapping, bw, cfg.Chunks)
-				if err != nil {
-					return 0, err
-				}
-				total += pr.Makespan
-				for d, b := range pr.DimBusy {
-					res.DimBusy[d] += b
-				}
-				continue
-			}
-			tr, err := Schedule(c.Op, c.Bytes, mapping, bw, cfg.Chunks)
-			if err != nil {
-				return 0, err
-			}
-			total += tr.Makespan
-			for d, b := range tr.DimBusy {
-				res.DimBusy[d] += b
-			}
-		}
-		return total, nil
+// price is the Themis collective pricer: Schedule, or the baseline
+// pipeline for All-to-All.
+func price(op collective.Op, m float64, mapping collective.Mapping, bw topology.BWConfig, chunks int) (sim.PipelineResult, error) {
+	if op == collective.AllToAll {
+		return sim.SimulateCollective(op, m, mapping, bw, chunks)
 	}
-
-	for _, l := range w.Layers {
-		n := float64(l.Count)
-		fwdComp := cfg.Compute.Time(l.FwdFLOPs, l.FwdBytes)
-		tpComp := cfg.Compute.Time(l.TPFLOPs, l.TPBytes)
-		dpComp := cfg.Compute.Time(l.DPFLOPs, l.DPBytes)
-
-		preBusy := append([]float64(nil), res.DimBusy...)
-		fwdComm, err := commOf(l.FwdComm)
-		if err != nil {
-			return sim.TrainingResult{}, err
-		}
-		tpComm, err := commOf(l.TPComm)
-		if err != nil {
-			return sim.TrainingResult{}, err
-		}
-		dpComm, err := commOf(l.DPComm)
-		if err != nil {
-			return sim.TrainingResult{}, err
-		}
-		for d := range res.DimBusy {
-			res.DimBusy[d] = preBusy[d] + n*(res.DimBusy[d]-preBusy[d])
-		}
-		res.CommTime += n * (fwdComm + tpComm + dpComm)
-		res.ComputeOnly += n * (fwdComp + tpComp + dpComp)
-
-		switch cfg.Loop {
-		case timemodel.TPDPOverlap:
-			bwd := tpComp + max(tpComm, dpComp+dpComm)
-			res.Total += n * (fwdComp + fwdComm + bwd)
-		default:
-			res.Total += n * (fwdComp + fwdComm + tpComp + tpComm + dpComp + dpComm)
-		}
-	}
-	if res.CommTime > 0 {
-		sum := 0.0
-		for _, b := range res.DimBusy {
-			sum += b
-		}
-		res.Utilization = sum / (float64(len(res.DimBusy)) * res.CommTime)
-	}
-	return res, nil
+	return Schedule(op, m, mapping, bw, chunks)
 }

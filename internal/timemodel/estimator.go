@@ -200,14 +200,14 @@ func (e *Estimator) iterate(w *workload.Workload, bw topology.BWConfig, maps Map
 		b.DPComm += n * dpComm
 
 		b.ComputeOnly += n * (fwdComp + tpComp + dpComp)
-		b.Total += n * e.Loop.layerTime(fwdComp, fwdComm, tpComp, tpComm, dpComp, dpComm)
+		b.Total += n * e.Loop.LayerTime(fwdComp, fwdComm, tpComp, tpComm, dpComp, dpComm)
 	}
 	b.ExposedComm = b.Total - b.ComputeOnly
 	return b
 }
 
-// layerTime folds one layer's six stage times under the loop (Fig. 5).
-func (l Loop) layerTime(fwdComp, fwdComm, tpComp, tpComm, dpComp, dpComm float64) float64 {
+// LayerTime folds one layer's six stage times under the loop (Fig. 5).
+func (l Loop) LayerTime(fwdComp, fwdComm, tpComp, tpComm, dpComp, dpComm float64) float64 {
 	if l == TPDPOverlap {
 		bwd := tpComp + maxf(tpComm, dpComp+dpComm)
 		return fwdComp + fwdComm + bwd
@@ -296,7 +296,7 @@ func (pl *timePlan) total(bw topology.BWConfig) float64 {
 		fwdComm := stageComm(l.fwd, bw)
 		tpComm := stageComm(l.tp, bw)
 		dpComm := stageComm(l.dp, bw)
-		total += l.n * pl.loop.layerTime(l.fwdComp, fwdComm, l.tpComp, tpComm, l.dpComp, dpComm)
+		total += l.n * pl.loop.LayerTime(l.fwdComp, fwdComm, l.tpComp, tpComm, l.dpComp, dpComm)
 	}
 	return total
 }

@@ -58,6 +58,6 @@ func (c CollectiveCase) NPULevel() (sim.NetResult, error) {
 }
 
 // Themis runs the case under the Themis greedy chunk scheduler.
-func (c CollectiveCase) Themis() (themis.Result, error) {
+func (c CollectiveCase) Themis() (sim.PipelineResult, error) {
 	return themis.Schedule(c.Op, c.Bytes, c.Mapping(), c.BW, c.Chunks)
 }

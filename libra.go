@@ -223,18 +223,11 @@ type (
 // and the per-start search strategy.
 type SolverOptions = opt.Options
 
-// Solver strategies. The default (the zero value) picks each start's
-// local search from the objective's convexity: projected gradient for
-// perf, coordinate descent for perf-per-cost, each with a Nelder-Mead
-// polish.
+// Solver strategies. The default (the zero value, which the spellings
+// "projected-gradient" and "pgd" also parse to) picks each start's local
+// search from the objective's convexity: projected gradient for perf,
+// coordinate descent for perf-per-cost, each with a Nelder-Mead polish.
 const (
-	// StrategyProjectedGradient is another spelling of the default: it
-	// runs projected gradient only on convex (perf) objectives.
-	//
-	// Deprecated: the name promises projected gradient on every
-	// objective, which no strategy provides any more; leave
-	// SolverOptions.Strategy empty for the same behaviour.
-	StrategyProjectedGradient = opt.StrategyProjectedGradient
 	// StrategyCoordinateDescent runs discrete coordinate descent over BW
 	// partitions (the paper's exhaustive-search flavor) alone, with no
 	// polish, whatever the objective.
