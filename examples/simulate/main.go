@@ -48,13 +48,15 @@ func run(w io.Writer) error {
 	}
 	for _, c := range cases {
 		cc := validate.CollectiveCase{Net: net, Op: collective.AllReduce, Bytes: m, BW: c.bw, Chunks: chunks}
-		r, err := cc.Pipeline()
+		var timeline []sim.StageEvent
+		r, err := sim.Trace(cc.Op, cc.Bytes, cc.Mapping(), cc.BW, cc.Chunks,
+			func(ev sim.StageEvent) { timeline = append(timeline, ev) })
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%s   bw=%s   makespan=%.2fms   avg util=%.0f%%\n",
 			c.name, c.bw.String(), r.Makespan*1e3, 100*r.AvgUtilization())
-		drawTimeline(w, r)
+		drawTimeline(w, r, timeline)
 
 		th, err := cc.Themis()
 		if err != nil {
@@ -66,11 +68,11 @@ func run(w io.Writer) error {
 }
 
 // drawTimeline renders each dimension's busy intervals as an ASCII strip.
-func drawTimeline(w io.Writer, r sim.PipelineResult) {
+func drawTimeline(w io.Writer, r sim.PipelineResult, timeline []sim.StageEvent) {
 	const width = 72
 	for d := 0; d < len(r.DimBusy); d++ {
 		strip := []byte(strings.Repeat(".", width))
-		for _, ev := range r.Timeline {
+		for _, ev := range timeline {
 			if ev.Dim != d {
 				continue
 			}

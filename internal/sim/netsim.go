@@ -22,8 +22,6 @@ type Transfer struct {
 // NetResult is the outcome of an NPU-level simulation.
 type NetResult struct {
 	Makespan float64
-	// Finish holds each transfer's completion time.
-	Finish []float64
 	// DimBusy is the per-dimension total port-busy time averaged over
 	// NPUs, comparable to PipelineResult.DimBusy.
 	DimBusy []float64
@@ -56,10 +54,7 @@ func RunTransfers(net *topology.Network, bw topology.BWConfig, transfers []Trans
 		}
 	}
 
-	res := NetResult{
-		Finish:  make([]float64, len(transfers)),
-		DimBusy: make([]float64, nd),
-	}
+	res := NetResult{DimBusy: make([]float64, nd)}
 	txFree := make([]float64, p*nd)
 	rxFree := make([]float64, p*nd)
 	done := make([]bool, len(transfers))
@@ -102,7 +97,6 @@ func RunTransfers(net *topology.Network, bw topology.BWConfig, transfers []Trans
 		end := bestStart + dur
 		txFree[tr.Src*nd+tr.Dim] = end
 		rxFree[tr.Dst*nd+tr.Dim] = end
-		res.Finish[best] = end
 		res.DimBusy[tr.Dim] += dur / float64(p)
 		done[best] = true
 		remaining--

@@ -7,6 +7,7 @@
 //     are NPU-symmetric, so one NPU's timeline is the collective's
 //     timeline; this backend scales to thousands of NPUs and reproduces
 //     the Fig. 9 pipeline diagrams and bandwidth-utilization numbers.
+//     Pricing records no timeline: stage events go only to a Trace visitor.
 //
 //   - An NPU-level transfer-graph simulator (netsim.go) that schedules
 //     every individual message over per-NPU TX/RX ports, used to validate
@@ -21,13 +22,12 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"libra/internal/collective"
 	"libra/internal/topology"
 )
 
-// StageEvent records one executed chunk-stage in the pipeline timeline.
+// StageEvent is one executed chunk-stage, as Trace visits it.
 type StageEvent struct {
 	Chunk int
 	Dim   int
@@ -42,10 +42,6 @@ type PipelineResult struct {
 	Makespan float64
 	// DimBusy is the per-dimension busy time in seconds.
 	DimBusy []float64
-	// Timeline lists every chunk-stage execution, sorted by start time.
-	Timeline []StageEvent
-	// Chunks is the chunk count used.
-	Chunks int
 }
 
 // AvgUtilization returns mean per-dimension busy fraction over the
@@ -72,8 +68,18 @@ func (r PipelineResult) DimUtilization(d int) float64 {
 // SimulateCollective runs an m-byte collective split into chunks over the
 // multi-rail stage schedule, with in-order chunk dispatch and FIFO
 // per-dimension ports (the paper's baseline scheduler). bw is GB/s per
-// NPU per dimension.
+// NPU per dimension. It is Trace without a visitor: pricing records no
+// stage events.
 func SimulateCollective(op collective.Op, m float64, mapping collective.Mapping, bw topology.BWConfig, chunks int) (PipelineResult, error) {
+	return Trace(op, m, mapping, bw, chunks, nil)
+}
+
+// Trace is SimulateCollective that also hands visit each chunk-stage as it
+// is dispatched; visit may be nil. The dispatcher runs the stage that can
+// start earliest and no candidate start ever moves earlier, so events
+// arrive in start order, ties going to the lower chunk; only starts within
+// the loop's 1e-18 s tie slack may arrive out of order.
+func Trace(op collective.Op, m float64, mapping collective.Mapping, bw topology.BWConfig, chunks int, visit func(StageEvent)) (PipelineResult, error) {
 	if chunks < 1 {
 		return PipelineResult{}, fmt.Errorf("sim: chunk count %d must be ≥ 1", chunks)
 	}
@@ -82,7 +88,7 @@ func SimulateCollective(op collective.Op, m float64, mapping collective.Mapping,
 	}
 	stages := collective.Stages(op, mapping)
 	ndims := len(bw)
-	res := PipelineResult{DimBusy: make([]float64, ndims), Chunks: chunks}
+	res := PipelineResult{DimBusy: make([]float64, ndims)}
 	if len(stages) == 0 || m == 0 {
 		return res, nil
 	}
@@ -114,9 +120,9 @@ func SimulateCollective(op collective.Op, m float64, mapping collective.Mapping,
 		c := bestChunk
 		s := stages[next[c]]
 		end := bestStart + dur[next[c]]
-		res.Timeline = append(res.Timeline, StageEvent{
-			Chunk: c, Dim: s.Dim, Op: s.Op, Start: bestStart, End: end,
-		})
+		if visit != nil {
+			visit(StageEvent{Chunk: c, Dim: s.Dim, Op: s.Op, Start: bestStart, End: end})
+		}
 		res.DimBusy[s.Dim] += dur[next[c]]
 		dimFree[s.Dim] = end
 		ready[c] = end
@@ -126,11 +132,5 @@ func SimulateCollective(op collective.Op, m float64, mapping collective.Mapping,
 			res.Makespan = end
 		}
 	}
-	sort.Slice(res.Timeline, func(i, j int) bool {
-		if res.Timeline[i].Start != res.Timeline[j].Start {
-			return res.Timeline[i].Start < res.Timeline[j].Start
-		}
-		return res.Timeline[i].Chunk < res.Timeline[j].Chunk
-	})
 	return res, nil
 }

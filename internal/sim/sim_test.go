@@ -29,7 +29,8 @@ func TestPipelineSingleChunkSerializes(t *testing.T) {
 	m := 1e9
 	mp := mapping2D(4, 2)
 	bw := topology.BWConfig{50, 50}
-	r, err := SimulateCollective(collective.AllReduce, m, mp, bw, 1)
+	events := 0
+	r, err := Trace(collective.AllReduce, m, mp, bw, 1, func(StageEvent) { events++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +41,8 @@ func TestPipelineSingleChunkSerializes(t *testing.T) {
 	if !approx(r.Makespan, want, 1e-9) {
 		t.Errorf("1-chunk makespan = %v, want serialized %v", r.Makespan, want)
 	}
-	if len(r.Timeline) != 4 {
-		t.Errorf("timeline events = %d, want 4 stages", len(r.Timeline))
+	if events != 4 {
+		t.Errorf("trace events = %d, want 4 stages", events)
 	}
 }
 
@@ -110,18 +111,24 @@ func TestPipelineFig9UtilizationShapes(t *testing.T) {
 }
 
 func TestPipelineTimelineOrdering(t *testing.T) {
-	r, err := SimulateCollective(collective.AllReduce, 1e8, mapping2D(4, 2), topology.BWConfig{10, 10}, 4)
+	var timeline []StageEvent
+	_, err := Trace(collective.AllReduce, 1e8, mapping2D(4, 2), topology.BWConfig{10, 10}, 4,
+		func(ev StageEvent) { timeline = append(timeline, ev) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 4 chunks × 4 stages.
-	if len(r.Timeline) != 16 {
-		t.Fatalf("timeline = %d events", len(r.Timeline))
+	if len(timeline) != 16 {
+		t.Fatalf("timeline = %d events", len(timeline))
 	}
-	// Per chunk, stages must be sequential; per dim, no overlap.
+	// Events arrive in start order (up to the dispatcher's 1e-18 s tie
+	// slack); per chunk, stages must be sequential; per dim, no overlap.
 	chunkEnd := map[int]float64{}
 	dimEnd := map[int]float64{}
-	for _, ev := range r.Timeline {
+	for i, ev := range timeline {
+		if i > 0 && ev.Start < timeline[i-1].Start-1e-18 {
+			t.Errorf("event %d starts at %v, before event %d at %v", i, ev.Start, i-1, timeline[i-1].Start)
+		}
 		if ev.Start < chunkEnd[ev.Chunk]-1e-12 {
 			t.Errorf("chunk %d stage starts at %v before its previous stage ended %v", ev.Chunk, ev.Start, chunkEnd[ev.Chunk])
 		}
@@ -130,6 +137,26 @@ func TestPipelineTimelineOrdering(t *testing.T) {
 		}
 		chunkEnd[ev.Chunk] = ev.End
 		dimEnd[ev.Dim] = ev.End
+	}
+}
+
+// Pricing records no per-stage events: SimulateCollective allocates the
+// same at every chunk count.
+func TestPricingAllocsFlatInChunks(t *testing.T) {
+	mp := collective.Mapping{Phases: []collective.Phase{{Dim: 0, Group: 4}, {Dim: 1, Group: 8}, {Dim: 2, Group: 2}}}
+	bw := topology.BWConfig{100, 40, 25}
+	allocs := func(chunks int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := SimulateCollective(collective.AllReduce, 1e9, mp, bw, chunks); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs(4)
+	for _, chunks := range []int{64, 256} {
+		if got := allocs(chunks); got != base {
+			t.Errorf("%d chunks: %v allocs per call, %v at 4 chunks", chunks, got, base)
+		}
 	}
 }
 

@@ -45,8 +45,9 @@ type chunkState struct {
 
 // Schedule runs an m-byte collective over the mapping with Themis's
 // greedy chunk-to-dimension policy. Supported ops: ReduceScatter,
-// AllGather, AllReduce (All-to-All has no dimension-order freedom). The
-// result carries no Timeline.
+// AllGather, AllReduce (All-to-All has no dimension-order freedom). Like
+// the sim.SimulateCollective baseline it compares against, it records no
+// stage events; chunk-stage timelines come only from sim.Trace's visitor.
 func Schedule(op collective.Op, m float64, mapping collective.Mapping, bw topology.BWConfig, chunks int) (sim.PipelineResult, error) {
 	if chunks < 1 {
 		return sim.PipelineResult{}, fmt.Errorf("themis: chunk count %d must be ≥ 1", chunks)
@@ -58,7 +59,7 @@ func Schedule(op collective.Op, m float64, mapping collective.Mapping, bw topolo
 		return sim.PipelineResult{}, fmt.Errorf("themis: All-to-All has no dimension-order freedom to schedule")
 	}
 	ndims := len(bw)
-	res := sim.PipelineResult{DimBusy: make([]float64, ndims), Chunks: chunks}
+	res := sim.PipelineResult{DimBusy: make([]float64, ndims)}
 
 	// Active phases only (groups > 1).
 	groups := make([]int, ndims)

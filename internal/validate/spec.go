@@ -39,6 +39,21 @@ const (
 	// simulates; larger systems are reported as skipped. Scheduling is
 	// O(transfers²) and transfer counts grow with NPUs × chunks.
 	DefaultNPULevelMaxNPUs = 128
+	// MaxChunks bounds the chunk-pipeline's chunk count, which costs
+	// O(chunks² · stages) per collective. The slowest default-axis
+	// scenario at 1024 chunks, the MSFT-1T iteration on 4D-4K, simulates
+	// in 0.24 s on a 2-vCPU Xeon, and the whole default matrix in 2.8 s
+	// on one worker.
+	MaxChunks = 1024
+	// MaxNPULevelTransfers bounds the transfer DAG of every scenario the
+	// transfer-DAG path would simulate: chunks × NPUs × Σ(group − 1) over
+	// the collective's stages, scheduled in O(transfers²). It admits the
+	// default 16 chunks on the 128-NPU torus RI(4)_RI(4)_RI(8) (All-Reduce:
+	// 53,248 transfers, 2.9 s). The slowest admitted scenario measured,
+	// FC(128) All-Reduce at 2 chunks (65,024 transfers), takes 4.2 s on a
+	// 2-vCPU Xeon; the same topology at the default 16 chunks would take
+	// minutes.
+	MaxNPULevelTransfers = 1 << 16
 )
 
 // DefaultTopologies returns the default topology axis: the three Table III
@@ -91,12 +106,15 @@ type Spec struct {
 	// CollectiveBytes is the raw collective payload in bytes.
 	CollectiveBytes float64 `json:"collective_bytes,omitempty"`
 	// Chunks is the chunk-pipeline simulator's chunk count (default: the
-	// paper's 64).
+	// paper's 64, at most MaxChunks).
 	Chunks int `json:"chunks,omitempty"`
-	// NPULevelChunks is the transfer-DAG path's chunk count.
+	// NPULevelChunks is the transfer-DAG path's chunk count. Together with
+	// NPULevelMaxNPUs it must keep every simulated transfer DAG within
+	// MaxNPULevelTransfers.
 	NPULevelChunks int `json:"npu_level_chunks,omitempty"`
 	// NPULevelMaxNPUs caps transfer-DAG scenarios by system size; larger
-	// topologies report the path as skipped.
+	// topologies report the path as skipped. Raising it brings larger
+	// topologies under MaxNPULevelTransfers.
 	NPULevelMaxNPUs int `json:"npu_level_max_npus,omitempty"`
 	// InNetwork requests in-network (switch-offload) All-Reduce
 	// execution. The analytical model prices it (§IV-C), but neither
@@ -186,10 +204,13 @@ func (s *Spec) resolve() (*resolved, error) {
 	}
 	// Every topology must at least resolve; per-scenario failures beyond
 	// that (workload instantiation, strategy mapping) are data, not errors.
-	for _, t := range r.topologies {
-		if _, err := (&core.ProblemSpec{Topology: t}).Network(); err != nil {
+	nets := make([]*topology.Network, len(r.topologies))
+	for i, t := range r.topologies {
+		net, err := (&core.ProblemSpec{Topology: t}).Network()
+		if err != nil {
 			return nil, fmt.Errorf("%w: %w", core.ErrBadSpec, err)
 		}
+		nets[i] = net
 	}
 	if r.budget == 0 {
 		r.budget = DefaultBudgetGBps
@@ -209,6 +230,9 @@ func (s *Spec) resolve() (*resolved, error) {
 	if r.chunks < 1 {
 		return nil, bad("chunk count must be ≥ 1, got %d", s.Chunks)
 	}
+	if r.chunks > MaxChunks {
+		return nil, bad("chunk count %d exceeds the %d-chunk limit", r.chunks, MaxChunks)
+	}
 	if r.npuChunks == 0 {
 		r.npuChunks = DefaultNPULevelChunks
 	}
@@ -221,6 +245,19 @@ func (s *Spec) resolve() (*resolved, error) {
 	if r.npuMax < 1 {
 		return nil, bad("NPU-level NPU cap must be ≥ 1, got %d", s.NPULevelMaxNPUs)
 	}
+	// Only the transfer-DAG scenarios enumerate would run are bounded.
+	for i, net := range nets {
+		offload := switchOffload(net, r.inNetwork)
+		for _, op := range r.collectives {
+			if r.collectiveSkip(net, offload, op, PathTransferDAG) != "" {
+				continue
+			}
+			if n := transferDAGSize(net, op, r.npuChunks); n > MaxNPULevelTransfers {
+				return nil, bad("transfer-DAG scenario %s/%s needs %.0f transfers, over the %d-transfer limit (lower npu_level_chunks or npu_level_max_npus)",
+					r.topologies[i], op.Key(), n, MaxNPULevelTransfers)
+			}
+		}
+	}
 	if r.tolerance == 0 {
 		r.tolerance = DefaultTolerance
 	}
@@ -228,6 +265,19 @@ func (s *Spec) resolve() (*resolved, error) {
 		return nil, bad("tolerance must be positive, got %v", s.Tolerance)
 	}
 	return r, nil
+}
+
+// transferDAGSize is the number of transfers sim.BuildCollectiveTransfers
+// schedules for op over all of net: per chunk, every stage sends g − 1
+// shards out of each NPU. It is a float so huge chunk counts cannot
+// overflow.
+func transferDAGSize(net *topology.Network, op collective.Op, chunks int) float64 {
+	mp := collective.FullMapping(net)
+	perNPU := 0
+	for _, st := range collective.Stages(op, mp) {
+		perNPU += mp.Phases[st.PhaseIndex].Group - 1
+	}
+	return float64(chunks) * float64(net.NPUs()) * float64(perNPU)
 }
 
 // ---- Canonicalization and fingerprinting ----

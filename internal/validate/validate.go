@@ -221,12 +221,9 @@ func (r *resolved) enumerate() []job {
 				if path == PathTransferDAG {
 					chunks = r.npuChunks
 				}
-				switch {
-				case offload != nil && op == collective.AllReduce:
-					j.scenario.skip("the simulators cannot model in-network (switch-offload) All-Reduce reduction")
-				case path == PathTransferDAG && npus > r.npuMax:
-					j.scenario.skip(fmt.Sprintf("transfer-DAG simulation is capped at %d NPUs (topology has %d)", r.npuMax, npus))
-				default:
+				if reason := r.collectiveSkip(net, offload, op, path); reason != "" {
+					j.scenario.skip(reason)
+				} else {
 					cc := CollectiveCase{Net: net, Op: op, Bytes: r.bytes, BW: bw, Chunks: chunks}
 					j.key = fmt.Sprintf("validate|%s|%s|c=%d", sc.ID, collectiveKey, chunks)
 					j.run = collectiveRun(cc, path)
@@ -268,6 +265,18 @@ func (r *resolved) enumerate() []job {
 		}
 	}
 	return jobs
+}
+
+// collectiveSkip returns why the simulators cannot run op over path on
+// net (offload is switchOffload's flags for it), or "" when they can.
+func (r *resolved) collectiveSkip(net *topology.Network, offload []bool, op collective.Op, path string) string {
+	switch {
+	case offload != nil && op == collective.AllReduce:
+		return "the simulators cannot model in-network (switch-offload) All-Reduce reduction"
+	case path == PathTransferDAG && net.NPUs() > r.npuMax:
+		return fmt.Sprintf("transfer-DAG simulation is capped at %d NPUs (topology has %d)", r.npuMax, net.NPUs())
+	}
+	return ""
 }
 
 func (s *Scenario) skip(reason string) {

@@ -12,6 +12,7 @@ import (
 
 	"libra/internal/collective"
 	"libra/internal/core"
+	"libra/internal/sim"
 	"libra/internal/topology"
 )
 
@@ -380,6 +381,73 @@ func TestScenarioBound(t *testing.T) {
 				t.Errorf("error %q does not name %q", err, want)
 			}
 		})
+	}
+}
+
+// Simulation size is bounded before any scenario runs: the pipeline's
+// chunk count by MaxChunks, and every transfer DAG the matrix would
+// simulate by MaxNPULevelTransfers. At each bound the spec resolves; one
+// over is a bad_spec error naming the bound. RI(2)^4 All-Reduce sends
+// 16 NPUs × 8 stage-shards = 128 transfers per chunk, so 512 chunks sit
+// exactly on the transfer bound.
+func TestSimulationSizeBound(t *testing.T) {
+	const ri2x4 = "RI(2)_RI(2)_RI(2)_RI(2)"
+	for _, tc := range []struct {
+		name string
+		spec *Spec
+		want string // error substring; "" resolves
+	}{
+		{"chunks at the bound", &Spec{Topologies: []string{"3D-Torus"}, Chunks: MaxChunks}, ""},
+		{"chunks one over", &Spec{Topologies: []string{"3D-Torus"}, Chunks: MaxChunks + 1},
+			"chunk count 1025 exceeds the 1024-chunk limit"},
+		{"transfers at the bound", &Spec{Topologies: []string{ri2x4}, NPULevelChunks: 512}, ""},
+		{"transfers one chunk over", &Spec{Topologies: []string{ri2x4}, NPULevelChunks: 513},
+			"transfer-DAG scenario RI(2)_RI(2)_RI(2)_RI(2)/allreduce needs 65664 transfers, over the 65536-transfer limit"},
+		{"NPU cap raised over default topologies", &Spec{NPULevelMaxNPUs: 4096},
+			"transfer-DAG scenario 3D-512/reducescatter needs 204800 transfers, over the 65536-transfer limit"},
+		{"one wide dimension at default chunks", &Spec{Topologies: []string{"FC(128)"}},
+			"transfer-DAG scenario FC(128)/reducescatter needs 260096 transfers, over the 65536-transfer limit"},
+		{"huge chunk count", &Spec{Topologies: []string{"3D-Torus"}, NPULevelChunks: math.MaxInt},
+			"over the 65536-transfer limit"},
+		// Scenarios that would be skipped are never simulated, so they
+		// cannot exceed the bound.
+		{"over the NPU cap", &Spec{Topologies: []string{"4D-4K"}}, ""},
+		{"in-network All-Reduce", &Spec{Topologies: []string{"SW(8)_SW(16)"}, Collectives: []string{"allreduce"}, InNetwork: true}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := tc.spec.resolve()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("resolve: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, core.ErrBadSpec) {
+				t.Fatalf("want ErrBadSpec, got %v", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// transferDAGSize counts exactly the transfers the NPU-level simulator
+// builds.
+func TestTransferDAGSizeMatchesBuilder(t *testing.T) {
+	for _, topo := range []string{"RI(4)_FC(3)_SW(2)", "SW(8)", "RI(2)_RI(2)_RI(2)_RI(2)", "FC(5)_RI(3)"} {
+		net := topology.MustParse(topo)
+		for _, op := range []collective.Op{collective.ReduceScatter, collective.AllGather, collective.AllReduce, collective.AllToAll} {
+			for _, chunks := range []int{1, 3} {
+				trs, err := sim.BuildCollectiveTransfers(net, op, 1e6, collective.FullMapping(net), chunks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := transferDAGSize(net, op, chunks); got != float64(len(trs)) {
+					t.Errorf("%s %v chunks=%d: transferDAGSize %v, builder %d", topo, op, chunks, got, len(trs))
+				}
+			}
+		}
 	}
 }
 
