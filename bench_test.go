@@ -246,7 +246,8 @@ func BenchmarkColdSolveMix(b *testing.B) {
 }
 
 // BenchmarkTimeFuncEval prices one bandwidth vector with the optimizer's
-// objective closure (GPT-3 on 4D-4K): the innermost call of every solve.
+// objective, a compiled plan's Time (GPT-3 on 4D-4K): the innermost call
+// of every solve.
 func BenchmarkTimeFuncEval(b *testing.B) {
 	net := topology.FourD4K()
 	w, err := workload.GPT3(net.NPUs())
@@ -254,7 +255,7 @@ func BenchmarkTimeFuncEval(b *testing.B) {
 		b.Fatal(err)
 	}
 	est := &timemodel.Estimator{Net: net, Compute: libra.A100(), Loop: timemodel.NoOverlap}
-	f, err := est.TimeFunc(w)
+	pl, err := est.Compile(w)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func BenchmarkTimeFuncEval(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if f(bw) <= 0 {
+		if pl.Time(bw) <= 0 {
 			b.Fatal("non-positive iteration time")
 		}
 	}

@@ -29,6 +29,7 @@ import (
 
 	"libra/internal/core"
 	"libra/internal/frontier"
+	"libra/internal/opt"
 	"libra/internal/topology"
 	"libra/internal/workload"
 )
@@ -309,7 +310,9 @@ func computeFrontier(ctx context.Context, rep *Report, cols []core.Column, cands
 	// As a frontier column opens at its axis' largest budget, a candidate
 	// whose problem does not build, or cannot take that budget (its point
 	// there fails core.ErrBadSpec), fails the study; the first such
-	// candidate in enumeration order is named.
+	// candidate in enumeration order is named. Constraints that admit no
+	// allocation at that budget (opt.ErrInfeasible, also a bad spec) only
+	// fail its cell: a column would open on them.
 	order := make([]int, len(budgets))
 	for i := range order {
 		order[i] = i
@@ -319,7 +322,7 @@ func computeFrontier(ctx context.Context, rep *Report, cols []core.Column, cands
 	for i, col := range cols {
 		err := rep.Candidates[i].Err
 		if col != nil {
-			if err = results[i][top].Err; !errors.Is(err, core.ErrBadSpec) {
+			if err = results[i][top].Err; !errors.Is(err, core.ErrBadSpec) || errors.Is(err, opt.ErrInfeasible) {
 				err = nil
 			}
 		}

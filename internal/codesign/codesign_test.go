@@ -568,3 +568,30 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Error("Clone must not share backing arrays")
 	}
 }
+
+// A budget the constraints cannot meet fails its frontier cells in place,
+// even at the axis maximum: unlike a budget below the dimension floors,
+// infeasible constraints are a property of the cell, not of the study.
+func TestComputeBudgetAxisInfeasibleTopBudget(t *testing.T) {
+	engine := core.NewEngine(core.EngineConfig{Workers: 4, CacheSize: 128})
+	defer engine.Close()
+	spec := tinySpec()
+	spec.TPs = []int{2, 4}
+	spec.Base.BudgetGBps = 150
+	// Caps summing to 200 GB/s: feasible at 150, infeasible at 300.
+	spec.Base.Constraints = []core.ConstraintSpec{core.DimCap(1, 100), core.DimCap(2, 100)}
+	spec.Budgets = []float64{150, 300}
+	rep, err := Compute(context.Background(), engine, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Frontier) != 2 {
+		t.Fatalf("frontier has %d points, want 2", len(rep.Frontier))
+	}
+	if low := rep.Frontier[0]; low.Err != nil {
+		t.Errorf("budget 150: %v", low.Err)
+	}
+	if high := rep.Frontier[1]; high.Err == nil || high.Error != "codesign: no strategy solved at budget 300" {
+		t.Errorf("budget 300: error %q, want no strategy solved", high.Error)
+	}
+}

@@ -23,6 +23,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -247,28 +248,28 @@ func (p *Problem) estimator(policy timemodel.MappingPolicy) *timemodel.Estimator
 	}
 }
 
-// timeFuncs builds the per-target iteration-time closures under a policy.
-func (p *Problem) timeFuncs(policy timemodel.MappingPolicy) ([]func(topology.BWConfig) float64, error) {
+// plans compiles every target's time plan under a policy.
+func (p *Problem) plans(policy timemodel.MappingPolicy) ([]*timemodel.Plan, error) {
 	est := p.estimator(policy)
-	fns := make([]func(topology.BWConfig) float64, len(p.Targets))
+	plans := make([]*timemodel.Plan, len(p.Targets))
 	for i, t := range p.Targets {
-		f, err := est.TimeFunc(t.Workload)
+		pl, err := est.Compile(t.Workload)
 		if err != nil {
 			return nil, fmt.Errorf("core: target %s: %w", t.Workload.Name, err)
 		}
-		fns[i] = f
+		plans[i] = pl
 	}
-	return fns, nil
+	return plans, nil
 }
 
 // Evaluator prices bandwidth design points for one validated Problem. It
-// validates the problem, resolves every target's parallelization mapping,
+// validates the problem, compiles every target's Actual-policy time plan,
 // and caches the cost rates once at construction, so sweep hot loops pay
 // only the analytical model per point instead of re-validating the whole
 // problem each call. An Evaluator goes stale if its Problem is mutated.
 type Evaluator struct {
 	p     *Problem
-	iters []func(topology.BWConfig) (timemodel.Breakdown, error)
+	plans []*timemodel.Plan
 	rates []float64
 	wsum  float64
 }
@@ -279,29 +280,26 @@ func (p *Problem) NewEvaluator() (*Evaluator, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	est := p.estimator(timemodel.Actual)
-	e := &Evaluator{p: p, iters: make([]func(topology.BWConfig) (timemodel.Breakdown, error), len(p.Targets))}
-	for i, t := range p.Targets {
-		f, err := est.Prepare(t.Workload)
-		if err != nil {
-			return nil, fmt.Errorf("core: target %s: %w", t.Workload.Name, err)
-		}
-		e.iters[i] = f
-		e.wsum += p.weight(i)
+	plans, err := p.plans(timemodel.Actual)
+	if err != nil {
+		return nil, err
 	}
 	rates, err := cost.Rates(p.Cost, p.Net)
 	if err != nil {
 		return nil, err
 	}
-	e.rates = rates
+	e := &Evaluator{p: p, plans: plans, rates: rates}
+	for i := range p.Targets {
+		e.wsum += p.weight(i)
+	}
 	return e, nil
 }
 
 // Evaluate prices an explicit bandwidth configuration.
 func (e *Evaluator) Evaluate(bw topology.BWConfig) (Result, error) {
-	res := Result{BW: bw.Clone(), Times: make([]float64, len(e.iters))}
-	for i, f := range e.iters {
-		b, err := f(bw)
+	res := Result{BW: bw.Clone(), Times: make([]float64, len(e.plans))}
+	for i, pl := range e.plans {
+		b, err := pl.Iteration(bw)
 		if err != nil {
 			return Result{}, fmt.Errorf("core: target %s: %w", e.p.Targets[i].Workload.Name, err)
 		}
@@ -377,12 +375,12 @@ func (p *Problem) OptimizeContext(ctx context.Context) (Result, error) {
 
 // Optimizer hoists every budget-independent preparation of a Problem out
 // of sweep loops: problem validation, the Actual-policy Evaluator (target
-// mappings + cost rates), and the optimizer-policy time closures. Sweeps
-// that solve one Problem at many budgets (the figure sweeps) build one
-// Optimizer and call SolveBudget per point, optionally warm-starting each
-// point from its neighbor's solution. Every solve, OptimizeContext's
-// included, runs through Optimizer.solve, the one place a warm vector
-// enters the solver.
+// time plans + cost rates), and the optimizer-policy time plans (the
+// evaluator's own under the Actual policy). Sweeps that solve one Problem
+// at many budgets (the figure sweeps) build one Optimizer and call
+// SolveBudget per point, optionally warm-starting each point from its
+// neighbor's solution. Every solve, OptimizeContext's included, runs
+// through Optimizer.solve, the one place a warm vector enters the solver.
 //
 // The Optimizer reads p.Objective and p.Solver at each solve (the figure
 // sweeps flip the objective between solves of one problem); everything
@@ -390,13 +388,13 @@ func (p *Problem) OptimizeContext(ctx context.Context) (Result, error) {
 // constraint specs — is captured at construction, so mutating those
 // fields requires a new Optimizer. Solves may run concurrently on one
 // Optimizer (an engine column's abandoned flight and its next point do):
-// a solve only reads the problem and the compiled closures, and builds
+// a solve only reads the problem and the compiled plans, and builds
 // its own constraint set and solver state. Mutating the Problem while
 // any solve runs is a data race.
 type Optimizer struct {
-	p    *Problem
-	eval *Evaluator
-	fns  []func(topology.BWConfig) float64
+	p     *Problem
+	eval  *Evaluator
+	plans []*timemodel.Plan
 }
 
 // NewOptimizer validates the problem and prepares the per-point solve
@@ -409,15 +407,19 @@ func (p *Problem) NewOptimizer() (*Optimizer, error) {
 	return eval.optimizer()
 }
 
-// optimizer compiles the optimizer-policy time closures on top of a
-// prepared evaluator, so a caller that already holds one (an engine
-// column) prepares the Actual-policy mappings once.
+// optimizer builds an Optimizer on a prepared evaluator, so a caller that
+// already holds one (an engine column) compiles each target once: the
+// optimizer prices the evaluator's Actual-policy plans, and compiles its
+// own only under another OptPolicy.
 func (e *Evaluator) optimizer() (*Optimizer, error) {
-	fns, err := e.p.timeFuncs(e.p.OptPolicy)
-	if err != nil {
-		return nil, err
+	plans := e.plans
+	if e.p.OptPolicy != timemodel.Actual {
+		var err error
+		if plans, err = e.p.plans(e.p.OptPolicy); err != nil {
+			return nil, err
+		}
 	}
-	return &Optimizer{p: e.p, eval: e, fns: fns}, nil
+	return &Optimizer{p: e.p, eval: e, plans: plans}, nil
 }
 
 // Evaluator exposes the hoisted Actual-policy evaluator, so sweeps can
@@ -454,7 +456,12 @@ func (o *Optimizer) solve(ctx context.Context, budget float64, solverOpts opt.Op
 		sol, err = opt.MinimizeContext(ctx, prob, solverOpts)
 	}
 	if err != nil {
-		return Result{}, fmt.Errorf("core: %s solve failed: %w", p.Objective, err)
+		err = fmt.Errorf("core: %s solve failed: %w", p.Objective, err)
+		if errors.Is(err, opt.ErrInfeasible) {
+			// The spec's constraints leave no allocation: the caller's fault.
+			err = fmt.Errorf("%w: %w", ErrBadSpec, err)
+		}
+		return Result{}, err
 	}
 	return o.eval.Evaluate(topology.BWConfig(sol.X))
 }
@@ -466,12 +473,12 @@ func (o *Optimizer) solve(ctx context.Context, budget float64, solverOpts opt.Op
 func (o *Optimizer) objective() (f func([]float64) float64, convex bool) {
 	p := o.p
 	costRates := o.eval.rates
-	fns, wsum := o.fns, o.eval.wsum
+	plans, wsum := o.plans, o.eval.wsum
 	weightedTime := func(x []float64) float64 {
 		bw := topology.BWConfig(x)
 		total := 0.0
-		for i, f := range fns {
-			t := f(bw)
+		for i, pl := range plans {
+			t := pl.Time(bw)
 			if math.IsInf(t, 1) || t >= 1e300 {
 				return math.Inf(1)
 			}

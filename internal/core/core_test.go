@@ -307,3 +307,34 @@ func TestMoreBudgetNeverHurts(t *testing.T) {
 		prev = r.WeightedTime
 	}
 }
+
+// An Optimizer on an Actual-policy problem prices the evaluator's own
+// compiled plans, so opening a column compiles each target once; another
+// OptPolicy compiles its own.
+func TestOptimizerReusesEvaluatorPlans(t *testing.T) {
+	net := topology.FourD4K()
+	gpt3, err := workload.GPT3(net.NPUs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProblem(net, 500, gpt3, mustMSFT(t, net.NPUs()))
+	for _, policy := range []timemodel.MappingPolicy{timemodel.Actual, timemodel.IdealFullDims} {
+		p.OptPolicy = policy
+		ev, err := p.NewEvaluator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := ev.optimizer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(o.plans) != len(p.Targets) {
+			t.Fatalf("policy %d: %d plans for %d targets", policy, len(o.plans), len(p.Targets))
+		}
+		for i := range o.plans {
+			if shared := o.plans[i] == ev.plans[i]; shared != (policy == timemodel.Actual) {
+				t.Errorf("policy %d target %d: optimizer shares the evaluator's plan = %v", policy, i, shared)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -762,5 +763,25 @@ func TestOptionsValidateWarmFields(t *testing.T) {
 	}
 	if err := (Options{WarmStart: []float64{math.NaN()}}).Validate(0); err == nil {
 		t.Error("NaN entry must fail even with unknown dimension")
+	}
+}
+
+// ErrInfeasible marks only an empty feasible set: no candidate projects
+// onto the constraints. A problem whose feasible points all price at +Inf
+// fails too, but with another error, since the constraints are not at
+// fault.
+func TestErrInfeasibleOnlyForEmptyFeasibleSet(t *testing.T) {
+	f := func(x []float64) float64 { return 1/x[0] + 1/x[1] }
+	empty := Problem{N: 2, Objective: f, Cons: NewConstraints(2).SumEquals(10).SetAllLower(0.1).VarAtLeast(0, 20)}
+	if _, err := Minimize(empty, Options{}); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("floor over the budget: err = %v, want ErrInfeasible", err)
+	}
+	inf := func([]float64) float64 { return math.Inf(1) }
+	unpriced := Problem{N: 2, Objective: inf, Cons: NewConstraints(2).SumEquals(10).SetAllLower(0.1)}
+	if _, err := Minimize(unpriced, Options{}); err == nil || errors.Is(err, ErrInfeasible) {
+		t.Errorf("+Inf everywhere: err = %v, want a non-ErrInfeasible failure", err)
+	}
+	if _, err := Minimize(Problem{N: 2, Objective: f, Cons: NewConstraints(2).SumEquals(10).SetAllLower(0.1)}, Options{}); err != nil {
+		t.Errorf("feasible problem: %v", err)
 	}
 }

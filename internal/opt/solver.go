@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +12,11 @@ import (
 
 	"libra/internal/telemetry"
 )
+
+// ErrInfeasible reports that no candidate start projected onto a point
+// that satisfies the constraints: the constraint set is (as far as the
+// solver can tell) empty, so the problem, not the search, is at fault.
+var ErrInfeasible = errors.New("opt: could not build any feasible start (empty feasible set?)")
 
 // Problem is a constrained minimization over an n-vector.
 type Problem struct {
@@ -221,8 +227,10 @@ func MinimizeContext(ctx context.Context, p Problem, o Options) (Result, error) 
 		}
 	}
 	switch {
+	case fd.best.Starts == 0 && !sd.feasible:
+		return Result{}, ErrInfeasible
 	case fd.best.Starts == 0:
-		return Result{}, fmt.Errorf("opt: could not build any feasible start (empty feasible set?)")
+		return Result{}, fmt.Errorf("opt: no feasible start has a finite objective")
 	case fd.best.X == nil:
 		return Result{}, fmt.Errorf("opt: no start produced a finite objective")
 	}
@@ -400,18 +408,19 @@ var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 // random candidate is; each seed depends on (p, o) alone, never on when
 // it is asked for. Every seed is projected with pr.
 type seeder struct {
-	p       Problem
-	pr      *projector
-	seed    int64
-	scale   float64
-	limit   int
-	warm    bool      // the first seed is the kept warm start
-	head    []float64 // the warm seed until it is yielded
-	raw     []float64 // candidate scratch; projection only reads it
-	k       int       // next candidate: 0 equal split, 1..N emphasis, N+1 geometric, then random
-	yielded int       // seeds yielded so far
-	rng     *rand.Rand
-	dry     bool // the safety valve fired: no further random candidates
+	p        Problem
+	pr       *projector
+	seed     int64
+	scale    float64
+	limit    int
+	warm     bool      // the first seed is the kept warm start
+	head     []float64 // the warm seed until it is yielded
+	raw      []float64 // candidate scratch; projection only reads it
+	k        int       // next candidate: 0 equal split, 1..N emphasis, N+1 geometric, then random
+	yielded  int       // seeds yielded so far
+	rng      *rand.Rand
+	dry      bool // the safety valve fired: no further random candidates
+	feasible bool // some candidate projected onto the feasible set
 }
 
 func newSeeder(p Problem, pr *projector, o Options) *seeder {
@@ -533,7 +542,11 @@ func (s *seeder) candidate() []float64 {
 // infeasible or prices at +Inf.
 func (s *seeder) admit(raw []float64) []float64 {
 	x := clone(s.pr.project(raw))
-	if !s.p.Cons.Feasible(x, 1e-6) || math.IsInf(s.p.Objective(x), 1) {
+	if !s.p.Cons.Feasible(x, 1e-6) {
+		return nil
+	}
+	s.feasible = true
+	if math.IsInf(s.p.Objective(x), 1) {
 		return nil
 	}
 	return x

@@ -56,21 +56,10 @@ type Estimator struct {
 	InNetwork []bool
 }
 
-// Breakdown reports the six Fig. 5 stage totals plus derived quantities,
-// all in seconds (traffic in bytes).
+// Breakdown reports one estimated training iteration, in seconds.
 type Breakdown struct {
-	FwdComp, FwdComm float64
-	TPComp, TPComm   float64
-	DPComp, DPComm   float64
 	// Total is the end-to-end iteration time under the estimator's loop.
 	Total float64
-	// ComputeOnly is the iteration time with all communication free — the
-	// "pure compute" floor of Fig. 10.
-	ComputeOnly float64
-	// ExposedComm = Total − ComputeOnly.
-	ExposedComm float64
-	// DimTraffic is the per-dimension bytes each NPU moves per iteration.
-	DimTraffic []float64
 	// DimBusy is the per-dimension seconds each NPU's port transfers.
 	DimBusy []float64
 	// CollectiveTime is the summed completion time of every collective
@@ -92,118 +81,14 @@ func (b Breakdown) AvgUtilization() float64 {
 	return sum / (float64(len(b.DimBusy)) * b.CollectiveTime)
 }
 
-// Iteration estimates one training iteration of w under bandwidth bw.
+// Iteration estimates one training iteration of w under bandwidth bw: a
+// one-shot Compile plus Plan.Iteration.
 func (e *Estimator) Iteration(w *workload.Workload, bw topology.BWConfig) (Breakdown, error) {
-	f, err := e.Prepare(w)
+	pl, err := e.Compile(w)
 	if err != nil {
 		return Breakdown{}, err
 	}
-	return f(bw)
-}
-
-// Prepare validates w and resolves its parallelization mapping once,
-// returning a closure that prices design points with only per-point
-// bandwidth validation left on the hot path. Sweeps that evaluate one
-// workload across many bandwidth vectors should prepare once and call the
-// closure per point.
-func (e *Estimator) Prepare(w *workload.Workload) (func(bw topology.BWConfig) (Breakdown, error), error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	maps, err := MapStrategy(e.Net, w.Strategy, e.Policy)
-	if err != nil {
-		return nil, err
-	}
-	return func(bw topology.BWConfig) (Breakdown, error) {
-		if err := bw.Validate(e.Net); err != nil {
-			return Breakdown{}, err
-		}
-		return e.iterate(w, bw, maps), nil
-	}, nil
-}
-
-// commCost prices one collective call, accumulating per-dim traffic and
-// busy time into b. tbuf is per-call traffic scratch.
-func (e *Estimator) commCost(c workload.Comm, maps Mappings, bw topology.BWConfig, b *Breakdown, tbuf []float64) float64 {
-	worst := 0.0
-	for d, v := range e.traffic(c, maps, tbuf) {
-		if v == 0 {
-			continue
-		}
-		t := v / (bw[d] * 1e9)
-		b.DimTraffic[d] += v
-		b.DimBusy[d] += t
-		if t > worst {
-			worst = t
-		}
-	}
-	b.CollectiveTime += worst
-	return worst
-}
-
-// traffic returns one collective's per-dimension bytes, with in-network
-// offload applied, written into tbuf.
-func (e *Estimator) traffic(c workload.Comm, maps Mappings, tbuf []float64) []float64 {
-	mapping := maps.ForScope(c.Scope)
-	ndims := e.Net.NumDims()
-	if e.InNetwork != nil {
-		return collective.InNetworkTrafficInto(tbuf, c.Op, c.Bytes, mapping, ndims, e.InNetwork)
-	}
-	return collective.TrafficInto(tbuf, c.Op, c.Bytes, mapping, ndims)
-}
-
-// iterate prices one iteration with the full breakdown: stage totals plus
-// per-dimension traffic and busy time.
-func (e *Estimator) iterate(w *workload.Workload, bw topology.BWConfig, maps Mappings) Breakdown {
-	ndims := e.Net.NumDims()
-	b := Breakdown{DimTraffic: make([]float64, ndims), DimBusy: make([]float64, ndims)}
-	preTraffic := make([]float64, ndims)
-	preBusy := make([]float64, ndims)
-	// Per-collective traffic scratch; LIBRA fabrics have ≤ 8 dimensions,
-	// so the backing array normally lives on this frame.
-	var tarr [8]float64
-	tbuf := tarr[:]
-	if ndims > len(tarr) {
-		tbuf = make([]float64, ndims)
-	}
-	sumComm := func(cs []workload.Comm) float64 {
-		t := 0.0
-		for _, c := range cs {
-			t += e.commCost(c, maps, bw, &b, tbuf)
-		}
-		return t
-	}
-	for _, l := range w.Layers {
-		n := float64(l.Count)
-		fwdComp := e.Compute.Time(l.FwdFLOPs, l.FwdBytes)
-		tpComp := e.Compute.Time(l.TPFLOPs, l.TPBytes)
-		dpComp := e.Compute.Time(l.DPFLOPs, l.DPBytes)
-		// Communication is identical across the Count copies; price one
-		// layer and scale. Scale the shared accumulators afterwards.
-		copy(preTraffic, b.DimTraffic)
-		copy(preBusy, b.DimBusy)
-		preColl := b.CollectiveTime
-		fwdComm := sumComm(l.FwdComm)
-		tpComm := sumComm(l.TPComm)
-		dpComm := sumComm(l.DPComm)
-		for d := range b.DimTraffic {
-			b.DimTraffic[d] = preTraffic[d] + n*(b.DimTraffic[d]-preTraffic[d])
-			b.DimBusy[d] = preBusy[d] + n*(b.DimBusy[d]-preBusy[d])
-		}
-		b.CollectiveTime = preColl + n*(b.CollectiveTime-preColl)
-
-		b.FwdComp += n * fwdComp
-		b.FwdComm += n * fwdComm
-		b.TPComp += n * tpComp
-		b.TPComm += n * tpComm
-		b.DPComp += n * dpComp
-		b.DPComm += n * dpComm
-
-		b.ComputeOnly += n * (fwdComp + tpComp + dpComp)
-		b.Total += n * e.Loop.LayerTime(fwdComp, fwdComm, tpComp, tpComm, dpComp, dpComm)
-	}
-	b.ExposedComm = b.Total - b.ComputeOnly
-	return b
+	return pl.Iteration(bw)
 }
 
 // LayerTime folds one layer's six stage times under the loop (Fig. 5).
@@ -215,12 +100,16 @@ func (l Loop) LayerTime(fwdComp, fwdComm, tpComp, tpComm, dpComp, dpComm float64
 	return fwdComp + fwdComm + tpComp + tpComm + dpComp + dpComm
 }
 
-// timePlan is a workload compiled for repeated pricing: everything in an
-// iteration estimate that does not depend on bandwidth, resolved once.
-// Evaluating it performs exactly the floating-point operations, in the
-// same order, that iterate performs for Breakdown.Total, so the two agree
-// bit for bit.
-type timePlan struct {
+// Plan is a workload compiled for repeated pricing on one estimator:
+// everything in an iteration estimate that does not depend on bandwidth
+// (the parallelization mapping, the compute times, every collective's
+// per-dimension traffic) resolved once. Time and Iteration fold the same
+// compiled terms with the same operations in the same order, so
+// Time(bw) equals Iteration(bw).Total bit for bit. A Plan is immutable
+// and safe for concurrent use; later mutations of the workload are not
+// seen.
+type Plan struct {
+	net    *topology.Network
 	loop   Loop
 	layers []layerPlan
 }
@@ -242,35 +131,59 @@ type trafficTerm struct {
 	bytes float64
 }
 
-// compile builds w's bandwidth-independent time plan under maps.
-func (e *Estimator) compile(w *workload.Workload, maps Mappings) *timePlan {
-	tbuf := make([]float64, e.Net.NumDims())
-	comms := func(cs []workload.Comm) []commPlan {
-		out := make([]commPlan, 0, len(cs))
+// Compile validates w, maps its strategy onto the network under the
+// estimator's policy, and compiles its time plan. Beyond the Plan itself,
+// the plan takes three allocations whatever the workload's size: every
+// traffic term shares one array, every stage's collectives are windows of
+// one commPlan array, and the layers fill one more.
+func (e *Estimator) Compile(w *workload.Workload) (*Plan, error) {
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
+	maps, err := MapStrategy(e.Net, w.Strategy, e.Policy)
+	if err != nil {
+		return nil, err
+	}
+	ndims := e.Net.NumDims()
+	ncomm := 0
+	for i := range w.Layers {
+		l := &w.Layers[i]
+		ncomm += len(l.FwdComm) + len(l.TPComm) + len(l.DPComm)
+	}
+	terms := make([]trafficTerm, 0, ncomm*ndims)
+	comms := make([]commPlan, 0, ncomm)
+	// Per-collective traffic scratch; LIBRA fabrics have ≤ 8 dimensions,
+	// so the backing array normally lives on this frame.
+	var tarr [8]float64
+	tbuf := tarr[:]
+	if ndims > len(tarr) {
+		tbuf = make([]float64, ndims)
+	}
+	stage := func(cs []workload.Comm) []commPlan {
+		first := len(comms)
 		for _, c := range cs {
-			tr := e.traffic(c, maps, tbuf)
-			nz := 0
-			for _, v := range tr {
+			mapping := maps.ForScope(c.Scope)
+			var tr []float64
+			if e.InNetwork != nil {
+				tr = collective.InNetworkTrafficInto(tbuf, c.Op, c.Bytes, mapping, ndims, e.InNetwork)
+			} else {
+				tr = collective.TrafficInto(tbuf, c.Op, c.Bytes, mapping, ndims)
+			}
+			from := len(terms)
+			for d, v := range tr {
 				if v != 0 {
-					nz++
+					terms = append(terms, trafficTerm{dim: d, bytes: v})
 				}
 			}
 			// A collective with no traffic adds +0 to its stage sum; it
 			// is dropped rather than priced.
-			if nz == 0 {
-				continue
+			if len(terms) > from {
+				comms = append(comms, terms[from:len(terms):len(terms)])
 			}
-			cp := make(commPlan, 0, nz)
-			for d, v := range tr {
-				if v != 0 {
-					cp = append(cp, trafficTerm{dim: d, bytes: v})
-				}
-			}
-			out = append(out, cp)
 		}
-		return out
+		return comms[first:len(comms):len(comms)]
 	}
-	pl := &timePlan{loop: e.Loop, layers: make([]layerPlan, len(w.Layers))}
+	pl := &Plan{net: e.Net, loop: e.Loop, layers: make([]layerPlan, len(w.Layers))}
 	for i := range w.Layers {
 		l := &w.Layers[i]
 		pl.layers[i] = layerPlan{
@@ -278,18 +191,23 @@ func (e *Estimator) compile(w *workload.Workload, maps Mappings) *timePlan {
 			fwdComp: e.Compute.Time(l.FwdFLOPs, l.FwdBytes),
 			tpComp:  e.Compute.Time(l.TPFLOPs, l.TPBytes),
 			dpComp:  e.Compute.Time(l.DPFLOPs, l.DPBytes),
-			fwd:     comms(l.FwdComm),
-			tp:      comms(l.TPComm),
-			dp:      comms(l.DPComm),
+			fwd:     stage(l.FwdComm),
+			tp:      stage(l.TPComm),
+			dp:      stage(l.DPComm),
 		}
 	}
-	return pl
+	return pl, nil
 }
 
-// total prices one iteration under bw (already validated).
+// Time prices one iteration under bw — the objective handed to the
+// optimizer. It never fails (an invalid bandwidth vector prices at 1e308)
+// and allocates nothing for a valid one.
 //
 //libra:hotpath
-func (pl *timePlan) total(bw topology.BWConfig) float64 {
+func (pl *Plan) Time(bw topology.BWConfig) float64 {
+	if err := bw.Validate(pl.net); err != nil {
+		return inf
+	}
 	total := 0.0
 	for i := range pl.layers {
 		l := &pl.layers[i]
@@ -319,29 +237,54 @@ func stageComm(cs []commPlan, bw topology.BWConfig) float64 {
 	return t
 }
 
-// TimeFunc returns a closure evaluating iteration time as a pure function
-// of the bandwidth vector — the objective handed to the optimizer. The
-// workload is compiled once into a bandwidth-independent plan (mapping,
-// compute times, per-collective traffic), so a call only divides, takes
-// maxima and sums; the result equals Iteration(w, bw).Total bit for bit.
-// The closure never fails (invalid bandwidths yield +Inf) and allocates
-// nothing. Later mutations of w are not seen.
-func (e *Estimator) TimeFunc(w *workload.Workload) (func(bw topology.BWConfig) float64, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
+// Iteration prices one iteration under bw with the full breakdown: the
+// total Time returns, plus per-dimension busy time and the collective
+// window. Communication is identical across a layer's copies, so each
+// layer is priced once and its busy-time and window increments scaled by
+// the copy count.
+func (pl *Plan) Iteration(bw topology.BWConfig) (Breakdown, error) {
+	if err := bw.Validate(pl.net); err != nil {
+		return Breakdown{}, err
 	}
-	maps, err := MapStrategy(e.Net, w.Strategy, e.Policy)
-	if err != nil {
-		return nil, err
+	b := Breakdown{DimBusy: make([]float64, len(bw))}
+	var parr [8]float64
+	pre := parr[:]
+	if len(bw) > len(parr) {
+		pre = make([]float64, len(bw))
 	}
-	pl := e.compile(w, maps)
-	net := e.Net
-	return func(bw topology.BWConfig) float64 {
-		if err := bw.Validate(net); err != nil {
-			return inf
+	for i := range pl.layers {
+		l := &pl.layers[i]
+		copy(pre, b.DimBusy)
+		preColl := b.CollectiveTime
+		fwdComm := b.addStage(l.fwd, bw)
+		tpComm := b.addStage(l.tp, bw)
+		dpComm := b.addStage(l.dp, bw)
+		for d := range b.DimBusy {
+			b.DimBusy[d] = pre[d] + l.n*(b.DimBusy[d]-pre[d])
 		}
-		return pl.total(bw)
-	}, nil
+		b.CollectiveTime = preColl + l.n*(b.CollectiveTime-preColl)
+		b.Total += l.n * pl.loop.LayerTime(l.fwdComp, fwdComm, l.tpComp, tpComm, l.dpComp, dpComm)
+	}
+	return b, nil
+}
+
+// addStage is stageComm that also accumulates each collective's
+// per-dimension busy time and completion time into b.
+func (b *Breakdown) addStage(cs []commPlan, bw topology.BWConfig) float64 {
+	t := 0.0
+	for _, c := range cs {
+		worst := 0.0
+		for _, term := range c {
+			x := term.bytes / (bw[term.dim] * 1e9)
+			b.DimBusy[term.dim] += x
+			if x > worst {
+				worst = x
+			}
+		}
+		b.CollectiveTime += worst
+		t += worst
+	}
+	return t
 }
 
 const inf = 1e308

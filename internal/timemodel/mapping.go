@@ -2,11 +2,15 @@
 // function of the per-dimension network bandwidth vector — the objective
 // LIBRA optimizes (paper §IV-C).
 //
-// It first maps each workload's parallelization groups onto the physical
-// network dimensions (tensor parallelism innermost, data parallelism
-// outermost, splitting a dimension when the TP degree ends inside it), then
-// prices every collective with the multi-rail analytical model and folds
-// compute and communication together according to the training loop.
+// Estimator.Compile maps a workload's parallelization groups onto the
+// physical network dimensions (tensor parallelism innermost, data
+// parallelism outermost, splitting a dimension when the TP degree ends
+// inside it), prices every layer's compute and resolves every collective's
+// per-dimension traffic under the multi-rail analytical model, once, into
+// a Plan. The Plan is the one pricing path: Plan.Time folds it into the
+// iteration time the optimizer minimizes, and Plan.Iteration folds the
+// same terms in the same order into the full Breakdown that evaluation
+// reports, so Time(bw) equals Iteration(bw).Total bit for bit.
 package timemodel
 
 import (

@@ -144,6 +144,63 @@ func synthetic(tp, dp int) *workload.Workload {
 	}
 }
 
+// layerStages holds one layer's copy count and six Fig. 5 stage times.
+type layerStages struct {
+	n                                                float64
+	fwdComp, fwdComm, tpComp, tpComm, dpComp, dpComm float64
+}
+
+// handStages prices w's stages layer by layer straight from the mapping,
+// the collective model and the compute model — an independent reference
+// for the compiled plan.
+func handStages(t *testing.T, e *Estimator, w *workload.Workload, bw topology.BWConfig) []layerStages {
+	t.Helper()
+	maps, err := MapStrategy(e.Net, w.Strategy, e.Policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm := func(cs []workload.Comm) float64 {
+		s := 0.0
+		for _, c := range cs {
+			if e.InNetwork != nil {
+				s += collective.TimeInNetwork(c.Op, c.Bytes, maps.ForScope(c.Scope), bw, e.InNetwork)
+			} else {
+				s += collective.Time(c.Op, c.Bytes, maps.ForScope(c.Scope), bw)
+			}
+		}
+		return s
+	}
+	out := make([]layerStages, len(w.Layers))
+	for i, l := range w.Layers {
+		out[i] = layerStages{
+			n:       float64(l.Count),
+			fwdComp: e.Compute.Time(l.FwdFLOPs, l.FwdBytes), fwdComm: comm(l.FwdComm),
+			tpComp: e.Compute.Time(l.TPFLOPs, l.TPBytes), tpComm: comm(l.TPComm),
+			dpComp: e.Compute.Time(l.DPFLOPs, l.DPBytes), dpComm: comm(l.DPComm),
+		}
+	}
+	return out
+}
+
+// handTotal folds hand-priced stages under loop.
+func handTotal(st []layerStages, loop Loop) float64 {
+	total := 0.0
+	for _, s := range st {
+		total += s.n * loop.LayerTime(s.fwdComp, s.fwdComm, s.tpComp, s.tpComm, s.dpComp, s.dpComm)
+	}
+	return total
+}
+
+// handComputeOnly is the iteration time with all communication free —
+// the "pure compute" floor of Fig. 10.
+func handComputeOnly(st []layerStages) float64 {
+	total := 0.0
+	for _, s := range st {
+		total += s.n * (s.fwdComp + s.tpComp + s.dpComp)
+	}
+	return total
+}
+
 func TestIterationNoOverlapAddsEverything(t *testing.T) {
 	net := topology.MustParse("RI(4)_SW(8)")
 	e := newEstimator(net, NoOverlap)
@@ -153,16 +210,24 @@ func TestIterationNoOverlapAddsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := b.FwdComp + b.FwdComm + b.TPComp + b.TPComm + b.DPComp + b.DPComm
+	st := handStages(t, e, w, bw)
+	want := 0.0
+	for _, s := range st {
+		want += s.n * (s.fwdComp + s.fwdComm + s.tpComp + s.tpComm + s.dpComp + s.dpComm)
+	}
 	if !approx(b.Total, want, 1e-12) {
 		t.Errorf("NoOverlap total = %v, want sum of stages %v", b.Total, want)
 	}
 	// Two layers at 10+20 ms compute each.
-	if !approx(b.ComputeOnly, 0.060, 1e-9) {
-		t.Errorf("ComputeOnly = %v, want 60 ms", b.ComputeOnly)
+	if computeOnly := handComputeOnly(st); !approx(computeOnly, 0.060, 1e-9) {
+		t.Errorf("compute-only time = %v, want 60 ms", computeOnly)
 	}
-	if !approx(b.ExposedComm, b.Total-b.ComputeOnly, 1e-12) {
-		t.Errorf("ExposedComm = %v", b.ExposedComm)
+	// Every collective is exposed: TP All-Reduces of 1e9 B over RI(4)
+	// (2·m·3/4 at 100 GB/s, twice per layer) and the DP All-Reduce of 2e9 B
+	// over SW(8) (2·m·7/8 at 100 GB/s).
+	wantComm := 2 * (2*(2*1e9*3/4)/100e9 + 2*2e9*7/8/100e9)
+	if !approx(b.Total-handComputeOnly(st), wantComm, 1e-9) {
+		t.Errorf("exposed communication = %v, want %v", b.Total-handComputeOnly(st), wantComm)
 	}
 }
 
@@ -182,8 +247,9 @@ func TestIterationTPDPOverlap(t *testing.T) {
 		t.Errorf("overlap %v should beat no-overlap %v", ov.Total, no.Total)
 	}
 	// Per layer: fwd (comp+comm) + TPComp + max(TPComm, DPComp+DPComm).
-	perLayerFwd := no.FwdComp/2 + no.FwdComm/2
-	bwd := no.TPComp/2 + math.Max(no.TPComm/2, no.DPComp/2+no.DPComm/2)
+	s := handStages(t, newEstimator(net, TPDPOverlap), w, bw)[0]
+	perLayerFwd := s.fwdComp + s.fwdComm
+	bwd := s.tpComp + math.Max(s.tpComm, s.dpComp+s.dpComm)
 	if !approx(ov.Total, 2*(perLayerFwd+bwd), 1e-9) {
 		t.Errorf("overlap total = %v, want %v", ov.Total, 2*(perLayerFwd+bwd))
 	}
@@ -204,8 +270,8 @@ func TestIterationTimeDecreasesWithBW(t *testing.T) {
 	if !(t2.Total < t1.Total) {
 		t.Errorf("10× BW should reduce time: %v vs %v", t2.Total, t1.Total)
 	}
-	if !(t2.Total >= t1.Total-t1.ExposedComm) {
-		t.Errorf("time cannot beat the compute floor")
+	if floor := handComputeOnly(handStages(t, e, w, topology.BWConfig{50, 50})); !(t2.Total >= floor) {
+		t.Errorf("time %v cannot beat the compute floor %v", t2.Total, floor)
 	}
 }
 
@@ -218,16 +284,20 @@ func TestDimTrafficAndBusyConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for d := range b.DimBusy {
-		want := b.DimTraffic[d] / (bw[d] * 1e9)
-		if !approx(b.DimBusy[d], want, 1e-9) {
-			t.Errorf("dim %d busy %v, want traffic/bw %v", d, b.DimBusy[d], want)
+	// Busy time is each dimension's traffic over its bandwidth: TP AR
+	// (1e9 ×2 calls ×2 layers) on dim 0 at 2·m·3/4 each, DP AR (2e9 ×2
+	// layers) on dim 1 at 2·m·7/8.
+	wantTraffic := []float64{2.0 * 2 * (2 * 1e9 * 3 / 4), 2.0 * (2 * 2e9 * 7 / 8)}
+	for d, want := range wantTraffic {
+		if got := b.DimBusy[d] * bw[d] * 1e9; !approx(got, want, 1e-9) {
+			t.Errorf("dim %d traffic (busy·bw) = %v, want %v", d, got, want)
 		}
 	}
-	// TP AR (1e9 ×2 calls ×2 layers) on dim 0: 2·m·3/4 each.
-	wantTP := 2.0 * 2 * (2 * 1e9 * 3 / 4)
-	if !approx(b.DimTraffic[0], wantTP, 1e-9) {
-		t.Errorf("dim0 traffic = %v, want %v", b.DimTraffic[0], wantTP)
+	// The window is the summed per-collective completion times: each
+	// collective here uses one dimension.
+	wantColl := 2 * (2*(2*1e9*3/4)/(bw[0]*1e9) + 2*2e9*7/8/(bw[1]*1e9))
+	if !approx(b.CollectiveTime, wantColl, 1e-9) {
+		t.Errorf("collective window = %v, want %v", b.CollectiveTime, wantColl)
 	}
 	if b.AvgUtilization() <= 0 || b.AvgUtilization() > 1 {
 		t.Errorf("utilization = %v out of (0,1]", b.AvgUtilization())
@@ -265,7 +335,7 @@ func TestTimeFuncMatchesIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := e.TimeFunc(w)
+	pl, err := e.Compile(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +344,13 @@ func TestTimeFuncMatchesIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !approx(f(bw), b.Total, 1e-12) {
-		t.Errorf("TimeFunc = %v, Iteration = %v", f(bw), b.Total)
+	if !approx(pl.Time(bw), b.Total, 1e-12) {
+		t.Errorf("Plan.Time = %v, Iteration = %v", pl.Time(bw), b.Total)
 	}
-	if got := f(topology.BWConfig{1}); !math.IsInf(got, 1) && got < 1e300 {
+	if want := handTotal(handStages(t, e, w, bw), e.Loop); !approx(b.Total, want, 1e-12) {
+		t.Errorf("Iteration = %v, stage-by-stage total = %v", b.Total, want)
+	}
+	if got := pl.Time(topology.BWConfig{1}); !math.IsInf(got, 1) && got < 1e300 {
 		t.Errorf("invalid bw should price to +inf-ish, got %v", got)
 	}
 }
@@ -297,8 +370,20 @@ func TestInNetworkOffloadSpeedsUpAllReduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(bo.DPComm < bp.DPComm) {
-		t.Errorf("offloaded DP comm %v should beat %v", bo.DPComm, bp.DPComm)
+	// The DP All-Reduce lives on the offloaded SW(8): its busy time
+	// drops from 2·m·7/8 to m bytes over the bandwidth, while the TP
+	// dimension is untouched.
+	if !(bo.DimBusy[1] < bp.DimBusy[1]) {
+		t.Errorf("offloaded dim busy %v should beat %v", bo.DimBusy[1], bp.DimBusy[1])
+	}
+	if want := 2 * 2e9 / (bw[1] * 1e9); !approx(bo.DimBusy[1], want, 1e-12) {
+		t.Errorf("offloaded dim busy = %v, want %v", bo.DimBusy[1], want)
+	}
+	if bo.DimBusy[0] != bp.DimBusy[0] {
+		t.Errorf("offload moved the TP dim's busy time: %v vs %v", bo.DimBusy[0], bp.DimBusy[0])
+	}
+	if !(bo.Total < bp.Total) {
+		t.Errorf("offloaded iteration %v should beat %v", bo.Total, bp.Total)
 	}
 }
 
@@ -334,10 +419,11 @@ func TestQuickMonotoneInBW(t *testing.T) {
 	net := topology.MustParse("RI(4)_SW(8)")
 	e := newEstimator(net, NoOverlap)
 	w := synthetic(4, 8)
-	f, err := e.TimeFunc(w)
+	pl, err := e.Compile(w)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := pl.Time
 	prop := func(a, b uint8, dim bool) bool {
 		b1 := topology.BWConfig{float64(a%200) + 1, float64(b%200) + 1}
 		b2 := b1.Clone()
@@ -359,10 +445,11 @@ func TestQuickConvexAlongSegments(t *testing.T) {
 	net := topology.MustParse("RI(4)_SW(8)")
 	e := newEstimator(net, NoOverlap)
 	w := synthetic(4, 8)
-	f, err := e.TimeFunc(w)
+	pl, err := e.Compile(w)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := pl.Time
 	prop := func(a1, a2, b1, b2 uint8) bool {
 		x := topology.BWConfig{float64(a1) + 1, float64(a2) + 1}
 		y := topology.BWConfig{float64(b1) + 1, float64(b2) + 1}
@@ -425,12 +512,12 @@ func TestIterationWithPipelineParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.DimTraffic[1] == 0 {
+	if b.DimBusy[1] == 0 {
 		t.Error("PP dim carries no traffic")
 	}
 	// Point-to-point volume per stage: fwd + bwd boundary messages.
 	wantP2P := 2 * 16.0 * 512 * 2048 * 2 / 4
-	gotP2P := b.DimTraffic[1]
+	gotP2P := b.DimBusy[1] * bw[1] * 1e9
 	if gotP2P < wantP2P*(1-1e-9) {
 		t.Errorf("PP dim traffic %v, want ≥ %v", gotP2P, wantP2P)
 	}
@@ -463,8 +550,9 @@ func TestPointToPointCollectiveModel(t *testing.T) {
 	}
 }
 
-// TestTimeFuncMatchesIterationBits checks that the optimizer's compiled
-// objective and the full breakdown agree bit for bit on the total, across
+// TestTimeFuncMatchesIterationBits checks that the plan's two folds — Time,
+// the optimizer's objective, and Iteration, the full breakdown — agree bit
+// for bit on the total, across
 // every Table II workload × every preset topology × both loops × both
 // mapping policies × no offload or last-dimension offload, at seeded
 // random bandwidth vectors spanning four decades.
@@ -489,7 +577,7 @@ func TestTimeFuncMatchesIterationBits(t *testing.T) {
 				for _, policy := range []MappingPolicy{Actual, IdealFullDims} {
 					for _, offload := range [][]bool{nil, lastDim} {
 						e := &Estimator{Net: net, Compute: compute.A100(), Loop: loop, Policy: policy, InNetwork: offload}
-						f, err := e.TimeFunc(w)
+						pl, err := e.Compile(w)
 						if err != nil {
 							continue // the strategy does not map onto this network
 						}
@@ -499,20 +587,23 @@ func TestTimeFuncMatchesIterationBits(t *testing.T) {
 							for d := range bw {
 								bw[d] = math.Pow(10, -1+4*rng.Float64())
 							}
-							b, err := e.Iteration(w, bw)
+							b, err := pl.Iteration(bw)
 							if err != nil {
 								t.Fatal(err)
 							}
-							got := f(bw)
+							got := pl.Time(bw)
 							if math.Float64bits(got) != math.Float64bits(b.Total) {
-								t.Fatalf("%s on %s (%v, policy %d, offload %v) at %v: TimeFunc = %v, Iteration.Total = %v",
+								t.Fatalf("%s on %s (%v, policy %d, offload %v) at %v: Time = %v, Iteration.Total = %v",
 									wn, tn, loop, policy, offload, bw, got, b.Total)
 							}
 							cases++
 						}
 						bw[0] = 0
-						if got := f(bw); got != inf {
-							t.Fatalf("%s on %s: TimeFunc at invalid %v = %v, want %v", wn, tn, bw, got, inf)
+						if got := pl.Time(bw); got != inf {
+							t.Fatalf("%s on %s: Time at invalid %v = %v, want %v", wn, tn, bw, got, inf)
+						}
+						if _, err := pl.Iteration(bw); err == nil {
+							t.Fatalf("%s on %s: Iteration at invalid %v succeeded", wn, tn, bw)
 						}
 					}
 				}
@@ -523,4 +614,44 @@ func TestTimeFuncMatchesIterationBits(t *testing.T) {
 		t.Fatalf("only %d workload × topology × loop × policy × offload combinations priced", combos)
 	}
 	t.Logf("%d combinations, %d bandwidth vectors", combos, cases)
+}
+
+// Compile allocates a fixed number of times whatever the workload's layer
+// and collective counts: the traffic terms, the collective windows and
+// the layers each fill one array.
+func TestCompileAllocsFlatInLayers(t *testing.T) {
+	net := topology.MustParse("RI(4)_SW(8)")
+	e := newEstimator(net, NoOverlap)
+	deep := func(layers int) *workload.Workload {
+		w := synthetic(4, 8)
+		l := w.Layers[0]
+		l.FwdComm = append(l.FwdComm, workload.Comm{Op: collective.AllGather, Bytes: 1e8, Scope: workload.AllScope})
+		w.Layers = make([]workload.Layer, layers)
+		for i := range w.Layers {
+			w.Layers[i] = l
+		}
+		return w
+	}
+	allocs := func(w *workload.Workload) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := e.Compile(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, many := allocs(deep(1)), allocs(deep(200))
+	if one != many {
+		t.Errorf("Compile allocs: %v for 1 layer, %v for 200 layers; want equal", one, many)
+	}
+	pl, err := e.Compile(deep(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := topology.BWConfig{100, 50}
+	if n := testing.AllocsPerRun(20, func() { pl.Time(bw) }); n != 0 {
+		t.Errorf("Plan.Time allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { pl.Iteration(bw) }); n != 1 {
+		t.Errorf("Plan.Iteration allocates %v times per call, want 1 (DimBusy)", n)
+	}
 }
