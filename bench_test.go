@@ -432,7 +432,7 @@ func BenchmarkNPULevelSim(b *testing.B) {
 	mp := collective.FullMapping(net)
 	bw := topology.EqualBW(300, 3)
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.SimulateCollectiveNPULevel(net, collective.AllReduce, 1e8, mp, bw, 2); err != nil {
+		if _, err := sim.SimulateCollectiveNPULevel(context.Background(), net, collective.AllReduce, 1e8, mp, bw, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,6 +31,7 @@ import (
 
 	"libra"
 	"libra/internal/jobs"
+	"libra/internal/server"
 	"libra/internal/task"
 	"libra/internal/telemetry"
 )
@@ -52,6 +53,7 @@ type Job struct {
 	ID          string           `json:"id"`
 	Kind        task.Kind        `json:"kind"`
 	Fingerprint string           `json:"fingerprint,omitempty"`
+	TraceID     string           `json:"trace_id,omitempty"`
 	Status      JobStatus        `json:"status"`
 	Created     time.Time        `json:"created"`
 	Started     *time.Time       `json:"started,omitempty"`
@@ -527,10 +529,7 @@ func (c *Client) watchOnce(ctx context.Context, id string, lastSeq *int, onEvent
 
 // ServerStats is the GET /v1/stats payload: the engine's cache/load
 // counters plus the job manager's retention state.
-type ServerStats struct {
-	Engine libra.EngineStats `json:"engine"`
-	Jobs   libra.JobStats    `json:"jobs"`
-}
+type ServerStats = server.ServerStats
 
 // Stats fetches the server's counters from GET /v1/stats.
 func (c *Client) Stats(ctx context.Context) (ServerStats, error) {

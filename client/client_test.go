@@ -6,6 +6,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -308,5 +311,22 @@ func TestClientConditional(t *testing.T) {
 	plain, notModified, err := c.DoConditional(ctx, task, "")
 	if err != nil || notModified || plain == nil {
 		t.Fatalf("empty tag: res=%v notModified=%v err=%v", plain, notModified, err)
+	}
+}
+
+// Job re-declares the server's job snapshot with a raw Result, so its
+// wire fields must stay those of jobs.Job, in the same order.
+func TestJobFieldsMatchServer(t *testing.T) {
+	names := func(typ reflect.Type) []string {
+		var out []string
+		for i := 0; i < typ.NumField(); i++ {
+			name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			out = append(out, name)
+		}
+		return out
+	}
+	client, srv := names(reflect.TypeOf(Job{})), names(reflect.TypeOf(jobs.Job{}))
+	if !slices.Equal(client, srv) {
+		t.Errorf("client.Job JSON fields %v, want jobs.Job's %v", client, srv)
 	}
 }

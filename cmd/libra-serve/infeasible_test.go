@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"libra/internal/core"
 	"libra/internal/frontier"
 )
 
@@ -98,6 +99,47 @@ func TestInfeasibleConstraintsAreBadSpec(t *testing.T) {
 		if !near(r.Result.BW[d], want) {
 			t.Errorf("feasible spec: bw %v, want %v", r.Result.BW, wantBW)
 			break
+		}
+	}
+}
+
+// A spec may carry at most core.MaxConstraints constraints: at the bound
+// /v1/optimize and /v1/frontier solve, one over they answer 400 bad_spec
+// naming the bound before any solve.
+func TestConstraintBound(t *testing.T) {
+	srv := testServer(t)
+	constraints := func(n int) string {
+		rows := make([]string, n)
+		for i := range rows {
+			rows[i] = `{"kind":"dim-cap","dim":` + strconv.Itoa(1+i%4) + `,"value":1000}`
+		}
+		return "[" + strings.Join(rows, ",") + "]"
+	}
+	for _, n := range []int{core.MaxConstraints, core.MaxConstraints + 1} {
+		spec := gpt3Spec(500, constraints(n))
+		for _, c := range []struct{ path, body string }{
+			{"/v1/optimize", spec},
+			{"/v1/frontier", `{"spec":` + spec + `,"frontier":{"budgets":[400,500]}}`},
+		} {
+			resp, body := postJSON(t, srv.URL+c.path, c.body)
+			if n <= core.MaxConstraints {
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s with %d constraints: status %d: %s", c.path, n, resp.StatusCode, body)
+				}
+				continue
+			}
+			var e struct {
+				Error string `json:"error"`
+				Code  string `json:"code"`
+			}
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatalf("%s: body %s: %v", c.path, body, err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || e.Code != "bad_spec" ||
+				!strings.Contains(e.Error, "65 constraints exceed the 64-constraint limit") {
+				t.Errorf("%s with %d constraints: status %d code %q error %q, want 400 bad_spec naming the bound",
+					c.path, n, resp.StatusCode, e.Code, e.Error)
+			}
 		}
 	}
 }

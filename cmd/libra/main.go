@@ -65,8 +65,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -80,32 +82,50 @@ import (
 )
 
 func main() {
+	cliutil.Fatal("libra", run(os.Args[1:], os.Stdout))
+}
+
+// run executes one invocation, writing its report to w. It is main minus
+// the process plumbing, so the tests drive the exact code the binary
+// ships.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("libra", flag.ContinueOnError)
+	// Parse failures surface exactly once (via the returned error);
+	// -h/-help prints usage to w and succeeds.
+	fs.SetOutput(io.Discard)
 	var (
-		specPath  = flag.String("spec", "", "JSON ProblemSpec file; overrides the topology/workload flags")
-		topo      = flag.String("topology", "", "network in block notation, e.g. RI(4)_FC(8)_RI(4)_SW(32)")
-		preset    = flag.String("preset", "", "named Table III topology (4D-4K, 3D-4K, 3D-512, 3D-1K, 4D-2K, 3D-Torus)")
-		workloads = flag.String("workloads", "GPT-3", "comma-separated Table II workloads (Turing-NLG, GPT-3, MSFT-1T, DLRM, ResNet-50)")
-		weights   = flag.String("weights", "", "comma-separated workload weights (default: equal)")
-		budget    = flag.Float64("budget", 500, "per-NPU bandwidth budget in GB/s")
-		objective = flag.String("objective", "perf", "optimization objective: perf or ppc")
-		loop      = flag.String("loop", "nooverlap", "training loop: nooverlap or overlap")
-		caps      = flag.String("cap", "", "per-dimension caps dim=GBps, comma-separated (1-based dims), e.g. 4=50")
-		floors    = flag.String("floor", "", "per-dimension floors dim=GBps, comma-separated (1-based dims)")
-		timeout   = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
-		asJSON    = flag.Bool("json", false, "emit the result as JSON instead of the text report")
-		front     = flag.String("frontier", "", "sweep the budget and print the Pareto frontier: min:max:steps or a comma-separated budget list")
-		codesign  = flag.String("codesign", "", "co-design the parallelization strategy with the network: a comma-separated TP list or 'auto' (all divisors of the NPU count)")
-		memGB     = flag.Float64("mem", 0, "per-NPU memory capacity in GB for -codesign feasibility filtering (0 = unlimited, the paper's §VI-E CXL relaxation)")
-		clusterJ  = flag.String("cluster", "", "allocate the shared fabric across concurrent jobs: a comma-separated Table II preset list, or 'default' (the Fig. 17a LLM mix)")
-		policies  = flag.String("policies", "", "with -cluster: comma-separated allocation policies (group-opt, partition, per-job-opt); default all")
-		partSteps = flag.Int("partition-steps", 0, "with -cluster: budget-split granularity of the partition policy (default 8)")
-		validate  = flag.Bool("validate", false, "run the analytical-vs-simulator conformance matrix instead of solving")
-		tolerance = flag.Float64("tolerance", 0, "per-scenario |relative error| gate for -validate (0 = the committed default)")
-		baseline  = flag.String("baseline", "", "with -validate: write the stable baseline report (VALIDATION_baseline.json form) to this file")
-		check     = flag.String("check", "", "with -validate: regenerate the baseline report and fail unless it is byte-identical to this committed file")
-		remote    = flag.String("remote", "", "answer through a libra-serve /v2 endpoint (URL) instead of solving in-process")
+		specPath  = fs.String("spec", "", "JSON ProblemSpec file; overrides the topology/workload flags")
+		topo      = fs.String("topology", "", "network in block notation, e.g. RI(4)_FC(8)_RI(4)_SW(32)")
+		preset    = fs.String("preset", "", "named Table III topology (4D-4K, 3D-4K, 3D-512, 3D-1K, 4D-2K, 3D-Torus)")
+		workloads = fs.String("workloads", "GPT-3", "comma-separated Table II workloads (Turing-NLG, GPT-3, MSFT-1T, DLRM, ResNet-50)")
+		weights   = fs.String("weights", "", "comma-separated workload weights (default: equal)")
+		budget    = fs.Float64("budget", 500, "per-NPU bandwidth budget in GB/s")
+		objective = fs.String("objective", "perf", "optimization objective: perf or ppc")
+		loop      = fs.String("loop", "nooverlap", "training loop: nooverlap or overlap")
+		caps      = fs.String("cap", "", "per-dimension caps dim=GBps, comma-separated (1-based dims), e.g. 4=50")
+		floors    = fs.String("floor", "", "per-dimension floors dim=GBps, comma-separated (1-based dims)")
+		timeout   = fs.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
+		asJSON    = fs.Bool("json", false, "emit the result as JSON instead of the text report")
+		front     = fs.String("frontier", "", "sweep the budget and print the Pareto frontier: min:max:steps or a comma-separated budget list")
+		codesign  = fs.String("codesign", "", "co-design the parallelization strategy with the network: a comma-separated TP list or 'auto' (all divisors of the NPU count)")
+		memGB     = fs.Float64("mem", 0, "per-NPU memory capacity in GB for -codesign feasibility filtering (0 = unlimited, the paper's §VI-E CXL relaxation)")
+		clusterJ  = fs.String("cluster", "", "allocate the shared fabric across concurrent jobs: a comma-separated Table II preset list, or 'default' (the Fig. 17a LLM mix)")
+		policies  = fs.String("policies", "", "with -cluster: comma-separated allocation policies (group-opt, partition, per-job-opt); default all")
+		partSteps = fs.Int("partition-steps", 0, "with -cluster: budget-split granularity of the partition policy (default 8)")
+		validate  = fs.Bool("validate", false, "run the analytical-vs-simulator conformance matrix instead of solving")
+		tolerance = fs.Float64("tolerance", 0, "per-scenario |relative error| gate for -validate (0 = the committed default)")
+		baseline  = fs.String("baseline", "", "with -validate: write the stable baseline report (VALIDATION_baseline.json form) to this file")
+		check     = fs.String("check", "", "with -validate: regenerate the baseline report and fail unless it is byte-identical to this committed file")
+		remote    = fs.String("remote", "", "answer through a libra-serve /v2 endpoint (URL) instead of solving in-process")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(w)
+			fs.Usage()
+			return nil
+		}
+		return err
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -115,34 +135,34 @@ func main() {
 		defer cancel()
 	}
 
-	run := newRunner(*remote, *asJSON)
-	defer run.close()
+	r := newRunner(*remote, *asJSON)
+	defer r.close()
 
 	if *validate {
-		fatalIf(runValidate(ctx, run, *tolerance, *baseline, *check, *asJSON))
-		return
+		return runValidate(ctx, w, r, *tolerance, *baseline, *check, *asJSON)
 	}
 
 	if *clusterJ != "" {
 		// Mirror -codesign's budget semantics: an unset -budget with a
 		// budget axis leaves the study ranking at the axis maximum.
 		budgetSet := *specPath != ""
-		flag.Visit(func(f *flag.Flag) { budgetSet = budgetSet || f.Name == "budget" })
+		fs.Visit(func(f *flag.Flag) { budgetSet = budgetSet || f.Name == "budget" })
 		b := *budget
 		if !budgetSet {
 			b = 0
 		}
-		fatalIf(runCluster(ctx, run, clusterArgs{
+		return runCluster(ctx, w, r, clusterArgs{
 			specPath: *specPath, topo: *topo, preset: *preset,
 			jobs: *clusterJ, weights: *weights, budget: b,
 			objective: *objective, loop: *loop,
 			policies: *policies, steps: *partSteps, front: *front,
-		}, *asJSON))
-		return
+		}, *asJSON)
 	}
 
 	spec, err := buildSpec(*specPath, *topo, *preset, *workloads, *weights, *budget, *objective, *loop, *caps, *floors)
-	fatalIf(err)
+	if err != nil {
+		return err
+	}
 
 	if *codesign != "" {
 		// The -budget flag default (500) must not pin the study when the
@@ -150,23 +170,21 @@ func main() {
 		// ranking defaults to the axis maximum, exactly like a JSON spec
 		// posted to /v1/codesign without budget_gbps.
 		budgetSet := *specPath != ""
-		flag.Visit(func(f *flag.Flag) { budgetSet = budgetSet || f.Name == "budget" })
+		fs.Visit(func(f *flag.Flag) { budgetSet = budgetSet || f.Name == "budget" })
 		if !budgetSet && *front != "" {
 			spec.BudgetGBps = 0
 		}
-		fatalIf(runCoDesign(ctx, run, spec, *codesign, *memGB, *front, *asJSON))
-		return
+		return runCoDesign(ctx, w, r, spec, *codesign, *memGB, *front, *asJSON)
 	}
 
 	// Frontier mode builds per-point problems itself (at the axis maximum
 	// when the spec carries no budget), so like -codesign it must branch
 	// before the single-point Build validates BudgetGBps.
 	if *front != "" {
-		fatalIf(runFrontier(ctx, run, spec, *front, *asJSON))
-		return
+		return runFrontier(ctx, w, r, spec, *front, *asJSON)
 	}
 
-	fatalIf(runOptimize(ctx, run, spec, *asJSON))
+	return runOptimize(ctx, w, r, spec, *asJSON)
 }
 
 // ---- The task runner: one dispatch, two transports ----
@@ -310,7 +328,7 @@ func buildSpec(specPath, topo, preset, workloads, weights string, budget float64
 
 // runOptimize solves the single design point through the task dispatch
 // and renders it against the locally-priced EqualBW baseline.
-func runOptimize(ctx context.Context, run runner, spec *libra.ProblemSpec, asJSON bool) error {
+func runOptimize(ctx context.Context, w io.Writer, run runner, spec *libra.ProblemSpec, asJSON bool) error {
 	res, err := run.run(ctx, libra.NewOptimizeTask(spec))
 	if err != nil {
 		return err
@@ -339,7 +357,7 @@ func runOptimize(ctx context.Context, run runner, spec *libra.ProblemSpec, asJSO
 			Cached      bool         `json:"cached,omitempty"`
 			ElapsedMS   float64      `json:"elapsed_ms"`
 		}{er.Result, eq, er.Fingerprint, er.Cached, er.ElapsedMS}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(out)
 	}
@@ -349,16 +367,16 @@ func runOptimize(ctx context.Context, run runner, spec *libra.ProblemSpec, asJSO
 	for _, t := range p.Targets {
 		names = append(names, t.Workload.Name)
 	}
-	fmt.Printf("network:    %s (%d NPUs, %dD)\n", p.Net.Name(), p.Net.NPUs(), p.Net.NumDims())
-	fmt.Printf("objective:  %s @ %.0f GB/s per NPU\n", p.Objective, p.BWBudget)
-	fmt.Printf("workloads:  %s\n\n", strings.Join(names, ", "))
-	fmt.Printf("%-16s %-34s %12s %14s\n", "config", "BW per dim (GB/s)", "cost ($M)", "iter time (s)")
-	fmt.Printf("%-16s %-34s %12.2f %14.6f\n", "EqualBW", eq.BW.String(), eq.Cost/1e6, eq.WeightedTime)
-	fmt.Printf("%-16s %-34s %12.2f %14.6f\n", "LIBRA", r.BW.String(), r.Cost/1e6, r.WeightedTime)
-	fmt.Printf("\nspeedup over EqualBW:        %.2fx\n", eq.WeightedTime/r.WeightedTime)
-	fmt.Printf("perf-per-cost over EqualBW:  %.2fx\n", r.PerfPerCost()/eq.PerfPerCost())
+	fmt.Fprintf(w, "network:    %s (%d NPUs, %dD)\n", p.Net.Name(), p.Net.NPUs(), p.Net.NumDims())
+	fmt.Fprintf(w, "objective:  %s @ %.0f GB/s per NPU\n", p.Objective, p.BWBudget)
+	fmt.Fprintf(w, "workloads:  %s\n\n", strings.Join(names, ", "))
+	fmt.Fprintf(w, "%-16s %-34s %12s %14s\n", "config", "BW per dim (GB/s)", "cost ($M)", "iter time (s)")
+	fmt.Fprintf(w, "%-16s %-34s %12.2f %14.6f\n", "EqualBW", eq.BW.String(), eq.Cost/1e6, eq.WeightedTime)
+	fmt.Fprintf(w, "%-16s %-34s %12.2f %14.6f\n", "LIBRA", r.BW.String(), r.Cost/1e6, r.WeightedTime)
+	fmt.Fprintf(w, "\nspeedup over EqualBW:        %.2fx\n", eq.WeightedTime/r.WeightedTime)
+	fmt.Fprintf(w, "perf-per-cost over EqualBW:  %.2fx\n", r.PerfPerCost()/eq.PerfPerCost())
 	for i, t := range p.Targets {
-		fmt.Printf("  %-12s  %.6fs -> %.6fs (%.2fx)\n", t.Workload.Name, eq.Times[i], r.Times[i], eq.Times[i]/r.Times[i])
+		fmt.Fprintf(w, "  %-12s  %.6fs -> %.6fs (%.2fx)\n", t.Workload.Name, eq.Times[i], r.Times[i], eq.Times[i]/r.Times[i])
 	}
 	return nil
 }
@@ -366,7 +384,7 @@ func runOptimize(ctx context.Context, run runner, spec *libra.ProblemSpec, asJSO
 // runFrontier sweeps the budget axis and prints the Pareto frontier.
 // Locally an in-process Engine backs the sweep (duplicate budgets are
 // answered once); remotely the server's engine does.
-func runFrontier(ctx context.Context, run runner, spec *libra.ProblemSpec, axis string, asJSON bool) error {
+func runFrontier(ctx context.Context, w io.Writer, run runner, spec *libra.ProblemSpec, axis string, asJSON bool) error {
 	req, err := parseFrontierAxis(axis)
 	if err != nil {
 		return err
@@ -380,11 +398,11 @@ func runFrontier(ctx context.Context, run runner, spec *libra.ProblemSpec, axis 
 		return fmt.Errorf("frontier returned %T", got)
 	}
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(res)
 	}
-	fmt.Printf("%-14s %-34s %12s %14s %14s %7s\n",
+	fmt.Fprintf(w, "%-14s %-34s %12s %14s %14s %7s\n",
 		"budget (GB/s)", "LIBRA BW per dim (GB/s)", "cost ($M)", "iter time (s)", "EqualBW (s)", "pareto")
 	eqTimes := map[float64]float64{}
 	for _, p := range res.EqualBW {
@@ -394,7 +412,7 @@ func runFrontier(ctx context.Context, run runner, spec *libra.ProblemSpec, axis 
 	}
 	for _, p := range res.Points {
 		if p.Error != "" {
-			fmt.Printf("%-14.0f error: %v\n", p.BudgetGBps, p.Error)
+			fmt.Fprintf(w, "%-14.0f error: %v\n", p.BudgetGBps, p.Error)
 			continue
 		}
 		mark := ""
@@ -405,10 +423,10 @@ func runFrontier(ctx context.Context, run runner, spec *libra.ProblemSpec, axis 
 		if t, ok := eqTimes[p.BudgetGBps]; ok {
 			eq = fmt.Sprintf("%14.6f", t)
 		}
-		fmt.Printf("%-14.0f %-34s %12.2f %14.6f %14s %7s\n",
+		fmt.Fprintf(w, "%-14.0f %-34s %12.2f %14.6f %14s %7s\n",
 			p.BudgetGBps, p.Result.BW.String(), p.Result.Cost/1e6, p.Result.WeightedTime, eq, mark)
 	}
-	fmt.Printf("\nPareto frontier: %d of %d points (%d solves, %d cache hits, %.0f ms)\n",
+	fmt.Fprintf(w, "\nPareto frontier: %d of %d points (%d solves, %d cache hits, %.0f ms)\n",
 		len(res.Frontier), len(res.Points), res.Solves, res.CacheHits, res.ElapsedMS)
 	return nil
 }
@@ -416,7 +434,7 @@ func runFrontier(ctx context.Context, run runner, spec *libra.ProblemSpec, axis 
 // runCoDesign runs the joint parallelization × network study. tps is
 // "auto" or a comma-separated TP list; front optionally adds the budget
 // axis (reusing the -frontier syntax) for the co-design frontier.
-func runCoDesign(ctx context.Context, run runner, base *libra.ProblemSpec, tps string, memGB float64, front string, asJSON bool) error {
+func runCoDesign(ctx context.Context, w io.Writer, run runner, base *libra.ProblemSpec, tps string, memGB float64, front string, asJSON bool) error {
 	cspec := &libra.CoDesignSpec{Base: *base, MemoryGB: memGB}
 	if tps != "auto" {
 		for _, s := range cliutil.SplitList(tps) {
@@ -445,52 +463,52 @@ func runCoDesign(ctx context.Context, run runner, base *libra.ProblemSpec, tps s
 		return fmt.Errorf("codesign returned %T", got)
 	}
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
-	fmt.Printf("co-design on %s (%d NPUs) @ %.0f GB/s per NPU, global batch %d\n",
+	fmt.Fprintf(w, "co-design on %s (%d NPUs) @ %.0f GB/s per NPU, global batch %d\n",
 		rep.Topology, rep.NPUs, rep.BudgetGBps, rep.GlobalBatch)
-	fmt.Printf("baseline: %s on EqualBW — %.4fs per iteration\n\n",
+	fmt.Fprintf(w, "baseline: %s on EqualBW — %.4fs per iteration\n\n",
 		rep.Baseline.Strategy, rep.Baseline.EqualBW.WeightedTime)
-	fmt.Printf("%-16s %8s %14s %18s %-30s\n", "strategy", "mem(GB)", "EqualBW spdup", "co-design spdup", "co-designed BW")
+	fmt.Fprintf(w, "%-16s %8s %14s %18s %-30s\n", "strategy", "mem(GB)", "EqualBW spdup", "co-design spdup", "co-designed BW")
 	for _, c := range rep.Candidates {
 		if c.Error != "" {
-			fmt.Printf("%-16s error: %v\n", c.Strategy, c.Error)
+			fmt.Fprintf(w, "%-16s error: %v\n", c.Strategy, c.Error)
 			continue
 		}
 		eq := "-"
 		if c.EqualBW != nil {
 			eq = fmt.Sprintf("%.2fx", c.EqualBWSpeedupVsBaseline)
 		}
-		fmt.Printf("%-16s %8.1f %14s %17.2fx %-30s\n",
+		fmt.Fprintf(w, "%-16s %8.1f %14s %17.2fx %-30s\n",
 			c.Strategy, c.MemoryGB, eq, c.SpeedupVsBaseline, c.Optimized.BW.String())
 	}
 	for _, s := range rep.Skipped {
-		fmt.Printf("%-16s skipped: %s\n", skipLabel(s), s.Reason)
+		fmt.Fprintf(w, "%-16s skipped: %s\n", skipLabel(s), s.Reason)
 	}
 	if best := rep.Best(); best != nil {
-		fmt.Printf("\njoint optimum: %s with its co-designed network — %.2fx over the baseline\n",
+		fmt.Fprintf(w, "\njoint optimum: %s with its co-designed network — %.2fx over the baseline\n",
 			best.Strategy, best.SpeedupVsBaseline)
 	}
 	if len(rep.Frontier) > 0 {
-		fmt.Printf("\nco-design frontier (best strategy per budget):\n")
-		fmt.Printf("%-14s %-16s %-30s %12s %14s %7s\n",
+		fmt.Fprintf(w, "\nco-design frontier (best strategy per budget):\n")
+		fmt.Fprintf(w, "%-14s %-16s %-30s %12s %14s %7s\n",
 			"budget (GB/s)", "strategy", "BW per dim (GB/s)", "cost ($M)", "iter time (s)", "pareto")
 		for _, p := range rep.Frontier {
 			if p.Error != "" {
-				fmt.Printf("%-14.0f error: %v\n", p.BudgetGBps, p.Error)
+				fmt.Fprintf(w, "%-14.0f error: %v\n", p.BudgetGBps, p.Error)
 				continue
 			}
 			mark := ""
 			if p.Pareto {
 				mark = "*"
 			}
-			fmt.Printf("%-14.0f %-16s %-30s %12.2f %14.6f %7s\n",
+			fmt.Fprintf(w, "%-14.0f %-16s %-30s %12.2f %14.6f %7s\n",
 				p.BudgetGBps, p.Strategy, p.Result.BW.String(), p.Result.Cost/1e6, p.Result.WeightedTime, mark)
 		}
 	}
-	fmt.Printf("\n%d candidates, %d skipped (%d solves, %d cache hits, %.0f ms)\n",
+	fmt.Fprintf(w, "\n%d candidates, %d skipped (%d solves, %d cache hits, %.0f ms)\n",
 		len(rep.Candidates), len(rep.Skipped), rep.Solves, rep.CacheHits, rep.ElapsedMS)
 	return nil
 }
@@ -510,7 +528,7 @@ type clusterArgs struct {
 // "default" (the Fig. 17a LLM mix) or comma-separated Table II presets;
 // with -spec the file is read as a full cluster spec instead and the
 // workload flags are ignored.
-func runCluster(ctx context.Context, run runner, a clusterArgs, asJSON bool) error {
+func runCluster(ctx context.Context, w io.Writer, run runner, a clusterArgs, asJSON bool) error {
 	var cspec *libra.ClusterSpec
 	if a.specPath != "" {
 		data, err := os.ReadFile(a.specPath)
@@ -581,45 +599,45 @@ func runCluster(ctx context.Context, run runner, a clusterArgs, asJSON bool) err
 		return fmt.Errorf("cluster returned %T", got)
 	}
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
-	printCluster(rep)
+	printCluster(w, rep)
 	return nil
 }
 
 // printCluster renders the study: the tenant table, the Fig. 17-style
 // cross-evaluation matrix (speedup over EqualBW x slowdown over own-opt
 // per job and shared design), the best partition, and the policy summary.
-func printCluster(rep *libra.ClusterReport) {
-	fmt.Printf("cluster study on %s (%d NPUs) @ %.0f GB/s per NPU — policies: %s\n\n",
+func printCluster(w io.Writer, rep *libra.ClusterReport) {
+	fmt.Fprintf(w, "cluster study on %s (%d NPUs) @ %.0f GB/s per NPU — policies: %s\n\n",
 		rep.Topology, rep.NPUs, rep.BudgetGBps, strings.Join(rep.Policies, ", "))
 
-	fmt.Printf("%-14s %7s %-34s %14s %14s\n", "job", "weight", "own-opt BW per dim (GB/s)", "own time (s)", "EqualBW (s)")
+	fmt.Fprintf(w, "%-14s %7s %-34s %14s %14s\n", "job", "weight", "own-opt BW per dim (GB/s)", "own time (s)", "EqualBW (s)")
 	for _, j := range rep.Jobs {
 		if j.Error != "" {
-			fmt.Printf("%-14s %7.2g error: %s\n", j.Name, j.Weight, j.Error)
+			fmt.Fprintf(w, "%-14s %7.2g error: %s\n", j.Name, j.Weight, j.Error)
 			continue
 		}
 		own := "-"
 		if j.OwnOpt != nil {
 			own = j.OwnOpt.BW.String()
 		}
-		fmt.Printf("%-14s %7.2g %-34s %14.6f %14.6f\n", j.Name, j.Weight, own, j.OwnTimeS, j.EqualBWTimeS)
+		fmt.Fprintf(w, "%-14s %7.2g %-34s %14.6f %14.6f\n", j.Name, j.Weight, own, j.OwnTimeS, j.EqualBWTimeS)
 	}
 
 	if len(rep.Designs) > 0 {
-		fmt.Printf("\nshared designs (speedup over EqualBW / slowdown over own-opt per job):\n")
-		fmt.Printf("%-14s %-12s", "design", "policy")
+		fmt.Fprintf(w, "\nshared designs (speedup over EqualBW / slowdown over own-opt per job):\n")
+		fmt.Fprintf(w, "%-14s %-12s", "design", "policy")
 		for _, j := range rep.Jobs {
-			fmt.Printf(" %16s", j.Name)
+			fmt.Fprintf(w, " %16s", j.Name)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		for _, d := range rep.Designs {
-			fmt.Printf("%-14s %-12s", d.Name, d.Policy)
+			fmt.Fprintf(w, "%-14s %-12s", d.Name, d.Policy)
 			if d.Error != "" {
-				fmt.Printf(" error: %s\n", d.Error)
+				fmt.Fprintf(w, " error: %s\n", d.Error)
 				continue
 			}
 			for i := range rep.Jobs {
@@ -630,53 +648,53 @@ func printCluster(rep *libra.ClusterReport) {
 						cell += fmt.Sprintf("/%.2fx", d.SlowdownVsOwnOpt[i])
 					}
 				}
-				fmt.Printf(" %16s", cell)
+				fmt.Fprintf(w, " %16s", cell)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 
 	if p := rep.Partition; p != nil {
 		if p.Error != "" {
-			fmt.Printf("\npartition (%d steps): %s\n", p.Steps, p.Error)
+			fmt.Fprintf(w, "\npartition (%d steps): %s\n", p.Steps, p.Error)
 		} else {
 			var shares []string
 			for i, j := range rep.Jobs {
 				shares = append(shares, fmt.Sprintf("%s=%.0f GB/s", j.Name, p.SharesGBps[i]))
 			}
-			fmt.Printf("\npartition (%d steps): %s — weighted time %.6fs\n",
+			fmt.Fprintf(w, "\npartition (%d steps): %s — weighted time %.6fs\n",
 				p.Steps, strings.Join(shares, ", "), p.WeightedTimeS)
 		}
 	}
 
 	if len(rep.Summary) > 0 {
-		fmt.Printf("\n%-14s %-14s %16s %12s %13s %6s\n",
+		fmt.Fprintf(w, "\n%-14s %-14s %16s %12s %13s %6s\n",
 			"policy", "allocation", "weighted t (s)", "agg speedup", "max slowdown", "Jain")
 		for _, s := range rep.Summary {
-			fmt.Printf("%-14s %-14s %16.6f %11.2fx %12.2fx %6.3f\n",
+			fmt.Fprintf(w, "%-14s %-14s %16.6f %11.2fx %12.2fx %6.3f\n",
 				s.Policy, s.Design, s.WeightedTimeS, s.AggregateSpeedup, s.MaxSlowdown, s.JainFairness)
 		}
 	}
 
 	if fr := rep.Frontier; fr != nil {
-		fmt.Printf("\ncluster frontier (group design per budget):\n")
-		fmt.Printf("%-14s %-34s %12s %14s %7s\n",
+		fmt.Fprintf(w, "\ncluster frontier (group design per budget):\n")
+		fmt.Fprintf(w, "%-14s %-34s %12s %14s %7s\n",
 			"budget (GB/s)", "group BW per dim (GB/s)", "cost ($M)", "iter time (s)", "pareto")
 		for _, p := range fr.Points {
 			if p.Error != "" {
-				fmt.Printf("%-14.0f error: %v\n", p.BudgetGBps, p.Error)
+				fmt.Fprintf(w, "%-14.0f error: %v\n", p.BudgetGBps, p.Error)
 				continue
 			}
 			mark := ""
 			if p.Pareto {
 				mark = "*"
 			}
-			fmt.Printf("%-14.0f %-34s %12.2f %14.6f %7s\n",
+			fmt.Fprintf(w, "%-14.0f %-34s %12.2f %14.6f %7s\n",
 				p.BudgetGBps, p.Result.BW.String(), p.Result.Cost/1e6, p.Result.WeightedTime, mark)
 		}
 	}
 
-	fmt.Printf("\n%d jobs, %d designs (%d solves, %d cache hits, %.0f ms)\n",
+	fmt.Fprintf(w, "\n%d jobs, %d designs (%d solves, %d cache hits, %.0f ms)\n",
 		len(rep.Jobs), len(rep.Designs), rep.Solves, rep.CacheHits, rep.ElapsedMS)
 }
 
@@ -685,7 +703,7 @@ func printCluster(rep *libra.ClusterReport) {
 // tolerance verdicts: a failing matrix exits non-zero so CI can call this
 // directly. -baseline writes the stable report form; -check regenerates
 // it and fails on any byte of drift from the committed file.
-func runValidate(ctx context.Context, run runner, tolerance float64, baselinePath, checkPath string, asJSON bool) error {
+func runValidate(ctx context.Context, w io.Writer, run runner, tolerance float64, baselinePath, checkPath string, asJSON bool) error {
 	got, err := run.run(ctx, libra.NewValidateTask(&libra.ValidateSpec{Tolerance: tolerance}))
 	if err != nil {
 		return err
@@ -696,13 +714,13 @@ func runValidate(ctx context.Context, run runner, tolerance float64, baselinePat
 	}
 
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
 			return err
 		}
 	} else {
-		printValidation(rep)
+		printValidation(w, rep)
 	}
 
 	if baselinePath != "" || checkPath != "" {
@@ -737,27 +755,27 @@ func runValidate(ctx context.Context, run runner, tolerance float64, baselinePat
 }
 
 // printValidation renders the conformance matrix as a text table.
-func printValidation(rep *libra.ValidationReport) {
-	fmt.Printf("analytical-vs-simulator conformance (tolerance %.3f)\n\n", rep.Tolerance)
-	fmt.Printf("%-52s %14s %14s %9s %9s %s\n", "scenario", "analytical (s)", "simulated (s)", "rel err", "dim err", "verdict")
+func printValidation(w io.Writer, rep *libra.ValidationReport) {
+	fmt.Fprintf(w, "analytical-vs-simulator conformance (tolerance %.3f)\n\n", rep.Tolerance)
+	fmt.Fprintf(w, "%-52s %14s %14s %9s %9s %s\n", "scenario", "analytical (s)", "simulated (s)", "rel err", "dim err", "verdict")
 	for _, sc := range rep.Scenarios {
 		switch {
 		case sc.Skipped:
-			fmt.Printf("%-52s skipped: %s\n", sc.ID, sc.Reason)
+			fmt.Fprintf(w, "%-52s skipped: %s\n", sc.ID, sc.Reason)
 		case sc.Error != "":
-			fmt.Printf("%-52s error: %s\n", sc.ID, sc.Error)
+			fmt.Fprintf(w, "%-52s error: %s\n", sc.ID, sc.Error)
 		default:
 			verdict := "ok"
 			if !sc.Within {
 				verdict = "DIVERGED"
 			}
-			fmt.Printf("%-52s %14.6f %14.6f %8.2f%% %8.2g %s\n",
+			fmt.Fprintf(w, "%-52s %14.6f %14.6f %8.2f%% %8.2g %s\n",
 				sc.ID, sc.AnalyticalS, sc.SimulatedS, 100*sc.RelErr, sc.DimBusyMaxRelErr, verdict)
 		}
 	}
-	fmt.Printf("\n%d evaluated, %d skipped, %d failed; mean |rel err| %.2f%%, max %.2f%% (%s)\n",
+	fmt.Fprintf(w, "\n%d evaluated, %d skipped, %d failed; mean |rel err| %.2f%%, max %.2f%% (%s)\n",
 		rep.Evaluated, rep.Skipped, rep.Failed, 100*rep.MeanAbsRelErr, 100*rep.MaxAbsRelErr, rep.WorstID)
-	fmt.Printf("gate: %s (%d solves, %d cache hits, %.0f ms)\n", passLabel(rep.Pass), rep.Solves, rep.CacheHits, rep.ElapsedMS)
+	fmt.Fprintf(w, "gate: %s (%d solves, %d cache hits, %.0f ms)\n", passLabel(rep.Pass), rep.Solves, rep.CacheHits, rep.ElapsedMS)
 }
 
 func passLabel(pass bool) string {
@@ -806,5 +824,3 @@ func parseFrontierAxis(s string) (libra.FrontierRequest, error) {
 	}
 	return libra.FrontierRequest{Budgets: budgets}, nil
 }
-
-func fatalIf(err error) { cliutil.Fatal("libra", err) }

@@ -93,7 +93,7 @@ func main() {
 		fmt.Printf("%-14s %10s %14s %14s %9s %7s\n",
 			"budget (GB/s)", "cost ($M)", "iter time (s)", "EqualBW (s)", "speedup", "pareto")
 		for i, p := range res.Points {
-			if p.Err != nil {
+			if p.Error != "" {
 				fmt.Printf("%-14.0f error: %v\n", p.BudgetGBps, p.Error)
 				continue
 			}
@@ -102,7 +102,7 @@ func main() {
 				mark = "*"
 			}
 			eqTime, speedup := "-", "-"
-			if eq := res.EqualBW[i]; eq.Err == nil {
+			if eq := res.EqualBW[i]; eq.Error == "" {
 				eqTime = fmt.Sprintf("%14.6f", eq.Result.WeightedTime)
 				speedup = fmt.Sprintf("%8.2fx", eq.Result.WeightedTime/p.Result.WeightedTime)
 			}

@@ -42,8 +42,8 @@ func main() {
 	byTP := append([]libra.CoDesignCandidate(nil), rep.Candidates...)
 	sort.Slice(byTP, func(i, j int) bool { return byTP[i].Strategy.TP < byTP[j].Strategy.TP })
 	for _, c := range byTP {
-		if c.Err != nil {
-			log.Fatalf("%s: %v", c.Strategy, c.Err)
+		if c.Error != "" {
+			log.Fatalf("%s: %s", c.Strategy, c.Error)
 		}
 		fmt.Printf("%-16s %13.2fx %17.2fx %-34s\n",
 			c.Strategy, c.EqualBWSpeedupVsBaseline, c.SpeedupVsBaseline, c.Optimized.BW.String())

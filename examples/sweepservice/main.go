@@ -44,8 +44,8 @@ func main() {
 		fmt.Printf("%s (%v):\n", label, time.Since(start).Round(time.Millisecond))
 		fmt.Printf("  %-8s %10s %14s %10s %8s\n", "network", "GB/s", "iter time (s)", "cost ($M)", "cached")
 		for _, pt := range points {
-			if pt.Err != nil {
-				log.Fatalf("%s @%v: %v", pt.Topology, pt.BudgetGBps, pt.Err)
+			if pt.Error != "" {
+				log.Fatalf("%s @%v: %s", pt.Topology, pt.BudgetGBps, pt.Error)
 			}
 			fmt.Printf("  %-8s %10.0f %14.6f %10.2f %8v\n",
 				pt.Topology, pt.BudgetGBps, pt.Result.WeightedTime, pt.Result.Cost/1e6, pt.Cached)

@@ -25,9 +25,11 @@
 // frontier.Walk) and its cross-evaluations, priced locally through the
 // column's core.Evaluator (it depends only on the job and the fabric,
 // never on the design priced); only optimizations reach the solver.
-// Per-job and per-design failures are reported in place. The optional
-// Budgets axis composes with internal/frontier into a cluster frontier
-// for the group problem, the one spec a study opens twice.
+// Per-job and per-design failures are reported in place, as each row's
+// Error message, so a report reads the same in process and decoded from
+// JSON. The optional Budgets axis composes with internal/frontier into a
+// cluster frontier for the group problem, the one spec a study opens
+// twice.
 package cluster
 
 import (
@@ -48,7 +50,7 @@ const GroupDesignName = "Group-Opt"
 
 // Job is one tenant of the study: its resolved weight and workload, the
 // job's own optimal design on the full budget, and its EqualBW baseline
-// time. A failed own-optimization carries the error in place — the job
+// time. A failed own-optimization carries its message in Error — the job
 // still appears in every design's pricing, it just loses its
 // slowdown-vs-own-opt column.
 type Job struct {
@@ -67,7 +69,6 @@ type Job struct {
 	EqualBWTimeS float64 `json:"equal_bw_time_s,omitempty"`
 	Fingerprint  string  `json:"fingerprint,omitempty"`
 	Cached       bool    `json:"cached,omitempty"`
-	Err          error   `json:"-"`
 	Error        string  `json:"error,omitempty"`
 }
 
@@ -106,7 +107,6 @@ type Design struct {
 	Policy string            `json:"policy"`
 	BW     topology.BWConfig `json:"bw,omitempty"`
 	Metrics
-	Err   error  `json:"-"`
 	Error string `json:"error,omitempty"`
 }
 
@@ -121,7 +121,6 @@ type Partition struct {
 	// JobBW holds each job's optimized design inside its slice.
 	JobBW []topology.BWConfig `json:"job_bw,omitempty"`
 	Metrics
-	Err   error  `json:"-"`
 	Error string `json:"error,omitempty"`
 }
 
@@ -164,13 +163,11 @@ type Report struct {
 }
 
 // GroupDesign returns the group-optimized design, nil when the study
-// did not run (or could not solve) the group-opt policy. The Error
-// string is checked alongside Err so reports decoded from JSON behave
-// identically.
+// did not run (or could not solve) the group-opt policy.
 func (r *Report) GroupDesign() *Design {
 	for i := range r.Designs {
 		d := &r.Designs[i]
-		if d.Name == GroupDesignName && d.Err == nil && d.Error == "" {
+		if d.Name == GroupDesignName && d.Error == "" {
 			return d
 		}
 	}
@@ -270,7 +267,7 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 			res, err := cols[i].Optimize(ctx, r.budget, nil)
 			out := &rep.Jobs[i]
 			if err != nil {
-				out.Err, out.Error = err, err.Error()
+				out.Error = err.Error()
 				tracker.Tick(false)
 				return
 			}
@@ -305,7 +302,7 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 		return nil, err
 	}
 	for i := range rep.Jobs {
-		if rep.Jobs[i].Err == nil {
+		if rep.Jobs[i].Error == "" {
 			countHit(rep.Jobs[i].Cached)
 		}
 	}
@@ -321,11 +318,9 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 	// Assemble the design list from the phase-A answers.
 	if wantPerJob {
 		for i := range r.jobs {
-			d := Design{Name: r.jobs[i].name, Policy: PolicyPerJobOpt}
-			if j := &rep.Jobs[i]; j.Err != nil {
-				d.Err, d.Error = j.Err, j.Error
-			} else {
-				d.BW = j.OwnOpt.BW
+			d := Design{Name: r.jobs[i].name, Policy: PolicyPerJobOpt, Error: rep.Jobs[i].Error}
+			if d.Error == "" {
+				d.BW = rep.Jobs[i].OwnOpt.BW
 			}
 			rep.Designs = append(rep.Designs, d)
 		}
@@ -333,7 +328,7 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 	if wantGroup {
 		d := Design{Name: GroupDesignName, Policy: PolicyGroupOpt}
 		if groupErr != nil {
-			d.Err, d.Error = groupErr, groupErr.Error()
+			d.Error = groupErr.Error()
 		} else {
 			d.BW = groupRes.Result.BW
 		}
@@ -364,8 +359,8 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 			}
 			if err == nil {
 				rep.Jobs[i].EqualBWTimeS = eq.Times[0]
-			} else if rep.Jobs[i].Err == nil {
-				rep.Jobs[i].Err, rep.Jobs[i].Error = err, err.Error()
+			} else if rep.Jobs[i].Error == "" {
+				rep.Jobs[i].Error = err.Error()
 			}
 			if ev == nil {
 				tracker.TickN(1+nDesigns, 0)
@@ -374,7 +369,7 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 			tracker.Tick(false)
 			for di := range rep.Designs {
 				d := &rep.Designs[di]
-				if d.Err != nil {
+				if d.Error != "" {
 					tracker.Tick(false)
 					continue
 				}
@@ -394,13 +389,12 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 	}
 	for di := range rep.Designs {
 		d := &rep.Designs[di]
-		for i := 0; i < nJobs && d.Err == nil; i++ {
+		for i := 0; i < nJobs && d.Error == ""; i++ {
 			if err := designErr[di*nJobs+i]; err != nil {
-				d.Err = fmt.Errorf("cluster: pricing %s for %s: %w", d.Name, r.jobs[i].name, err)
-				d.Error = d.Err.Error()
+				d.Error = fmt.Sprintf("cluster: pricing %s for %s: %v", d.Name, r.jobs[i].name, err)
 			}
 		}
-		if d.Err == nil {
+		if d.Error == "" {
 			d.Metrics = deriveMetrics(rep.Jobs, jobWeights(r), d.TimesS)
 		}
 	}
@@ -500,7 +494,7 @@ func bestPartition(r *resolved, jobs []Job, part [][]frontier.Point, shares int)
 	nJobs := len(r.jobs)
 	p := &Partition{Steps: r.steps}
 	cellTime := func(job, k int) float64 { // k is 1-based units
-		if cell := part[job][k-1]; cell.Err == nil {
+		if cell := part[job][k-1]; cell.Error == "" {
 			return cell.Result.Times[0]
 		}
 		return math.Inf(1)
@@ -543,8 +537,7 @@ func bestPartition(r *resolved, jobs []Job, part [][]frontier.Point, shares int)
 		}
 	}
 	if math.IsInf(dp[nJobs][r.steps], 1) {
-		p.Err = fmt.Errorf("cluster: no feasible %d-way split of the budget at %d steps", nJobs, r.steps)
-		p.Error = p.Err.Error()
+		p.Error = fmt.Sprintf("cluster: no feasible %d-way split of the budget at %d steps", nJobs, r.steps)
 		return p
 	}
 	units := make([]int, nJobs)
@@ -588,14 +581,14 @@ func summarize(rep *Report) []PolicySummary {
 				row(policy, d.Name, d.Metrics)
 			}
 		case PolicyPartition:
-			if p := rep.Partition; p != nil && p.Err == nil && p.Error == "" {
+			if p := rep.Partition; p != nil && p.Error == "" {
 				row(policy, "partition", p.Metrics)
 			}
 		case PolicyPerJobOpt:
 			best := -1
 			for i := range rep.Designs {
 				d := &rep.Designs[i]
-				if d.Policy != PolicyPerJobOpt || d.Err != nil || d.Error != "" || d.WeightedTimeS <= 0 {
+				if d.Policy != PolicyPerJobOpt || d.Error != "" || d.WeightedTimeS <= 0 {
 					continue
 				}
 				if best < 0 || d.WeightedTimeS < rep.Designs[best].WeightedTimeS {

@@ -219,8 +219,8 @@ func TestComputeEndToEndEngine(t *testing.T) {
 		t.Fatalf("jobs = %d", len(rep.Jobs))
 	}
 	for i, j := range rep.Jobs {
-		if j.Err != nil {
-			t.Fatalf("job %s: %v", j.Name, j.Err)
+		if j.Error != "" {
+			t.Fatalf("job %s: %v", j.Name, j.Error)
 		}
 		if j.OwnOpt == nil || j.OwnTimeS <= 0 || j.EqualBWTimeS <= 0 || j.Fingerprint == "" {
 			t.Errorf("job %d missing pricing: %+v", i, j)
@@ -244,8 +244,8 @@ func TestComputeEndToEndEngine(t *testing.T) {
 		t.Fatal("no group design")
 	}
 	for _, d := range rep.Designs {
-		if d.Err != nil {
-			t.Fatalf("design %s: %v", d.Name, d.Err)
+		if d.Error != "" {
+			t.Fatalf("design %s: %v", d.Name, d.Error)
 		}
 		for i, tm := range d.TimesS {
 			if tm <= 0 {
@@ -276,7 +276,7 @@ func TestComputeEndToEndEngine(t *testing.T) {
 
 	// Partition: shares exhaust the budget, one slice per job.
 	p := rep.Partition
-	if p == nil || p.Err != nil {
+	if p == nil || p.Error != "" {
 		t.Fatalf("partition = %+v", p)
 	}
 	if p.Steps != 4 || len(p.SharesGBps) != 2 || len(p.JobBW) != 2 {
@@ -351,8 +351,8 @@ func TestComputeBudgetAxis(t *testing.T) {
 		t.Fatalf("frontier = %+v", fr)
 	}
 	for _, pt := range fr.Points {
-		if pt.Err != nil {
-			t.Fatalf("budget %v: %v", pt.BudgetGBps, pt.Err)
+		if pt.Error != "" {
+			t.Fatalf("budget %v: %v", pt.BudgetGBps, pt.Error)
 		}
 	}
 	if len(fr.EqualBW) != 2 {

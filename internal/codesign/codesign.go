@@ -16,20 +16,21 @@
 // via the spec fingerprint cache, and honors context cancellation. The
 // ranking solve, the EqualBW price and the walk over the optional budget
 // axis (the co-design frontier: best strategy per budget) all run on that
-// column. Per-candidate failures are reported in place.
+// column. Per-candidate failures are reported in place, in each row's
+// Error; a budget axis whose maximum the base problem cannot take is
+// refused before any candidate is solved.
 package codesign
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"libra/internal/core"
 	"libra/internal/frontier"
-	"libra/internal/opt"
 	"libra/internal/topology"
 	"libra/internal/workload"
 )
@@ -68,7 +69,6 @@ type Candidate struct {
 	EqualBWSpeedupVsBaseline float64 `json:"equal_bw_speedup_vs_baseline,omitempty"`
 	Fingerprint              string  `json:"fingerprint,omitempty"`
 	Cached                   bool    `json:"cached,omitempty"`
-	Err                      error   `json:"-"`
 	Error                    string  `json:"error,omitempty"`
 }
 
@@ -114,11 +114,10 @@ type Report struct {
 }
 
 // Best returns the top-ranked successful candidate, or nil when every
-// candidate failed. The Error string is checked alongside Err so reports
-// decoded from JSON (where Err does not travel) behave identically.
+// candidate failed.
 func (r *Report) Best() *Candidate {
 	for i := range r.Candidates {
-		if r.Candidates[i].Err == nil && r.Candidates[i].Error == "" {
+		if r.Candidates[i].Error == "" {
 			return &r.Candidates[i]
 		}
 	}
@@ -163,13 +162,23 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 	// failures, which degrade it).
 	eqBW := topology.EqualBW(base.BudgetGBps, m.net.NumDims())
 	baseCand := m.baselineCandidate()
-	baseCol, err := s.Column(m.candidateSpec(base, baseCand))
+	baseSpec := m.candidateSpec(base, baseCand)
+	baseCol, err := s.Column(baseSpec)
 	var baseRes core.EngineResult
 	if err == nil {
 		baseRes, err = baseCol.Evaluate(ctx, eqBW)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("codesign: baseline %s: %w", baseCand.strat, err)
+	}
+	// Every candidate shares the base problem's floors: refuse, before
+	// any solve, a budget axis whose maximum none of them could take.
+	if len(spec.Budgets) > 0 {
+		at := *baseSpec
+		at.BudgetGBps = slices.Max(spec.Budgets)
+		if _, err := at.Build(); err != nil {
+			return nil, fmt.Errorf("%w: codesign: budget axis: %w", core.ErrBadSpec, err)
+		}
 	}
 	rep.Baseline = Baseline{Strategy: baseCand.strat, Minibatch: baseCand.minibatch, EqualBW: baseRes.Result}
 	countHit := func(cached bool) {
@@ -189,6 +198,7 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 	tracker.Tick(baseRes.Cached)
 	rep.Candidates = make([]Candidate, len(cands))
 	cols := make([]core.Column, len(cands))
+	openErrs := make([]error, len(cands))
 	eqCached := make([]bool, len(cands))
 	var wg sync.WaitGroup
 	for i, c := range cands {
@@ -204,6 +214,7 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 			defer wg.Done()
 			var r core.EngineResult
 			col, err := s.Column(cspec)
+			openErrs[i] = err
 			if err == nil {
 				cols[i] = col
 				if r, err = col.Optimize(ctx, cspec.BudgetGBps, nil); err == nil {
@@ -217,7 +228,7 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 				}
 			}
 			if err != nil {
-				out.Err, out.Error = err, err.Error()
+				out.Error = err.Error()
 			}
 			tracker.Tick(r.Cached)
 		}(i, &rep.Candidates[i], m.candidateSpec(base, c))
@@ -235,7 +246,7 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 		if c.Fingerprint != "" {
 			countHit(c.Cached)
 		}
-		if c.Err != nil {
+		if c.Error != "" {
 			continue
 		}
 		if c.EqualBW != nil {
@@ -249,6 +260,13 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 		}
 	}
 	if len(spec.Budgets) > 0 {
+		// A frontier walks every candidate's column; one that did not
+		// open fails the study, the first in enumeration order named.
+		for i, err := range openErrs {
+			if err != nil {
+				return nil, fmt.Errorf("codesign: frontier for %s: %w", cands[i].strat, err)
+			}
+		}
 		if err := computeFrontier(ctx, rep, cols, cands, spec.Budgets); err != nil {
 			return nil, err
 		}
@@ -263,10 +281,10 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 func rank(cands []Candidate) {
 	sort.SliceStable(cands, func(i, j int) bool {
 		a, b := &cands[i], &cands[j]
-		if (a.Err == nil) != (b.Err == nil) {
-			return a.Err == nil
+		if (a.Error == "") != (b.Error == "") {
+			return a.Error == ""
 		}
-		if a.Err == nil && a.Optimized.WeightedTime != b.Optimized.WeightedTime {
+		if a.Error == "" && a.Optimized.WeightedTime != b.Optimized.WeightedTime {
 			return a.Optimized.WeightedTime < b.Optimized.WeightedTime
 		}
 		if a.Strategy.PPOr1() != b.Strategy.PPOr1() {
@@ -294,41 +312,15 @@ func computeFrontier(ctx context.Context, rep *Report, cols []core.Column, cands
 	results := make([][]frontier.Point, len(cands))
 	var wg sync.WaitGroup
 	for i, col := range cols {
-		if col == nil {
-			continue // the candidate's column failed to open; checked below
-		}
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, col core.Column) {
 			defer wg.Done()
-			results[i] = frontier.Walk(ctx, cols[i], budgets, false, tracker)
-		}(i)
+			results[i] = frontier.Walk(ctx, col, budgets, false, tracker)
+		}(i, col)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	// As a frontier column opens at its axis' largest budget, a candidate
-	// whose problem does not build, or cannot take that budget (its point
-	// there fails core.ErrBadSpec), fails the study; the first such
-	// candidate in enumeration order is named. Constraints that admit no
-	// allocation at that budget (opt.ErrInfeasible, also a bad spec) only
-	// fail its cell: a column would open on them.
-	order := make([]int, len(budgets))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return budgets[order[a]] < budgets[order[b]] })
-	top := order[len(order)-1]
-	for i, col := range cols {
-		err := rep.Candidates[i].Err
-		if col != nil {
-			if err = results[i][top].Err; !errors.Is(err, core.ErrBadSpec) || errors.Is(err, opt.ErrInfeasible) {
-				err = nil
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("codesign: frontier for %s: %w", cands[i].strat, err)
-		}
 	}
 	for _, points := range results {
 		solves, hits := frontier.Tally(points)
@@ -338,12 +330,17 @@ func computeFrontier(ctx context.Context, rep *Report, cols []core.Column, cands
 
 	// Budgets may repeat in the request; frontier.Walk returns points in
 	// axis order, so index i of every candidate's walk is budget i.
+	order := make([]int, len(budgets))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return budgets[order[a]] < budgets[order[b]] })
 	rep.Frontier = make([]FrontierPoint, 0, len(budgets))
 	for _, bi := range order {
 		best := -1
 		for ci, points := range results {
 			pt := points[bi]
-			if pt.Err != nil {
+			if pt.Error != "" {
 				continue
 			}
 			if best < 0 || pt.Result.WeightedTime < results[best][bi].Result.WeightedTime {
@@ -351,10 +348,10 @@ func computeFrontier(ctx context.Context, rep *Report, cols []core.Column, cands
 			}
 		}
 		if best < 0 {
-			err := fmt.Errorf("codesign: no strategy solved at budget %v", budgets[bi])
-			rep.Frontier = append(rep.Frontier, FrontierPoint{
-				Point: frontier.Point{BudgetGBps: budgets[bi], Err: err, Error: err.Error()},
-			})
+			rep.Frontier = append(rep.Frontier, FrontierPoint{Point: frontier.Point{
+				BudgetGBps: budgets[bi],
+				Error:      fmt.Sprintf("codesign: no strategy solved at budget %v", budgets[bi]),
+			}})
 			continue
 		}
 		rep.Frontier = append(rep.Frontier, FrontierPoint{

@@ -292,7 +292,7 @@ func TestComputeCountsSolvesOnEqualBWFailure(t *testing.T) {
 			failed = &rep.Candidates[i]
 		}
 	}
-	if failed == nil || failed.Err == nil || failed.Fingerprint == "" {
+	if failed == nil || failed.Error == "" || failed.Fingerprint == "" {
 		t.Fatalf("failed candidate = %+v", failed)
 	}
 	// baseline eval + 2 optimizes + TP=4's EqualBW eval; TP=2's failed
@@ -318,7 +318,7 @@ func TestComputeRankingAndErrors(t *testing.T) {
 		t.Errorf("ranking = %v, %v", rep.Candidates[0].Strategy, rep.Candidates[1].Strategy)
 	}
 	last := rep.Candidates[2]
-	if last.Err == nil || last.Strategy.TP != 8 || !strings.Contains(last.Error, "diverged") {
+	if last.Strategy.TP != 8 || !strings.Contains(last.Error, "diverged") {
 		t.Errorf("failed candidate = %+v", last)
 	}
 	best := rep.Best()
@@ -362,8 +362,8 @@ func TestComputeEndToEndEngine(t *testing.T) {
 		t.Fatalf("candidates = %d, best = %v", len(rep.Candidates), rep.Best())
 	}
 	for _, c := range rep.Candidates {
-		if c.Err != nil {
-			t.Fatalf("%s: %v", c.Strategy, c.Err)
+		if c.Error != "" {
+			t.Fatalf("%s: %v", c.Strategy, c.Error)
 		}
 		if c.Fingerprint == "" || c.EqualBW == nil || c.MemoryGB <= 0 {
 			t.Errorf("candidate %s missing metadata: %+v", c.Strategy, c)
@@ -421,8 +421,8 @@ func TestComputeBudgetAxis(t *testing.T) {
 	prev := 0.0
 	pareto := 0
 	for _, p := range rep.Frontier {
-		if p.Err != nil {
-			t.Fatalf("budget %v: %v", p.BudgetGBps, p.Err)
+		if p.Error != "" {
+			t.Fatalf("budget %v: %v", p.BudgetGBps, p.Error)
 		}
 		if p.BudgetGBps < prev {
 			t.Error("frontier not budget-ascending")
@@ -588,10 +588,31 @@ func TestComputeBudgetAxisInfeasibleTopBudget(t *testing.T) {
 	if len(rep.Frontier) != 2 {
 		t.Fatalf("frontier has %d points, want 2", len(rep.Frontier))
 	}
-	if low := rep.Frontier[0]; low.Err != nil {
-		t.Errorf("budget 150: %v", low.Err)
+	if low := rep.Frontier[0]; low.Error != "" {
+		t.Errorf("budget 150: %v", low.Error)
 	}
-	if high := rep.Frontier[1]; high.Err == nil || high.Error != "codesign: no strategy solved at budget 300" {
+	if high := rep.Frontier[1]; high.Error != "codesign: no strategy solved at budget 300" {
 		t.Errorf("budget 300: error %q, want no strategy solved", high.Error)
+	}
+}
+
+// A budget axis whose maximum is below the dimension floors fails the
+// study as a bad spec before any candidate is solved: only the baseline
+// price runs.
+func TestComputeRefusesBudgetAxisBelowFloor(t *testing.T) {
+	spec := tinySpec()
+	spec.Base.MinDimBW = 100 // 2 dims: a 200 GB/s floor
+	spec.Budgets = []float64{50, 150}
+	fs := &fakeSolver{}
+	_, err := Compute(context.Background(), fs, spec)
+	if !errors.Is(err, core.ErrBadSpec) || !strings.Contains(err.Error(), "floor") {
+		t.Fatalf("err = %v, want a bad-spec floor error", err)
+	}
+	if fs.calls != 1 {
+		t.Errorf("solver answered %d calls, want only the baseline price", fs.calls)
+	}
+	spec.Budgets = []float64{50, 200}
+	if _, err := Compute(context.Background(), fs, spec); err != nil {
+		t.Errorf("axis reaching the floor: %v", err)
 	}
 }

@@ -172,6 +172,13 @@ func (r Result) PerfPerCost() float64 {
 	return 1 / (r.WeightedTime * r.Cost)
 }
 
+// MaxConstraints bounds a problem's declarative constraints. Each one is
+// a row of the solver's constraint system, and every solver worker's
+// projector allocates scratch quadratic in the row count, so an
+// unbounded list from a small JSON body could take gigabytes before any
+// solve. The bound counts the cap row a frontier cap column appends.
+const MaxConstraints = 64
+
 func (p *Problem) validate() error {
 	if p.Net == nil {
 		return fmt.Errorf("core: problem has no network")
@@ -187,6 +194,9 @@ func (p *Problem) validate() error {
 	}
 	if err := p.checkBudget(p.BWBudget); err != nil {
 		return err
+	}
+	if n := len(p.Constraints); n > MaxConstraints {
+		return fmt.Errorf("core: %d constraints exceed the %d-constraint limit", n, MaxConstraints)
 	}
 	for _, c := range p.Constraints {
 		if err := c.Validate(p.Net.NumDims()); err != nil {

@@ -372,12 +372,12 @@ func (e *Engine) wait(ctx context.Context, f *flight) (cacheEntry, bool, error) 
 	}
 }
 
-// BatchResult is the outcome of one sweep cell; failed cells carry the
-// error in place so one bad spec does not sink the sweep.
+// BatchResult is the outcome of one sweep cell; a failed cell carries
+// its error message in place so one bad spec does not sink the sweep,
+// and reads the same in process and decoded from JSON.
 type BatchResult struct {
 	Index int `json:"index"`
 	EngineResult
-	Err   error  `json:"-"`
 	Error string `json:"error,omitempty"`
 }
 
@@ -444,7 +444,7 @@ func (e *Engine) Sweep(ctx context.Context, base *ProblemSpec, req SweepRequest)
 		go func(pt *SweepPoint, i int, s *ProblemSpec) {
 			defer wg.Done()
 			r, err := e.Optimize(ctx, s)
-			pt.BatchResult = BatchResult{Index: i, EngineResult: r, Err: err}
+			pt.BatchResult = BatchResult{Index: i, EngineResult: r}
 			if err != nil {
 				pt.Error = err.Error()
 			}

@@ -103,8 +103,8 @@ func TestEngineStressMixedConcurrent(t *testing.T) {
 						return
 					}
 					for _, p := range pts {
-						if p.Err != nil {
-							t.Errorf("sweep point: %v", p.Err)
+						if p.Error != "" {
+							t.Errorf("sweep point: %v", p.Error)
 							return
 						}
 						record("optimize|"+p.Fingerprint, p.Result)

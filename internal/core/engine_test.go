@@ -199,8 +199,8 @@ func TestEngineOptimizeAndSweep(t *testing.T) {
 		t.Fatalf("%d sweep points", len(points))
 	}
 	for _, pt := range points {
-		if pt.Err != nil {
-			t.Fatalf("sweep point @%v: %v", pt.BudgetGBps, pt.Err)
+		if pt.Error != "" {
+			t.Fatalf("sweep point @%v: %v", pt.BudgetGBps, pt.Error)
 		}
 		if pt.Result.BW.Total() < pt.BudgetGBps*0.99 {
 			t.Errorf("sweep point @%v spent only %v GB/s", pt.BudgetGBps, pt.Result.BW.Total())

@@ -200,8 +200,8 @@ func TestColumnCancelMidColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range res.Points {
-		if p.Err != nil {
-			t.Errorf("budget %v after cancel: %v", p.BudgetGBps, p.Err)
+		if p.Error != "" {
+			t.Errorf("budget %v after cancel: %v", p.BudgetGBps, p.Error)
 		}
 	}
 }
@@ -235,8 +235,8 @@ func TestFrontierBudgetMonotone(t *testing.T) {
 				}
 				for i := 1; i < len(res.Points); i++ {
 					lo, hi := res.Points[i-1], res.Points[i]
-					if lo.Err != nil || hi.Err != nil {
-						t.Fatalf("%s %s: point failed: %v %v", topo, preset, lo.Err, hi.Err)
+					if lo.Error != "" || hi.Error != "" {
+						t.Fatalf("%s %s: point failed: %v %v", topo, preset, lo.Error, hi.Error)
 					}
 					if hi.Result.WeightedTime > lo.Result.WeightedTime {
 						t.Errorf("%s %s nowarm=%v: T(%v) = %v > T(%v) = %v", topo, preset, noWarm,

@@ -106,7 +106,6 @@ type Point struct {
 	Cached      bool        `json:"cached,omitempty"`
 	// Pareto marks points no other point dominates on (cost, time).
 	Pareto bool   `json:"pareto"`
-	Err    error  `json:"-"`
 	Error  string `json:"error,omitempty"`
 }
 
@@ -240,7 +239,7 @@ func Compute(ctx context.Context, s Solver, base *core.ProblemSpec, req Request)
 			pt := Point{BudgetGBps: b}
 			r, err := eval.EqualBW(b)
 			if err != nil {
-				pt.Err, pt.Error = err, err.Error()
+				pt.Error = err.Error()
 			} else {
 				pt.Result = r
 			}
@@ -290,7 +289,7 @@ func Walk(ctx context.Context, col core.Column, budgets []float64, noWarmStart b
 		}
 		r, err := col.Optimize(ctx, pt.BudgetGBps, warm)
 		if err != nil {
-			pt.Err, pt.Error = err, err.Error()
+			pt.Error = err.Error()
 			t.Tick(false)
 			continue
 		}
@@ -308,7 +307,7 @@ func Walk(ctx context.Context, col core.Column, budgets []float64, noWarmStart b
 func Tally(points []Point) (solves, cacheHits int) {
 	for _, pt := range points {
 		switch {
-		case pt.Err != nil:
+		case pt.Error != "":
 		case pt.Cached:
 			cacheHits++
 		default:
@@ -325,13 +324,13 @@ func Tally(points []Point) (solves, cacheHits int) {
 // frontier) can re-mark merged point sets with identical semantics.
 func MarkPareto(points []Point) {
 	for i := range points {
-		if points[i].Err != nil {
+		if points[i].Error != "" {
 			continue
 		}
 		dominated := false
 		ci, ti := points[i].Result.Cost, points[i].Result.WeightedTime
 		for j := range points {
-			if i == j || points[j].Err != nil {
+			if i == j || points[j].Error != "" {
 				continue
 			}
 			cj, tj := points[j].Result.Cost, points[j].Result.WeightedTime

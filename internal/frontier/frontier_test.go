@@ -65,8 +65,8 @@ func TestComputeFrontierEndToEnd(t *testing.T) {
 		t.Fatalf("points = %d, equal_bw = %d, want 4 each", len(res.Points), len(res.EqualBW))
 	}
 	for i, p := range res.Points {
-		if p.Err != nil {
-			t.Fatalf("point %d failed: %v", i, p.Err)
+		if p.Error != "" {
+			t.Fatalf("point %d failed: %v", i, p.Error)
 		}
 		if p.Fingerprint == "" {
 			t.Errorf("point %d has no fingerprint", i)
@@ -75,7 +75,7 @@ func TestComputeFrontierEndToEnd(t *testing.T) {
 			t.Errorf("point %d unevaluated: %+v", i, p.Result)
 		}
 		// LIBRA must not lose to the workload-agnostic baseline.
-		if eq := res.EqualBW[i]; eq.Err == nil && p.Result.WeightedTime > eq.Result.WeightedTime*1.01 {
+		if eq := res.EqualBW[i]; eq.Error == "" && p.Result.WeightedTime > eq.Result.WeightedTime*1.01 {
 			t.Errorf("budget %v: optimized %v slower than EqualBW %v",
 				p.BudgetGBps, p.Result.WeightedTime, eq.Result.WeightedTime)
 		}
@@ -132,8 +132,8 @@ func TestComputeCapAxis(t *testing.T) {
 		t.Fatalf("points = %d, want 2", len(res.Points))
 	}
 	for _, p := range res.Points {
-		if p.Err != nil {
-			t.Fatalf("cap %v failed: %v", p.CapGBps, p.Err)
+		if p.Error != "" {
+			t.Fatalf("cap %v failed: %v", p.CapGBps, p.Error)
 		}
 		if p.Result.BW[0] > p.CapGBps*(1+1e-6) {
 			t.Errorf("cap %v ignored: dim 1 got %v GB/s", p.CapGBps, p.Result.BW[0])
@@ -184,11 +184,11 @@ func TestComputeInfeasiblePointReportedInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Points[0].Err == nil || !strings.Contains(res.Points[0].Error, "floor") {
+	if !strings.Contains(res.Points[0].Error, "floor") {
 		t.Errorf("infeasible point should fail in place, got %+v", res.Points[0])
 	}
-	if res.Points[1].Err != nil {
-		t.Errorf("feasible point failed: %v", res.Points[1].Err)
+	if res.Points[1].Error != "" {
+		t.Errorf("feasible point failed: %v", res.Points[1].Error)
 	}
 	if res.Points[0].Pareto {
 		t.Error("failed point marked Pareto")
@@ -216,7 +216,7 @@ func TestMarkPareto(t *testing.T) {
 		mk(30, 3), // dominated by (20, 3)
 		mk(30, 1), // pareto
 		mk(10, 5), // duplicate optimum: survives
-		{Err: errors.New("boom")},
+		{Error: "boom"},
 	}
 	MarkPareto(pts)
 	want := []bool{true, true, false, false, true, true, false}
@@ -299,8 +299,8 @@ func TestComputeWarmMatchesColdSweep(t *testing.T) {
 	}
 	for i := range cold.Points {
 		w, c := warm.Points[i], cold.Points[i]
-		if w.Err != nil || c.Err != nil {
-			t.Fatalf("point %d failed: warm %v, cold %v", i, w.Err, c.Err)
+		if w.Error != "" || c.Error != "" {
+			t.Fatalf("point %d failed: warm %v, cold %v", i, w.Error, c.Error)
 		}
 		if rel := (w.Result.WeightedTime - c.Result.WeightedTime) / c.Result.WeightedTime; rel > 1e-2 || rel < -1e-2 {
 			t.Errorf("budget %v: warm %v vs cold %v (rel %+.2e)",

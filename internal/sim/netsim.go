@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -30,8 +31,9 @@ type NetResult struct {
 // RunTransfers schedules a transfer DAG over the network with per-NPU
 // per-dimension serial TX/RX ports at the given port bandwidths (GB/s).
 // Scheduling is work-conserving FIFO: among ready transfers, the one that
-// can start earliest goes first.
-func RunTransfers(net *topology.Network, bw topology.BWConfig, transfers []Transfer) (NetResult, error) {
+// can start earliest goes first. The dispatch loop polls ctx before each
+// transfer and returns ctx.Err() once it is done.
+func RunTransfers(ctx context.Context, net *topology.Network, bw topology.BWConfig, transfers []Transfer) (NetResult, error) {
 	if err := bw.Validate(net); err != nil {
 		return NetResult{}, err
 	}
@@ -72,6 +74,9 @@ func RunTransfers(net *topology.Network, bw topology.BWConfig, transfers []Trans
 
 	remaining := len(transfers)
 	for remaining > 0 {
+		if err := ctx.Err(); err != nil {
+			return NetResult{}, err
+		}
 		best, bestStart := -1, math.Inf(1)
 		for i := range transfers {
 			if done[i] || depsLeft[i] > 0 {
@@ -229,11 +234,11 @@ func groupSizeOf(mapping collective.Mapping, st collective.Stage) int {
 
 // SimulateCollectiveNPULevel builds and runs the NPU-level transfer DAG,
 // returning the makespan. It is the validation path for the symmetric
-// pipeline backend.
-func SimulateCollectiveNPULevel(net *topology.Network, op collective.Op, m float64, mapping collective.Mapping, bw topology.BWConfig, chunks int) (NetResult, error) {
+// pipeline backend; a done ctx stops the run (see RunTransfers).
+func SimulateCollectiveNPULevel(ctx context.Context, net *topology.Network, op collective.Op, m float64, mapping collective.Mapping, bw topology.BWConfig, chunks int) (NetResult, error) {
 	transfers, err := BuildCollectiveTransfers(net, op, m, mapping, chunks)
 	if err != nil {
 		return NetResult{}, err
 	}
-	return RunTransfers(net, bw, transfers)
+	return RunTransfers(ctx, net, bw, transfers)
 }

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"libra/internal/collective"
 	"libra/internal/compute"
@@ -187,7 +190,7 @@ func TestNPULevelMatchesAnalyticPerKind(t *testing.T) {
 		bw := topology.BWConfig{40}
 		for _, op := range []collective.Op{collective.ReduceScatter, collective.AllGather, collective.AllReduce, collective.AllToAll} {
 			want := collective.Time(op, m, mp, bw)
-			r, err := SimulateCollectiveNPULevel(net, op, m, mp, bw, 1)
+			r, err := SimulateCollectiveNPULevel(context.Background(), net, op, m, mp, bw, 1)
 			if err != nil {
 				t.Fatalf("%s %v: %v", shape, op, err)
 			}
@@ -209,7 +212,7 @@ func TestNPULevelMultiDimMatchesSerializedStages(t *testing.T) {
 	for _, s := range collective.Stages(collective.AllReduce, mp) {
 		want += collective.StageTraffic(collective.AllReduce, m, mp, s) / (bw[s.Dim] * 1e9)
 	}
-	r, err := SimulateCollectiveNPULevel(net, collective.AllReduce, m, mp, bw, 1)
+	r, err := SimulateCollectiveNPULevel(context.Background(), net, collective.AllReduce, m, mp, bw, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +234,7 @@ func TestPipelineBoundsNPULevelChunked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		np, err := SimulateCollectiveNPULevel(net, collective.AllReduce, m, mp, bw, chunks)
+		np, err := SimulateCollectiveNPULevel(context.Background(), net, collective.AllReduce, m, mp, bw, chunks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,14 +254,14 @@ func TestRunTransfersValidation(t *testing.T) {
 	net := topology.MustParse("RI(4)")
 	bw := topology.BWConfig{10}
 	bad := []Transfer{{Src: 0, Dst: 9, Dim: 0, Bytes: 1}}
-	if _, err := RunTransfers(net, bw, bad); err == nil {
+	if _, err := RunTransfers(context.Background(), net, bw, bad); err == nil {
 		t.Error("out-of-range dst should error")
 	}
 	cyc := []Transfer{
 		{Src: 0, Dst: 1, Dim: 0, Bytes: 1, Deps: []int{1}},
 		{Src: 1, Dst: 2, Dim: 0, Bytes: 1, Deps: []int{0}},
 	}
-	if _, err := RunTransfers(net, bw, cyc); err == nil {
+	if _, err := RunTransfers(context.Background(), net, bw, cyc); err == nil {
 		t.Error("dependency cycle should error")
 	}
 }
@@ -271,7 +274,7 @@ func TestRunTransfersSerializesPorts(t *testing.T) {
 		{Src: 0, Dst: 1, Dim: 0, Bytes: 1e9},
 		{Src: 0, Dst: 2, Dim: 0, Bytes: 1e9},
 	}
-	r, err := RunTransfers(net, bw, trs)
+	r, err := RunTransfers(context.Background(), net, bw, trs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +286,7 @@ func TestRunTransfersSerializesPorts(t *testing.T) {
 		{Src: 0, Dst: 1, Dim: 0, Bytes: 1e9},
 		{Src: 2, Dst: 0, Dim: 0, Bytes: 1e9},
 	}
-	r, err = RunTransfers(net, bw, par)
+	r, err = RunTransfers(context.Background(), net, bw, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +388,7 @@ func TestQuickNPULevelRingMatchesAnalytic(t *testing.T) {
 		mp := collective.FullMapping(net)
 		bw := topology.BWConfig{25}
 		want := collective.Time(collective.AllReduce, 8e6, mp, bw)
-		r, err := SimulateCollectiveNPULevel(net, collective.AllReduce, 8e6, mp, bw, 1)
+		r, err := SimulateCollectiveNPULevel(context.Background(), net, collective.AllReduce, 8e6, mp, bw, 1)
 		if err != nil {
 			return false
 		}
@@ -393,5 +396,37 @@ func TestQuickNPULevelRingMatchesAnalytic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A done context stops the transfer-DAG dispatch loop: FC(128) at 2
+// chunks is 65,024 transfers, seconds of dispatch uncancelled (3 s on a
+// 2-vCPU Xeon), and a cancel mid-dispatch ends the run with
+// context.Canceled within one scan of the ready set.
+func TestRunTransfersHonorsCancellation(t *testing.T) {
+	net := topology.MustParse("FC(128)")
+	trs, err := BuildCollectiveTransfers(net, collective.AllReduce, 1e8, collective.FullMapping(net), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := topology.BWConfig{100}
+	// A context done before the run times the setup ahead of the loop.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	if _, err := RunTransfers(ctx, net, bw, trs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled run: err = %v, want context.Canceled", err)
+	}
+	delay := time.Since(start) + 50*time.Millisecond
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(delay, cancel)
+	start = time.Now()
+	if _, err := RunTransfers(ctx, net, bw, trs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if late := time.Since(start) - delay; late > 500*time.Millisecond {
+		t.Errorf("run ended %v after its cancel", late)
 	}
 }

@@ -493,6 +493,39 @@ func TestRegistryParity(t *testing.T) {
 	}
 }
 
+// A result reads the same in process and decoded from JSON: no type
+// reachable from a kind's Run result has a field the wire drops.
+func TestResultTypesHaveNoInProcessFields(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice || typ.Kind() == reflect.Array || typ.Kind() == reflect.Map {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if f.Tag.Get("json") == "-" {
+				t.Errorf("%s.%s (%s) is tagged json:\"-\"", path, f.Name, typ)
+			}
+			walk(f.Type, path+"."+f.Name)
+		}
+	}
+	for _, kind := range Kinds() {
+		zero, err := DecodeResult(kind, []byte("null"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk(reflect.TypeOf(zero), string(kind))
+	}
+	if len(seen) < 10 {
+		t.Errorf("walked only %d struct types", len(seen))
+	}
+}
+
 // Every strict decoder rejects data after the JSON value (a second
 // document, garbage, a stray brace) and still accepts trailing
 // whitespace: the envelope, each kind's bare payload, and the four

@@ -1,6 +1,8 @@
 package validate
 
 import (
+	"context"
+
 	"libra/internal/collective"
 	"libra/internal/sim"
 	"libra/internal/themis"
@@ -52,9 +54,10 @@ func (c CollectiveCase) Pipeline() (sim.PipelineResult, error) {
 }
 
 // NPULevel runs the case on the NPU-level transfer-DAG simulator, which
-// schedules every individual message over per-NPU TX/RX ports.
-func (c CollectiveCase) NPULevel() (sim.NetResult, error) {
-	return sim.SimulateCollectiveNPULevel(c.Net, c.Op, c.Bytes, c.Mapping(), c.BW, c.Chunks)
+// schedules every individual message over per-NPU TX/RX ports; a done
+// ctx stops the run with ctx.Err().
+func (c CollectiveCase) NPULevel(ctx context.Context) (sim.NetResult, error) {
+	return sim.SimulateCollectiveNPULevel(ctx, c.Net, c.Op, c.Bytes, c.Mapping(), c.BW, c.Chunks)
 }
 
 // Themis runs the case under the Themis greedy chunk scheduler.

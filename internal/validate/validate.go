@@ -18,7 +18,10 @@
 // *core.Engine via its generic DoCodec API, which bounds workers,
 // deduplicates identical scenarios in flight, and memoizes outcomes in
 // the LRU cache — so repeated validation runs (CI on every push) are
-// nearly free.
+// nearly free. A scenario that fails carries its message in Error, in
+// place, so a report reads the same in process and decoded from JSON. A
+// caller that leaves stops a transfer-DAG scenario mid-run: the
+// simulator polls the computation's context.
 package validate
 
 import (
@@ -102,7 +105,6 @@ type Scenario struct {
 	Reason  string `json:"reason,omitempty"`
 	// Cached reports a Runner cache hit.
 	Cached bool   `json:"cached,omitempty"`
-	Err    error  `json:"-"`
 	Error  string `json:"error,omitempty"`
 }
 
@@ -323,13 +325,13 @@ func usesAllReduce(w *workload.Workload) bool {
 // collectiveRun builds the compute closure of one raw collective
 // scenario.
 func collectiveRun(cc CollectiveCase, path string) func(context.Context) (any, error) {
-	return func(context.Context) (any, error) {
+	return func(ctx context.Context) (any, error) {
 		anaBusy := cc.AnalyticalDimBusy()
 		analytical := cc.Analytical()
 		var makespan float64
 		var dimBusy []float64
 		if path == PathTransferDAG {
-			res, err := cc.NPULevel()
+			res, err := cc.NPULevel(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -403,13 +405,12 @@ func Compute(ctx context.Context, r Runner, spec *Spec) (*Report, error) {
 			v, cached, err := r.DoCodec(ctx, j.key, outcomeCodec, j.run)
 			tracker.Tick(err == nil && cached)
 			if err != nil {
-				j.scenario.Err, j.scenario.Error = err, err.Error()
+				j.scenario.Error = err.Error()
 				return
 			}
 			o, ok := v.(outcome)
 			if !ok {
-				j.scenario.Err = fmt.Errorf("validate: scenario key %q returned a foreign cache payload %T", j.key, v)
-				j.scenario.Error = j.scenario.Err.Error()
+				j.scenario.Error = fmt.Sprintf("validate: scenario key %q returned a foreign cache payload %T", j.key, v)
 				return
 			}
 			j.scenario.Cached = cached
@@ -431,7 +432,7 @@ func Compute(ctx context.Context, r Runner, spec *Spec) (*Report, error) {
 		switch {
 		case sc.Skipped:
 			rep.Skipped++
-		case sc.Err != nil:
+		case sc.Error != "":
 			rep.Failed++
 		default:
 			sc.Within = math.Abs(sc.RelErr) <= res.tolerance && sc.DimBusyMaxRelErr <= res.tolerance
@@ -458,7 +459,7 @@ func Compute(ctx context.Context, r Runner, spec *Spec) (*Report, error) {
 	// cannot vacuously report conformance.
 	rep.Pass = rep.Evaluated > 0 && rep.Failed == 0 && rep.MeanAbsRelErr <= res.tolerance
 	for _, sc := range rep.Scenarios {
-		if !sc.Skipped && sc.Err == nil && !sc.Within {
+		if !sc.Skipped && sc.Error == "" && !sc.Within {
 			rep.Pass = false
 			break
 		}

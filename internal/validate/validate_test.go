@@ -120,7 +120,7 @@ func TestWidenedDivergenceFailsGate(t *testing.T) {
 	}
 	found := false
 	for _, sc := range rep.Scenarios {
-		if sc.Path == PathTransferDAG && !sc.Skipped && sc.Err == nil {
+		if sc.Path == PathTransferDAG && !sc.Skipped && sc.Error == "" {
 			found = true
 			if sc.Within {
 				t.Errorf("%s: rel err %.4f marked within tolerance %.3f", sc.ID, sc.RelErr, rep.Tolerance)
@@ -221,7 +221,7 @@ func TestIterationKeysIgnoreCollectivePayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sc := range rep.Scenarios {
-		if sc.Skipped || sc.Err != nil {
+		if sc.Skipped || sc.Error != "" {
 			continue
 		}
 		switch sc.Kind {
@@ -492,7 +492,7 @@ func TestCollectiveCaseAgainstDirectCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nr, err := cc.NPULevel()
+	nr, err := cc.NPULevel(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,8 +219,8 @@ func TestFacadeFrontier(t *testing.T) {
 			len(res.Points), len(res.Frontier), len(res.EqualBW))
 	}
 	for _, p := range res.Points {
-		if p.Err != nil {
-			t.Fatalf("budget %v: %v", p.BudgetGBps, p.Err)
+		if p.Error != "" {
+			t.Fatalf("budget %v: %v", p.BudgetGBps, p.Error)
 		}
 	}
 }
@@ -294,8 +294,8 @@ func TestFacadeCoDesignReproducesParacoopt(t *testing.T) {
 		t.Fatalf("%d candidates, want %d", len(rep.Candidates), len(tps))
 	}
 	for _, c := range rep.Candidates {
-		if c.Err != nil {
-			t.Fatalf("%s: %v", c.Strategy, c.Err)
+		if c.Error != "" {
+			t.Fatalf("%s: %v", c.Strategy, c.Error)
 		}
 		want, ok := direct[c.Strategy.TP]
 		if !ok {
