@@ -24,7 +24,7 @@ FUZZTARGETS ?= ./internal/core:FuzzParseSpec ./internal/codesign:FuzzParseSpec \
 	./internal/validate:FuzzParseSpec ./internal/cluster:FuzzParseSpec \
 	./internal/task:FuzzTaskParse \
 	./internal/opt:FuzzOptionsValidate ./internal/opt:FuzzSeparableProject \
-	./internal/store:FuzzStoreLog
+	./internal/store:FuzzStoreLog ./internal/store:FuzzStoreOpen
 
 # Where profile writes its pprof output.
 PROFILEDIR ?= profiles

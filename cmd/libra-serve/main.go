@@ -92,7 +92,7 @@ func main() {
 		ttlValidate = flag.Duration("cache-ttl-validate", 24*time.Hour,
 			"disk-cache TTL for validate conformance outcomes (they age with the simulator code; 0 = never expire)")
 		compactBytes = flag.Int64("cache-compact-bytes", 4<<20,
-			"append-log size that triggers snapshot compaction (negative disables)")
+			"bytes appended to the disk-cache log since its last compaction that trigger the next one (negative disables)")
 		sweepEvery = flag.Duration("cache-sweep", 10*time.Minute,
 			"background expiry-sweep interval for the disk cache (0 disables; expiry is still enforced lazily on reads)")
 		warmupPath = flag.String("warmup", "",

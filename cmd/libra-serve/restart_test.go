@@ -130,7 +130,7 @@ func restartSpec(budget int) string {
 
 // TestCrashRestartRecovery is the headline satellite: populate the
 // persistent cache over HTTP, SIGKILL the server (with a tiny
-// compaction threshold so log→snapshot rewrites race the kill), tear
+// compaction threshold so log rewrites race the kill), tear
 // the log's tail by hand, restart on the same -cache-dir, and demand
 // byte-identical answers (volatile metadata aside) with zero solver
 // invocations and only the torn garbage lost.
@@ -140,8 +140,8 @@ func TestCrashRestartRecovery(t *testing.T) {
 	}
 	cacheDir := t.TempDir()
 	// -cache-compact-bytes 1: every Put crosses the threshold, so the
-	// process dies with compactions in its recent past (snapshot +
-	// truncated log on disk), not just a cold append log.
+	// process dies with compactions in its recent past (a renamed,
+	// rewritten log on disk), not just a cold append log.
 	base, cmd := startServe(t, "-cache-dir", cacheDir, "-cache-compact-bytes", "1")
 
 	budgets := []int{150, 200, 250}

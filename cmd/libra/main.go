@@ -69,6 +69,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -412,7 +413,7 @@ func runFrontier(ctx context.Context, w io.Writer, run runner, spec *libra.Probl
 	}
 	for _, p := range res.Points {
 		if p.Error != "" {
-			fmt.Fprintf(w, "%-14.0f error: %v\n", p.BudgetGBps, p.Error)
+			fmt.Fprintf(w, "%s error: %v\n", budgetCell(p.BudgetGBps), p.Error)
 			continue
 		}
 		mark := ""
@@ -423,8 +424,8 @@ func runFrontier(ctx context.Context, w io.Writer, run runner, spec *libra.Probl
 		if t, ok := eqTimes[p.BudgetGBps]; ok {
 			eq = fmt.Sprintf("%14.6f", t)
 		}
-		fmt.Fprintf(w, "%-14.0f %-34s %12.2f %14.6f %14s %7s\n",
-			p.BudgetGBps, p.Result.BW.String(), p.Result.Cost/1e6, p.Result.WeightedTime, eq, mark)
+		fmt.Fprintf(w, "%s %-34s %12.2f %14.6f %14s %7s\n",
+			budgetCell(p.BudgetGBps), p.Result.BW.String(), p.Result.Cost/1e6, p.Result.WeightedTime, eq, mark)
 	}
 	fmt.Fprintf(w, "\nPareto frontier: %d of %d points (%d solves, %d cache hits, %.0f ms)\n",
 		len(res.Frontier), len(res.Points), res.Solves, res.CacheHits, res.ElapsedMS)
@@ -497,15 +498,15 @@ func runCoDesign(ctx context.Context, w io.Writer, run runner, base *libra.Probl
 			"budget (GB/s)", "strategy", "BW per dim (GB/s)", "cost ($M)", "iter time (s)", "pareto")
 		for _, p := range rep.Frontier {
 			if p.Error != "" {
-				fmt.Fprintf(w, "%-14.0f error: %v\n", p.BudgetGBps, p.Error)
+				fmt.Fprintf(w, "%s error: %v\n", budgetCell(p.BudgetGBps), p.Error)
 				continue
 			}
 			mark := ""
 			if p.Pareto {
 				mark = "*"
 			}
-			fmt.Fprintf(w, "%-14.0f %-16s %-30s %12.2f %14.6f %7s\n",
-				p.BudgetGBps, p.Strategy, p.Result.BW.String(), p.Result.Cost/1e6, p.Result.WeightedTime, mark)
+			fmt.Fprintf(w, "%s %-16s %-30s %12.2f %14.6f %7s\n",
+				budgetCell(p.BudgetGBps), p.Strategy, p.Result.BW.String(), p.Result.Cost/1e6, p.Result.WeightedTime, mark)
 		}
 	}
 	fmt.Fprintf(w, "\n%d candidates, %d skipped (%d solves, %d cache hits, %.0f ms)\n",
@@ -682,15 +683,15 @@ func printCluster(w io.Writer, rep *libra.ClusterReport) {
 			"budget (GB/s)", "group BW per dim (GB/s)", "cost ($M)", "iter time (s)", "pareto")
 		for _, p := range fr.Points {
 			if p.Error != "" {
-				fmt.Fprintf(w, "%-14.0f error: %v\n", p.BudgetGBps, p.Error)
+				fmt.Fprintf(w, "%s error: %v\n", budgetCell(p.BudgetGBps), p.Error)
 				continue
 			}
 			mark := ""
 			if p.Pareto {
 				mark = "*"
 			}
-			fmt.Fprintf(w, "%-14.0f %-34s %12.2f %14.6f %7s\n",
-				p.BudgetGBps, p.Result.BW.String(), p.Result.Cost/1e6, p.Result.WeightedTime, mark)
+			fmt.Fprintf(w, "%s %-34s %12.2f %14.6f %7s\n",
+				budgetCell(p.BudgetGBps), p.Result.BW.String(), p.Result.Cost/1e6, p.Result.WeightedTime, mark)
 		}
 	}
 
@@ -783,6 +784,16 @@ func passLabel(pass bool) string {
 		return "PASS"
 	}
 	return "FAIL"
+}
+
+// budgetCell renders a budget as the 14-wide first column of the
+// frontier tables: whole numbers as integers, a fractional budget (a
+// sub-1 GB/s axis point) with its shortest exact digits.
+func budgetCell(gbps float64) string {
+	if gbps == math.Trunc(gbps) {
+		return fmt.Sprintf("%-14.0f", gbps)
+	}
+	return fmt.Sprintf("%-14s", strconv.FormatFloat(gbps, 'f', -1, 64))
 }
 
 // skipLabel renders a skipped strategy; grid cells that never resolved a

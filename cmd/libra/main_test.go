@@ -71,7 +71,7 @@ func TestRunFrontierErrorRow(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"0              error: core: invalid problem spec: core: budget 0.2 GB/s cannot cover 4 dims at the 0.1 GB/s floor\n",
+		"0.2            error: core: invalid problem spec: core: budget 0.2 GB/s cannot cover 4 dims at the 0.1 GB/s floor\n",
 		"500            [340.62 84.78 56.39 18.21] GB/s            9.38      21.374228      25.969138       *\n",
 		"Pareto frontier: 1 of 2 points (1 solves, 0 cache hits, ",
 	} {

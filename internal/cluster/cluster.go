@@ -196,6 +196,15 @@ func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error
 	if err != nil {
 		return nil, err
 	}
+	// The frontier walks the group problem: refuse, before any solve, a
+	// budget axis whose maximum it could not take.
+	if n := len(r.budgets); n > 0 {
+		at := *r.group
+		at.BudgetGBps = r.budgets[n-1]
+		if _, err := at.Build(); err != nil {
+			return nil, fmt.Errorf("%w: cluster: budget axis: %w", core.ErrBadSpec, err)
+		}
+	}
 	start := time.Now()
 	nJobs := len(r.jobs)
 	rep := &Report{

@@ -494,6 +494,22 @@ func TestComputeOpensOneColumnPerSpec(t *testing.T) {
 	}
 }
 
+// A budget axis whose maximum is below the group problem's dimension
+// floors fails the study as a bad spec before any column opens.
+func TestComputeRefusesBudgetAxisBelowFloor(t *testing.T) {
+	cc := &columnCounter{inner: newEngine(t)}
+	spec := tinySpec()
+	spec.Budgets = []float64{0.05, 0.1} // 2 dims at the 0.1 GB/s floor need 0.2
+	_, err := Compute(context.Background(), cc, spec)
+	if !errors.Is(err, core.ErrBadSpec) || !strings.Contains(err.Error(), "cluster: budget axis") ||
+		!strings.Contains(err.Error(), "floor") {
+		t.Fatalf("err = %v, want a bad-spec budget-axis floor error", err)
+	}
+	if n := cc.n.Load(); n != 0 {
+		t.Errorf("study opened %d columns before refusing its budget axis, want 0", n)
+	}
+}
+
 func TestComputePerJobErrorsInPlace(t *testing.T) {
 	e := newEngine(t)
 	// Job "b" fails: its own-opt and every partition cell for it error,

@@ -49,8 +49,10 @@ type DiskStats struct {
 	Expired uint64 `json:"expired"`
 	// Stale counts recovered entries written at another answer epoch:
 	// never served, dropped by the next compaction.
-	Stale       uint64 `json:"stale"`
-	Puts        uint64 `json:"puts"`
+	Stale uint64 `json:"stale"`
+	Puts  uint64 `json:"puts"`
+	// PutErrors counts Put calls that returned an error, including a
+	// failed auto-compaction after the record itself was appended.
 	PutErrors   uint64 `json:"put_errors"`
 	Compactions uint64 `json:"compactions"`
 	Entries     int    `json:"entries"`

@@ -2,7 +2,13 @@ package store
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
+
+	"libra/internal/core"
 )
 
 // FuzzStoreLog drives arbitrary bytes (seeded with valid and mutated
@@ -89,5 +95,91 @@ func FuzzStoreLog(f *testing.F) {
 				t.Fatalf("record %d: encoding is not canonical", i)
 			}
 		}
+	})
+}
+
+// FuzzStoreOpen writes arbitrary bytes (seeded with a valid log and its
+// torn, corrupt, foreign and empty variants) as store.log and opens the
+// store on it — the only recovery input there is. Open never fails or
+// panics; it serves exactly the last record of each current-epoch key
+// the decoder accepts (unless expired); a Put then Get round-trips; and
+// after a compaction, Close and reopen the same keys serve the same
+// bytes.
+func FuzzStoreOpen(f *testing.F) {
+	valid := HeaderBytes()
+	for _, e := range []Entry{
+		{Kind: "optimize", Key: core.AnswerEpoch + "optimize|a", InsertedAt: 1, ElapsedMS: 2.5, Data: []byte(`{"v":1}`)},
+		{Kind: "validate", Key: core.AnswerEpoch + "validate|b", InsertedAt: 2, ExpiresAt: 1 << 62, Data: []byte("b")},
+		{Kind: "optimize", Key: "optimize|older-epoch", InsertedAt: 3, Data: []byte("stale")},
+		{Kind: "optimize", Key: core.AnswerEpoch + "optimize|a", InsertedAt: 4, Data: []byte(`{"v":2}`)},
+	} {
+		valid = append(valid, EncodeRecord(e)...)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3]) // torn tail
+	crc := bytes.Clone(valid)
+	crc[headerLen+5] ^= 0x10 // inside the first record's CRC
+	f.Add(crc)
+	f.Add(append([]byte("NOTASTORE\x00\x00\x01"), valid[headerLen:]...)) // foreign header
+	f.Add([]byte{})
+
+	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		cfg := Config{Dir: dir, Now: func() time.Time { return now }, CompactBytes: -1}
+		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string][]byte{}
+		if recs, _, _, err := DecodeLog(data); err == nil {
+			for _, r := range recs {
+				if strings.HasPrefix(r.Key, core.AnswerEpoch) {
+					want[r.Key] = r.Data
+				}
+				if r.ExpiresAt != 0 && now.UnixNano() >= r.ExpiresAt {
+					delete(want, r.Key)
+				}
+			}
+		}
+		served := func(s *Store, keys map[string][]byte) {
+			t.Helper()
+			if n := s.Len(); n < len(keys) {
+				t.Fatalf("%d entries indexed, want at least %d", n, len(keys))
+			}
+			for k, v := range keys {
+				got, _, ok := s.Get("probe", k)
+				if !ok || !bytes.Equal(got, v) {
+					t.Fatalf("key %q: got %q (hit %v), want %q", k, got, ok, v)
+				}
+			}
+		}
+
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		served(s, want)
+		putKey := core.AnswerEpoch + "optimize|fuzz-put"
+		if err := s.Put("optimize", putKey, []byte("put"), 1); err != nil {
+			t.Fatal(err)
+		}
+		want[putKey] = []byte("put")
+		served(s, want)
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		r, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer r.Close()
+		if r.Len() != len(want) {
+			t.Fatalf("reopened store indexes %d entries, want %d", r.Len(), len(want))
+		}
+		served(r, want)
 	})
 }

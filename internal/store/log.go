@@ -1,6 +1,6 @@
-// The on-disk format of the persistent result store: one layout shared by
-// the append log and the snapshot, so recovery, compaction, and fuzzing
-// all exercise a single codec.
+// The on-disk format of the persistent result store: one layout for the
+// append log and its compacted rewrite, so recovery, compaction, and
+// fuzzing all exercise a single codec.
 //
 // A file is a 12-byte header (8-byte magic + big-endian u32 version)
 // followed by records. Each record is a frame —
@@ -52,8 +52,8 @@ var logMagic = [8]byte{'L', 'I', 'B', 'R', 'A', 'S', 'T', 'R'}
 // foreign magic, unknown version) — as opposed to one with a torn tail.
 var ErrBadHeader = errors.New("store: bad log header")
 
-// HeaderBytes returns a fresh copy of the file header every log and
-// snapshot begins with.
+// HeaderBytes returns a fresh copy of the file header every log begins
+// with.
 func HeaderBytes() []byte {
 	h := make([]byte, headerLen)
 	copy(h, logMagic[:])
@@ -64,8 +64,8 @@ func HeaderBytes() []byte {
 // Entry is one persisted cache entry: the engine key, its TTL kind, the
 // absolute insertion/expiry instants (unix nanoseconds; ExpiresAt 0 means
 // never), the original computation's wall time, and the encoded result
-// payload. Absolute expiry is what makes snapshot/restore preserve the
-// remaining TTL instead of resetting it.
+// payload. Absolute expiry is what makes compaction and reopen preserve
+// the remaining TTL instead of resetting it.
 type Entry struct {
 	Kind       string
 	Key        string
@@ -84,11 +84,17 @@ type Record struct {
 	End     int64
 }
 
+// recordLen is the framed size of the record of an entry with this kind,
+// key, and data length.
+func recordLen(kind, key string, dataLen int) int64 {
+	return int64(frameLen + minPayload + len(kind) + len(key) + dataLen)
+}
+
 // EncodeRecord returns the record's canonical frame bytes. The data
 // payload is always the final len(e.Data) bytes of the frame.
 func EncodeRecord(e Entry) []byte {
-	plen := minPayload + len(e.Kind) + len(e.Key) + len(e.Data)
-	buf := make([]byte, frameLen+plen)
+	buf := make([]byte, recordLen(e.Kind, e.Key, len(e.Data)))
+	plen := len(buf) - frameLen
 	binary.BigEndian.PutUint32(buf[0:], uint32(plen))
 	p := buf[frameLen:]
 	p[0] = byte(len(e.Kind))

@@ -1,13 +1,14 @@
 // Package store is the engine's disk tier: a fingerprint-keyed result
-// store persisted as an append log plus a compacted snapshot (both in
-// the log.go record format), with per-kind TTLs driven by an injectable
-// clock. It implements core.ResultStore.
+// store persisted as one append log (store.log, in the log.go record
+// format), with per-kind TTLs driven by an injectable clock. It
+// implements core.ResultStore.
 //
 // Durability model: every Put appends one CRC-framed record to
-// store.log; when the log outgrows Config.CompactBytes the live index
-// is rewritten to store.snap.tmp, fsynced, atomically renamed over
-// store.snap, and the log truncated back to its header. Open replays
-// snapshot then log (log wins), drops corrupt records individually,
+// store.log; once Config.CompactBytes have been appended since the last
+// compaction, the live index is rewritten in key order to store.log.tmp,
+// fsynced, and atomically renamed over store.log — the rename is the
+// commit point, and the tmp's open handle becomes the log. Open replays
+// the log (later records win), drops corrupt records individually,
 // truncates a torn tail, and removes an orphaned tmp from a compaction
 // that died before its rename — so a hard kill at any instant loses at
 // most the record being written. Open also skips records written at
@@ -32,9 +33,8 @@ import (
 )
 
 const (
-	logName  = "store.log"
-	snapName = "store.snap"
-	tmpName  = "store.snap.tmp"
+	logName = "store.log"
+	tmpName = "store.log.tmp"
 )
 
 // ErrClosed is returned by operations on a closed store.
@@ -59,18 +59,18 @@ type Config struct {
 	TTLs map[string]time.Duration
 	// Now is the clock (default time.Now) — injectable for TTL tests.
 	Now func() time.Time
-	// CompactBytes triggers log→snapshot compaction once the append log
-	// exceeds this size (default 4 MiB; negative disables auto-compaction).
+	// CompactBytes triggers compaction once this many bytes have been
+	// appended to the log since the last compaction (default 4 MiB;
+	// negative disables auto-compaction).
 	CompactBytes int64
 	// SweepInterval runs a background expiry sweep this often
 	// (default 0: disabled; Get still enforces expiry lazily).
 	SweepInterval time.Duration
 }
 
-// indexEntry locates one live entry's payload inside the snapshot or
-// log file plus the metadata needed without touching disk.
+// indexEntry locates one live entry's payload inside the log plus the
+// metadata needed without touching disk.
 type indexEntry struct {
-	src        *os.File
 	off        int64
 	n          int
 	kind       string
@@ -86,13 +86,14 @@ type Store struct {
 	now          func() time.Time
 	compactBytes int64
 
-	mu       sync.RWMutex
-	closed   bool
-	index    map[string]indexEntry
-	log      *os.File
-	snap     *os.File // nil until the first compaction (or when no snapshot exists)
-	logSize  int64
-	snapSize int64
+	mu      sync.RWMutex
+	closed  bool
+	index   map[string]indexEntry
+	log     *os.File
+	logSize int64
+	// compacted is the log's size after the last compaction; Put
+	// compacts once logSize has grown compactBytes past it.
+	compacted int64
 
 	// Lock-free counters: Get bumps them under the read lock.
 	hits, misses, expired, stale, puts, putErrors, compactions atomic.Uint64
@@ -128,15 +129,16 @@ func Open(cfg Config) (*Store, error) {
 	}
 
 	// A tmp file is a compaction that died before its atomic rename; the
-	// previous snapshot+log pair is still the authoritative state.
-	_ = os.Remove(filepath.Join(cfg.Dir, tmpName))
-
-	if err := s.loadSnapshot(); err != nil {
-		s.closeFiles()
-		return nil, err
+	// log is still the authoritative state. store.snap and its tmp are the
+	// earlier two-file layout's snapshot: entries only it held are solved
+	// again on demand.
+	for _, name := range []string{tmpName, "store.snap", "store.snap.tmp"} {
+		_ = os.Remove(filepath.Join(cfg.Dir, name))
 	}
 	if err := s.loadLog(); err != nil {
-		s.closeFiles()
+		if s.log != nil {
+			_ = s.log.Close()
+		}
 		return nil, err
 	}
 	s.publishGauges()
@@ -149,58 +151,12 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// loadSnapshot indexes store.snap if present. A snapshot that is not a
-// store file at all (foreign magic) is ignored wholesale — compaction
-// will rewrite it; individually corrupt records are dropped.
-func (s *Store) loadSnapshot() error {
-	path := filepath.Join(s.dir, snapName)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: read snapshot: %w", err)
-	}
-	recs, _, dropped, derr := DecodeLog(data)
-	if derr != nil {
-		telemetry.StoreDroppedRecords.Inc()
-		return nil
-	}
-	if dropped > 0 {
-		telemetry.StoreDroppedRecords.Add(uint64(dropped))
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("store: open snapshot: %w", err)
-	}
-	s.snap = f
-	s.snapSize = int64(len(data))
-	s.indexRecords(f, recs)
-	return nil
-}
-
-// indexRecords indexes recovered records read from src, later records
-// overriding earlier ones. A record whose key lacks core.AnswerEpoch
-// was written at another answer epoch: it is counted as stale instead,
-// never served, and dropped by the next compaction.
-func (s *Store) indexRecords(src *os.File, recs []Record) {
-	for _, r := range recs {
-		if !strings.HasPrefix(r.Key, core.AnswerEpoch) {
-			s.stale.Add(1)
-			telemetry.StoreStale.With(r.Kind).Inc()
-			continue
-		}
-		s.index[r.Key] = indexEntry{
-			src: src, off: r.DataOff, n: len(r.Data),
-			kind: r.Kind, insertedAt: r.InsertedAt, expiresAt: r.ExpiresAt,
-			elapsedMS: r.ElapsedMS,
-		}
-	}
-}
-
-// loadLog indexes store.log (its records override snapshot entries),
-// truncating a torn tail so the next append lands on a clean boundary.
-// A log that is not a store file is reset to an empty header.
+// loadLog indexes store.log, later records overriding earlier ones, and
+// truncates a torn tail so the next append lands on a clean boundary. A
+// record whose key lacks core.AnswerEpoch was written at another answer
+// epoch: it is counted as stale instead, never served, and dropped by
+// the next compaction. A log that is not a store file is reset to an
+// empty header.
 func (s *Store) loadLog() error {
 	path := filepath.Join(s.dir, logName)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -223,7 +179,18 @@ func (s *Store) loadLog() error {
 	if dropped > 0 {
 		telemetry.StoreDroppedRecords.Add(uint64(dropped))
 	}
-	s.indexRecords(f, recs)
+	for _, r := range recs {
+		if !strings.HasPrefix(r.Key, core.AnswerEpoch) {
+			s.stale.Add(1)
+			telemetry.StoreStale.With(r.Kind).Inc()
+			continue
+		}
+		s.index[r.Key] = indexEntry{
+			off: r.DataOff, n: len(r.Data),
+			kind: r.Kind, insertedAt: r.InsertedAt, expiresAt: r.ExpiresAt,
+			elapsedMS: r.ElapsedMS,
+		}
+	}
 	if tail < int64(len(data)) {
 		telemetry.StoreDroppedRecords.Inc()
 		if err := f.Truncate(tail); err != nil {
@@ -231,6 +198,13 @@ func (s *Store) loadLog() error {
 		}
 	}
 	s.logSize = tail
+	// The log's dead records (overwritten, stale, corrupt) count as
+	// appended since the last compaction: its live records are what a
+	// compaction would have left.
+	s.compacted = headerLen
+	for k, e := range s.index {
+		s.compacted += recordLen(e.kind, k, e.n)
+	}
 	return nil
 }
 
@@ -242,17 +216,8 @@ func (s *Store) resetLog() error {
 	if _, err := s.log.WriteAt(HeaderBytes(), 0); err != nil {
 		return fmt.Errorf("store: reset log: %w", err)
 	}
-	s.logSize = headerLen
+	s.logSize, s.compacted = headerLen, headerLen
 	return nil
-}
-
-func (s *Store) closeFiles() {
-	if s.log != nil {
-		_ = s.log.Close()
-	}
-	if s.snap != nil {
-		_ = s.snap.Close()
-	}
 }
 
 // expiredAt reports whether e is dead at unix-nano instant now.
@@ -283,7 +248,7 @@ func (s *Store) Get(kind, key string) ([]byte, float64, bool) {
 		return nil, 0, false
 	}
 	data := make([]byte, e.n)
-	_, err := e.src.ReadAt(data, e.off)
+	_, err := s.log.ReadAt(data, e.off)
 	s.mu.RUnlock()
 	if err != nil {
 		s.misses.Add(1)
@@ -314,8 +279,16 @@ func (s *Store) dropExpired(key string) {
 
 // Put implements core.ResultStore: append one record to the log,
 // stamping the entry's absolute expiry from the kind's TTL. Triggers a
-// compaction when the log outgrows its bound.
-func (s *Store) Put(kind, key string, data []byte, elapsedMS float64) error {
+// compaction once CompactBytes have been appended since the last one.
+// Every error it returns is counted in DiskStats.PutErrors; an error
+// from that compaction leaves the appended record indexed and readable.
+func (s *Store) Put(kind, key string, data []byte, elapsedMS float64) (err error) {
+	defer func() {
+		if err != nil {
+			s.putErrors.Add(1)
+			telemetry.StorePutErrors.Inc()
+		}
+	}()
 	if kind == "" || key == "" {
 		return errors.New("store: kind and key required")
 	}
@@ -336,12 +309,10 @@ func (s *Store) Put(kind, key string, data []byte, elapsedMS float64) error {
 		return ErrClosed
 	}
 	if _, err := s.log.WriteAt(rec, s.logSize); err != nil {
-		s.putErrors.Add(1)
-		telemetry.StorePutErrors.Inc()
 		return fmt.Errorf("store: append: %w", err)
 	}
 	s.index[key] = indexEntry{
-		src: s.log, off: s.logSize + int64(len(rec)-len(data)), n: len(data),
+		off: s.logSize + int64(len(rec)-len(data)), n: len(data),
 		kind: kind, insertedAt: now.UnixNano(), expiresAt: expiresAt,
 		elapsedMS: elapsedMS,
 	}
@@ -349,7 +320,7 @@ func (s *Store) Put(kind, key string, data []byte, elapsedMS float64) error {
 	s.puts.Add(1)
 	telemetry.StorePuts.With(kind).Inc()
 	s.publishGauges()
-	if s.compactBytes > 0 && s.logSize > s.compactBytes {
+	if s.compactBytes > 0 && s.logSize-s.compacted > s.compactBytes {
 		if err := s.compactLocked(); err != nil {
 			return fmt.Errorf("store: auto-compact: %w", err)
 		}
@@ -395,8 +366,8 @@ func (s *Store) sweepLoop(interval time.Duration) {
 	}
 }
 
-// Compact rewrites the live, unexpired index into a fresh snapshot
-// (write tmp → fsync → atomic rename) and truncates the log.
+// Compact rewrites the live, unexpired index as a fresh log (write tmp
+// → fsync → atomic rename over store.log).
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -408,32 +379,32 @@ func (s *Store) Compact() error {
 
 func (s *Store) compactLocked() error {
 	tmpPath := filepath.Join(s.dir, tmpName)
-	snapPath := filepath.Join(s.dir, snapName)
 	tmp, err := os.Create(tmpPath)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmpPath) // no-op after a successful rename
+	committed := false
+	defer func() {
+		if !committed {
+			tmp.Close()
+			os.Remove(tmpPath)
+		}
+	}()
 
 	w := bufio.NewWriter(tmp)
 	if _, err := w.Write(HeaderBytes()); err != nil {
-		tmp.Close()
 		return err
 	}
 	// Deterministic order: a compaction of a given index always produces
-	// the same snapshot bytes.
+	// the same log bytes.
 	keys := make([]string, 0, len(s.index))
 	for k := range s.index {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 
-	type placed struct {
-		off int64
-		n   int
-	}
 	now := s.now().UnixNano()
-	offsets := make(map[string]placed, len(keys))
+	index := make(map[string]indexEntry, len(keys))
 	off := int64(headerLen)
 	for _, k := range keys {
 		e := s.index[k]
@@ -445,8 +416,7 @@ func (s *Store) compactLocked() error {
 			continue
 		}
 		data := make([]byte, e.n)
-		if _, err := e.src.ReadAt(data, e.off); err != nil {
-			tmp.Close()
+		if _, err := s.log.ReadAt(data, e.off); err != nil {
 			return fmt.Errorf("store: compact read %q: %w", k, err)
 		}
 		rec := EncodeRecord(Entry{
@@ -455,47 +425,26 @@ func (s *Store) compactLocked() error {
 			ElapsedMS: e.elapsedMS, Data: data,
 		})
 		if _, err := w.Write(rec); err != nil {
-			tmp.Close()
 			return err
 		}
-		offsets[k] = placed{off: off + int64(len(rec)-len(data)), n: len(data)}
+		e.off = off + int64(len(rec)-len(data))
+		index[k] = e
 		off += int64(len(rec))
 	}
 	if err := w.Flush(); err != nil {
-		tmp.Close()
 		return err
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
 		return err
 	}
-	if err := tmp.Close(); err != nil {
+	// The rename is the commit point; nothing after it can fail.
+	if err := os.Rename(tmpPath, filepath.Join(s.dir, logName)); err != nil {
 		return err
 	}
-	if err := os.Rename(tmpPath, snapPath); err != nil {
-		return err
-	}
-	newSnap, openErr := os.Open(snapPath)
-	if openErr != nil {
-		return openErr
-	}
-	// The rename is the commit point: if the process dies before the log
-	// truncation below, recovery replays snapshot then log and the log's
-	// duplicates simply win with identical payloads.
-	if err := s.resetLog(); err != nil {
-		newSnap.Close()
-		return err
-	}
-	if s.snap != nil {
-		_ = s.snap.Close()
-	}
-	s.snap = newSnap
-	s.snapSize = off
-	for k, p := range offsets {
-		e := s.index[k]
-		e.src, e.off, e.n = newSnap, p.off, p.n
-		s.index[k] = e
-	}
+	committed = true
+	_ = s.log.Close()
+	s.log, s.index = tmp, index
+	s.logSize, s.compacted = off, off
 	s.compactions.Add(1)
 	telemetry.StoreCompactions.Inc()
 	s.publishGauges()
@@ -516,14 +465,14 @@ func (s *Store) Stats() core.DiskStats {
 	return core.DiskStats{
 		Hits: s.hits.Load(), Misses: s.misses.Load(), Expired: s.expired.Load(), Stale: s.stale.Load(),
 		Puts: s.puts.Load(), PutErrors: s.putErrors.Load(), Compactions: s.compactions.Load(),
-		Entries: len(s.index), Bytes: s.logSize + s.snapSize,
+		Entries: len(s.index), Bytes: s.logSize,
 	}
 }
 
 // publishGauges refreshes the size gauges; callers hold s.mu.
 func (s *Store) publishGauges() {
 	telemetry.StoreEntries.Set(int64(len(s.index)))
-	telemetry.StoreBytes.Set(s.logSize + s.snapSize)
+	telemetry.StoreBytes.Set(s.logSize)
 }
 
 // Close stops the sweeper and releases file handles. It deliberately
@@ -540,8 +489,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.closeFiles()
-	return nil
+	return s.log.Close()
 }
 
 // Store implements the engine's disk-tier seam.

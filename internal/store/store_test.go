@@ -218,14 +218,14 @@ func TestOpenSkipsOtherEpochs(t *testing.T) {
 	}
 }
 
-// TestCompaction: compaction folds the log into the snapshot, shrinks
-// disk usage when entries were overwritten, keeps every live entry
-// readable, and the compacted state reopens identically.
+// TestCompaction: compaction rewrites the log to its live entries,
+// shrinks disk usage when entries were overwritten, keeps every live
+// entry readable, and the compacted state reopens identically.
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Config{CompactBytes: -1})
 	// Overwrite one key many times: the log holds every version, the
-	// snapshot only the last.
+	// compacted log only the last.
 	for i := 0; i < 50; i++ {
 		mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|hot", []byte(fmt.Sprintf("version-%02d", i)))
 	}
@@ -245,8 +245,8 @@ func TestCompaction(t *testing.T) {
 	if s.Stats().Compactions != 1 {
 		t.Fatalf("compactions %d", s.Stats().Compactions)
 	}
-	// Appends after compaction land in the (now-empty) log and win over
-	// the snapshot on reopen.
+	// Appends after compaction land after the compacted records and win
+	// over them on reopen.
 	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|hot", []byte("post-compact"))
 	s.Close()
 	r := openTest(t, dir, Config{})
@@ -258,8 +258,8 @@ func TestCompaction(t *testing.T) {
 	}
 }
 
-// TestAutoCompaction: Put triggers compaction once the log passes
-// CompactBytes.
+// TestAutoCompaction: Put triggers compaction once CompactBytes have
+// been appended.
 func TestAutoCompaction(t *testing.T) {
 	s := openTest(t, t.TempDir(), Config{CompactBytes: 512})
 	payload := bytes.Repeat([]byte("x"), 64)
@@ -272,16 +272,91 @@ func TestAutoCompaction(t *testing.T) {
 	mustGet(t, s, "optimize", core.AnswerEpoch+"optimize|hot")
 }
 
+// TestCompactionTriggerCountsAppends: auto-compaction fires once
+// CompactBytes have been appended since the last compaction, not
+// whenever the file is larger than CompactBytes. With live data well
+// over the bound, N overwrites cost about N·recordSize/CompactBytes
+// compactions, not one per Put.
+func TestCompactionTriggerCountsAppends(t *testing.T) {
+	const bound = 4096
+	s := openTest(t, t.TempDir(), Config{CompactBytes: bound})
+	payload := bytes.Repeat([]byte("p"), 128)
+	key := func(i int) string { return fmt.Sprintf("%soptimize|live-%03d", core.AnswerEpoch, i) }
+	const live = 64
+	for i := 0; i < live; i++ {
+		mustPut(t, s, "optimize", key(i), payload)
+	}
+	recSize := len(EncodeRecord(Entry{Kind: "optimize", Key: key(0), Data: payload}))
+	if liveBytes := live * recSize; liveBytes < 2*bound {
+		t.Fatalf("live data %d B does not exceed the bound %d B enough to mean anything", liveBytes, bound)
+	}
+
+	const n = 300
+	before := s.Stats().Compactions
+	for i := 0; i < n; i++ {
+		mustPut(t, s, "optimize", key(i%live), payload)
+	}
+	got := int(s.Stats().Compactions - before)
+	want := n * recSize / bound
+	if got < want-1 || got > want+1 {
+		t.Fatalf("%d overwrites of %d-byte records at CompactBytes %d ran %d compactions, want about %d",
+			n, recSize, bound, got, want)
+	}
+	if s.Len() != live {
+		t.Fatalf("entries %d, want %d", s.Len(), live)
+	}
+	for i := 0; i < live; i++ {
+		mustGet(t, s, "optimize", key(i))
+	}
+}
+
+// TestReopenCountsDeadRecordsAsAppended: Open treats the recovered log's
+// live records as the last compaction's output. A freshly compacted log
+// larger than CompactBytes reopens without owing a compaction; a log
+// whose overwritten records exceed CompactBytes compacts on the next Put.
+func TestReopenCountsDeadRecordsAsAppended(t *testing.T) {
+	const bound = 1024
+	payload := bytes.Repeat([]byte("p"), 128)
+	key := func(i int) string { return fmt.Sprintf("%soptimize|k-%02d", core.AnswerEpoch, i) }
+	dir := t.TempDir()
+	s := openTest(t, dir, Config{CompactBytes: -1})
+	for i := 0; i < 32; i++ {
+		mustPut(t, s, "optimize", key(i), payload)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	r := openTest(t, dir, Config{CompactBytes: bound})
+	mustPut(t, r, "optimize", key(0), payload)
+	if c := r.Stats().Compactions; c != 0 {
+		t.Fatalf("a compacted log reopened owing a compaction: %d ran", c)
+	}
+	r.Close()
+
+	w := openTest(t, dir, Config{CompactBytes: -1})
+	for i := 0; i < 16; i++ {
+		mustPut(t, w, "optimize", key(1), payload)
+	}
+	w.Close()
+	d := openTest(t, dir, Config{CompactBytes: bound})
+	mustPut(t, d, "optimize", key(2), payload)
+	if c := d.Stats().Compactions; c != 1 {
+		t.Fatalf("a log with %d B of overwritten records ran %d compactions on the next Put, want 1", 16*len(payload), c)
+	}
+}
+
 // TestOrphanTmpRemoved: a tmp file from a compaction killed before its
-// rename must be discarded on open — the old snapshot+log state is the
-// truth.
+// rename must be discarded on open — the log it would have replaced is
+// the truth.
 func TestOrphanTmpRemoved(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Config{})
 	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|live", []byte("authoritative"))
 	s.Close()
 	tmpPath := filepath.Join(dir, tmpName)
-	if err := os.WriteFile(tmpPath, []byte("half-written snapshot"), 0o644); err != nil {
+	if err := os.WriteFile(tmpPath, []byte("half-written compaction"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r := openTest(t, dir, Config{})
@@ -293,44 +368,47 @@ func TestOrphanTmpRemoved(t *testing.T) {
 	}
 }
 
-// TestCrashBetweenRenameAndTruncate: the instant after a compaction's
-// rename commits, the snapshot holds everything and the log still holds
-// duplicates. Recovery must come up with one copy of each entry and the
-// log's (identical) records winning harmlessly.
-func TestCrashBetweenRenameAndTruncate(t *testing.T) {
+// TestOpenEarlierLayout: a cache dir from the earlier two-file layout (a
+// compacted store.snap beside store.log, maybe a store.snap.tmp) opens
+// with the log's entries served and the snapshot files deleted; the
+// entries only the snapshot held are misses, solved again on demand.
+func TestOpenEarlierLayout(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Config{CompactBytes: -1})
-	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|a", []byte("alpha"))
-	mustPut(t, s, "validate", core.AnswerEpoch+"validate|b", []byte("beta"))
+	mustPut(t, s, "optimize", core.AnswerEpoch+"optimize|in-log", []byte("logged"))
 	s.Close()
-
-	// Build the snapshot the compactor would have written, but leave the
-	// log untruncated — the post-rename pre-truncate crash window.
-	logData, err := os.ReadFile(filepath.Join(dir, logName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, _, _, err := DecodeLog(logData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := HeaderBytes()
-	for _, r := range recs {
-		snap = append(snap, EncodeRecord(r.Entry)...)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapName), snap, 0o644); err != nil {
-		t.Fatal(err)
+	snap := append(HeaderBytes(), EncodeRecord(Entry{
+		Kind: "optimize", Key: core.AnswerEpoch + "optimize|in-snap", InsertedAt: 1, Data: []byte("snapped"),
+	})...)
+	legacy := []string{"store.snap", "store.snap.tmp"}
+	for _, name := range legacy {
+		if err := os.WriteFile(filepath.Join(dir, name), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	r := openTest(t, dir, Config{})
-	if r.Len() != 2 {
-		t.Fatalf("entries %d, want 2", r.Len())
+	r := openTest(t, dir, Config{CompactBytes: -1})
+	for _, name := range legacy {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("%s still present after Open (err %v)", name, err)
+		}
 	}
-	if got := mustGet(t, r, "optimize", core.AnswerEpoch+"optimize|a"); !bytes.Equal(got, []byte("alpha")) {
-		t.Fatalf("read %q", got)
+	if got := mustGet(t, r, "optimize", core.AnswerEpoch+"optimize|in-log"); !bytes.Equal(got, []byte("logged")) {
+		t.Fatalf("log entry = %q", got)
 	}
-	if got := mustGet(t, r, "validate", core.AnswerEpoch+"validate|b"); !bytes.Equal(got, []byte("beta")) {
-		t.Fatalf("read %q", got)
+	if _, _, ok := r.Get("optimize", core.AnswerEpoch+"optimize|in-snap"); ok {
+		t.Fatal("served an entry only the deleted snapshot held")
+	}
+	mustPut(t, r, "optimize", core.AnswerEpoch+"optimize|after", []byte("appended"))
+	r.Close()
+
+	c := openTest(t, dir, Config{CompactBytes: -1})
+	if c.Len() != 2 {
+		t.Fatalf("entries %d, want 2", c.Len())
+	}
+	mustGet(t, c, "optimize", core.AnswerEpoch+"optimize|in-log")
+	if got := mustGet(t, c, "optimize", core.AnswerEpoch+"optimize|after"); !bytes.Equal(got, []byte("appended")) {
+		t.Fatalf("post-upgrade append = %q", got)
 	}
 }
 

@@ -88,9 +88,9 @@ func TestNoExpiryDefault(t *testing.T) {
 	mustGet(t, s, "optimize", core.AnswerEpoch+"optimize|eternal")
 }
 
-// TestRemainingTTLPreserved: snapshot/restore (compaction, close,
-// reopen — in every combination) must preserve the absolute expiry
-// instant, not restart the TTL from the restore time.
+// TestRemainingTTLPreserved: compaction, close and reopen — in every
+// combination — must preserve the absolute expiry instant, not restart
+// the TTL from the restore time.
 func TestRemainingTTLPreserved(t *testing.T) {
 	ttl := 10 * time.Hour
 	for _, restore := range []string{"reopen", "compact", "compact+reopen"} {
@@ -133,9 +133,8 @@ func TestRemainingTTLPreserved(t *testing.T) {
 }
 
 // TestExpiredEntriesDropFromCompaction: compaction reclaims expired
-// entries' disk space — they are absent from the rewritten snapshot and
-// stay gone after reopen even with the clock rewound (the snapshot
-// simply no longer holds them).
+// entries' disk space — they are absent from the rewritten log and stay
+// gone after reopen (the log simply no longer holds them).
 func TestExpiredEntriesDropFromCompaction(t *testing.T) {
 	clk := newFakeClock()
 	dir := t.TempDir()

@@ -108,15 +108,15 @@ var (
 		"Results spilled to the disk store, by TTL kind.",
 		"kind")
 	StorePutErrors = Default.NewCounter("libra_store_put_errors_total",
-		"Disk-store writes that failed (the result stayed memory-only).")
+		"Disk-store writes that returned an error: a failed append (the result stayed memory-only) or a failed auto-compaction (the record was appended).")
 	StoreCompactions = Default.NewCounter("libra_store_compactions_total",
-		"Log-to-snapshot compactions completed (atomic rename).")
+		"Append-log compactions completed (live entries rewritten, atomic rename over the log).")
 	StoreDroppedRecords = Default.NewCounter("libra_store_dropped_records_total",
 		"Corrupt or torn log records dropped during open-time recovery.")
 	StoreEntries = Default.NewGauge("libra_store_entries",
 		"Live entries currently indexed by the disk store.")
 	StoreBytes = Default.NewGauge("libra_store_bytes",
-		"Bytes on disk across the store's snapshot and append log.")
+		"Bytes in the store's append log.")
 	WarmupReplayed = Default.NewCounterVec("libra_warmup_specs_total",
 		"Warmup-file specs replayed at boot, by outcome (ok|error|skipped).",
 		"outcome")
