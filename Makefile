@@ -163,6 +163,11 @@ smoke:
 	if [ -z "$$addr" ]; then echo "libra-serve never came up:"; cat $(SMOKEDIR)/libra-serve.log; exit 1; fi; \
 	echo "smoke: libra-serve at $$addr"; \
 	$(SMOKEDIR)/jobsclient -addr "$$addr"; \
+	echo "smoke: checking that a done job's event stream ends past its log"; \
+	id=$$(curl -fsS "$$addr/v2/jobs?status=done&limit=1" | grep -o '"id": *"[^"]*"' | head -n1 | cut -d'"' -f4); \
+	if [ -z "$$id" ]; then echo "smoke: no done job listed"; exit 1; fi; \
+	curl -fsS -m 5 "$$addr/v2/jobs/$$id/events?from=100000" > /dev/null || \
+		{ echo "smoke: event stream of done job $$id did not end"; exit 1; }; \
 	echo "smoke: checking /healthz"; \
 	curl -fsS "$$addr/healthz" | grep -q '"ok"'; \
 	echo "smoke: checking /metrics"; \

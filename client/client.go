@@ -1,9 +1,9 @@
 // Package client is the typed Go SDK for a libra-serve /v2 endpoint:
 // submit task envelopes synchronously (Do) or as asynchronous jobs
-// (Submit), await results (Wait), stream ordered status/progress events
-// (Watch), cancel (Cancel), and page the job listing (Jobs) — all
-// context-aware, with bounded retry of transient failures on idempotent
-// requests.
+// (Submit), follow a job's ordered status/progress events to its result
+// (Watch; a nil callback just awaits it), cancel (Cancel), page the job
+// listing (Jobs), and probe the server (Health) — all context-aware, with
+// bounded retry of transient failures on idempotent requests.
 //
 //	c := client.New("http://localhost:8080")
 //	job, _ := c.Submit(ctx, libra.NewFrontierTask(spec, req))
@@ -401,29 +401,6 @@ func (c *Client) Cancel(ctx context.Context, id string) (*Job, error) {
 	return &job, nil
 }
 
-// Wait polls until the job is terminal and returns its final snapshot.
-// Polling starts at 50ms and backs off to 1s; a canceled ctx stops it.
-func (c *Client) Wait(ctx context.Context, id string) (*Job, error) {
-	delay := 50 * time.Millisecond
-	for {
-		job, err := c.Job(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if job.Status.Terminal() {
-			return job, nil
-		}
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if delay < time.Second {
-			delay *= 2
-		}
-	}
-}
-
 // Watch streams the job's ordered event log over SSE, invoking onEvent
 // for every entry (status transitions and progress observations), and
 // returns the final snapshot once a terminal status event arrives. A
@@ -431,7 +408,7 @@ func (c *Client) Wait(ctx context.Context, id string) (*Job, error) {
 // duplicate or a gap — and a live job is never abandoned: between
 // reconnects the job is polled, so Watch ends only at a terminal state,
 // a definitive API error, or ctx cancellation. onEvent may be nil to
-// just await completion with server push instead of polling.
+// just await completion.
 func (c *Client) Watch(ctx context.Context, id string, onEvent func(Event)) (*Job, error) {
 	lastSeq := 0
 	delay := c.backoff
@@ -538,12 +515,6 @@ func (c *Client) Stats(ctx context.Context) (ServerStats, error) {
 	return out, err
 }
 
-// Healthy reports whether GET /healthz answers 200 — with retries, so it
-// doubles as a "wait for the server to come up" probe.
-func (c *Client) Healthy(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, true, nil)
-}
-
 // Health is the combined probe answer: Live mirrors /healthz, Ready
 // mirrors /readyz (Reason carries the server's explanation when not).
 type Health struct {
@@ -554,7 +525,9 @@ type Health struct {
 
 // Health probes both /healthz and /readyz. A reachable-but-not-ready
 // server is not an error — Health.Ready is false and Reason says why;
-// the error return is reserved for an unreachable or broken server.
+// the error return is reserved for an unreachable or broken server. The
+// /healthz leg retries transient failures, so a loop over Health also
+// waits for a just-started server to come up.
 func (c *Client) Health(ctx context.Context) (Health, error) {
 	if err := c.do(ctx, http.MethodGet, "/healthz", nil, true, nil); err != nil {
 		return Health{}, err

@@ -45,10 +45,10 @@ func testClient(t *testing.T) *Client {
 func TestClientDo(t *testing.T) {
 	c := testClient(t)
 	ctx := context.Background()
-	if err := c.Healthy(ctx); err != nil {
-		t.Fatal(err)
+	health, err := c.Health(ctx)
+	if err != nil || !health.Live || !health.Ready {
+		t.Fatalf("health %+v, %v", health, err)
 	}
-
 	res, err := c.Do(ctx, libra.NewOptimizeTask(tinySpec()))
 	if err != nil {
 		t.Fatal(err)
@@ -108,14 +108,10 @@ func TestClientDo(t *testing.T) {
 		t.Fatalf("stats missing jobs section: %+v", stats)
 	}
 
-	health, err := c.Health(ctx)
-	if err != nil || !health.Live || !health.Ready {
-		t.Fatalf("health %+v, %v", health, err)
-	}
 }
 
 // Submit → Watch streams ordered progress and returns the final job,
-// whose result decodes; Wait agrees.
+// whose result decodes; a second Watch on the done job agrees.
 func TestClientSubmitWatchWait(t *testing.T) {
 	c := testClient(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -163,10 +159,10 @@ func TestClientSubmitWatchWait(t *testing.T) {
 		t.Errorf("frontier points %d", len(fr.Points))
 	}
 
-	// Wait on the already-terminal job returns the same snapshot.
-	again, err := c.Wait(ctx, job.ID)
-	if err != nil || again.Status != jobs.StatusDone {
-		t.Fatalf("wait: %+v, %v", again, err)
+	// Watch on the already-terminal job returns the same snapshot.
+	again, err := c.Watch(ctx, job.ID, nil)
+	if err != nil || again.Status != jobs.StatusDone || again.Fingerprint != final.Fingerprint {
+		t.Fatalf("watch done job: %+v, %v", again, err)
 	}
 
 	// The job listing sees it.
@@ -203,7 +199,7 @@ func TestClientCancel(t *testing.T) {
 	if got.Status != jobs.StatusCancelled {
 		t.Fatalf("cancel status %q", got.Status)
 	}
-	final, err := c.Wait(ctx, job.ID)
+	final, err := c.Watch(ctx, job.ID, nil)
 	if err != nil || final.Status != jobs.StatusCancelled {
 		t.Fatalf("final %+v, %v", final, err)
 	}
@@ -229,8 +225,8 @@ func TestClientErrorsAndRetry(t *testing.T) {
 		t.Fatalf("not found error: %v", err)
 	}
 
-	// A flaky backend: two 503s, then success. Idempotent GETs retry
-	// through it; the failure count proves the retry path ran.
+	// A flaky backend: two 503s, then success. Health's /healthz leg
+	// retries through it; the failure count proves the retry path ran.
 	var fails atomic.Int32
 	fails.Store(2)
 	inner := testClient(t)
@@ -244,14 +240,14 @@ func TestClientErrorsAndRetry(t *testing.T) {
 	}))
 	defer flaky.Close()
 	rc := New(flaky.URL, WithRetryBackoff(time.Millisecond))
-	if err := rc.Healthy(ctx); err != nil {
-		t.Fatalf("retry through transient 503s failed: %v", err)
+	if h, err := rc.Health(ctx); err != nil || !h.Live || !h.Ready {
+		t.Fatalf("retry through transient 503s failed: %+v, %v", h, err)
 	}
 
 	// With retries exhausted, the transient error surfaces.
 	fails.Store(100)
 	rc2 := New(flaky.URL, WithRetries(1), WithRetryBackoff(time.Millisecond))
-	if err := rc2.Healthy(ctx); !asTestAPIError(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable {
+	if _, err := rc2.Health(ctx); !asTestAPIError(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("exhausted retries: %v", err)
 	}
 }

@@ -309,6 +309,114 @@ func TestV2JobEventsSSE(t *testing.T) {
 	}
 }
 
+// A ?from= equal to a live job's log length blocks until the job appends
+// its next event, then streams it: here the cancelled status event a
+// DELETE appends, which also ends the stream.
+func TestV2JobEventsFromLiveEnd(t *testing.T) {
+	srv, _, manager := testServerParts(t)
+	// A seconds-long perf-per-cost solve (7D fabric, 36 weighted targets,
+	// exact tolerance) appends nothing between running and its end.
+	var ws []core.WorkloadSpec
+	for i := 0; i < 12; i++ {
+		for _, name := range []string{"GPT-3", "MSFT-1T", "Turing-NLG"} {
+			ws = append(ws, core.WorkloadSpec{Preset: name, Weight: 1 + float64(i)/12})
+		}
+	}
+	envelope, err := json.Marshal(libra.NewOptimizeTask(&core.ProblemSpec{
+		Topology:   "RI(2)_RI(2)_FC(8)_RI(2)_RI(2)_SW(4)_SW(8)",
+		Workloads:  ws,
+		BudgetGBps: 500,
+		Objective:  "perf-per-cost",
+		Solver:     &core.SolverSpec{Starts: 64, MaxIters: 5000, Tol: -1},
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, srv.URL+"/v2/jobs", string(envelope))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var submitted struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &submitted); err != nil {
+		t.Fatal(err)
+	}
+	var logLen int
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		j, err := manager.Get(submitted.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Status == jobs.StatusRunning {
+			logLen = j.Events
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck in %q", j.Status)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	stream, err := http.Get(fmt.Sprintf("%s/v2/jobs/%s/events?from=%d", srv.URL, submitted.ID, logLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	if stream.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", stream.StatusCode)
+	}
+	events, stop := make(chan jobs.Event), make(chan struct{})
+	defer close(stop) // before the body closes, so the reader can return
+	go func() {
+		defer close(events)
+		scanner := bufio.NewScanner(stream.Body)
+		for scanner.Scan() {
+			if data, ok := strings.CutPrefix(scanner.Text(), "data: "); ok {
+				var ev jobs.Event
+				if err := json.Unmarshal([]byte(data), &ev); err != nil {
+					t.Error(err)
+					return
+				}
+				select {
+				case events <- ev:
+				case <-stop:
+					return
+				}
+			}
+		}
+	}()
+	select {
+	case ev, ok := <-events:
+		t.Fatalf("stream at the live end of the log did not block: event %+v, open %v", ev, ok)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v2/jobs/"+submitted.ID, nil)
+	delResp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delResp.Body.Close()
+	var got []jobs.Event
+	timeout := time.After(10 * time.Second)
+	for open := true; open; {
+		select {
+		case ev, ok := <-events:
+			if ok {
+				got = append(got, ev)
+			}
+			open = ok
+		case <-timeout:
+			t.Fatalf("stream did not end after the cancel; got %+v", got)
+		}
+	}
+	if len(got) != 1 || got[0].Seq != logLen+1 || got[0].Type != jobs.EventStatus || got[0].Status != jobs.StatusCancelled {
+		t.Fatalf("streamed %+v, want only the cancelled status event at seq %d", got, logLen+1)
+	}
+}
+
 // An SSE-watched cluster job streams monotonically non-decreasing
 // progress for the "cluster" stage that ends complete, and — with a
 // budget axis — a relabeled "cluster-frontier" stage, never a bare

@@ -19,6 +19,7 @@ import (
 
 	"libra"
 	"libra/internal/cliutil"
+	"libra/internal/collective"
 	"libra/internal/validate"
 )
 
@@ -68,7 +69,7 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	op, err := cliutil.ParseCollectiveOp(*opFlag)
+	op, err := collective.ParseOp(*opFlag)
 	if err != nil {
 		return err
 	}

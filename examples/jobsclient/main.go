@@ -33,7 +33,7 @@ func main() {
 	healthCtx, healthCancel := context.WithTimeout(ctx, *wait)
 	defer healthCancel()
 	for {
-		err := c.Healthy(healthCtx)
+		_, err := c.Health(healthCtx)
 		if err == nil {
 			break
 		}

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 
-	"libra/internal/collective"
 	"libra/internal/core"
 	"libra/internal/topology"
 )
@@ -96,12 +95,6 @@ func ParseBW(s string, ndims int) (topology.BWConfig, error) {
 		return nil, fmt.Errorf("%d bandwidths for a %dD network", len(vals), ndims)
 	}
 	return topology.BWConfig(vals), nil
-}
-
-// ParseCollectiveOp reads a collective name with its common short forms
-// (delegating to collective.ParseOp, which owns the vocabulary).
-func ParseCollectiveOp(s string) (collective.Op, error) {
-	return collective.ParseOp(s)
 }
 
 // LoadSpec reads and strictly decodes a ProblemSpec JSON file.

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"libra/internal/collective"
 	"libra/internal/core"
 )
 
@@ -61,20 +60,6 @@ func TestResolveNetworkAndParseBW(t *testing.T) {
 	}
 	if _, err := ParseBW("x", 1); err == nil {
 		t.Error("malformed bandwidth accepted")
-	}
-}
-
-func TestParseCollectiveOp(t *testing.T) {
-	for s, want := range map[string]collective.Op{
-		"ar": collective.AllReduce, "ALLREDUCE": collective.AllReduce,
-		"rs": collective.ReduceScatter, "ag": collective.AllGather, "a2a": collective.AllToAll,
-	} {
-		if got, err := ParseCollectiveOp(s); err != nil || got != want {
-			t.Errorf("ParseCollectiveOp(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseCollectiveOp("broadcast"); err == nil {
-		t.Error("unknown op accepted")
 	}
 }
 

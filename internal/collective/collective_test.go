@@ -284,3 +284,17 @@ func TestQuickTimeScaling(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestParseOp(t *testing.T) {
+	for s, want := range map[string]Op{
+		"ar": AllReduce, "ALLREDUCE": AllReduce,
+		"rs": ReduceScatter, "ag": AllGather, "a2a": AllToAll,
+	} {
+		if got, err := ParseOp(s); err != nil || got != want {
+			t.Errorf("ParseOp(%q) = %v, %v", s, got, err)
+		}
+	}
+	if _, err := ParseOp("broadcast"); err == nil {
+		t.Error("unknown op accepted")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"strings"
 	"sync"
@@ -320,12 +321,14 @@ func (e *Engine) doShared(ctx context.Context, key string, codec Codec, compute 
 		// leaves the inflight map, the disk tier must already hold the
 		// answer, or a racing request that also misses the LRU would
 		// recompute it. The write is one unsynced append — microseconds
-		// against a solve — and absent a store it costs nothing.
+		// against a solve — and absent a store it costs nothing. A value
+		// that fails to encode never reaches the store, so it is not a
+		// store put error: it is logged and served unspilled.
 		if err == nil && !fromDisk && e.store != nil && codec != nil {
 			if data, eerr := codec.Encode(res.value); eerr == nil {
 				_ = e.store.Put(op, AnswerEpoch+key, data, res.elapsedMS)
 			} else {
-				telemetry.StorePutErrors.Inc()
+				slog.Error("engine: result not spilled: encode failed", "op", op, "key", key, "error", eerr)
 			}
 		}
 		var added bool

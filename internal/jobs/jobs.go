@@ -531,9 +531,11 @@ func (m *Manager) List(req ListRequest) *ListResult {
 	return out
 }
 
-// EventsSince returns the job's events from 0-based index from, plus a
-// channel that is closed when more events arrive (watchers select on it
-// and re-call). The returned slice is a copy.
+// EventsSince returns a copy of the job's events from 0-based index
+// from, plus a channel that is closed when the next event is appended
+// (watchers select on it and re-call). The channel is nil exactly when
+// the job is terminal: its terminal status event is already in the log
+// and nothing can follow it, so the caller has read the whole log.
 func (m *Manager) EventsSince(id string, from int) ([]Event, <-chan struct{}, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -547,6 +549,9 @@ func (m *Manager) EventsSince(id string, from int) ([]Event, <-chan struct{}, er
 	var out []Event
 	if from < len(j.events) {
 		out = append(out, j.events[from:]...)
+	}
+	if j.status.Terminal() {
+		return out, nil, nil
 	}
 	return out, j.notify, nil
 }

@@ -536,3 +536,76 @@ func TestConcurrentAccess(t *testing.T) {
 		}
 	}
 }
+
+// EventsSince's channel is nil exactly when the job is terminal: a live
+// job's channel closes on its next append, and a done, failed or
+// cancelled job's log is complete, from any index — for a cancelled job
+// from the moment Cancel returns, whether or not its worker has unwound.
+func TestEventsSinceNilChannelExactlyWhenTerminal(t *testing.T) {
+	m, _ := testManager(t, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	complete := func(id string, want Status) {
+		t.Helper()
+		evs, more, err := m.EventsSince(id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if more != nil {
+			t.Errorf("%s job: non-nil channel on a terminal log", want)
+		}
+		if last := evs[len(evs)-1]; last.Type != EventStatus || last.Status != want {
+			t.Errorf("%s job: last event %+v", want, last)
+		}
+		if tail, more, err := m.EventsSince(id, len(evs)+5); err != nil || len(tail) != 0 || more != nil {
+			t.Errorf("%s job past the end: %d events, channel %v, err %v", want, len(tail), more, err)
+		}
+	}
+
+	done, err := m.Submit(ctx, task.NewOptimize(tinySpec()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Wait(ctx, done.ID); err != nil {
+		t.Fatal(err)
+	}
+	complete(done.ID, StatusDone)
+
+	// Infeasible constraints fingerprint fine and fail only when solved.
+	bad := tinySpec()
+	bad.Constraints = []core.ConstraintSpec{core.DimCap(1, -5)}
+	failed, err := m.Submit(ctx, task.NewOptimize(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Wait(ctx, failed.ID); err != nil {
+		t.Fatal(err)
+	}
+	complete(failed.ID, StatusFailed)
+
+	// slowTask runs until its context ends.
+	live, err := m.Submit(ctx, slowTask())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, more, err := m.EventsSince(live.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if more == nil {
+		t.Fatal("live job: nil channel")
+	}
+	if _, err := m.Cancel(live.ID); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-more:
+	default:
+		t.Fatal("the cancel event did not close the live job's channel")
+	}
+	complete(live.ID, StatusCancelled) // before Wait: the worker may still be unwinding
+	if _, err := m.Wait(ctx, live.ID); err != nil {
+		t.Fatal(err)
+	}
+	complete(live.ID, StatusCancelled)
+}

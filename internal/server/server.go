@@ -105,7 +105,7 @@ func (s *server) instrument(route string, h http.HandlerFunc) http.Handler {
 		w.Header().Set("X-Request-Id", rid)
 		r = r.WithContext(telemetry.WithTraceID(r.Context(), rid))
 
-		sw := wrapStatusWriter(w)
+		sw := &statusWriter{ResponseWriter: w}
 		telemetry.HTTPInFlight.Inc()
 		start := time.Now()
 		h(sw, r)
@@ -145,36 +145,15 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 	return sw.ResponseWriter.Write(p)
 }
 
+// Unwrap exposes the underlying writer to http.ResponseController, so
+// the SSE endpoint flushes through the instrumented writer.
+func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
+
 func (sw *statusWriter) statusCode() int {
 	if sw.status == 0 {
 		return http.StatusOK
 	}
 	return sw.status
-}
-
-// flushStatusWriter adds Flush passthrough so the SSE endpoint still
-// sees an http.Flusher through the instrumented writer.
-type flushStatusWriter struct {
-	*statusWriter
-	f http.Flusher
-}
-
-func (fw *flushStatusWriter) Flush() { fw.f.Flush() }
-
-// statusCapturer is the common view instrument takes of both wrappers.
-type statusCapturer interface {
-	http.ResponseWriter
-	statusCode() int
-}
-
-// wrapStatusWriter picks the wrapper that preserves the underlying
-// writer's streaming ability.
-func wrapStatusWriter(w http.ResponseWriter) statusCapturer {
-	sw := &statusWriter{ResponseWriter: w}
-	if f, ok := w.(http.Flusher); ok {
-		return &flushStatusWriter{statusWriter: sw, f: f}
-	}
-	return sw
 }
 
 // v1 builds the legacy per-kind handler: the body is exactly the

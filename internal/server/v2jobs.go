@@ -116,18 +116,14 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // streamJobEvents is GET /v2/jobs/{id}/events: the job's ordered event
 // log as Server-Sent Events — replayed from the start, then followed
-// live until the terminal status event (which always ends the stream).
-// Each event is `event: status|progress`, `id: <seq>`, `data: <Event
-// JSON>`. A `?from=<seq>` query resumes after a previously seen seq.
+// live until the log is complete (the terminal status event always ends
+// the stream). Each event is `event: status|progress`, `id: <seq>`,
+// `data: <Event JSON>`. A `?from=<seq>` query resumes after a previously
+// seen seq; past the end of a terminal job's log it ends at once.
 func (s *server) streamJobEvents(w http.ResponseWriter, r *http.Request, id string) {
 	from, err := queryInt(r.URL.Query().Get("from"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadSpec, fmt.Errorf("from: %w", err))
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, CodeInternal, fmt.Errorf("response writer cannot stream"))
 		return
 	}
 	// Fail before committing to the event-stream content type.
@@ -141,13 +137,17 @@ func (s *server) streamJobEvents(w http.ResponseWriter, r *http.Request, id stri
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
+	rc := http.NewResponseController(w)
+	if err := rc.Flush(); err != nil {
+		return
+	}
 
 	telemetry.JobWatchers.Inc()
 	defer telemetry.JobWatchers.Dec()
 
 	idx := from
 	for {
+		// more is nil once the log is complete: this read is the last.
 		events, more, err := s.jobs.EventsSince(id, idx)
 		if err != nil {
 			// Evicted mid-stream: nothing further will arrive.
@@ -168,31 +168,10 @@ func (s *server) streamJobEvents(w http.ResponseWriter, r *http.Request, id stri
 					"job", id, "seq", ev.Seq, "error", err)
 				return
 			}
-			if ev.Type == jobs.EventStatus && ev.Status.Terminal() {
-				flusher.Flush()
-				return
-			}
 		}
 		idx += len(events)
-		flusher.Flush()
-		// An in-range stream always returns at the terminal status event
-		// above, so an empty read needs a liveness check: a terminal job
-		// appends nothing further (its notify channel never closes again),
-		// and waiting would hang a ?from= pointed past the end of the log.
-		if len(events) == 0 {
-			snap, gerr := s.jobs.Get(id)
-			if gerr != nil {
-				return
-			}
-			if snap.Status.Terminal() {
-				// The terminal event may have landed between the two
-				// reads; drain it on the next pass, otherwise end the
-				// stream — nothing can ever arrive past a terminal log.
-				if evs, _, err := s.jobs.EventsSince(id, idx); err != nil || len(evs) == 0 {
-					return
-				}
-				continue
-			}
+		if err := rc.Flush(); err != nil || more == nil {
+			return
 		}
 		select {
 		case <-more:

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -66,5 +67,34 @@ func TestCompactionFaultDegrades(t *testing.T) {
 	}
 	if d := telemetry.SolverSolves.Value() - solves; d != 0 {
 		t.Fatalf("reopened store ran %d solves, want 0", d)
+	}
+}
+
+// failingCodec encodes nothing: every Encode fails.
+type failingCodec struct{}
+
+func (failingCodec) Encode(any) ([]byte, error) { return nil, errors.New("encode refused") }
+func (failingCodec) Decode([]byte) (any, error) { return nil, errors.New("nothing to decode") }
+
+// TestEncodeFailureIsNotAPutError: a value the codec cannot encode still
+// answers, is never written, and counts as no store put error — the
+// libra_store_put_errors_total series moves exactly with the store's own
+// DiskStats.PutErrors, which never saw a Put.
+func TestEncodeFailureIsNotAPutError(t *testing.T) {
+	st := openTest(t, t.TempDir(), Config{})
+	engine := core.NewEngine(core.EngineConfig{Workers: 1, CacheSize: 8, Store: st})
+	defer engine.Close()
+	before := telemetry.StorePutErrors.Value()
+	v, cached, err := engine.DoCodec(context.Background(), "optimize|unencodable", failingCodec{},
+		func(context.Context) (any, error) { return 42, nil })
+	if err != nil || cached || v != 42 {
+		t.Fatalf("DoCodec = %v, cached %v, err %v; want a fresh 42", v, cached, err)
+	}
+	if st.Len() != 0 {
+		t.Fatalf("store holds %d entries, want none", st.Len())
+	}
+	delta := telemetry.StorePutErrors.Value() - before
+	if pe := st.Stats().PutErrors; delta != pe || pe != 0 {
+		t.Fatalf("put-error metric moved by %d, store counted %d; want both 0", delta, pe)
 	}
 }

@@ -7,7 +7,8 @@
 // store.log; once Config.CompactBytes have been appended since the last
 // compaction, the live index is rewritten in key order to store.log.tmp,
 // fsynced, and atomically renamed over store.log — the rename is the
-// commit point, and the tmp's open handle becomes the log. Open replays
+// commit point, and the tmp's open handle becomes the log; the directory
+// is fsynced after it, so the rename survives a power loss. Open replays
 // the log (later records win), drops corrupt records individually,
 // truncates a torn tail, and removes an orphaned tmp from a compaction
 // that died before its rename — so a hard kill at any instant loses at
@@ -437,7 +438,10 @@ func (s *Store) compactLocked() error {
 	if err := tmp.Sync(); err != nil {
 		return err
 	}
-	// The rename is the commit point; nothing after it can fail.
+	// The rename is the commit point: from here the store runs on the
+	// new log whatever else fails. Syncing the directory then makes the
+	// rename itself survive a power loss; a sync error is returned but
+	// leaves this process's store correct.
 	if err := os.Rename(tmpPath, filepath.Join(s.dir, logName)); err != nil {
 		return err
 	}
@@ -448,7 +452,23 @@ func (s *Store) compactLocked() error {
 	s.compactions.Add(1)
 	telemetry.StoreCompactions.Inc()
 	s.publishGauges()
+	if err := syncDir(s.dir); err != nil {
+		return fmt.Errorf("store: compact: sync dir: %w", err)
+	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Len reports the number of live index entries.

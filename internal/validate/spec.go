@@ -3,7 +3,7 @@ package validate
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"libra/internal/collective"
@@ -157,8 +157,8 @@ func (s *Spec) resolve() (*resolved, error) {
 		return fmt.Errorf("%w: validate: %s", core.ErrBadSpec, fmt.Sprintf(format, args...))
 	}
 	r := &resolved{
-		topologies: dedupe(s.Topologies),
-		workloads:  dedupe(s.Workloads),
+		topologies: dedupe(s.Topologies, ""),
+		workloads:  dedupe(s.Workloads, ""),
 		budget:     s.BudgetGBps,
 		bytes:      s.CollectiveBytes,
 		chunks:     s.Chunks,
@@ -173,7 +173,7 @@ func (s *Spec) resolve() (*resolved, error) {
 	if len(r.workloads) == 0 {
 		r.workloads = DefaultWorkloads()
 	}
-	loops := dedupe(s.Loops)
+	loops := dedupe(s.Loops, "")
 	if len(loops) == 0 {
 		loops = DefaultLoops()
 	}
@@ -184,8 +184,8 @@ func (s *Spec) resolve() (*resolved, error) {
 		}
 		r.loops = append(r.loops, loop)
 	}
-	r.loops = dedupeLoops(r.loops)
-	ops := dedupe(s.Collectives)
+	r.loops = dedupe(r.loops)
+	ops := dedupe(s.Collectives, "")
 	if len(ops) == 0 {
 		ops = DefaultCollectives()
 	}
@@ -196,7 +196,7 @@ func (s *Spec) resolve() (*resolved, error) {
 		}
 		r.collectives = append(r.collectives, op)
 	}
-	r.collectives = dedupeOps(r.collectives)
+	r.collectives = dedupe(r.collectives)
 	// The work bound is checked before any topology is parsed.
 	n := len(r.topologies) * (len(r.collectives)*2 + len(r.workloads)*len(r.loops))
 	if n > core.MaxPoints {
@@ -291,32 +291,20 @@ func (s *Spec) MarshalCanonical() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	canon := &Spec{InNetwork: r.inNetwork}
-	topos := append([]string(nil), r.topologies...)
-	sort.Strings(topos)
-	if !equalStrings(topos, sortedStrings(DefaultTopologies())) {
-		canon.Topologies = topos
-	}
-	wls := append([]string(nil), r.workloads...)
-	sort.Strings(wls)
-	if !equalStrings(wls, sortedStrings(DefaultWorkloads())) {
-		canon.Workloads = wls
-	}
 	loops := make([]string, len(r.loops))
 	for i, l := range r.loops {
 		loops[i] = l.Key()
-	}
-	sort.Strings(loops)
-	if !equalStrings(loops, sortedStrings(DefaultLoops())) {
-		canon.Loops = loops
 	}
 	ops := make([]string, len(r.collectives))
 	for i, o := range r.collectives {
 		ops[i] = o.Key()
 	}
-	sort.Strings(ops)
-	if !equalStrings(ops, sortedStrings(DefaultCollectives())) {
-		canon.Collectives = ops
+	canon := &Spec{
+		InNetwork:   r.inNetwork,
+		Topologies:  canonAxis(r.topologies, DefaultTopologies()),
+		Workloads:   canonAxis(r.workloads, DefaultWorkloads()),
+		Loops:       canonAxis(loops, DefaultLoops()),
+		Collectives: canonAxis(ops, DefaultCollectives()),
 	}
 	if r.budget != DefaultBudgetGBps {
 		canon.BudgetGBps = r.budget
@@ -346,22 +334,14 @@ func (s *Spec) Fingerprint() (string, error) { return core.Digest(s.MarshalCanon
 
 // ---- Small helpers ----
 
-func dedupe(in []string) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, v := range in {
-		if v == "" || seen[v] {
-			continue
-		}
+// dedupe returns in's distinct values in first-seen order, dropping the
+// skip values too (the string axes skip "").
+func dedupe[T comparable](in []T, skip ...T) []T {
+	var out []T
+	seen := map[T]bool{}
+	for _, v := range skip {
 		seen[v] = true
-		out = append(out, v)
 	}
-	return out
-}
-
-func dedupeLoops(in []timemodel.Loop) []timemodel.Loop {
-	var out []timemodel.Loop
-	seen := map[timemodel.Loop]bool{}
 	for _, v := range in {
 		if !seen[v] {
 			seen[v] = true
@@ -371,34 +351,16 @@ func dedupeLoops(in []timemodel.Loop) []timemodel.Loop {
 	return out
 }
 
-func dedupeOps(in []collective.Op) []collective.Op {
-	var out []collective.Op
-	seen := map[collective.Op]bool{}
-	for _, v := range in {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
+// canonAxis is an axis in canonical form: sorted, or nil (elided) when
+// it holds exactly the default values.
+func canonAxis(axis, defaults []string) []string {
+	axis, defaults = slices.Clone(axis), slices.Clone(defaults)
+	slices.Sort(axis)
+	slices.Sort(defaults)
+	if slices.Equal(axis, defaults) {
+		return nil
 	}
-	return out
-}
-
-func sortedStrings(in []string) []string {
-	out := append([]string(nil), in...)
-	sort.Strings(out)
-	return out
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return axis
 }
 
 func formatFloat(v float64) string {
