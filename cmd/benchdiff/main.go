@@ -4,7 +4,7 @@
 //
 //	go test -bench=. -benchmem -benchtime=500ms -run='^$' | benchdiff parse -out BENCH_ci.json
 //	benchdiff compare -baseline BENCH_baseline.json -current BENCH_ci.json \
-//	    -threshold 0.25 -normalize
+//	    -threshold 0.25 -anchors BenchmarkA,BenchmarkB
 //	benchdiff record -current BENCH_ci.json -baseline BENCH_baseline.json \
 //	    -history BENCH_history.jsonl -label "PR 7"
 //
@@ -20,13 +20,13 @@
 // regresses by more than -threshold (fractional; 0.25 = 25%), or when a
 // baseline benchmark is missing from the current run (a rename or a
 // crashed-out run must not silently shrink the gate — regenerate the
-// baseline instead). With -normalize, per-benchmark ratios are divided by
-// the median ratio first, canceling uniform machine-speed differences
+// baseline instead). Pass -anchors with a comma-separated list of
+// benchmark names to divide every per-benchmark ratio by the median ratio
+// of those benchmarks first, canceling uniform machine-speed differences
 // between the baseline host and the CI runner so only relative
-// regressions trip the gate. Pass -anchors with a comma-separated list of
-// benchmark names to take that median over only those benchmarks: anchors
-// should avoid the hot paths under test, so a genuine regression uniform
-// across the rest of the suite cannot normalize itself away. Pass -skip
+// regressions trip the gate: anchors should avoid the hot paths under
+// test, so a genuine regression uniform across the rest of the suite
+// cannot normalize itself away. Pass -skip
 // with benchmarks to exclude from gating entirely — core-count-sensitive
 // benchmarks (parallel solver/engine paths) scale with the host's cores,
 // which single-threaded anchors cannot cancel, so gating them across
@@ -273,8 +273,7 @@ func runCompare(args []string) error {
 	curPath := fs.String("current", "BENCH_ci.json", "current JSON (benchdiff parse output)")
 	threshold := fs.Float64("threshold", 0.25, "fail when a benchmark slows down by more than this fraction")
 	allocThreshold := fs.Float64("allocthreshold", 0.25, "fail when a benchmark's allocs/op grows by more than this fraction (raw, no normalization)")
-	normalize := fs.Bool("normalize", false, "divide ratios by the median ratio (cancels uniform machine-speed differences)")
-	anchors := fs.String("anchors", "", "comma-separated benchmark names whose median ratio normalizes the rest (implies -normalize)")
+	anchors := fs.String("anchors", "", "comma-separated benchmark names whose median ratio normalizes the rest (cancels uniform machine-speed differences)")
 	skip := fs.String("skip", "", "comma-separated benchmark names excluded from the regression and missing-benchmark gates (reported informationally)")
 	fs.Parse(args)
 
@@ -308,7 +307,6 @@ func runCompare(args []string) error {
 	sort.Strings(names)
 
 	ratios := make(map[string]float64, len(names))
-	all := make([]float64, 0, len(names))
 	for _, name := range names {
 		b := base.Benchmarks[name]
 		if b <= 0 {
@@ -320,15 +318,10 @@ func runCompare(args []string) error {
 			}
 			continue
 		}
-		r := cur.Benchmarks[name] / b
-		ratios[name] = r
-		if !skipped[name] {
-			all = append(all, r)
-		}
+		ratios[name] = cur.Benchmarks[name] / b
 	}
 	scale := 1.0
-	switch {
-	case *anchors != "":
+	if *anchors != "" {
 		var anchored []float64
 		for _, name := range strings.Split(*anchors, ",") {
 			name = strings.TrimSpace(name)
@@ -343,9 +336,6 @@ func runCompare(args []string) error {
 		}
 		scale = median(anchored)
 		fmt.Printf("normalizing by median anchor ratio %.3f (%d anchors)\n", scale, len(anchored))
-	case *normalize:
-		scale = median(all)
-		fmt.Printf("normalizing by median ratio %.3f (current host vs baseline host)\n", scale)
 	}
 
 	var regressions []string

@@ -1,41 +1,29 @@
 // Command libra-lint runs LIBRA's project-specific analyzers
-// (internal/lint/analyzers) over the module. It works two ways:
-//
-// Standalone, for `make lint` and day-to-day use:
+// (internal/lint/analyzers) as a go vet tool, so the checks compose with
+// the stock vet suite and reuse cmd/go's package loading and caching:
 //
 //	go build -o bin/libra-lint ./cmd/libra-lint
-//	./bin/libra-lint ./...
-//
-// As a vet tool, so the checks compose with the stock vet suite:
-//
 //	go vet -vettool=$(pwd)/bin/libra-lint ./...
 //
-// Findings print as file:line:col: [analyzer] message. Exit status is 1
-// (2 in vet-tool mode, matching the vet protocol) when anything is
-// found; -triage prints findings but exits 0, for baselining a branch
-// without failing it. Suppress an individual finding with an inline
+// That is the only way to run it; any other invocation prints the usage
+// line and exits 1. The tool has no flags of its own. Findings print as
+// file:line:col: [analyzer] message, and go vet exits non-zero when
+// anything is found (`make lint-baseline` lists findings without
+// failing). Suppress an individual finding with an inline
 // `//libra:allow <analyzer> <rationale>` comment on the finding's line
 // or the line above.
 package main
 
 import (
-	"flag"
 	"fmt"
-	"go/token"
 	"os"
-	"sort"
 	"strings"
-
-	"libra/internal/lint/analysis"
-	"libra/internal/lint/analyzers"
-	"libra/internal/lint/loader"
 )
 
 func main() {
 	// The vet protocol probes the tool before handing it work: -V=full
 	// asks for a cache key, -flags for the tool's flag schema, and the
-	// real invocations pass a single *.cfg argument. Detect those before
-	// normal flag parsing so one binary serves both modes.
+	// real invocations pass a single *.cfg argument.
 	for _, arg := range os.Args[1:] {
 		switch strings.TrimLeft(arg, "-") {
 		case "V=full":
@@ -49,85 +37,6 @@ func main() {
 	if n := len(os.Args); n >= 2 && strings.HasSuffix(os.Args[n-1], ".cfg") {
 		os.Exit(unitcheck(os.Args[n-1]))
 	}
-	os.Exit(standalone())
-}
-
-func standalone() int {
-	list := flag.Bool("list", false, "print the analyzers and exit")
-	triage := flag.Bool("triage", false, "print findings but exit 0 (for baselining)")
-	flag.Parse()
-	if *list {
-		for _, a := range analyzers.All {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	fset := token.NewFileSet()
-	pkgs, err := loader.Load(fset, ".", patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "libra-lint:", err)
-		return 1
-	}
-	var diags []analysis.Diagnostic
-	for _, pkg := range pkgs {
-		ds, err := runPackage(fset, pkg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "libra-lint:", err)
-			return 1
-		}
-		diags = append(diags, ds...)
-	}
-	printDiags(fset, diags)
-	if len(diags) > 0 && !*triage {
-		return 1
-	}
-	return 0
-}
-
-// runPackage applies every in-scope analyzer to one loaded package and
-// returns the unsuppressed findings.
-func runPackage(fset *token.FileSet, pkg *loader.Package) ([]analysis.Diagnostic, error) {
-	sup := analysis.NewSuppressor(fset, pkg.Files)
-	var diags []analysis.Diagnostic
-	for _, a := range analyzers.All {
-		if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
-			continue
-		}
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Report: func(d analysis.Diagnostic) {
-				if !sup.Suppressed(fset, d.Analyzer, d.Pos) {
-					diags = append(diags, d)
-				}
-			},
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.Path, err)
-		}
-	}
-	return diags, nil
-}
-
-func printDiags(fset *token.FileSet, diags []analysis.Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		return pi.Column < pj.Column
-	})
-	for _, d := range diags {
-		fmt.Printf("%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(pwd)/bin/libra-lint ./...")
+	os.Exit(1)
 }

@@ -9,6 +9,8 @@ import (
 	"os"
 	"strings"
 
+	"libra/internal/lint/analysis"
+	"libra/internal/lint/analyzers"
 	"libra/internal/lint/loader"
 )
 
@@ -83,7 +85,13 @@ func unitcheck(cfgPath string) int {
 		fmt.Fprintln(os.Stderr, "libra-lint:", err)
 		return 1
 	}
-	diags, err := runPackage(fset, pkg)
+	var run []*analysis.Analyzer
+	for _, a := range analyzers.All {
+		if a.AppliesTo == nil || a.AppliesTo(importPath) {
+			run = append(run, a)
+		}
+	}
+	diags, err := analysis.Run(fset, pkg.Files, pkg.Types, pkg.Info, run)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "libra-lint:", err)
 		return 1

@@ -93,8 +93,6 @@ func main() {
 			"disk-cache TTL for validate conformance outcomes (they age with the simulator code; 0 = never expire)")
 		compactBytes = flag.Int64("cache-compact-bytes", 4<<20,
 			"bytes appended to the disk-cache log since its last compaction that trigger the next one (negative disables)")
-		sweepEvery = flag.Duration("cache-sweep", 10*time.Minute,
-			"background expiry-sweep interval for the disk cache (0 disables; expiry is still enforced lazily on reads)")
 		warmupPath = flag.String("warmup", "",
 			"JSONL file of task envelopes replayed through the engine before serving (hot-spec warmup)")
 	)
@@ -115,8 +113,7 @@ func main() {
 				"evaluate": *ttlEvaluate,
 				"validate": *ttlValidate,
 			},
-			CompactBytes:  *compactBytes,
-			SweepInterval: *sweepEvery,
+			CompactBytes: *compactBytes,
 		})
 		if err != nil {
 			cliutil.Fatal("libra-serve", err)

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"libra"
 	"libra/internal/core"
 	"libra/internal/jobs"
+	"libra/internal/telemetry"
 )
 
 const tinyProblem = `{"topology":"RI(4)_SW(8)","budget_gbps":200,"workloads":[{"preset":"DLRM"}]}`
@@ -309,13 +311,12 @@ func TestV2JobEventsSSE(t *testing.T) {
 	}
 }
 
-// A ?from= equal to a live job's log length blocks until the job appends
-// its next event, then streams it: here the cancelled status event a
-// DELETE appends, which also ends the stream.
-func TestV2JobEventsFromLiveEnd(t *testing.T) {
-	srv, _, manager := testServerParts(t)
-	// A seconds-long perf-per-cost solve (7D fabric, 36 weighted targets,
-	// exact tolerance) appends nothing between running and its end.
+// startSlowJob submits a seconds-long perf-per-cost optimize job (7D
+// fabric, 36 weighted targets, exact tolerance), waits until it runs and
+// returns its id and its log length then: the job appends nothing more
+// between running and its end.
+func startSlowJob(t *testing.T, base string, manager *jobs.Manager) (string, int) {
+	t.Helper()
 	var ws []core.WorkloadSpec
 	for i := 0; i < 12; i++ {
 		for _, name := range []string{"GPT-3", "MSFT-1T", "Turing-NLG"} {
@@ -332,7 +333,7 @@ func TestV2JobEventsFromLiveEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, body := postJSON(t, srv.URL+"/v2/jobs", string(envelope))
+	resp, body := postJSON(t, base+"/v2/jobs", string(envelope))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
@@ -342,7 +343,6 @@ func TestV2JobEventsFromLiveEnd(t *testing.T) {
 	if err := json.Unmarshal(body, &submitted); err != nil {
 		t.Fatal(err)
 	}
-	var logLen int
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		j, err := manager.Get(submitted.ID)
@@ -350,16 +350,23 @@ func TestV2JobEventsFromLiveEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		if j.Status == jobs.StatusRunning {
-			logLen = j.Events
-			break
+			return submitted.ID, j.Events
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("job stuck in %q", j.Status)
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
 
-	stream, err := http.Get(fmt.Sprintf("%s/v2/jobs/%s/events?from=%d", srv.URL, submitted.ID, logLen))
+// A ?from= equal to a live job's log length blocks until the job appends
+// its next event, then streams it: here the cancelled status event a
+// DELETE appends, which also ends the stream.
+func TestV2JobEventsFromLiveEnd(t *testing.T) {
+	srv, _, manager := testServerParts(t)
+	id, logLen := startSlowJob(t, srv.URL, manager)
+
+	stream, err := http.Get(fmt.Sprintf("%s/v2/jobs/%s/events?from=%d", srv.URL, id, logLen))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +400,7 @@ func TestV2JobEventsFromLiveEnd(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v2/jobs/"+submitted.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v2/jobs/"+id, nil)
 	delResp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -414,6 +421,95 @@ func TestV2JobEventsFromLiveEnd(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Seq != logLen+1 || got[0].Type != jobs.EventStatus || got[0].Status != jobs.StatusCancelled {
 		t.Fatalf("streamed %+v, want only the cancelled status event at seq %d", got, logLen+1)
+	}
+}
+
+// A watcher that disconnects releases its follower: whatever ?from= it
+// joined at, once it has read what the stream sent and cancels its
+// request, libra_job_watchers and libra_http_requests_in_flight return
+// to their values before it came, and the job keeps running — a
+// departing watcher must not cancel the job.
+func TestV2JobWatcherDisconnectReleases(t *testing.T) {
+	srv, _, manager := testServerParts(t)
+	id, logLen := startSlowJob(t, srv.URL, manager)
+	defer func() {
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v2/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("DELETE job: status %d", resp.StatusCode)
+		}
+	}()
+
+	// waitGauges polls until both gauges read the wanted values.
+	waitGauges := func(t *testing.T, what string, watchers, inFlight int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for telemetry.JobWatchers.Value() != watchers || telemetry.HTTPInFlight.Value() != inFlight {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: libra_job_watchers = %d, libra_http_requests_in_flight = %d; want %d, %d",
+					what, telemetry.JobWatchers.Value(), telemetry.HTTPInFlight.Value(), watchers, inFlight)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		from int
+	}{{"from=0", 0}, {"from=1", 1}, {"from=live_end", logLen}} {
+		from := c.from
+		t.Run(c.name, func(t *testing.T) {
+			watchers, inFlight := telemetry.JobWatchers.Value(), telemetry.HTTPInFlight.Value()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			req, _ := http.NewRequestWithContext(ctx, http.MethodGet,
+				fmt.Sprintf("%s/v2/jobs/%s/events?from=%d", srv.URL, id, from), nil)
+			stream, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stream.Body.Close()
+			if stream.StatusCode != http.StatusOK {
+				t.Fatalf("stream status %d", stream.StatusCode)
+			}
+
+			// The stream replays the log past from, then waits for more.
+			want := logLen - from
+			read := make(chan int, 1)
+			go func() {
+				n := 0
+				scanner := bufio.NewScanner(stream.Body)
+				for n < want && scanner.Scan() {
+					if strings.HasPrefix(scanner.Text(), "data: ") {
+						n++
+					}
+				}
+				read <- n
+			}()
+			select {
+			case n := <-read:
+				if n != want {
+					t.Fatalf("read %d events before the stream ended, want %d", n, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("stream never sent the %d events past seq %d", want, from)
+			}
+			waitGauges(t, "watching", watchers+1, inFlight+1)
+
+			cancel()
+			waitGauges(t, "after the watcher left", watchers, inFlight)
+			j, err := manager.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.Status != jobs.StatusRunning {
+				t.Fatalf("job %s after the watcher left, want running", j.Status)
+			}
+		})
 	}
 }
 

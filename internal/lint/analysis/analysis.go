@@ -5,7 +5,7 @@
 // Why not the real thing: the repository's go.mod is deliberately
 // dependency-free (see the note there), so the lint suite runs on the
 // standard library alone — go/ast + go/types for analysis,
-// `go list -export` for load (internal/lint/loader). The API mirrors
+// export data from cmd/go for imports (internal/lint/loader). The API mirrors
 // x/tools closely enough that migrating an analyzer to the upstream
 // framework is a mechanical import swap: Run takes a *Pass carrying the
 // same Fset/Files/Pkg/TypesInfo fields and reports through the same
@@ -25,7 +25,7 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //libra:allow suppression directives.
 	Name string
-	// Doc is the one-paragraph description `libra-lint -list` prints.
+	// Doc describes the check in one paragraph.
 	Doc string
 	// AppliesTo optionally narrows which packages the driver runs the
 	// analyzer on (nil means every package). Fixture runs
@@ -43,8 +43,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Report receives each finding; the driver owns collection,
-	// suppression, and rendering.
+	// Report receives each finding; Run owns collection and
+	// suppression, its caller the rendering.
 	Report func(Diagnostic)
 }
 
@@ -89,15 +89,35 @@ type allowKey struct {
 	name string
 }
 
-// Suppressor answers whether a diagnostic is covered by an inline
-// //libra:allow directive.
-type Suppressor struct {
-	allows map[allowKey]bool
+// Run applies each analyzer to one type-checked package and returns the
+// findings that no //libra:allow directive covers. It is the only pass
+// runner: the vet tool (cmd/libra-lint) calls it with the analyzers whose
+// AppliesTo admits the package, and the fixture harness
+// (internal/lint/analysistest) with the one analyzer under test.
+func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
+	allows := scanAllows(fset, files)
+	var diags []Diagnostic
+	report := func(d Diagnostic) {
+		p := fset.Position(d.Pos)
+		for _, line := range []int{p.Line, p.Line - 1} {
+			if allows[allowKey{p.Filename, line, d.Analyzer}] || allows[allowKey{p.Filename, line, "all"}] {
+				return
+			}
+		}
+		diags = append(diags, d)
+	}
+	for _, a := range analyzers {
+		pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, Report: report}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.Path(), err)
+		}
+	}
+	return diags, nil
 }
 
-// NewSuppressor scans the files' comments for allow directives.
-func NewSuppressor(fset *token.FileSet, files []*ast.File) *Suppressor {
-	s := &Suppressor{allows: map[allowKey]bool{}}
+// scanAllows collects the files' allow directives.
+func scanAllows(fset *token.FileSet, files []*ast.File) map[allowKey]bool {
+	allows := map[allowKey]bool{}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -110,28 +130,9 @@ func NewSuppressor(fset *token.FileSet, files []*ast.File) *Suppressor {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				s.allows[allowKey{pos.Filename, pos.Line, fields[0]}] = true
+				allows[allowKey{pos.Filename, pos.Line, fields[0]}] = true
 			}
 		}
 	}
-	return s
-}
-
-// Add merges another file set's directives (the driver scans per package).
-func (s *Suppressor) Add(other *Suppressor) {
-	for k := range other.allows {
-		s.allows[k] = true
-	}
-}
-
-// Suppressed reports whether a finding by the named analyzer at pos is
-// covered by a directive on its line or the line above.
-func (s *Suppressor) Suppressed(fset *token.FileSet, name string, pos token.Pos) bool {
-	p := fset.Position(pos)
-	for _, line := range []int{p.Line, p.Line - 1} {
-		if s.allows[allowKey{p.Filename, line, name}] || s.allows[allowKey{p.Filename, line, "all"}] {
-			return true
-		}
-	}
-	return false
+	return allows
 }

@@ -8,9 +8,9 @@
 // packages are invisible to normal builds and to libra-lint's own
 // repository runs. Each line carrying one or more want comments must
 // produce a matching diagnostic for each, and every diagnostic must be
-// claimed by a want on its line. Inline //libra:allow directives are
-// honored exactly as the real driver honors them, so suppression
-// behavior is testable too.
+// claimed by a want on its line. The analyzer runs through analysis.Run,
+// the same runner the vet tool uses, so inline //libra:allow directives
+// are honored exactly as in a real run and suppression is testable too.
 //
 // Fixture imports must stay within the repository's dependency closure
 // (any libra package, and the stdlib packages the repository already
@@ -101,22 +101,9 @@ func RunAs(t *testing.T, a *analysis.Analyzer, pkg, importPath string) {
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	sup := analysis.NewSuppressor(fset, fpkg.Files)
-	var got []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     fpkg.Files,
-		Pkg:       fpkg.Types,
-		TypesInfo: fpkg.Info,
-		Report: func(d analysis.Diagnostic) {
-			if !sup.Suppressed(fset, d.Analyzer, d.Pos) {
-				got = append(got, d)
-			}
-		},
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("analysistest: %s: %v", a.Name, err)
+	got, err := analysis.Run(fset, fpkg.Files, fpkg.Types, fpkg.Info, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("analysistest: %v", err)
 	}
 	compare(t, fset, fpkg, got)
 }

@@ -1,9 +1,9 @@
-// Package loader type-checks module packages for cmd/libra-lint using
-// only the standard library and the go command: `go list -export` builds
-// (and caches) export data for every dependency, and go/importer's gc
-// importer reads it back, so a full-repo lint run costs one cached build
-// plus parsing the target sources. This replaces x/tools' go/packages,
-// which the repository deliberately does not depend on (see go.mod).
+// Package loader type-checks packages for cmd/libra-lint using only the
+// standard library: go/importer's gc importer reads the export data the
+// go command builds. In vet-tool mode cmd/go hands the tool that export
+// map per package; the analysistest fixture harness builds it once with
+// `go list -export` (Exports). This replaces x/tools' go/packages, which
+// the repository deliberately does not depend on (see go.mod).
 package loader
 
 import (
@@ -18,7 +18,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 
 	"libra/internal/lint/analysis"
 )
@@ -26,27 +25,15 @@ import (
 // Package is one parsed, type-checked target package.
 type Package struct {
 	Path  string
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
 }
 
-// listPkg is the subset of `go list -json` output the loader consumes.
-type listPkg struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	CgoFiles   []string
-	Standard   bool
-	Error      *struct{ Err string }
-	DepsErrors []struct{ Err string }
-}
-
-const listFields = "-json=ImportPath,Dir,Export,GoFiles,CgoFiles,Standard,Error,DepsErrors"
-
-func goList(dir string, args ...string) ([]listPkg, error) {
+// Exports builds export data for the patterns' full dependency graphs
+// under dir and returns the import-path → export-file map.
+func Exports(dir string, patterns ...string) (map[string]string, error) {
+	args := append([]string{"-e", "-export", "-deps", "-json=ImportPath,Export"}, patterns...)
 	cmd := exec.Command("go", append([]string{"list"}, args...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -55,31 +42,15 @@ func goList(dir string, args ...string) ([]listPkg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("go list %v: %v\n%s", args, err, stderr.String())
 	}
-	var pkgs []listPkg
+	exports := map[string]string{}
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
-		var p listPkg
+		var p struct{ ImportPath, Export string }
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("go list %v: decoding output: %v", args, err)
 		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
-// Exports builds export data for the patterns' full dependency graphs and
-// returns the import-path → export-file map. Shared by Load and the
-// analysistest fixture loader.
-func Exports(dir string, patterns ...string) (map[string]string, error) {
-	args := append([]string{"-e", "-export", "-deps", listFields}, patterns...)
-	pkgs, err := goList(dir, args...)
-	if err != nil {
-		return nil, err
-	}
-	exports := map[string]string{}
-	for _, p := range pkgs {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
@@ -123,40 +94,4 @@ func ParseAndCheck(fset *token.FileSet, path string, files []string, imp types.I
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)
 	}
 	return &Package{Path: path, Files: asts, Types: tpkg, Info: info}, nil
-}
-
-// Load lists, parses, and type-checks every package matched by patterns
-// under dir. The returned packages share fset.
-func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, error) {
-	targets, err := goList(dir, append([]string{"-e", listFields}, patterns...)...)
-	if err != nil {
-		return nil, err
-	}
-	for _, t := range targets {
-		if t.Error != nil {
-			return nil, fmt.Errorf("loading %s: %s", t.ImportPath, t.Error.Err)
-		}
-	}
-	exports, err := Exports(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	imp := ExportImporter(fset, exports, nil)
-	var pkgs []*Package
-	for _, t := range targets {
-		var files []string
-		for _, f := range append(append([]string{}, t.GoFiles...), t.CgoFiles...) {
-			files = append(files, filepath.Join(t.Dir, f))
-		}
-		if len(files) == 0 {
-			continue
-		}
-		p, err := ParseAndCheck(fset, t.ImportPath, files, imp)
-		if err != nil {
-			return nil, err
-		}
-		p.Dir = t.Dir
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
 }

@@ -5,7 +5,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -42,66 +41,53 @@ import "example.com/m/a"
 
 var Shout = a.Upper("hi")
 `
-	// srcATest must stay invisible: analyzers see non-test sources only.
-	srcATest = `package a
-
-import "testing"
-
-func TestUpper(t *testing.T) {}
-`
 )
 
+// TestLoadTypeChecksModulePackages loads a package the way vet-tool mode
+// does: b's import of a resolves through a's export data.
 func TestLoadTypeChecksModulePackages(t *testing.T) {
 	dir := writeModule(t, map[string]string{
-		"a/a.go":      srcA,
-		"a/a_test.go": srcATest,
-		"b/b.go":      srcB,
+		"a/a.go": srcA,
+		"b/b.go": srcB,
 	})
-	fset := token.NewFileSet()
-	pkgs, err := Load(fset, dir, "./...")
+	exports, err := Exports(dir, "./b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var paths []string
-	for _, p := range pkgs {
-		paths = append(paths, p.Path)
-		if len(p.Files) != 1 {
-			t.Errorf("%s: %d files, want 1 (non-test sources only)", p.Path, len(p.Files))
-		}
-		if p.Dir == "" || p.Types == nil || p.Info == nil {
-			t.Errorf("%s: incomplete package %+v", p.Path, p)
-		}
+	fset := token.NewFileSet()
+	imp := ExportImporter(fset, exports, nil)
+	p, err := ParseAndCheck(fset, "example.com/m/b", []string{filepath.Join(dir, "b", "b.go")}, imp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Strings(paths)
-	if strings.Join(paths, " ") != "example.com/m/a example.com/m/b" {
-		t.Fatalf("loaded %v", paths)
+	if p.Path != "example.com/m/b" || len(p.Files) != 1 || p.Types == nil || p.Info == nil {
+		t.Fatalf("incomplete package %+v", p)
 	}
-	// b's import of a resolved through a's export data.
-	for _, p := range pkgs {
-		if p.Path != "example.com/m/b" {
-			continue
-		}
-		shout := p.Types.Scope().Lookup("Shout")
-		if shout == nil || shout.Type().String() != "string" {
-			t.Fatalf("b.Shout = %v, want a string variable", shout)
-		}
+	shout := p.Types.Scope().Lookup("Shout")
+	if shout == nil || shout.Type().String() != "string" {
+		t.Fatalf("b.Shout = %v, want a string variable", shout)
 	}
 }
 
 func TestLoadErrors(t *testing.T) {
 	cases := []struct {
-		name  string
-		files map[string]string
-		want  string
+		name string
+		src  string
+		want string
 	}{
-		{"mixed package names", map[string]string{"c/c.go": "package c\n", "c/d.go": "package d\n"}, "loading example.com/m/c"},
-		{"missing import", map[string]string{"c/c.go": "package c\n\nimport _ \"example.com/m/missing\"\n"}, "could not import example.com/m/missing"},
-		{"type error", map[string]string{"c/c.go": "package c\n\nvar x int = \"s\"\n"}, "type-checking example.com/m/c"},
+		{"missing import", "package c\n\nimport _ \"example.com/m/missing\"\n", "could not import example.com/m/missing"},
+		{"type error", "package c\n\nvar x int = \"s\"\n", "type-checking example.com/m/c"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			dir := writeModule(t, c.files)
-			_, err := Load(token.NewFileSet(), dir, "./...")
+			dir := writeModule(t, map[string]string{"c/c.go": c.src})
+			exports, err := Exports(dir, "./c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fset := token.NewFileSet()
+			imp := ExportImporter(fset, exports, nil)
+			_, err = ParseAndCheck(fset, "example.com/m/c", []string{filepath.Join(dir, "c", "c.go")}, imp)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want it to mention %q", err, c.want)
 			}
@@ -113,9 +99,6 @@ func TestGoListFailure(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "does-not-exist")
 	if _, err := Exports(missing, "./..."); err == nil || !strings.Contains(err.Error(), "go list") {
 		t.Fatalf("Exports in a missing dir: err = %v", err)
-	}
-	if _, err := Load(token.NewFileSet(), missing, "./..."); err == nil {
-		t.Fatal("Load in a missing dir succeeded")
 	}
 }
 

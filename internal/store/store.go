@@ -64,8 +64,9 @@ type Config struct {
 	// appended to the log since the last compaction (default 4 MiB;
 	// negative disables auto-compaction).
 	CompactBytes int64
-	// SweepInterval runs a background expiry sweep this often
-	// (default 0: disabled; Get still enforces expiry lazily).
+	// Deprecated: SweepInterval is ignored. Expiry is enforced on read
+	// and at compaction; the field remains only so existing callers (the
+	// e2ebench harness) still compile.
 	SweepInterval time.Duration
 }
 
@@ -98,9 +99,6 @@ type Store struct {
 
 	// Lock-free counters: Get bumps them under the read lock.
 	hits, misses, expired, stale, puts, putErrors, compactions atomic.Uint64
-
-	sweepStop chan struct{}
-	sweepDone chan struct{}
 }
 
 // Open opens (or initializes) the store under cfg.Dir, recovering
@@ -143,12 +141,6 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	s.publishGauges()
-
-	if cfg.SweepInterval > 0 {
-		s.sweepStop = make(chan struct{})
-		s.sweepDone = make(chan struct{})
-		go s.sweepLoop(cfg.SweepInterval)
-	}
 	return s, nil
 }
 
@@ -226,8 +218,8 @@ func (e indexEntry) expiredAt(now int64) bool {
 	return e.expiresAt != 0 && now >= e.expiresAt
 }
 
-// Get implements core.ResultStore. An expired entry is a miss (and is
-// dropped from the index so a sweep isn't required for correctness).
+// Get implements core.ResultStore. An expired entry is a miss and is
+// dropped from the index; compaction drops the ones never read again.
 func (s *Store) Get(kind, key string) ([]byte, float64, bool) {
 	s.mu.RLock()
 	if s.closed {
@@ -327,44 +319,6 @@ func (s *Store) Put(kind, key string, data []byte, elapsedMS float64) (err error
 		}
 	}
 	return nil
-}
-
-// SweepExpired drops every expired entry from the index, returning how
-// many it removed. Disk space is reclaimed by the next compaction.
-func (s *Store) SweepExpired() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0
-	}
-	now := s.now().UnixNano()
-	removed := 0
-	for k, e := range s.index {
-		if e.expiredAt(now) {
-			delete(s.index, k)
-			s.expired.Add(1)
-			telemetry.StoreExpired.With(e.kind).Inc()
-			removed++
-		}
-	}
-	if removed > 0 {
-		s.publishGauges()
-	}
-	return removed
-}
-
-func (s *Store) sweepLoop(interval time.Duration) {
-	defer close(s.sweepDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			s.SweepExpired()
-		case <-s.sweepStop:
-			return
-		}
-	}
 }
 
 // Compact rewrites the live, unexpired index as a fresh log (write tmp
@@ -495,14 +449,10 @@ func (s *Store) publishGauges() {
 	telemetry.StoreBytes.Set(s.logSize)
 }
 
-// Close stops the sweeper and releases file handles. It deliberately
-// does not compact: shutdown leaves exactly the crash-recovery state, so
-// the recovery path is the only open path there is.
+// Close releases file handles. It deliberately does not compact:
+// shutdown leaves exactly the crash-recovery state, so the recovery path
+// is the only open path there is.
 func (s *Store) Close() error {
-	if s.sweepStop != nil {
-		close(s.sweepStop)
-		<-s.sweepDone
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"libra/internal/core"
 )
@@ -470,28 +469,5 @@ func TestDecodeLogBounds(t *testing.T) {
 	_, tail, _, err = DecodeLog(data)
 	if err != nil || tail != headerLen {
 		t.Fatalf("oversized length: tail %d err %v", tail, err)
-	}
-}
-
-// TestSweepInterval: the background sweeper drops expired entries
-// without any Get traffic.
-func TestSweepInterval(t *testing.T) {
-	clk := newFakeClock()
-	s := openTest(t, t.TempDir(), Config{
-		TTLs:          map[string]time.Duration{"validate": time.Minute},
-		Now:           clk.Now,
-		SweepInterval: time.Millisecond,
-	})
-	mustPut(t, s, "validate", core.AnswerEpoch+"validate|x", []byte("ages"))
-	clk.Advance(2 * time.Minute)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Len() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("sweeper never removed the expired entry")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if s.Stats().Expired == 0 {
-		t.Fatal("expired counter never bumped")
 	}
 }

@@ -19,7 +19,7 @@ type payload struct {
 
 // TestStoreEngineStress (run under -race) hammers one engine + store
 // pair with concurrent mixed-kind DoCodec traffic over shared keys while
-// expiry sweeps and compactions run in the background. The invariant:
+// clock advances and compactions run in the background. The invariant:
 // a never-expiring key is computed exactly once, no matter how the
 // memory LRU (deliberately undersized here), the disk tier, and
 // single-flight interleave — a duplicate solve means a tier raced past
@@ -44,8 +44,8 @@ func TestStoreEngineStress(t *testing.T) {
 	ctx := context.Background()
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
-	// Background churn: expiry sweeps, compactions, and clock advances
-	// racing the request traffic.
+	// Background churn: compactions and clock advances racing the
+	// request traffic.
 	churn.Add(1)
 	go func() {
 		defer churn.Done()
@@ -56,7 +56,6 @@ func TestStoreEngineStress(t *testing.T) {
 			default:
 			}
 			clk.Advance(10 * time.Second)
-			st.SweepExpired()
 			if i%3 == 0 {
 				if err := st.Compact(); err != nil {
 					t.Errorf("compact: %v", err)
