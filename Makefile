@@ -224,9 +224,12 @@ validate:
 
 # validate-baseline regenerates the committed golden divergence report.
 # Re-run after intentional estimator or simulator changes and commit the
-# result.
+# result. The baseline's SHA-256 is pinned next to core.AnswerEpoch, so
+# the epoch pin test runs right after: a regeneration that moved any byte
+# fails here, asking to bump AnswerEpoch and re-pin.
 validate-baseline:
 	$(GO) run ./cmd/libra -validate -baseline VALIDATION_baseline.json
+	$(GO) test ./internal/core -run TestAnswerEpochPins
 
 # validate-check is exactly what CI runs: regenerate the report and fail
 # on any divergence drift from the committed baseline (or any tolerance

@@ -4,7 +4,7 @@
 //	libra-serve -addr :8080 -workers 8 -cache 1024
 //
 // The v2 surface speaks the unified task envelope
-// {"kind": "optimize|evaluate|sweep|frontier|codesign|validate",
+// {"kind": "optimize|evaluate|sweep|frontier|codesign|validate|cluster",
 // "spec": <that kind's request payload>} — synchronously or as
 // observable, cancellable background jobs:
 //
@@ -28,6 +28,7 @@
 //	POST /v1/frontier  {"spec": ..., "frontier": {...}} → FrontierResult
 //	POST /v1/codesign  CoDesignSpec                     → CoDesignReport
 //	POST /v1/validate  ValidateSpec (empty = defaults)  → ValidationReport
+//	POST /v1/cluster   ClusterSpec (empty = defaults)   → ClusterReport
 //
 // Errors are JSON {"error": <message>, "code": <stable machine code>}
 // with codes bad_spec, cancelled, unavailable, not_found,
@@ -85,12 +86,6 @@ func main() {
 
 		cacheDir = flag.String("cache-dir", "",
 			"directory for the persistent result cache (empty = memory-only)")
-		ttlOptimize = flag.Duration("cache-ttl-optimize", 0,
-			"disk-cache TTL for optimize/frontier/codesign/cluster results (0 = never expire; solves are pure functions of the fingerprint on a pinned model version)")
-		ttlEvaluate = flag.Duration("cache-ttl-evaluate", 0,
-			"disk-cache TTL for evaluate results (0 = never expire)")
-		ttlValidate = flag.Duration("cache-ttl-validate", 24*time.Hour,
-			"disk-cache TTL for validate conformance outcomes (they age with the simulator code; 0 = never expire)")
 		compactBytes = flag.Int64("cache-compact-bytes", 4<<20,
 			"bytes appended to the disk-cache log since its last compaction that trigger the next one (negative disables)")
 		warmupPath = flag.String("warmup", "",
@@ -106,15 +101,7 @@ func main() {
 
 	engineCfg := libra.EngineConfig{Workers: *workers, CacheSize: *cache}
 	if *cacheDir != "" {
-		st, err := store.Open(store.Config{
-			Dir: *cacheDir,
-			TTLs: map[string]time.Duration{
-				"optimize": *ttlOptimize,
-				"evaluate": *ttlEvaluate,
-				"validate": *ttlValidate,
-			},
-			CompactBytes: *compactBytes,
-		})
+		st, err := store.Open(store.Config{Dir: *cacheDir, CompactBytes: *compactBytes})
 		if err != nil {
 			cliutil.Fatal("libra-serve", err)
 		}

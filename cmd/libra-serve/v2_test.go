@@ -359,26 +359,13 @@ func startSlowJob(t *testing.T, base string, manager *jobs.Manager) (string, int
 	}
 }
 
-// A ?from= equal to a live job's log length blocks until the job appends
-// its next event, then streams it: here the cancelled status event a
-// DELETE appends, which also ends the stream.
-func TestV2JobEventsFromLiveEnd(t *testing.T) {
-	srv, _, manager := testServerParts(t)
-	id, logLen := startSlowJob(t, srv.URL, manager)
-
-	stream, err := http.Get(fmt.Sprintf("%s/v2/jobs/%s/events?from=%d", srv.URL, id, logLen))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
-	if stream.StatusCode != http.StatusOK {
-		t.Fatalf("stream status %d", stream.StatusCode)
-	}
-	events, stop := make(chan jobs.Event), make(chan struct{})
-	defer close(stop) // before the body closes, so the reader can return
+// readEvents parses the data lines of an SSE stream onto a channel,
+// closed when the stream ends or stop closes.
+func readEvents(t *testing.T, body io.Reader, stop <-chan struct{}) <-chan jobs.Event {
+	events := make(chan jobs.Event)
 	go func() {
 		defer close(events)
-		scanner := bufio.NewScanner(stream.Body)
+		scanner := bufio.NewScanner(body)
 		for scanner.Scan() {
 			if data, ok := strings.CutPrefix(scanner.Text(), "data: "); ok {
 				var ev jobs.Event
@@ -394,6 +381,27 @@ func TestV2JobEventsFromLiveEnd(t *testing.T) {
 			}
 		}
 	}()
+	return events
+}
+
+// A ?from= equal to a live job's log length blocks until the job appends
+// its next event, then streams it: here the cancelled status event a
+// DELETE appends, which also ends the stream.
+func TestV2JobEventsFromLiveEnd(t *testing.T) {
+	srv, _, manager := testServerParts(t)
+	id, logLen := startSlowJob(t, srv.URL, manager)
+
+	stream, err := http.Get(fmt.Sprintf("%s/v2/jobs/%s/events?from=%d", srv.URL, id, logLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	if stream.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", stream.StatusCode)
+	}
+	stop := make(chan struct{})
+	defer close(stop) // before the body closes, so the reader can return
+	events := readEvents(t, stream.Body, stop)
 	select {
 	case ev, ok := <-events:
 		t.Fatalf("stream at the live end of the log did not block: event %+v, open %v", ev, ok)
@@ -424,6 +432,20 @@ func TestV2JobEventsFromLiveEnd(t *testing.T) {
 	}
 }
 
+// waitGauges polls until libra_job_watchers and
+// libra_http_requests_in_flight read the wanted values.
+func waitGauges(t *testing.T, what string, watchers, inFlight int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for telemetry.JobWatchers.Value() != watchers || telemetry.HTTPInFlight.Value() != inFlight {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: libra_job_watchers = %d, libra_http_requests_in_flight = %d; want %d, %d",
+				what, telemetry.JobWatchers.Value(), telemetry.HTTPInFlight.Value(), watchers, inFlight)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // A watcher that disconnects releases its follower: whatever ?from= it
 // joined at, once it has read what the stream sent and cancels its
 // request, libra_job_watchers and libra_http_requests_in_flight return
@@ -443,19 +465,6 @@ func TestV2JobWatcherDisconnectReleases(t *testing.T) {
 			t.Errorf("DELETE job: status %d", resp.StatusCode)
 		}
 	}()
-
-	// waitGauges polls until both gauges read the wanted values.
-	waitGauges := func(t *testing.T, what string, watchers, inFlight int64) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for telemetry.JobWatchers.Value() != watchers || telemetry.HTTPInFlight.Value() != inFlight {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: libra_job_watchers = %d, libra_http_requests_in_flight = %d; want %d, %d",
-					what, telemetry.JobWatchers.Value(), telemetry.HTTPInFlight.Value(), watchers, inFlight)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 
 	for _, c := range []struct {
 		name string
@@ -510,6 +519,110 @@ func TestV2JobWatcherDisconnectReleases(t *testing.T) {
 				t.Fatalf("job %s after the watcher left, want running", j.Status)
 			}
 		})
+	}
+}
+
+// A watcher that disconnects while a frontier job's progress events are
+// streaming releases its follower and leaves the job running to done;
+// a client that then resumes at ?from= the last seq it read gets each
+// remaining event exactly once, ending with the terminal event.
+func TestV2JobWatcherDisconnectMidStream(t *testing.T) {
+	srv, _, manager := testServerParts(t)
+	// ~1000 perf-per-cost solves: about half a second of progress events
+	// on a 2-core host, far longer than reading the first few.
+	envelope := `{"kind":"frontier","spec":{"spec":{"topology":"4D-4K","budget_gbps":500,"objective":"perf-per-cost",` +
+		`"workloads":[{"preset":"GPT-3"},{"preset":"MSFT-1T"},{"preset":"Turing-NLG"}]},` +
+		`"frontier":{"budget_min":100,"budget_max":1000,"budget_steps":1000,"skip_equal_bw":true}}}`
+	resp, body := postJSON(t, srv.URL+"/v2/jobs", envelope)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", resp.StatusCode, body)
+	}
+	var submitted struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &submitted); err != nil {
+		t.Fatal(err)
+	}
+	id := submitted.ID
+
+	watchers, inFlight := telemetry.JobWatchers.Value(), telemetry.HTTPInFlight.Value()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v2/jobs/"+id+"/events", nil)
+	stream, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	stop := make(chan struct{})
+	events := readEvents(t, stream.Body, stop)
+
+	// Read into the progress events, then leave while they still flow.
+	const k = 8
+	last := 0
+	timeout := time.After(10 * time.Second)
+	for last < k {
+		select {
+		case ev, ok := <-events:
+			if !ok {
+				t.Fatalf("stream ended after seq %d", last)
+			}
+			if ev.Seq != last+1 {
+				t.Fatalf("event seq %d after %d", ev.Seq, last)
+			}
+			last = ev.Seq
+		case <-timeout:
+			t.Fatalf("stream sent only %d events", last)
+		}
+	}
+	waitGauges(t, "watching", watchers+1, inFlight+1)
+	if j, err := manager.Get(id); err != nil || j.Status != jobs.StatusRunning {
+		t.Fatalf("job %+v (err %v) after %d events, want running: the frontier is too short to leave mid-stream", j, err, k)
+	}
+	close(stop)
+	cancel()
+	waitGauges(t, "after the watcher left", watchers, inFlight)
+
+	waitJob(t, srv.URL, id)
+	j, err := manager.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Status != jobs.StatusDone {
+		t.Fatalf("job %s after the watcher left, want done", j.Status)
+	}
+
+	resumed, err := http.Get(fmt.Sprintf("%s/v2/jobs/%s/events?from=%d", srv.URL, id, last))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Body.Close()
+	var rest []jobs.Event
+	stopTail := make(chan struct{})
+	defer close(stopTail)
+	tail := readEvents(t, resumed.Body, stopTail)
+	timeout = time.After(10 * time.Second)
+	for open := true; open; {
+		select {
+		case ev, ok := <-tail:
+			if ok {
+				rest = append(rest, ev)
+			}
+			open = ok
+		case <-timeout:
+			t.Fatalf("resumed stream did not end; got %d events", len(rest))
+		}
+	}
+	if len(rest) != j.Events-last {
+		t.Fatalf("resumed at seq %d: got %d events, want %d", last, len(rest), j.Events-last)
+	}
+	for i, ev := range rest {
+		if ev.Seq != last+1+i {
+			t.Fatalf("resumed event %d has seq %d, want %d", i, ev.Seq, last+1+i)
+		}
+	}
+	if end := rest[len(rest)-1]; end.Type != jobs.EventStatus || end.Status != jobs.StatusDone {
+		t.Fatalf("resumed stream ends with %+v, want the done status event", end)
 	}
 }
 

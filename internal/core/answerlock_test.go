@@ -108,17 +108,23 @@ func TestAnswerLock(t *testing.T) {
 	}
 }
 
-// TestAnswerEpochPinsAnswerLock: regenerating the answer lock means
-// answers moved under unchanged fingerprints, and a disk store written
-// before the move would keep serving the old ones, so the lock's hash is
-// pinned next to AnswerEpoch and both move together.
+// TestAnswerEpochPinsAnswerLock: regenerating the answer lock or the
+// conformance baseline means answers moved under unchanged fingerprints,
+// and a disk store written before the move would keep serving the old
+// ones, so each file's hash is pinned next to AnswerEpoch and they move
+// together.
 func TestAnswerEpochPinsAnswerLock(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "answerlock.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum := fmt.Sprintf("%x", sha256.Sum256(data)); sum != answerLockSHA256 {
-		t.Errorf("answerlock.golden changed (sha256 %s, pinned %s): bump AnswerEpoch past %q and re-pin answerLockSHA256 next to it",
-			sum, answerLockSHA256, AnswerEpoch)
+	for _, pin := range []struct{ path, name, sha string }{
+		{filepath.Join("testdata", "answerlock.golden"), "answerLockSHA256", answerLockSHA256},
+		{filepath.Join("..", "..", "VALIDATION_baseline.json"), "validationBaselineSHA256", validationBaselineSHA256},
+	} {
+		data, err := os.ReadFile(pin.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(data)); sum != pin.sha {
+			t.Errorf("%s changed (sha256 %s, pinned %s): bump AnswerEpoch past %q and re-pin %s next to it",
+				pin.path, sum, pin.sha, AnswerEpoch, pin.name)
+		}
 	}
 }

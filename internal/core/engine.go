@@ -250,9 +250,9 @@ func opOf(key string) (op, span string) {
 
 // doShared runs one cached, single-flighted, worker-bounded computation:
 // memory LRU, then (when a store and codec are present) the disk tier,
-// then the computation itself. The memory tier deliberately skips TTL
-// checks — TTLs bound disk-tier staleness across restarts; an in-process
-// LRU entry is at most as old as the process.
+// then the computation itself. Neither tier expires entries: the answer
+// epoch in every disk key retires answers across code changes, and an
+// in-process LRU entry was computed by the code that is running.
 func (e *Engine) doShared(ctx context.Context, key string, codec Codec, compute func(context.Context) (any, error)) (cacheEntry, bool, error) {
 	if err := e.baseCtx.Err(); err != nil {
 		return cacheEntry{}, false, fmt.Errorf("core: engine closed: %w", err)

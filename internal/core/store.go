@@ -6,32 +6,39 @@ import (
 	"fmt"
 )
 
-// AnswerEpoch versions the answers the engine persists: every disk-tier
-// key the engine reads or writes starts with it, and store.Open skips
-// records written under any other epoch (epoch 1's keys carry no
-// prefix). A fingerprint names a question, not the code that answered
-// it, so a solver or model change that moves answer bits under unchanged
-// fingerprints bumps the epoch in the same change that regenerates
-// testdata/answerlock.golden, and re-pins answerLockSHA256 below
+// AnswerEpoch versions the answers the engine persists, validate
+// outcomes included: every disk-tier key the engine reads or writes
+// starts with it, and store.Open skips records written under any other
+// epoch (epoch 1's keys carry no prefix). It is the only rule that
+// retires a persisted answer. A fingerprint names a question, not the
+// code that answered it, so a solver, model or simulator change that
+// moves answer bits under unchanged fingerprints bumps the epoch in the
+// same change that regenerates testdata/answerlock.golden or
+// VALIDATION_baseline.json, and re-pins the matching SHA-256 below
 // (TestAnswerEpochPinsAnswerLock). Fingerprints, and the ETags made from
 // them, stay unversioned. Epoch 2 picks each start's local search by
 // convexity.
 const AnswerEpoch = "e2|"
 
-// answerLockSHA256 is the SHA-256 of testdata/answerlock.golden at
-// AnswerEpoch.
-const answerLockSHA256 = "7f3f1be03bf50be5ca76203e43a18224ccbf800c7d02a91bb60cdcdc5f2839cd"
+// answerLockSHA256 and validationBaselineSHA256 are the SHA-256s of
+// testdata/answerlock.golden and of the repository's
+// VALIDATION_baseline.json at AnswerEpoch.
+const (
+	answerLockSHA256         = "7f3f1be03bf50be5ca76203e43a18224ccbf800c7d02a91bb60cdcdc5f2839cd"
+	validationBaselineSHA256 = "7671418215e777e49823452474f573df5491fdd4f3a95d5475ce4d9497d19079"
+)
 
 // ResultStore is the engine's second cache tier: a durable,
 // fingerprint-keyed byte store consulted on LRU miss and written behind
 // fresh solves (memory → disk → solve). internal/store provides the
 // disk-backed implementation; core only sees this seam, so persistence
 // stays pluggable (ROADMAP: distributed serving swaps in a remote tier).
-// Implementations must be safe for concurrent use. kind is the TTL class
-// the engine derives from the key prefix (optimize|evaluate|validate|other).
+// Implementations must be safe for concurrent use. kind is a metric
+// label the engine derives from the key prefix
+// (optimize|evaluate|validate|other).
 type ResultStore interface {
 	// Get returns the stored payload and the original computation's wall
-	// time. ok is false when the key is absent or its TTL has elapsed.
+	// time. ok is false when the key is absent.
 	Get(kind, key string) (data []byte, elapsedMS float64, ok bool)
 	// Put persists one computed result. Errors are reported but must not
 	// fail the computation — the disk tier is an accelerator, not a
@@ -44,11 +51,11 @@ type ResultStore interface {
 // DiskStats is the disk tier's view of cache effectiveness, surfaced
 // through EngineStats and the libra_store_* metric series.
 type DiskStats struct {
-	Hits    uint64 `json:"hits"`
-	Misses  uint64 `json:"misses"`
-	Expired uint64 `json:"expired"`
-	// Stale counts recovered entries written at another answer epoch:
-	// never served, dropped by the next compaction.
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	// Stale counts recovered entries written at another answer epoch, or
+	// stamped with an expiry by an earlier build: never served, dropped by
+	// the next compaction.
 	Stale uint64 `json:"stale"`
 	Puts  uint64 `json:"puts"`
 	// PutErrors counts Put calls that returned an error, including a

@@ -9,11 +9,9 @@ import (
 // ClockInjectPackages lists the packages that declare an injectable clock
 // (a `now func() time.Time` field defaulting to time.Now). Inside them,
 // calling time.Now()/time.Since() directly would bypass the injected
-// clock and break the fake-clock TTL tests (internal/store/ttl_test.go,
-// the jobs retention sweeps).
+// clock and break the fake-clock tests of the jobs retention sweeps.
 var ClockInjectPackages = map[string]bool{
-	"libra/internal/store": true,
-	"libra/internal/jobs":  true,
+	"libra/internal/jobs": true,
 }
 
 // ClockInject flags direct wall-clock reads in packages with an

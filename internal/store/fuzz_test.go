@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"libra/internal/core"
 )
@@ -101,10 +100,11 @@ func FuzzStoreLog(f *testing.F) {
 // FuzzStoreOpen writes arbitrary bytes (seeded with a valid log and its
 // torn, corrupt, foreign and empty variants) as store.log and opens the
 // store on it — the only recovery input there is. Open never fails or
-// panics; it serves exactly the last record of each current-epoch key
-// the decoder accepts (unless expired); a Put then Get round-trips; and
-// after a compaction, Close and reopen the same keys serve the same
-// bytes.
+// panics; a key the decoder accepts is served exactly when its last
+// record carries the current epoch and no expiry stamp (ExpiresAt 0),
+// and then with that record's bytes; every other record counts as
+// stale; a Put then Get round-trips; and after a compaction, Close and
+// reopen the same keys serve the same bytes.
 func FuzzStoreOpen(f *testing.F) {
 	valid := HeaderBytes()
 	for _, e := range []Entry{
@@ -112,6 +112,12 @@ func FuzzStoreOpen(f *testing.F) {
 		{Kind: "validate", Key: core.AnswerEpoch + "validate|b", InsertedAt: 2, ExpiresAt: 1 << 62, Data: []byte("b")},
 		{Kind: "optimize", Key: "optimize|older-epoch", InsertedAt: 3, Data: []byte("stale")},
 		{Kind: "optimize", Key: core.AnswerEpoch + "optimize|a", InsertedAt: 4, Data: []byte(`{"v":2}`)},
+		// A TTL-era record retires the earlier entry for its key, and an
+		// entry written after one is served.
+		{Kind: "validate", Key: core.AnswerEpoch + "validate|c", Data: []byte("c")},
+		{Kind: "validate", Key: core.AnswerEpoch + "validate|c", InsertedAt: 5, ExpiresAt: 6, Data: []byte("ttl-era")},
+		{Kind: "validate", Key: core.AnswerEpoch + "validate|d", InsertedAt: 7, ExpiresAt: 8, Data: []byte("ttl-era")},
+		{Kind: "validate", Key: core.AnswerEpoch + "validate|d", Data: []byte("d")},
 	} {
 		valid = append(valid, EncodeRecord(e)...)
 	}
@@ -123,28 +129,35 @@ func FuzzStoreOpen(f *testing.F) {
 	f.Add(append([]byte("NOTASTORE\x00\x00\x01"), valid[headerLen:]...)) // foreign header
 	f.Add([]byte{})
 
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		cfg := Config{Dir: dir, Now: func() time.Time { return now }, CompactBytes: -1}
+		cfg := Config{Dir: dir, CompactBytes: -1}
 		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want := map[string][]byte{}
+		want, retired := map[string][]byte{}, map[string]bool{}
+		var stale uint64
 		if recs, _, _, err := DecodeLog(data); err == nil {
 			for _, r := range recs {
-				if strings.HasPrefix(r.Key, core.AnswerEpoch) {
+				if strings.HasPrefix(r.Key, core.AnswerEpoch) && r.ExpiresAt == 0 {
 					want[r.Key] = r.Data
-				}
-				if r.ExpiresAt != 0 && now.UnixNano() >= r.ExpiresAt {
+					delete(retired, r.Key)
+				} else {
 					delete(want, r.Key)
+					retired[r.Key] = true
+					stale++
 				}
 			}
 		}
 		served := func(s *Store, keys map[string][]byte) {
 			t.Helper()
-			if n := s.Len(); n < len(keys) {
-				t.Fatalf("%d entries indexed, want at least %d", n, len(keys))
+			if n := s.Len(); n != len(keys) {
+				t.Fatalf("%d entries indexed, want %d", n, len(keys))
+			}
+			for k := range retired {
+				if got, _, ok := s.Get("probe", k); ok {
+					t.Fatalf("key %q: served %q, but its last record is from another epoch or carries an expiry", k, got)
+				}
 			}
 			for k, v := range keys {
 				got, _, ok := s.Get("probe", k)
@@ -158,12 +171,16 @@ func FuzzStoreOpen(f *testing.F) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
+		if got := s.Stats().Stale; got != stale {
+			t.Fatalf("%d records counted stale, want %d", got, stale)
+		}
 		served(s, want)
 		putKey := core.AnswerEpoch + "optimize|fuzz-put"
 		if err := s.Put("optimize", putKey, []byte("put"), 1); err != nil {
 			t.Fatal(err)
 		}
 		want[putKey] = []byte("put")
+		delete(retired, putKey)
 		served(s, want)
 		if err := s.Compact(); err != nil {
 			t.Fatal(err)
@@ -177,8 +194,8 @@ func FuzzStoreOpen(f *testing.F) {
 			t.Fatalf("reopen: %v", err)
 		}
 		defer r.Close()
-		if r.Len() != len(want) {
-			t.Fatalf("reopened store indexes %d entries, want %d", r.Len(), len(want))
+		if got := r.Stats().Stale; got != 0 {
+			t.Fatalf("%d stale records survived the compaction", got)
 		}
 		served(r, want)
 	})

@@ -61,11 +61,13 @@ func HeaderBytes() []byte {
 	return h
 }
 
-// Entry is one persisted cache entry: the engine key, its TTL kind, the
-// absolute insertion/expiry instants (unix nanoseconds; ExpiresAt 0 means
-// never), the original computation's wall time, and the encoded result
-// payload. Absolute expiry is what makes compaction and reopen preserve
-// the remaining TTL instead of resetting it.
+// Entry is one persisted cache entry: the engine key, its kind (a
+// metric label), the original computation's wall time, and the encoded
+// result payload. InsertedAt and ExpiresAt keep the v1 record layout
+// readable: this build writes both as 0. An earlier build stamped unix
+// nanoseconds into them and aged validate outcomes out at ExpiresAt; a
+// recovered record with ExpiresAt ≠ 0 is one of those and is never
+// served.
 type Entry struct {
 	Kind       string
 	Key        string

@@ -1,7 +1,6 @@
 // Package store is the engine's disk tier: a fingerprint-keyed result
 // store persisted as one append log (store.log, in the log.go record
-// format), with per-kind TTLs driven by an injectable clock. It
-// implements core.ResultStore.
+// format). It implements core.ResultStore.
 //
 // Durability model: every Put appends one CRC-framed record to
 // store.log; once Config.CompactBytes have been appended since the last
@@ -12,9 +11,15 @@
 // the log (later records win), drops corrupt records individually,
 // truncates a torn tail, and removes an orphaned tmp from a compaction
 // that died before its rename — so a hard kill at any instant loses at
-// most the record being written. Open also skips records written at
-// another answer epoch (keys without core.AnswerEpoch), so a
-// restarted server never serves an older solver's answers.
+// most the record being written.
+//
+// Retirement: the answer epoch is the only rule that retires an entry,
+// and nothing expires by age, so the store reads no clock. Open skips
+// records written at another answer epoch (keys without
+// core.AnswerEpoch), so a restarted server never serves an older
+// solver's answers. It also skips records stamped with an expiry
+// instant: an earlier build aged validate outcomes out on a TTL that
+// this build no longer enforces, so such a record is never served.
 package store
 
 import (
@@ -41,51 +46,36 @@ const (
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("store: closed")
 
-// DefaultTTLs is the per-kind expiry policy used when Config.TTLs is
-// nil: validate results age (the simulator conformance surface moves
-// with the code), while optimize/evaluate results on a pinned model
-// version never expire — within one answer epoch the solve is a pure
-// function of the fingerprint. Frontier/codesign/cluster sweeps fan out through
-// engine.Optimize, so their points are governed by the optimize kind.
-var DefaultTTLs = map[string]time.Duration{
-	"validate": 24 * time.Hour,
-}
-
 // Config tunes a Store. Zero values select defaults.
 type Config struct {
 	// Dir is the cache directory (required); created if absent.
 	Dir string
-	// TTLs maps a kind to its time-to-live; 0 or absent means never
-	// expire. Nil selects DefaultTTLs.
-	TTLs map[string]time.Duration
-	// Now is the clock (default time.Now) — injectable for TTL tests.
-	Now func() time.Time
 	// CompactBytes triggers compaction once this many bytes have been
 	// appended to the log since the last compaction (default 4 MiB;
 	// negative disables auto-compaction).
 	CompactBytes int64
-	// Deprecated: SweepInterval is ignored. Expiry is enforced on read
-	// and at compaction; the field remains only so existing callers (the
+	// Deprecated: TTLs is ignored. Entries do not expire; the answer
+	// epoch retires them. The field remains only so existing callers (the
 	// e2ebench harness) still compile.
+	TTLs map[string]time.Duration
+	// Deprecated: SweepInterval is ignored. There is nothing to sweep; the
+	// field remains only so existing callers (the e2ebench harness) still
+	// compile.
 	SweepInterval time.Duration
 }
 
 // indexEntry locates one live entry's payload inside the log plus the
 // metadata needed without touching disk.
 type indexEntry struct {
-	off        int64
-	n          int
-	kind       string
-	insertedAt int64
-	expiresAt  int64
-	elapsedMS  float64
+	off       int64
+	n         int
+	kind      string
+	elapsedMS float64
 }
 
 // Store is a disk-backed result store. Safe for concurrent use.
 type Store struct {
 	dir          string
-	ttls         map[string]time.Duration
-	now          func() time.Time
 	compactBytes int64
 
 	mu      sync.RWMutex
@@ -98,7 +88,7 @@ type Store struct {
 	compacted int64
 
 	// Lock-free counters: Get bumps them under the read lock.
-	hits, misses, expired, stale, puts, putErrors, compactions atomic.Uint64
+	hits, misses, stale, puts, putErrors, compactions atomic.Uint64
 }
 
 // Open opens (or initializes) the store under cfg.Dir, recovering
@@ -112,16 +102,8 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		dir:          cfg.Dir,
-		ttls:         cfg.TTLs,
-		now:          cfg.Now,
 		compactBytes: cfg.CompactBytes,
 		index:        map[string]indexEntry{},
-	}
-	if s.ttls == nil {
-		s.ttls = DefaultTTLs
-	}
-	if s.now == nil {
-		s.now = time.Now
 	}
 	if s.compactBytes == 0 {
 		s.compactBytes = 4 << 20
@@ -147,9 +129,11 @@ func Open(cfg Config) (*Store, error) {
 // loadLog indexes store.log, later records overriding earlier ones, and
 // truncates a torn tail so the next append lands on a clean boundary. A
 // record whose key lacks core.AnswerEpoch was written at another answer
-// epoch: it is counted as stale instead, never served, and dropped by
-// the next compaction. A log that is not a store file is reset to an
-// empty header.
+// epoch, and a record with an expiry instant was written under a TTL
+// this build does not enforce: either is counted as stale instead, never
+// served, and dropped by the next compaction. Being later, it still
+// retires any earlier entry for its key. A log that is not a store file
+// is reset to an empty header.
 func (s *Store) loadLog() error {
 	path := filepath.Join(s.dir, logName)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -173,16 +157,13 @@ func (s *Store) loadLog() error {
 		telemetry.StoreDroppedRecords.Add(uint64(dropped))
 	}
 	for _, r := range recs {
-		if !strings.HasPrefix(r.Key, core.AnswerEpoch) {
+		if !strings.HasPrefix(r.Key, core.AnswerEpoch) || r.ExpiresAt != 0 {
+			delete(s.index, r.Key)
 			s.stale.Add(1)
 			telemetry.StoreStale.With(r.Kind).Inc()
 			continue
 		}
-		s.index[r.Key] = indexEntry{
-			off: r.DataOff, n: len(r.Data),
-			kind: r.Kind, insertedAt: r.InsertedAt, expiresAt: r.ExpiresAt,
-			elapsedMS: r.ElapsedMS,
-		}
+		s.index[r.Key] = indexEntry{off: r.DataOff, n: len(r.Data), kind: r.Kind, elapsedMS: r.ElapsedMS}
 	}
 	if tail < int64(len(data)) {
 		telemetry.StoreDroppedRecords.Inc()
@@ -213,13 +194,7 @@ func (s *Store) resetLog() error {
 	return nil
 }
 
-// expiredAt reports whether e is dead at unix-nano instant now.
-func (e indexEntry) expiredAt(now int64) bool {
-	return e.expiresAt != 0 && now >= e.expiresAt
-}
-
-// Get implements core.ResultStore. An expired entry is a miss and is
-// dropped from the index; compaction drops the ones never read again.
+// Get implements core.ResultStore.
 func (s *Store) Get(kind, key string) ([]byte, float64, bool) {
 	s.mu.RLock()
 	if s.closed {
@@ -227,13 +202,6 @@ func (s *Store) Get(kind, key string) ([]byte, float64, bool) {
 		return nil, 0, false
 	}
 	e, ok := s.index[key]
-	if ok && e.expiredAt(s.now().UnixNano()) {
-		s.mu.RUnlock()
-		s.dropExpired(key)
-		s.misses.Add(1)
-		telemetry.StoreMisses.With(kind).Inc()
-		return nil, 0, false
-	}
 	if !ok {
 		s.mu.RUnlock()
 		s.misses.Add(1)
@@ -253,26 +221,9 @@ func (s *Store) Get(kind, key string) ([]byte, float64, bool) {
 	return data, e.elapsedMS, true
 }
 
-// dropExpired removes key if (still) expired, under the write lock.
-func (s *Store) dropExpired(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	e, ok := s.index[key]
-	if !ok || !e.expiredAt(s.now().UnixNano()) {
-		return
-	}
-	delete(s.index, key)
-	s.expired.Add(1)
-	telemetry.StoreExpired.With(e.kind).Inc()
-	telemetry.StoreEntries.Set(int64(len(s.index)))
-}
-
-// Put implements core.ResultStore: append one record to the log,
-// stamping the entry's absolute expiry from the kind's TTL. Triggers a
-// compaction once CompactBytes have been appended since the last one.
+// Put implements core.ResultStore: append one record to the log.
+// Triggers a compaction once CompactBytes have been appended since the
+// last one.
 // Every error it returns is counted in DiskStats.PutErrors; an error
 // from that compaction leaves the appended record indexed and readable.
 func (s *Store) Put(kind, key string, data []byte, elapsedMS float64) (err error) {
@@ -285,16 +236,7 @@ func (s *Store) Put(kind, key string, data []byte, elapsedMS float64) (err error
 	if kind == "" || key == "" {
 		return errors.New("store: kind and key required")
 	}
-	now := s.now()
-	var expiresAt int64
-	if ttl := s.ttls[kind]; ttl > 0 {
-		expiresAt = now.Add(ttl).UnixNano()
-	}
-	rec := EncodeRecord(Entry{
-		Kind: kind, Key: key,
-		InsertedAt: now.UnixNano(), ExpiresAt: expiresAt,
-		ElapsedMS: elapsedMS, Data: data,
-	})
+	rec := EncodeRecord(Entry{Kind: kind, Key: key, ElapsedMS: elapsedMS, Data: data})
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -304,11 +246,7 @@ func (s *Store) Put(kind, key string, data []byte, elapsedMS float64) (err error
 	if _, err := s.log.WriteAt(rec, s.logSize); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	s.index[key] = indexEntry{
-		off: s.logSize + int64(len(rec)-len(data)), n: len(data),
-		kind: kind, insertedAt: now.UnixNano(), expiresAt: expiresAt,
-		elapsedMS: elapsedMS,
-	}
+	s.index[key] = indexEntry{off: s.logSize + int64(len(rec)-len(data)), n: len(data), kind: kind, elapsedMS: elapsedMS}
 	s.logSize += int64(len(rec))
 	s.puts.Add(1)
 	telemetry.StorePuts.With(kind).Inc()
@@ -321,7 +259,7 @@ func (s *Store) Put(kind, key string, data []byte, elapsedMS float64) (err error
 	return nil
 }
 
-// Compact rewrites the live, unexpired index as a fresh log (write tmp
+// Compact rewrites the live index as a fresh log (write tmp
 // → fsync → atomic rename over store.log).
 func (s *Store) Compact() error {
 	s.mu.Lock()
@@ -358,27 +296,15 @@ func (s *Store) compactLocked() error {
 	}
 	sort.Strings(keys)
 
-	now := s.now().UnixNano()
 	index := make(map[string]indexEntry, len(keys))
 	off := int64(headerLen)
 	for _, k := range keys {
 		e := s.index[k]
-		if e.expiredAt(now) {
-			// Compaction is where expired entries' disk space dies.
-			delete(s.index, k)
-			s.expired.Add(1)
-			telemetry.StoreExpired.With(e.kind).Inc()
-			continue
-		}
 		data := make([]byte, e.n)
 		if _, err := s.log.ReadAt(data, e.off); err != nil {
 			return fmt.Errorf("store: compact read %q: %w", k, err)
 		}
-		rec := EncodeRecord(Entry{
-			Kind: e.kind, Key: k,
-			InsertedAt: e.insertedAt, ExpiresAt: e.expiresAt,
-			ElapsedMS: e.elapsedMS, Data: data,
-		})
+		rec := EncodeRecord(Entry{Kind: e.kind, Key: k, ElapsedMS: e.elapsedMS, Data: data})
 		if _, err := w.Write(rec); err != nil {
 			return err
 		}
@@ -437,7 +363,7 @@ func (s *Store) Stats() core.DiskStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return core.DiskStats{
-		Hits: s.hits.Load(), Misses: s.misses.Load(), Expired: s.expired.Load(), Stale: s.stale.Load(),
+		Hits: s.hits.Load(), Misses: s.misses.Load(), Stale: s.stale.Load(),
 		Puts: s.puts.Load(), PutErrors: s.putErrors.Load(), Compactions: s.compactions.Load(),
 		Entries: len(s.index), Bytes: s.logSize,
 	}

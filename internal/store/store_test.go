@@ -217,6 +217,67 @@ func TestOpenSkipsOtherEpochs(t *testing.T) {
 	}
 }
 
+// TestOpenSkipsTTLEraRecords: a cache dir written by a build that aged
+// validate outcomes out on a TTL holds records with an expiry stamp. The
+// epoch now retires validate outcomes too, so Open counts each such
+// record as stale and never serves it; being later, it retires an
+// earlier entry for its key, while an entry written after it is served.
+// The next compaction drops every one of them.
+func TestOpenSkipsTTLEraRecords(t *testing.T) {
+	dir := t.TempDir()
+	key := func(name string) string { return core.AnswerEpoch + "validate|" + name }
+	log := HeaderBytes()
+	for _, e := range []Entry{
+		{Kind: "optimize", Key: core.AnswerEpoch + "optimize|kept", Data: []byte("answer")},
+		{Kind: "validate", Key: key("aged"), InsertedAt: 1, ExpiresAt: 1 << 62, Data: []byte("ttl-era")},
+		{Kind: "validate", Key: key("retired"), Data: []byte("earlier")},
+		{Kind: "validate", Key: key("retired"), InsertedAt: 2, ExpiresAt: 3, Data: []byte("ttl-era")},
+		{Kind: "validate", Key: key("resolved"), InsertedAt: 4, ExpiresAt: 5, Data: []byte("ttl-era")},
+		{Kind: "validate", Key: key("resolved"), Data: []byte("current")},
+	} {
+		log = append(log, EncodeRecord(e)...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, logName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := openTest(t, dir, Config{CompactBytes: -1})
+	if st := s.Stats(); st.Stale != 3 || st.Entries != 2 {
+		t.Fatalf("stats after open: %+v, want 3 stale and 2 entries", st)
+	}
+	for _, name := range []string{"aged", "retired"} {
+		if got, _, ok := s.Get("validate", key(name)); ok {
+			t.Fatalf("%s: served %q from a TTL-era log", name, got)
+		}
+	}
+	if got := mustGet(t, s, "validate", key("resolved")); !bytes.Equal(got, []byte("current")) {
+		t.Fatalf("resolved = %q, want the record written after the TTL-era one", got)
+	}
+	mustGet(t, s, "optimize", core.AnswerEpoch+"optimize|kept")
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	raw, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _, err := DecodeLog(raw)
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("compacted log: %d records (err %v), want 2", len(recs), err)
+	}
+	for _, r := range recs {
+		if r.InsertedAt != 0 || r.ExpiresAt != 0 {
+			t.Fatalf("compacted record %q stamped %d/%d, want 0/0", r.Key, r.InsertedAt, r.ExpiresAt)
+		}
+	}
+	c := openTest(t, dir, Config{CompactBytes: -1})
+	if st := c.Stats(); st.Stale != 0 || st.Entries != 2 {
+		t.Fatalf("stats after compaction: %+v, want 0 stale and 2 entries", st)
+	}
+}
+
 // TestCompaction: compaction rewrites the log to its live entries,
 // shrinks disk usage when entries were overwritten, keeps every live
 // entry readable, and the compacted state reopens identically.

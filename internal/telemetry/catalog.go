@@ -93,19 +93,16 @@ var (
 	// ---- Persistent result store (internal/store) ----
 
 	StoreHits = Default.NewCounterVec("libra_store_hits_total",
-		"Disk-store lookups answered from the persistent cache, by TTL kind.",
+		"Disk-store lookups answered from the persistent cache, by kind.",
 		"kind")
 	StoreMisses = Default.NewCounterVec("libra_store_misses_total",
-		"Disk-store lookups that found nothing usable (absent or expired), by TTL kind.",
-		"kind")
-	StoreExpired = Default.NewCounterVec("libra_store_expired_total",
-		"Disk-store entries removed because their TTL elapsed, by TTL kind.",
+		"Disk-store lookups that found no entry, by kind.",
 		"kind")
 	StoreStale = Default.NewCounterVec("libra_store_stale_total",
-		"Disk-store entries skipped at open because another answer epoch wrote them (never served; the next compaction drops them), by TTL kind.",
+		"Disk-store entries skipped at open because another answer epoch wrote them, or an earlier build stamped them with a TTL (never served; the next compaction drops them), by kind.",
 		"kind")
 	StorePuts = Default.NewCounterVec("libra_store_puts_total",
-		"Results spilled to the disk store, by TTL kind.",
+		"Results spilled to the disk store, by kind.",
 		"kind")
 	StorePutErrors = Default.NewCounter("libra_store_put_errors_total",
 		"Disk-store writes that returned an error: a failed append (the result stayed memory-only) or a failed auto-compaction (the record was appended).")

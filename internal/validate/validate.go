@@ -42,7 +42,8 @@ import (
 
 // Runner executes cached scenario computations; *core.Engine satisfies
 // it, letting validate outcomes spill through codec to the engine's disk
-// tier (under the "validate" TTL kind) and survive restarts.
+// tier (under the "validate" kind) and survive restarts until the answer
+// epoch moves.
 // Implementations must be safe for concurrent use — Compute issues every
 // scenario at once and bounds nothing itself.
 type Runner interface {
