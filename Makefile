@@ -142,12 +142,13 @@ cover:
 
 # fuzz-smoke runs every native fuzz target briefly ($(FUZZTIME) each);
 # `go test -fuzz` takes one package at a time, so targets are pkg:name
-# pairs.
+# pairs. Minimizing an interesting input is capped at 1s: Go's 60s
+# default would spend a target's whole budget minimizing, not fuzzing.
 fuzz-smoke:
 	@for pt in $(FUZZTARGETS); do \
 		pkg=$${pt%%:*}; target=$${pt##*:}; \
 		echo "fuzzing $$pkg $$target"; \
-		$(GO) test -run '^$$' -fuzz $$target -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		$(GO) test -run '^$$' -fuzz $$target -fuzztime $(FUZZTIME) -fuzzminimizetime 1s $$pkg || exit 1; \
 	done
 
 # smoke boots libra-serve on an OS-assigned port (with the persistent

@@ -60,7 +60,7 @@ func unitcheck(cfgPath string) int {
 		return 0
 	}
 	// Analyzers cover production code only: test files legitimately use
-	// context.Background, fake clocks, and fmt. Vet hands us test
+	// context.Background and fmt. Vet hands us test
 	// variants of each package too; strip them down to nothing and skip.
 	var files []string
 	for _, f := range cfg.GoFiles {

@@ -78,7 +78,6 @@ func main() {
 		cache     = flag.Int("cache", 512, "LRU result-cache entries (negative disables)")
 		maxBody   = flag.Int64("max-body", 1<<20, "maximum request body bytes")
 		jobCap    = flag.Int("jobs", 512, "maximum retained async jobs (running + terminal)")
-		jobTTL    = flag.Duration("job-ttl", 15*time.Minute, "terminal job retention")
 		logLevel  = flag.String("log-level", "info", "log level: debug|info|warn|error")
 		logFormat = flag.String("log-format", "text", "log format: text|json")
 		debugAddr = flag.String("debug-addr", "", "listen address for pprof/expvar debug endpoints (empty disables)")
@@ -119,7 +118,7 @@ func main() {
 			cliutil.Fatal("libra-serve", err)
 		}
 	}
-	manager := libra.NewJobManager(libra.JobConfig{Engine: engine, Capacity: *jobCap, TTL: *jobTTL})
+	manager := libra.NewJobManager(libra.JobConfig{Engine: engine, Capacity: *jobCap})
 	defer manager.Close()
 
 	ln, lnErr := net.Listen("tcp", *addr)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -886,6 +887,38 @@ func TestV2JobListing(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad limit: %d", resp.StatusCode)
 	}
+}
+
+// /readyz at the job capacity: 503 unavailable while every retained job
+// is live, 200 once one is cancelled and a submission could evict it.
+func TestReadyzAtJobCapacity(t *testing.T) {
+	engine := libra.NewEngine(libra.EngineConfig{Workers: 2, CacheSize: 8})
+	t.Cleanup(engine.Close)
+	manager := jobs.NewManager(jobs.Config{Engine: engine, Capacity: 1})
+	t.Cleanup(manager.Close)
+	srv := httptest.NewServer(newMux(engine, manager, 1<<20, testLogger()))
+	t.Cleanup(srv.Close)
+	readyz := func(wantCode int, wantStatus string) {
+		t.Helper()
+		resp, body := getJSON(t, srv.URL+"/readyz")
+		var got struct {
+			Status string `json:"status"`
+		}
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != wantCode || got.Status != wantStatus {
+			t.Errorf("/readyz = %d %s, want %d status %q", resp.StatusCode, body, wantCode, wantStatus)
+		}
+	}
+
+	readyz(http.StatusOK, "ready")
+	id, _ := startSlowJob(t, srv.URL, manager)
+	readyz(http.StatusServiceUnavailable, "unavailable")
+	if _, err := manager.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	readyz(http.StatusOK, "ready")
 }
 
 // Error codes: every failure mode carries its stable machine code.

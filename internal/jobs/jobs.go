@@ -9,8 +9,11 @@
 // done|failed|cancelled. Every transition and every batch-progress
 // observation is appended to the job's ordered event log, which watchers
 // (the /v2 SSE endpoint) replay-and-follow without missing or reordering
-// events. Terminal jobs are retained for TTL and evicted by a capacity
-// bound, oldest-terminal first; the listing is paginated newest-first.
+// events. One rule retires a terminal job: the capacity bound, which
+// evicts the oldest terminal job by submission when a new one needs room.
+// A done job's result is fixed by its task fingerprint and jobs die with
+// the process, so a retained result cannot go stale; the bound is only
+// there to cap memory. The listing is paginated newest-first.
 //
 // The manager adds no solve parallelism of its own — the Engine's worker
 // pool bounds actual compute, and its fingerprint cache makes a
@@ -18,7 +21,6 @@
 package jobs
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -109,18 +111,14 @@ type Config struct {
 	// (default 512). At capacity, Submit evicts the oldest terminal job;
 	// when every retained job is still live, Submit fails with ErrFull.
 	Capacity int
-	// TTL bounds how long a terminal job (and its result) is retained
-	// (default 15 minutes). Expired jobs are swept opportunistically on
-	// every API call.
+	// Deprecated: TTL is ignored. Terminal jobs do not expire; the
+	// capacity bound alone retires them.
 	TTL time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.Capacity <= 0 {
 		c.Capacity = 512
-	}
-	if c.TTL <= 0 {
-		c.TTL = 15 * time.Minute
 	}
 	return c
 }
@@ -156,8 +154,6 @@ type job struct {
 	stageIdx map[string]int
 
 	cancel context.CancelFunc
-	// expiry is the job's entry in Manager.expiry once it is terminal.
-	expiry *list.Element
 	// done is closed when the worker goroutine has fully unwound — the
 	// "no leaked workers" handle Wait and the tests block on.
 	done chan struct{}
@@ -170,21 +166,13 @@ type job struct {
 type Manager struct {
 	cfg Config
 
-	mu    sync.Mutex
-	jobs  map[string]*job
-	order []string // submission order, oldest first
-	// expiry queues the retained terminal jobs in the order they turned
-	// terminal, oldest first: with a monotonic clock that is finish-time
-	// order, so the TTL sweep pops from the head and stops at the first
-	// unexpired job.
-	expiry    *list.List
+	mu        sync.Mutex
+	jobs      map[string]*job
+	order     []string // retained job ids in submission order, oldest first
 	seq       int
 	closed    bool
 	submitted uint64
 	evictions uint64
-
-	// now is the clock, swappable in tests.
-	now func() time.Time
 }
 
 // Stats reports the manager's retention state — what /v1/stats serves
@@ -196,8 +184,8 @@ type Stats struct {
 	Capacity int `json:"capacity"`
 	// States counts retained jobs by lifecycle status.
 	States map[string]int `json:"states"`
-	// Submitted and Evictions are lifetime totals (TTL and capacity
-	// evictions together).
+	// Submitted and Evictions are lifetime totals; every eviction is a
+	// capacity eviction.
 	Submitted uint64 `json:"submitted"`
 	Evictions uint64 `json:"evictions"`
 }
@@ -206,7 +194,6 @@ type Stats struct {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sweepLocked(m.now())
 	s := Stats{
 		Depth:     len(m.jobs),
 		Capacity:  m.cfg.Capacity,
@@ -229,8 +216,7 @@ func (m *Manager) Ready() error {
 	if m.closed {
 		return ErrClosed
 	}
-	m.sweepLocked(m.now())
-	if len(m.jobs) < m.cfg.Capacity || m.expiry.Len() > 0 {
+	if len(m.jobs) < m.cfg.Capacity || m.oldestTerminalLocked() >= 0 {
 		return nil // room, or a terminal job a submission can evict
 	}
 	return fmt.Errorf("%w: %d jobs retained, none terminal", ErrFull, m.cfg.Capacity)
@@ -252,7 +238,7 @@ func NewManager(cfg Config) *Manager {
 	if cfg.Engine == nil {
 		panic("jobs: Config.Engine is required")
 	}
-	return &Manager{cfg: cfg.withDefaults(), jobs: map[string]*job{}, expiry: list.New(), now: time.Now}
+	return &Manager{cfg: cfg.withDefaults(), jobs: map[string]*job{}}
 }
 
 // Close cancels every live job and rejects future submissions. It does
@@ -290,14 +276,12 @@ func (m *Manager) Submit(ctx context.Context, t *task.Task) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	now := m.now()
 
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return nil, ErrClosed
 	}
-	m.sweepLocked(now)
 	if len(m.jobs) >= m.cfg.Capacity && !m.evictOldestTerminalLocked() {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d jobs retained, none terminal", ErrFull, m.cfg.Capacity)
@@ -311,7 +295,7 @@ func (m *Manager) Submit(ctx context.Context, t *task.Task) (*Job, error) {
 		fingerprint: fp,
 		traceID:     telemetry.TraceID(ctx),
 		status:      StatusPending,
-		created:     now,
+		created:     time.Now(),
 		stageIdx:    map[string]int{},
 		cancel:      cancel,
 		done:        make(chan struct{}),
@@ -339,7 +323,7 @@ func (m *Manager) run(ctx context.Context, j *job) {
 		return
 	}
 	j.status = StatusRunning
-	j.started = m.now()
+	j.started = time.Now()
 	j.appendEventLocked(Event{Type: EventStatus, Status: StatusRunning})
 	m.mu.Unlock()
 	setStatusGauges(StatusPending, StatusRunning)
@@ -398,7 +382,7 @@ func (m *Manager) finish(j *job, result any, err error, cancelled bool) {
 	if j.status.Terminal() {
 		return
 	}
-	j.finished = m.now()
+	j.finished = time.Now()
 	prev := j.status
 	switch {
 	case cancelled || errors.Is(err, context.Canceled):
@@ -414,7 +398,6 @@ func (m *Manager) finish(j *job, result any, err error, cancelled bool) {
 		j.result = result
 		j.appendEventLocked(Event{Type: EventStatus, Status: StatusDone})
 	}
-	j.expiry = m.expiry.PushBack(j)
 	setStatusGauges(prev, j.status)
 }
 
@@ -433,10 +416,9 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	if !j.status.Terminal() {
 		prev := j.status
 		j.status = StatusCancelled
-		j.finished = m.now()
+		j.finished = time.Now()
 		j.err = context.Canceled
 		j.appendEventLocked(Event{Type: EventStatus, Status: StatusCancelled, Error: "cancelled"})
-		j.expiry = m.expiry.PushBack(j)
 		cancel = j.cancel
 		setStatusGauges(prev, StatusCancelled)
 	}
@@ -452,7 +434,6 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 func (m *Manager) Get(id string) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sweepLocked(m.now())
 	j, ok := m.jobs[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
@@ -512,13 +493,9 @@ func (m *Manager) List(req ListRequest) *ListResult {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.sweepLocked(m.now())
 	var filtered []*job
 	for i := len(m.order) - 1; i >= 0; i-- {
-		j, ok := m.jobs[m.order[i]]
-		if !ok {
-			continue
-		}
+		j := m.jobs[m.order[i]]
 		if req.Status != "" && j.status != req.Status {
 			continue
 		}
@@ -597,52 +574,30 @@ func (j *job) snapshotLocked(withResult bool) *Job {
 	return snap
 }
 
-// sweepLocked evicts terminal jobs past their TTL. It touches only the
-// expired jobs at the head of the expiry queue, and compacts the
-// submission order only when one left. Callers hold m.mu.
-func (m *Manager) sweepLocked(now time.Time) {
-	removed := false
-	for el := m.expiry.Front(); el != nil; el = m.expiry.Front() {
-		j := el.Value.(*job)
-		if now.Sub(j.finished) < m.cfg.TTL {
-			break
-		}
-		m.expiry.Remove(el)
-		delete(m.jobs, j.id)
-		m.evictions++
-		telemetry.JobsEvicted.With("ttl").Inc()
-		setStatusGauges(j.status, "")
-		removed = true
-	}
-	if !removed {
-		return
-	}
-	keep := m.order[:0]
-	for _, id := range m.order {
-		if _, ok := m.jobs[id]; ok {
-			keep = append(keep, id)
+// oldestTerminalLocked returns the position in m.order of the oldest
+// terminal job by submission, or -1 when every retained job is live.
+// Callers hold m.mu.
+func (m *Manager) oldestTerminalLocked() int {
+	for i, id := range m.order {
+		if m.jobs[id].status.Terminal() {
+			return i
 		}
 	}
-	m.order = keep
+	return -1
 }
 
 // evictOldestTerminalLocked drops the oldest terminal job to make room,
 // reporting whether it found one. Callers hold m.mu.
 func (m *Manager) evictOldestTerminalLocked() bool {
-	for i, id := range m.order {
-		j, ok := m.jobs[id]
-		if !ok {
-			continue
-		}
-		if j.status.Terminal() {
-			delete(m.jobs, id)
-			m.expiry.Remove(j.expiry)
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			m.evictions++
-			telemetry.JobsEvicted.With("capacity").Inc()
-			setStatusGauges(j.status, "")
-			return true
-		}
+	i := m.oldestTerminalLocked()
+	if i < 0 {
+		return false
 	}
-	return false
+	j := m.jobs[m.order[i]]
+	delete(m.jobs, j.id)
+	m.order = append(m.order[:i], m.order[i+1:]...)
+	m.evictions++
+	telemetry.JobsEvicted.With("capacity").Inc()
+	setStatusGauges(j.status, "")
+	return true
 }

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func testManager(t *testing.T, cfg Config) (*Manager, *core.Engine) {
 }
 
 // A submitted optimize job runs to done with the full lifecycle visible
-// in its event log, and the result survives until TTL.
+// in its event log, and the done job keeps its result.
 func TestJobLifecycleDone(t *testing.T) {
 	m, _ := testManager(t, Config{})
 	snap, err := m.Submit(context.Background(), task.NewOptimize(tinySpec()))
@@ -249,50 +250,6 @@ func TestProgressEventsMonotonic(t *testing.T) {
 	}
 }
 
-// TTL eviction: terminal jobs disappear once their TTL elapses; live
-// jobs never do.
-func TestTTLEviction(t *testing.T) {
-	m, _ := testManager(t, Config{TTL: time.Minute})
-	clock := time.Now()
-	m.now = func() time.Time { return clock }
-
-	snap, err := m.Submit(context.Background(), task.NewOptimize(tinySpec()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if _, err := m.Wait(ctx, snap.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Get(snap.ID); err != nil {
-		t.Fatalf("terminal job evicted before TTL: %v", err)
-	}
-	clock = clock.Add(2 * time.Minute)
-	if _, err := m.Get(snap.ID); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("expired job still retrievable: %v", err)
-	}
-}
-
-// fakeClock is a manager clock tests move by hand; workers read it
-// concurrently.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) set(t time.Time) {
-	c.mu.Lock()
-	c.t = t
-	c.mu.Unlock()
-}
-
 // slowTask runs until cancelled: a seconds-long perf-per-cost solve on a
 // 7D fabric with 36 weighted targets and an exact tolerance.
 func slowTask() *task.Task {
@@ -311,73 +268,97 @@ func slowTask() *task.Task {
 	})
 }
 
-// Jobs that turn terminal out of submission order expire in finish
-// order, while capacity eviction still takes the oldest terminal job by
-// submission and the listing stays newest-first by submission.
-func TestTTLEvictionFinishOrder(t *testing.T) {
-	m, _ := testManager(t, Config{TTL: time.Minute, Capacity: 3})
-	t0 := time.Now()
-	clock := &fakeClock{t: t0}
-	m.now = clock.now
-	at := func(d time.Duration) { clock.set(t0.Add(d)) }
-	present := func(want map[string]bool) {
+// Capacity is the one rule that retires a job: jobs that turn terminal
+// out of submission order are evicted oldest-by-submission first, one per
+// Submit at the bound, and a live job never is; the listing stays
+// newest-first by submission.
+func TestCapacityEvictsOldestTerminalBySubmission(t *testing.T) {
+	m, _ := testManager(t, Config{Capacity: 3})
+	submit := func() string {
 		t.Helper()
-		for id, ok := range want {
-			if _, err := m.Get(id); (err == nil) != ok {
-				t.Errorf("job %s retained = %v, want %v (err %v)", id, err == nil, ok, err)
-			}
+		snap, err := m.Submit(context.Background(), slowTask())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.ID
+	}
+	listed := func(want ...string) {
+		t.Helper()
+		list := m.List(ListRequest{})
+		var got []string
+		for _, j := range list.Jobs {
+			got = append(got, j.ID)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || list.Total != len(want) {
+			t.Errorf("listing = %v (total %d), want %v", got, list.Total, want)
 		}
 	}
 
+	a, b, c := submit(), submit(), submit()
+	for _, id := range []string{c, a, b} { // finish order c, a, b
+		if _, err := m.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	listed(c, b, a)
+
+	// Each Submit at the bound evicts the oldest terminal job by
+	// submission — a, then b, then c — not c, the first to finish.
+	var live []string
+	for i, gone := range []string{a, b, c} {
+		live = append(live, submit())
+		if _, err := m.Get(gone); !errors.Is(err, ErrNotFound) {
+			t.Errorf("submission %d: %s still retained (err %v)", i+1, gone, err)
+		}
+		if st := m.Stats(); st.Depth != 3 || st.Evictions != uint64(i+1) {
+			t.Errorf("submission %d: stats %+v, want depth 3 after %d evictions", i+1, st, i+1)
+		}
+	}
+	listed(live[2], live[1], live[0])
+
+	// Every retained job is live: nothing is evicted, the Submit fails.
+	if _, err := m.Submit(context.Background(), slowTask()); !errors.Is(err, ErrFull) {
+		t.Fatalf("submit over live jobs: %v, want ErrFull", err)
+	}
+	for _, id := range live {
+		if _, err := m.Get(id); err != nil {
+			t.Errorf("live job %s evicted: %v", id, err)
+		}
+	}
+	if st := m.Stats(); st.Evictions != 3 {
+		t.Errorf("evictions = %d after a refused submit, want 3", st.Evictions)
+	}
+}
+
+// Ready at the bound: refused while every retained job is live, ready
+// again once one turns terminal and a submission could evict it.
+func TestReadyAtCapacity(t *testing.T) {
+	m, _ := testManager(t, Config{Capacity: 2})
 	var ids []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
+		if err := m.Ready(); err != nil {
+			t.Fatalf("below capacity: %v", err)
+		}
 		snap, err := m.Submit(context.Background(), slowTask())
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, snap.ID)
 	}
-	a, b, c := ids[0], ids[1], ids[2]
-	// Finish order c, a, b: the reverse-ish of submission order.
-	for _, step := range []struct {
-		id string
-		d  time.Duration
-	}{{c, 0}, {a, 30 * time.Second}, {b, 50 * time.Second}} {
-		at(step.d)
-		if _, err := m.Cancel(step.id); err != nil {
-			t.Fatal(err)
-		}
+	if err := m.Ready(); !errors.Is(err, ErrFull) {
+		t.Fatalf("at capacity, all live: %v, want ErrFull", err)
 	}
-
-	// At capacity, a submission evicts a — the oldest by submission —
-	// not c, the first to finish.
-	at(55 * time.Second)
-	d, err := m.Submit(context.Background(), slowTask())
-	if err != nil {
+	if _, err := m.Cancel(ids[1]); err != nil {
 		t.Fatal(err)
 	}
-	present(map[string]bool{a: false, b: true, c: true, d.ID: true})
-
-	at(61 * time.Second) // c (finished at 0) expires; b (50 s) does not
-	present(map[string]bool{b: true, c: false, d.ID: true})
-	list := m.List(ListRequest{})
-	if list.Total != 2 || list.Jobs[0].ID != d.ID || list.Jobs[1].ID != b {
-		t.Errorf("listing after sweep = %+v, want [%s %s]", list.Jobs, d.ID, b)
-	}
-
-	at(111 * time.Second) // b expires; d is live and never does
-	present(map[string]bool{b: false, d.ID: true})
-	if st := m.Stats(); st.Depth != 1 || st.Evictions != 3 {
-		t.Errorf("stats = %+v, want depth 1 after 3 evictions", st)
-	}
-	if _, err := m.Cancel(d.ID); err != nil {
-		t.Fatal(err)
+	if err := m.Ready(); err != nil {
+		t.Fatalf("at capacity with a terminal job: %v", err)
 	}
 }
 
 // BenchmarkManagerGet reads one job of a manager at its default capacity
-// of terminal jobs, none expired: the TTL sweep every Get runs must not
-// walk them.
+// of terminal jobs: Get is a map lookup and a snapshot, and must not walk
+// the retained jobs.
 func BenchmarkManagerGet(b *testing.B) {
 	engine := core.NewEngine(core.EngineConfig{Workers: 2, CacheSize: 128})
 	defer engine.Close()
@@ -441,10 +422,10 @@ func TestCapacityEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fill the store with unfinishable jobs: further submissions fail.
+	// Fill the store with a job that runs until cancelled: further
+	// submissions fail.
 	m2, _ := testManager(t, Config{Capacity: 1})
-	slow := task.NewFrontier(tinySpec(), frontier.Request{BudgetMin: 100, BudgetMax: 400, BudgetSteps: 64, SkipEqualBW: true})
-	live, err := m2.Submit(context.Background(), slow)
+	live, err := m2.Submit(context.Background(), slowTask())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package analyzers holds LIBRA's project-specific static checks: the
 // conventions the codebase relies on for correctness (canonical spec
-// contracts, the single error-envelope path, injectable clocks, context
-// propagation, allocation-free hot loops, bounded-cardinality telemetry)
-// enforced mechanically instead of by reviewer memory. cmd/libra-lint
+// contracts, the single error-envelope path, context propagation,
+// allocation-free hot loops, bounded-cardinality telemetry) enforced
+// mechanically instead of by reviewer memory. cmd/libra-lint
 // runs them all; each has an analysistest fixture under testdata/src.
 package analyzers
 
@@ -20,7 +20,6 @@ var All = []*analysis.Analyzer{
 	SpecContract,
 	ErrCode,
 	CtxFlow,
-	ClockInject,
 	HotPath,
 	MetricName,
 	Nilness,

@@ -28,10 +28,6 @@ func TestCtxFlow(t *testing.T) {
 	analysistest.Run(t, analyzers.CtxFlow, "ctxflow")
 }
 
-func TestClockInject(t *testing.T) {
-	analysistest.Run(t, analyzers.ClockInject, "clockinject")
-}
-
 func TestHotPath(t *testing.T) {
 	analysistest.Run(t, analyzers.HotPath, "hotpath")
 }

@@ -77,7 +77,7 @@ func ExportImporter(fset *token.FileSet, exports map[string]string, importMap ma
 
 // ParseAndCheck parses the named files and type-checks them as one
 // package. Analyzers run over non-test sources only, so test-only idioms
-// (context.Background in tests, fake clocks) never trip repository checks.
+// (context.Background in tests) never trip repository checks.
 func ParseAndCheck(fset *token.FileSet, path string, files []string, imp types.Importer) (*Package, error) {
 	var asts []*ast.File
 	for _, name := range files {

@@ -126,7 +126,7 @@ var (
 		"Jobs currently retained by the manager, by lifecycle status.",
 		"status")
 	JobsEvicted = Default.NewCounterVec("libra_jobs_evictions_total",
-		"Terminal jobs evicted from the store, by reason (ttl|capacity).",
+		"Terminal jobs evicted from the store at the capacity bound, by reason (capacity).",
 		"reason")
 	JobEvents = Default.NewCounter("libra_job_events_total",
 		"Events appended across all job event logs (the SSE fan-out volume).")

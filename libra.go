@@ -359,13 +359,13 @@ func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 }
 
 // JobManager runs tasks asynchronously over an Engine: submit → id,
-// pending/running/done/failed/cancelled lifecycle, per-job cancel, TTL +
-// capacity eviction, paginated listing, and an ordered event log watchers
-// stream. cmd/libra-serve exposes it as the /v2/jobs API.
+// pending/running/done/failed/cancelled lifecycle, per-job cancel,
+// capacity eviction (the oldest terminal job by submission, the one rule
+// that retires a job), paginated listing, and an ordered event log
+// watchers stream. cmd/libra-serve exposes it as the /v2/jobs API.
 type JobManager = jobs.Manager
 
-// JobConfig tunes a JobManager (engine, retained-job capacity, terminal
-// TTL).
+// JobConfig tunes a JobManager (engine, retained-job capacity).
 type JobConfig = jobs.Config
 
 // Job is a point-in-time job snapshot.
