@@ -20,9 +20,7 @@ SKIPGATE  ?= BenchmarkMinimizeParallel,BenchmarkEngineOptimizeParallel
 COVERFLOOR  ?= 70
 FUZZTIME    ?= 10s
 # pkg:target pairs — `go test -fuzz` takes one target per package run.
-FUZZTARGETS ?= ./internal/core:FuzzParseSpec ./internal/codesign:FuzzParseSpec \
-	./internal/validate:FuzzParseSpec ./internal/cluster:FuzzParseSpec \
-	./internal/task:FuzzTaskParse \
+FUZZTARGETS ?= ./internal/task:FuzzTaskParse \
 	./internal/opt:FuzzOptionsValidate ./internal/opt:FuzzSeparableProject \
 	./internal/store:FuzzStoreLog ./internal/store:FuzzStoreOpen
 

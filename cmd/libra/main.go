@@ -79,6 +79,8 @@ import (
 	"libra"
 	"libra/client"
 	"libra/internal/cliutil"
+	"libra/internal/cluster"
+	"libra/internal/core"
 	"libra/internal/task"
 )
 
@@ -143,11 +145,14 @@ func run(args []string, w io.Writer) error {
 		return runValidate(ctx, w, r, *tolerance, *baseline, *check, *asJSON)
 	}
 
+	// The -budget flag default (500) must not pin a -cluster or -codesign
+	// study when the user gave only a budget axis: with the flag unset,
+	// frontier-mode ranking defaults to the axis maximum, exactly like a
+	// JSON spec posted without budget_gbps.
+	budgetSet := *specPath != ""
+	fs.Visit(func(f *flag.Flag) { budgetSet = budgetSet || f.Name == "budget" })
+
 	if *clusterJ != "" {
-		// Mirror -codesign's budget semantics: an unset -budget with a
-		// budget axis leaves the study ranking at the axis maximum.
-		budgetSet := *specPath != ""
-		fs.Visit(func(f *flag.Flag) { budgetSet = budgetSet || f.Name == "budget" })
 		b := *budget
 		if !budgetSet {
 			b = 0
@@ -166,12 +171,6 @@ func run(args []string, w io.Writer) error {
 	}
 
 	if *codesign != "" {
-		// The -budget flag default (500) must not pin the study when the
-		// user gave only a budget axis: with the flag unset, frontier-mode
-		// ranking defaults to the axis maximum, exactly like a JSON spec
-		// posted to /v1/codesign without budget_gbps.
-		budgetSet := *specPath != ""
-		fs.Visit(func(f *flag.Flag) { budgetSet = budgetSet || f.Name == "budget" })
 		if !budgetSet && *front != "" {
 			spec.BudgetGBps = 0
 		}
@@ -536,7 +535,7 @@ func runCluster(ctx context.Context, w io.Writer, run runner, a clusterArgs, asJ
 		if err != nil {
 			return err
 		}
-		if cspec, err = libra.ParseClusterSpec(data); err != nil {
+		if cspec, err = core.DecodeStrict[cluster.Spec](data, "cluster: bad spec"); err != nil {
 			return err
 		}
 	} else {

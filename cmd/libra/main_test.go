@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -100,6 +102,32 @@ func TestRunFlagErrors(t *testing.T) {
 		}
 		if out.Len() != 0 {
 			t.Errorf("%v: wrote %q before failing", c.args, out.String())
+		}
+	}
+}
+
+// A -cluster -spec file is a full cluster spec, read strictly: an empty
+// file is an error (not the default study an empty task payload selects),
+// and so is an unknown field.
+func TestRunClusterSpecFileErrors(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name, body, want string
+	}{
+		{"empty.json", "", "cluster: bad spec: EOF"},
+		{"unknown.json", `{"bogus": 1}`, `cluster: bad spec: json: unknown field "bogus"`},
+	} {
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err := run([]string{"-cluster", "default", "-spec", path}, &out)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: wrote %q before failing", c.name, out.String())
 		}
 	}
 }

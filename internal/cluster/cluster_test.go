@@ -101,13 +101,13 @@ func TestZeroSpecDefaults(t *testing.T) {
 }
 
 func TestParseSpecStrict(t *testing.T) {
-	if _, err := ParseSpec([]byte(`{"jobs": [{"preset": "GPT-3"}], "bogus": 1}`)); err == nil {
+	if _, err := core.DecodeStrict[Spec]([]byte(`{"jobs": [{"preset": "GPT-3"}], "bogus": 1}`), "cluster: bad spec"); err == nil {
 		t.Error("unknown field should be rejected")
 	}
-	if _, err := ParseSpec([]byte(`{"jobs": [{"bogus": 1}]}`)); err == nil {
+	if _, err := core.DecodeStrict[Spec]([]byte(`{"jobs": [{"bogus": 1}]}`), "cluster: bad spec"); err == nil {
 		t.Error("unknown job field should be rejected")
 	}
-	s, err := ParseSpec([]byte(`{}`))
+	s, err := core.DecodeStrict[Spec]([]byte(`{}`), "cluster: bad spec")
 	if err != nil || s == nil {
 		t.Fatalf("empty spec should parse: %v", err)
 	}
@@ -126,11 +126,11 @@ func TestSpecCanonicalFingerprint(t *testing.T) {
 		Policies:       []string{PolicyPerJobOpt, PolicyGroupOpt, PolicyPartition},
 		PartitionSteps: DefaultPartitionSteps,
 	}
-	fpA, err := implicit.Fingerprint()
+	fpA, err := core.Digest(implicit.MarshalCanonical())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpB, err := explicit.Fingerprint()
+	fpB, err := core.Digest(explicit.MarshalCanonical())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,15 +138,13 @@ func TestSpecCanonicalFingerprint(t *testing.T) {
 		t.Error("implicit and explicit default spellings should fingerprint identically")
 	}
 
-	weighted := explicit.Clone()
-	weighted.Jobs[1].Weight = fptr(2)
-	if fpW, err := weighted.Fingerprint(); err != nil || fpW == fpA {
-		t.Errorf("different weights should fingerprint differently (%v)", err)
-	}
-	scavenger := explicit.Clone()
-	scavenger.Jobs[1].Weight = fptr(0)
-	if fpS, err := scavenger.Fingerprint(); err != nil || fpS == fpA {
-		t.Errorf("weight-0 should fingerprint differently from weight-1 (%v)", err)
+	for _, w := range []float64{2, 0} {
+		reweighted := *explicit
+		reweighted.Jobs = append([]JobSpec(nil), explicit.Jobs...)
+		reweighted.Jobs[1].Weight = fptr(w)
+		if fp, err := core.Digest(reweighted.MarshalCanonical()); err != nil || fp == fpA {
+			t.Errorf("weight %v should fingerprint differently from weight 1 (%v)", w, err)
+		}
 	}
 
 	// Canonicalization is idempotent.
@@ -154,7 +152,7 @@ func TestSpecCanonicalFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := ParseSpec(canon)
+	re, err := core.DecodeStrict[Spec](canon, "cluster: bad spec")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,17 +174,6 @@ func TestSpecCanonicalFingerprint(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"budget_gbps":1000`) {
 		t.Errorf("canonical form lost the non-derivable budget:\n%s", data)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	s := tinySpec()
-	s.Jobs[0].Weight = fptr(2)
-	cp := s.Clone()
-	*cp.Jobs[0].Weight = 7
-	cp.Policies = append(cp.Policies, PolicyGroupOpt)
-	if *s.Jobs[0].Weight != 2 || len(s.Policies) != 0 {
-		t.Error("Clone shares state with the original")
 	}
 }
 
@@ -417,13 +404,13 @@ func TestSpeedupScaleInvariance(t *testing.T) {
 		Policies:   []string{PolicyGroupOpt, PolicyPerJobOpt},
 		Compute:    &core.ComputeSpec{EffectiveTFLOPS: 1e9, MemoryBWGBps: 1e12},
 	}
-	scaled := base.Clone()
+	scaled := *base
 	scaled.BudgetGBps = 3 * base.BudgetGBps
 	repA, err := Compute(context.Background(), e, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repB, err := Compute(context.Background(), e, scaled)
+	repB, err := Compute(context.Background(), e, &scaled)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,12 +125,6 @@ type Spec struct {
 	MaxJobs int `json:"max_jobs,omitempty"`
 }
 
-// ParseSpec decodes a Spec from JSON (see core.DecodeStrict).
-func ParseSpec(data []byte) (*Spec, error) { return core.DecodeStrict[Spec](data, "cluster: bad spec") }
-
-// Clone deep-copies the spec (via its JSON form).
-func (s *Spec) Clone() *Spec { return core.CloneJSON(s) }
-
 // resolvedJob is one validated tenant: its label, weight, and the
 // canonical spec of its single-job problem. defaultName is the name the
 // job gets when none is given (its workload's), which the canonical
@@ -405,8 +399,3 @@ func (s *Spec) MarshalCanonical() ([]byte, error) {
 	}
 	return json.Marshal(canon)
 }
-
-// Fingerprint returns a stable hex digest of the canonical spec. Two
-// specs describing the same cluster study fingerprint identically
-// regardless of spelling.
-func (s *Spec) Fingerprint() (string, error) { return core.Digest(s.MarshalCanonical()) }

@@ -493,11 +493,11 @@ func TestSpecCanonicalFingerprint(t *testing.T) {
 	b := tinySpec()
 	b.TPs = []int{2, 4, 8}
 	b.Budgets = []float64{200, 400} // frontier emits budget-ascending either way
-	fa, err := a.Fingerprint()
+	fa, err := core.Digest(a.MarshalCanonical())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := b.Fingerprint()
+	fb, err := core.Digest(b.MarshalCanonical())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +506,7 @@ func TestSpecCanonicalFingerprint(t *testing.T) {
 	}
 	c := tinySpec()
 	c.MemoryGB = 80
-	fc, err := c.Fingerprint()
+	fc, err := core.Digest(c.MarshalCanonical())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +515,7 @@ func TestSpecCanonicalFingerprint(t *testing.T) {
 	}
 	bad := tinySpec()
 	bad.Base.Workloads = nil
-	if _, err := bad.Fingerprint(); err == nil {
+	if _, err := core.Digest(bad.MarshalCanonical()); err == nil {
 		t.Error("unresolvable spec should not fingerprint")
 	}
 
@@ -527,11 +527,11 @@ func TestSpecCanonicalFingerprint(t *testing.T) {
 	inline := tinySpec()
 	inline.PPs = []int{2}
 	inline.Base.Workloads[0].Transformer.Microbatches = 4
-	fs, err := specLevel.Fingerprint()
+	fs, err := core.Digest(specLevel.MarshalCanonical())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi, err := inline.Fingerprint()
+	fi, err := core.Digest(inline.MarshalCanonical())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +548,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseSpec(data)
+	back, err := core.DecodeStrict[Spec](data, "codesign: bad spec")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,13 +559,8 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if string(data) != string(again) {
 		t.Errorf("round trip diverged:\n%s\n%s", data, again)
 	}
-	if _, err := ParseSpec([]byte(`{"base": {}, "bogus": 1}`)); err == nil {
+	if _, err := core.DecodeStrict[Spec]([]byte(`{"base": {}, "bogus": 1}`), "codesign: bad spec"); err == nil {
 		t.Error("unknown fields should be rejected")
-	}
-	cl := orig.Clone()
-	cl.TPs[0] = 99
-	if orig.TPs[0] == 99 {
-		t.Error("Clone must not share backing arrays")
 	}
 }
 

@@ -67,14 +67,6 @@ type Spec struct {
 	MaxCandidates int `json:"max_candidates,omitempty"`
 }
 
-// ParseSpec decodes a Spec from JSON (see core.DecodeStrict).
-func ParseSpec(data []byte) (*Spec, error) {
-	return core.DecodeStrict[Spec](data, "codesign: bad spec")
-}
-
-// Clone deep-copies the spec (via its JSON form).
-func (s *Spec) Clone() *Spec { return core.CloneJSON(s) }
-
 // sweptModel is the resolved transformer whose strategy the study sweeps.
 type sweptModel struct {
 	cfg          workload.TransformerConfig
@@ -410,8 +402,3 @@ func (s *Spec) MarshalCanonical() ([]byte, error) {
 	}
 	return json.Marshal(canon)
 }
-
-// Fingerprint returns a stable hex digest of the canonical spec. Two specs
-// describing the same co-design study fingerprint identically regardless
-// of spelling.
-func (s *Spec) Fingerprint() (string, error) { return core.Digest(s.MarshalCanonical()) }

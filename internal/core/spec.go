@@ -394,9 +394,10 @@ func policyKey(p timemodel.MappingPolicy) string {
 // ---- The spec contract ----
 //
 // Every spec type (ProblemSpec here, and the codesign, validate and
-// cluster specs) parses, clones and fingerprints the same way; these
-// three helpers are that shared contract, and each type's ParseSpec,
-// Clone and Fingerprint is a one-line delegation.
+// cluster specs) parses and fingerprints the same way: DecodeStrict reads
+// it, and Digest over its MarshalCanonical is its fingerprint. The task
+// registry (internal/task) applies both to every kind; ProblemSpec also
+// names them as ParseSpec and Fingerprint for the facade's users.
 
 // DecodeStrict decodes exactly one JSON value into a new T. Unknown
 // fields are rejected so typos in hand-written specs fail loudly, and so
@@ -414,20 +415,6 @@ func DecodeStrict[T any](data []byte, what string) (*T, error) {
 		return nil, fmt.Errorf("%s: %w", what, err)
 	}
 	return &v, nil
-}
-
-// CloneJSON deep-copies v through its JSON form, falling back to a
-// shallow copy for a value that does not round-trip.
-func CloneJSON[T any](v *T) *T {
-	var cp T
-	data, err := json.Marshal(v)
-	if err == nil {
-		err = json.Unmarshal(data, &cp)
-	}
-	if err != nil {
-		cp = *v
-	}
-	return &cp
 }
 
 // Digest is the hex SHA-256 of data, or err when err is set — shaped to
@@ -581,8 +568,19 @@ func (s *ProblemSpec) Build() (*Problem, error) {
 	return p, nil
 }
 
-// Clone deep-copies the spec (via its JSON form).
-func (s *ProblemSpec) Clone() *ProblemSpec { return CloneJSON(s) }
+// Clone deep-copies the spec through its JSON form, falling back to a
+// shallow copy for a spec that does not round-trip.
+func (s *ProblemSpec) Clone() *ProblemSpec {
+	var cp ProblemSpec
+	data, err := json.Marshal(s)
+	if err == nil {
+		err = json.Unmarshal(data, &cp)
+	}
+	if err != nil {
+		cp = *s
+	}
+	return &cp
+}
 
 // ---- Problem → Spec ----
 

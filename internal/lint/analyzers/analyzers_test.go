@@ -11,10 +11,6 @@ func TestSpecContract(t *testing.T) {
 	analysistest.Run(t, analyzers.SpecContract, "speccontract")
 }
 
-func TestSpecContractNoParse(t *testing.T) {
-	analysistest.Run(t, analyzers.SpecContract, "speccontract_noparse")
-}
-
 func TestErrCode(t *testing.T) {
 	analysistest.Run(t, analyzers.ErrCode, "errcode")
 }

@@ -9,11 +9,11 @@ import (
 
 // SpecContract checks the canonical-spec contract that the engine's
 // result cache, the sweep warm-start reuse, and the /v2 job dedup all
-// lean on. A type that declares MarshalCanonical is a spec type, and a
-// spec type must be a complete contract:
+// lean on. A type that declares MarshalCanonical is a spec type; parsing
+// and fingerprinting it are the task registry's shared core.DecodeStrict
+// and core.Digest, so what is left to check is the type's own canonical
+// form:
 //
-//   - ParseSpec (package level), Clone, and Fingerprint must exist, so
-//     every spec kind round-trips and cache-keys the same way;
 //   - MarshalCanonical must funnel through encoding/json on the spec
 //     type itself (json.Marshal of T or *T in its body) — that is what
 //     guarantees every json-tagged field reaches the canonical bytes;
@@ -24,7 +24,7 @@ import (
 //     the rule guards any that is added.
 var SpecContract = &analysis.Analyzer{
 	Name:      "speccontract",
-	Doc:       "spec types declaring MarshalCanonical must provide ParseSpec/Clone/Fingerprint, marshal the spec type itself, and keep json:\"-\" fields out of the canonical bytes",
+	Doc:       "spec types declaring MarshalCanonical must marshal the spec type itself and keep json:\"-\" fields out of the canonical bytes",
 	AppliesTo: libraryPackage,
 	Run:       runSpecContract,
 }
@@ -42,7 +42,6 @@ func runSpecContract(pass *analysis.Pass) error {
 				if named == nil || !named.Obj().Exported() {
 					continue
 				}
-				checkSpecMethods(pass, fd, named)
 				checkCanonicalMarshal(pass, fd, named)
 				checkNoRuntimeFields(pass, fd)
 			case "Fingerprint":
@@ -72,28 +71,6 @@ func recvNamed(info *types.Info, fd *ast.FuncDecl) *types.Named {
 	}
 	named, _ := t.(*types.Named)
 	return named
-}
-
-// checkSpecMethods requires the rest of the contract once a type opts in
-// with MarshalCanonical: Clone and Fingerprint methods, and a package
-// level ParseSpec so the canonical bytes can be read back.
-func checkSpecMethods(pass *analysis.Pass, fd *ast.FuncDecl, named *types.Named) {
-	ms := types.NewMethodSet(types.NewPointer(named))
-	for _, want := range []string{"Clone", "Fingerprint"} {
-		if ms.Lookup(named.Obj().Pkg(), want) == nil {
-			pass.Reportf(fd.Pos(),
-				"%s declares MarshalCanonical but has no %s method: spec types must implement the full canonical contract",
-				named.Obj().Name(), want)
-		}
-	}
-	if obj := pass.Pkg.Scope().Lookup("ParseSpec"); obj == nil {
-		pass.Reportf(fd.Pos(),
-			"%s declares MarshalCanonical but package %s has no ParseSpec: canonical bytes must be parseable back into the spec type",
-			named.Obj().Name(), pass.Pkg.Name())
-	} else if _, ok := obj.(*types.Func); !ok {
-		pass.Reportf(fd.Pos(),
-			"ParseSpec in package %s is not a function", pass.Pkg.Name())
-	}
 }
 
 // checkCanonicalMarshal requires MarshalCanonical's body to pass a value

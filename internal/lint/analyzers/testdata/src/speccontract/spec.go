@@ -1,6 +1,6 @@
-// Package speccontract exercises the speccontract analyzer: a complete
-// canonical-spec contract (Good) and a type that opts in via
-// MarshalCanonical but breaks every other clause (Bad).
+// Package speccontract exercises the speccontract analyzer: a spec type
+// that keeps the canonical-spec contract (Good) and one that opts in via
+// MarshalCanonical but breaks both clauses (Bad).
 package speccontract
 
 import (
@@ -9,8 +9,7 @@ import (
 	"encoding/json"
 )
 
-// Good implements the full contract: ParseSpec round-trip, Clone,
-// Fingerprint, json.Marshal of the spec type, hints zeroed outside the
+// Good marshals the spec type itself and zeroes its hints outside the
 // checked methods.
 type Good struct {
 	Steps   int     `json:"steps"`
@@ -30,11 +29,6 @@ func (g *Good) canonical() *Good {
 	return &c
 }
 
-func (g *Good) Clone() *Good {
-	c := *g
-	return &c
-}
-
 func (g *Good) Fingerprint() (string, error) {
 	data, err := g.MarshalCanonical()
 	if err != nil {
@@ -44,26 +38,25 @@ func (g *Good) Fingerprint() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// ParseSpec reads canonical bytes back into the spec type.
-func ParseSpec(data []byte) (*Good, error) {
-	var g Good
-	if err := json.Unmarshal(data, &g); err != nil {
-		return nil, err
-	}
-	return &g, nil
-}
-
-// Bad declares MarshalCanonical but hand-rolls the bytes, reads a
-// runtime-only hint while doing it, and has neither Clone nor
-// Fingerprint.
+// Bad declares MarshalCanonical but hand-rolls the bytes, and reads a
+// runtime-only hint both while doing it and in its Fingerprint.
 type Bad struct {
 	Steps     int       `json:"steps"`
 	WarmStart []float64 `json:"-"`
 }
 
-func (b *Bad) MarshalCanonical() ([]byte, error) { // want "Bad declares MarshalCanonical but has no Clone method" "Bad declares MarshalCanonical but has no Fingerprint method" "MarshalCanonical on Bad never passes a Bad value to json\\.Marshal"
+func (b *Bad) MarshalCanonical() ([]byte, error) { // want "MarshalCanonical on Bad never passes a Bad value to json\\.Marshal"
 	if len(b.WarmStart) > 0 { // want "WarmStart is tagged json:\"-\" \\(runtime-only\\) but is read inside MarshalCanonical"
 		return json.Marshal(map[string]int{"steps": b.Steps})
 	}
 	return json.Marshal(b.Steps)
+}
+
+func (b *Bad) Fingerprint() string {
+	if len(b.WarmStart) > 0 { // want "WarmStart is tagged json:\"-\" \\(runtime-only\\) but is read inside Fingerprint"
+		return "warm"
+	}
+	data, _ := b.MarshalCanonical()
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }

@@ -398,7 +398,7 @@ func (t *Task) UnmarshalJSON(data []byte) error {
 // every spelling of the same task — "ppc" vs "perf-per-cost", implied vs
 // explicit defaults — maps to identical bytes.
 //
-//libra:allow speccontract Task is the kind envelope, not a spec type: canonical form, parsing (Parse), and cloning all delegate to the per-kind specs
+//libra:allow speccontract Task is the kind envelope, not a spec type: it marshals an envelope whose payload is each kind's own canonical form
 func (t *Task) MarshalCanonical() ([]byte, error) { return t.marshal(true) }
 
 // Fingerprint digests the canonical envelope — a stable identity for

@@ -251,8 +251,8 @@ func TestRunDispatchAllKinds(t *testing.T) {
 		t.Fatalf("frontier returned %T", res)
 	}
 
-	cspec, err := codesign.ParseSpec([]byte(`{"base":{"topology":"RI(4)_SW(8)","budget_gbps":200,
-		"workloads":[{"transformer":{"num_layers":2,"hidden":256,"seq_len":64,"tp":2,"minibatch":4}}]},"tps":[2,4]}`))
+	cspec, err := core.DecodeStrict[codesign.Spec]([]byte(`{"base":{"topology":"RI(4)_SW(8)","budget_gbps":200,
+		"workloads":[{"transformer":{"num_layers":2,"hidden":256,"seq_len":64,"tp":2,"minibatch":4}}]},"tps":[2,4]}`), "codesign")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +274,10 @@ func TestRunDispatchAllKinds(t *testing.T) {
 		t.Fatalf("validate returned %T", res)
 	}
 
-	clspec, err := cluster.ParseSpec([]byte(`{"topology":"RI(4)_SW(8)","budget_gbps":200,
+	clspec, err := core.DecodeStrict[cluster.Spec]([]byte(`{"topology":"RI(4)_SW(8)","budget_gbps":200,
 		"jobs":[{"transformer":{"num_layers":2,"hidden":256,"seq_len":64,"tp":2,"minibatch":4}},
 		        {"name":"two","transformer":{"num_layers":2,"hidden":128,"seq_len":64,"tp":2,"minibatch":4}}],
-		"partition_steps":4}`))
+		"partition_steps":4}`), "cluster")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,16 +326,16 @@ var progressStages = []string{"sweep", "frontier", "codesign", "codesign-frontie
 // the study's stage, never a bare "frontier" one.
 func TestRunFrontierProgress(t *testing.T) {
 	budgets := []float64{100, 150, 200, 250}
-	cspec, err := codesign.ParseSpec([]byte(`{"base":{"topology":"RI(4)_SW(8)","budget_gbps":200,
+	cspec, err := core.DecodeStrict[codesign.Spec]([]byte(`{"base":{"topology":"RI(4)_SW(8)","budget_gbps":200,
 		"workloads":[{"transformer":{"num_layers":2,"hidden":256,"seq_len":64,"tp":2,"minibatch":4}}]},
-		"tps":[2,4],"budgets":[100,200]}`))
+		"tps":[2,4],"budgets":[100,200]}`), "codesign")
 	if err != nil {
 		t.Fatal(err)
 	}
-	clspec, err := cluster.ParseSpec([]byte(`{"topology":"RI(4)_SW(8)","budget_gbps":200,
+	clspec, err := core.DecodeStrict[cluster.Spec]([]byte(`{"topology":"RI(4)_SW(8)","budget_gbps":200,
 		"jobs":[{"transformer":{"num_layers":2,"hidden":256,"seq_len":64,"tp":2,"minibatch":4}},
 		        {"name":"two","transformer":{"num_layers":2,"hidden":128,"seq_len":64,"tp":2,"minibatch":4}}],
-		"partition_steps":4,"budgets":[100,200]}`))
+		"partition_steps":4,"budgets":[100,200]}`), "cluster")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,8 +528,8 @@ func TestResultTypesHaveNoInProcessFields(t *testing.T) {
 
 // Every strict decoder rejects data after the JSON value (a second
 // document, garbage, a stray brace) and still accepts trailing
-// whitespace: the envelope, each kind's bare payload, and the four
-// ParseSpec entry points.
+// whitespace: the envelope, each kind's bare payload, and
+// core.ParseSpec.
 func TestTrailingDataRejected(t *testing.T) {
 	type entry struct {
 		name  string
@@ -553,11 +553,7 @@ func TestTrailingDataRejected(t *testing.T) {
 			entry{"payload/" + string(kind), func(b []byte) error { _, err := FromKindPayload(kind, b); return err }, string(env.Spec)})
 	}
 	entries = append(entries,
-		entry{"core.ParseSpec", func(b []byte) error { _, err := core.ParseSpec(b); return err }, payloads[KindOptimize]},
-		entry{"codesign.ParseSpec", func(b []byte) error { _, err := codesign.ParseSpec(b); return err }, payloads[KindCoDesign]},
-		entry{"validate.ParseSpec", func(b []byte) error { _, err := validate.ParseSpec(b); return err }, payloads[KindValidate]},
-		entry{"cluster.ParseSpec", func(b []byte) error { _, err := cluster.ParseSpec(b); return err }, payloads[KindCluster]},
-	)
+		entry{"core.ParseSpec", func(b []byte) error { _, err := core.ParseSpec(b); return err }, payloads[KindOptimize]})
 	for _, e := range entries {
 		t.Run(e.name, func(t *testing.T) {
 			if err := e.parse([]byte(e.good + " \n\t")); err != nil {
@@ -596,16 +592,122 @@ func TestMistypedSpecRejected(t *testing.T) {
 	}
 }
 
-// FuzzTaskParse drives the envelope parser with arbitrary bytes: it must
-// never panic, and for any accepted task whose spec builds,
-// MarshalCanonical → Parse → MarshalCanonical is a fixed point and the
-// fingerprint is stable.
-func FuzzTaskParse(f *testing.F) {
+// payloadSeeds are bare kind payloads for FuzzTaskParse, wrapped in
+// their envelope: full, minimal, unbuildable and malformed spellings of
+// each spec type.
+var payloadSeeds = []struct {
+	kind   Kind
+	bodies []string
+}{
+	{KindOptimize, []string{
+		`{}`,
+		`{"topology": "4D-4K", "workloads": [{"preset": "GPT-3"}], "budget_gbps": 500}`,
+		`{"topology": "RI(4)_FC(8)_RI(4)_SW(32)", "budget_gbps": 500,
+		  "workloads": [{"preset": "GPT-3"}, {"preset": "DLRM", "weight": 2}],
+		  "objective": "ppc", "loop": "overlap", "opt_policy": "ideal",
+		  "min_dim_bw": 0.5, "in_network": [false, false, false, true],
+		  "constraints": [{"kind": "dim-cap", "dim": 4, "value": 50},
+		                  {"kind": "ordered", "dim": 1, "dim2": 4}],
+		  "solver": {"starts": 2, "seed": 7, "strategy": "cd"}}`,
+		`{"topology": "RI(4)_SW(8)", "budget_gbps": 300,
+		  "workloads": [{"transformer": {"name": "tiny", "num_layers": 4, "hidden": 512,
+		  "seq_len": 64, "tp": 4, "minibatch": 8}}]}`,
+		`{"topology": "RI(2)_RI(2)", "budget_gbps": 10, "skip_budget": true,
+		  "workloads": [{"transformer": {"num_layers": 2, "hidden": 8, "seq_len": 4,
+		  "tp": 1, "pp": 2, "dp": 2, "minibatch": 4, "microbatches": 2}}],
+		  "constraints": [{"kind": "dollar-budget", "value": 1e6}],
+		  "compute": {"effective_tflops": 100, "memory_bw_gbps": 1000},
+		  "cost": {"tiers": {"Node": {"link_per_gbps": 10}}}}`,
+		`{"topology": "definitely-not", "workloads": []}`,
+		`{"unknown_field": 1}`,
+		`[]`,
+		`nul`,
+	}},
+	{KindCoDesign, []string{
+		`{}`,
+		`{"base": {"topology": "RI(4)_SW(8)", "budget_gbps": 300,
+		  "workloads": [{"transformer": {"name": "tiny", "num_layers": 4,
+		  "hidden": 512, "seq_len": 64, "tp": 4, "minibatch": 8}}]},
+		  "tps": [2, 4, 8]}`,
+		`{"base": {"topology": "4D-4K", "budget_gbps": 1000,
+		  "workloads": [{"preset": "MSFT-1T"}]},
+		  "tps": [64, 128], "memory_gb": 80}`,
+		`{"base": {"topology": "RI(2)_RI(2)_RI(2)", "budget_gbps": 100,
+		  "workloads": [{"transformer": {"num_layers": 4, "hidden": 16,
+		  "seq_len": 8, "tp": 2, "pp": 2, "dp": 2, "minibatch": 4, "microbatches": 2}}]},
+		  "pps": [1, 2], "global_batch": 8, "budgets": [50, 100], "skip_equal_bw": true}`,
+		`{"base": {"topology": "nope", "workloads": []}}`,
+		`{"tps": [0]}`,
+		`{"bogus": true}`,
+	}},
+	{KindValidate, []string{
+		`{}`,
+		`{"topologies": ["3D-Torus"], "workloads": ["DLRM"], "collectives": ["ar", "a2a"]}`,
+		`{"topologies": ["RI(4)_SW(8)"], "loops": ["overlap"], "budget_gbps": 100,
+		  "collective_bytes": 5e8, "chunks": 16, "npu_level_chunks": 2,
+		  "npu_level_max_npus": 64, "in_network": true, "tolerance": 0.3}`,
+		`{"collectives": ["broadcast"]}`,
+		`{"topologies": ["bogus"]}`,
+		`{"unknown": 1}`,
+	}},
+	{KindCluster, []string{
+		`{}`,
+		`{"jobs": [{"preset": "GPT-3"}, {"preset": "DLRM", "weight": 0.5}]}`,
+		`{"topology": "RI(4)_SW(8)", "budget_gbps": 300, "partition_steps": 4,
+		  "jobs": [{"name": "t", "transformer": {"num_layers": 4, "hidden": 512, "seq_len": 64, "tp": 4}}],
+		  "policies": ["group-opt", "partition"]}`,
+		`{"jobs": [{"preset": "MSFT-1T", "weight": 0}, {"preset": "GPT-3"}],
+		  "budgets": [500, 1000, 2000], "solver": {"starts": 1}}`,
+		`{"policies": ["nope"]}`,
+		`{"topology": "bogus"}`,
+		`{"unknown": 1}`,
+	}},
+}
+
+// fuzzSeeds is FuzzTaskParse's seed corpus: every kindCases body, a few
+// malformed envelopes, then the payloadSeeds.
+func fuzzSeeds() []string {
+	var seeds []string
 	for _, tc := range kindCases {
-		f.Add([]byte(tc.body))
+		seeds = append(seeds, tc.body)
 	}
-	for _, s := range []string{`{}`, `{"kind":"divinate"}`, `{"kind":"optimize","spec":null}`,
-		`{"kind":"evaluate","spec":{"spec":null,"bw":[1]}}`, `{"kind":"validate","spec":[]}`, `nul`} {
+	seeds = append(seeds, `{}`, `{"kind":"divinate"}`, `{"kind":"optimize","spec":null}`,
+		`{"kind":"evaluate","spec":{"spec":null,"bw":[1]}}`, `{"kind":"validate","spec":[]}`, `nul`)
+	for _, p := range payloadSeeds {
+		for _, body := range p.bodies {
+			seeds = append(seeds, `{"kind":"`+string(p.kind)+`","spec":`+body+`}`)
+		}
+	}
+	return seeds
+}
+
+// Every kind has a seed in FuzzTaskParse's corpus that parses and
+// canonicalizes, so a kind added to the registry cannot go unfuzzed.
+func TestFuzzSeedsCoverEveryKind(t *testing.T) {
+	seeded := map[Kind]bool{}
+	for _, s := range fuzzSeeds() {
+		tk, err := Parse([]byte(s))
+		if err != nil {
+			continue
+		}
+		if _, err := tk.MarshalCanonical(); err == nil {
+			seeded[tk.Kind] = true
+		}
+	}
+	for _, k := range Kinds() {
+		if !seeded[k] {
+			t.Errorf("FuzzTaskParse has no seed that parses and canonicalizes as a %s task", k)
+		}
+	}
+}
+
+// FuzzTaskParse drives the envelope parser with arbitrary bytes: it must
+// never panic; an accepted task's verbatim wire form re-parses and never
+// turns an unbuildable task buildable; and for any accepted task whose
+// spec builds, MarshalCanonical → Parse → MarshalCanonical is a fixed
+// point and the fingerprint is stable across both round-trips.
+func FuzzTaskParse(f *testing.F) {
+	for _, s := range fuzzSeeds() {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -616,10 +718,21 @@ func FuzzTaskParse(f *testing.F) {
 			}
 			return
 		}
+		wire, err := json.Marshal(tk)
+		if err != nil {
+			t.Fatalf("accepted task does not marshal: %v", err)
+		}
+		back, err := Parse(wire)
+		if err != nil {
+			t.Fatalf("wire form does not re-parse: %v\n%s", err, wire)
+		}
 		canon, err := tk.MarshalCanonical()
 		if err != nil {
 			if _, fpErr := tk.Fingerprint(); !errors.Is(fpErr, core.ErrBadSpec) {
 				t.Fatalf("unbuildable task fingerprints: %v", fpErr)
+			}
+			if _, err := back.MarshalCanonical(); err == nil {
+				t.Fatalf("wire round-trip made an unbuildable task buildable:\n%s", wire)
 			}
 			return
 		}
@@ -635,8 +748,10 @@ func FuzzTaskParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonicalizable task does not fingerprint: %v", err)
 		}
-		if fp2, err := re.Fingerprint(); err != nil || fp2 != fp {
-			t.Fatalf("fingerprint not stable: %q vs %q (%v)", fp, fp2, err)
+		for _, other := range []*Task{re, back} {
+			if fp2, err := other.Fingerprint(); err != nil || fp2 != fp {
+				t.Fatalf("fingerprint not stable: %q vs %q (%v)", fp, fp2, err)
+			}
 		}
 	})
 }

@@ -1,18 +1,10 @@
 package telemetry
 
-import "expvar"
-
 // Default is the process-wide registry every instrument point in the
 // repository reports through — what GET /metrics serves. Tests that need
 // isolation build their own Registry; the catalog below deliberately
 // aggregates across engines/managers in one process (deltas sum).
 var Default = NewRegistry()
-
-func init() {
-	// expvar mirror: the whole catalog as one JSON map under /debug/vars
-	// (served by the -debug-addr listener alongside pprof).
-	expvar.Publish("libra_metrics", expvar.Func(func() any { return Default.Snapshot() }))
-}
 
 // The metric catalog. One declaration per series the system emits — this
 // block is the authoritative companion of the README's metrics table.

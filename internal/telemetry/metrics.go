@@ -1,9 +1,8 @@
 // Package telemetry is LIBRA's zero-dependency observability substrate:
 // a metrics registry (counters, gauges, histograms, labeled vectors) with
-// Prometheus text-format exposition and expvar mirroring, a structured
-// logger factory over log/slog, and lightweight context-carried tracing
-// (request/trace IDs plus timed spans recorded onto the async job event
-// log).
+// Prometheus text-format exposition, a structured logger factory over
+// log/slog, and lightweight context-carried tracing (request/trace IDs
+// plus timed spans recorded onto the async job event log).
 //
 // The package-level metric catalog (catalog.go) is the one place every
 // subsystem's instrument points live; hot solver paths touch only
@@ -30,9 +29,8 @@ type metric interface {
 	help() string
 	typ() string
 	// writeSamples emits the family's sample lines in Prometheus text
-	// format, and mirrors them into m for the expvar snapshot when m is
-	// non-nil.
-	writeSamples(w io.Writer, m map[string]any)
+	// format.
+	writeSamples(w io.Writer)
 }
 
 // Registry holds a set of metric families and renders them in Prometheus
@@ -68,22 +66,8 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.RUnlock()
 	for _, m := range metrics {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name(), m.help(), m.name(), m.typ())
-		m.writeSamples(w, nil)
+		m.writeSamples(w)
 	}
-}
-
-// Snapshot flattens the registry into a map for the expvar mirror:
-// "name{label=...}" → value for counters and gauges, "name_count"/
-// "name_sum" entries for histograms.
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.RLock()
-	metrics := append([]metric(nil), r.metrics...)
-	r.mu.RUnlock()
-	out := make(map[string]any)
-	for _, m := range metrics {
-		m.writeSamples(io.Discard, out)
-	}
-	return out
 }
 
 // Handler serves the registry in Prometheus text format; mount it at
@@ -131,8 +115,8 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 
 func (c *Counter) typ() string { return "counter" }
 
-func (c *Counter) writeSamples(w io.Writer, m map[string]any) {
-	writeScalar(w, m, c.n, "", float64(c.v.Load()))
+func (c *Counter) writeSamples(w io.Writer) {
+	writeScalar(w, c.n, "", float64(c.v.Load()))
 }
 
 // ---- Gauge ----
@@ -165,8 +149,8 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 func (g *Gauge) typ() string { return "gauge" }
 
-func (g *Gauge) writeSamples(w io.Writer, m map[string]any) {
-	writeScalar(w, m, g.n, "", float64(g.v.Load()))
+func (g *Gauge) writeSamples(w io.Writer) {
+	writeScalar(w, g.n, "", float64(g.v.Load()))
 }
 
 // ---- GaugeFunc ----
@@ -189,8 +173,8 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) *GaugeFunc
 
 func (g *GaugeFunc) typ() string { return "gauge" }
 
-func (g *GaugeFunc) writeSamples(w io.Writer, m map[string]any) {
-	writeScalar(w, m, g.n, "", g.fn())
+func (g *GaugeFunc) writeSamples(w io.Writer) {
+	writeScalar(w, g.n, "", g.fn())
 }
 
 // ---- Histogram ----
@@ -264,22 +248,22 @@ func (h *Histogram) Sum() float64 { return h.sum.Load() }
 
 func (h *Histogram) typ() string { return "histogram" }
 
-func (h *Histogram) writeSamples(w io.Writer, m map[string]any) {
-	h.writeLabeled(w, m, "")
+func (h *Histogram) writeSamples(w io.Writer) {
+	h.writeLabeled(w, "")
 }
 
 // writeLabeled emits the histogram's sample lines with extra pre-rendered
 // labels (`k="v"` pairs, comma-joined) merged into each line.
-func (h *Histogram) writeLabeled(w io.Writer, m map[string]any, labels string) {
+func (h *Histogram) writeLabeled(w io.Writer, labels string) {
 	cum := uint64(0)
 	for i, b := range h.bounds {
 		cum += h.counts[i].Load()
-		writeScalar(w, nil, h.n+"_bucket", joinLabels(labels, `le="`+formatFloat(b)+`"`), float64(cum))
+		writeScalar(w, h.n+"_bucket", joinLabels(labels, `le="`+formatFloat(b)+`"`), float64(cum))
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	writeScalar(w, nil, h.n+"_bucket", joinLabels(labels, `le="+Inf"`), float64(cum))
-	writeScalar(w, m, h.n+"_sum", labels, h.sum.Load())
-	writeScalar(w, m, h.n+"_count", labels, float64(cum))
+	writeScalar(w, h.n+"_bucket", joinLabels(labels, `le="+Inf"`), float64(cum))
+	writeScalar(w, h.n+"_sum", labels, h.sum.Load())
+	writeScalar(w, h.n+"_count", labels, float64(cum))
 }
 
 // ---- Labeled vectors ----
@@ -309,9 +293,9 @@ func (v *CounterVec) With(values ...string) *Counter { return v.child(values) }
 
 func (v *CounterVec) typ() string { return "counter" }
 
-func (v *CounterVec) writeSamples(w io.Writer, m map[string]any) {
+func (v *CounterVec) writeSamples(w io.Writer) {
 	v.each(func(labels string, c *Counter) {
-		writeScalar(w, m, v.n, labels, float64(c.Value()))
+		writeScalar(w, v.n, labels, float64(c.Value()))
 	})
 }
 
@@ -337,9 +321,9 @@ func (v *GaugeVec) With(values ...string) *Gauge { return v.child(values) }
 
 func (v *GaugeVec) typ() string { return "gauge" }
 
-func (v *GaugeVec) writeSamples(w io.Writer, m map[string]any) {
+func (v *GaugeVec) writeSamples(w io.Writer) {
 	v.each(func(labels string, g *Gauge) {
-		writeScalar(w, m, v.n, labels, float64(g.Value()))
+		writeScalar(w, v.n, labels, float64(g.Value()))
 	})
 }
 
@@ -367,9 +351,9 @@ func (v *HistogramVec) With(values ...string) *Histogram { return v.child(values
 
 func (v *HistogramVec) typ() string { return "histogram" }
 
-func (v *HistogramVec) writeSamples(w io.Writer, m map[string]any) {
+func (v *HistogramVec) writeSamples(w io.Writer) {
 	v.each(func(labels string, h *Histogram) {
-		h.writeLabeled(w, m, labels)
+		h.writeLabeled(w, labels)
 	})
 }
 
@@ -489,19 +473,11 @@ func joinLabels(a, b string) string {
 	return a + "," + b
 }
 
-// writeScalar emits one sample line and mirrors it into the expvar
-// snapshot map when m is non-nil.
-func writeScalar(w io.Writer, m map[string]any, name, labels string, v float64) {
+// writeScalar emits one sample line.
+func writeScalar(w io.Writer, name, labels string, v float64) {
 	if labels == "" {
 		fmt.Fprintf(w, "%s %s\n", name, formatFloat(v))
 	} else {
 		fmt.Fprintf(w, "%s{%s} %s\n", name, labels, formatFloat(v))
-	}
-	if m != nil {
-		k := name
-		if labels != "" {
-			k = name + "{" + labels + "}"
-		}
-		m[k] = v
 	}
 }

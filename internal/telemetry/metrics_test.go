@@ -158,24 +158,6 @@ func TestVecWrongLabelCountPanics(t *testing.T) {
 	v.With("only-one")
 }
 
-func TestSnapshotMirrorsValues(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounter("t_c", "c.").Add(5)
-	r.NewCounterVec("t_v", "v.", "k").With("x").Inc()
-	h := r.NewHistogram("t_h", "h.", []float64{1})
-	h.Observe(0.5)
-	snap := r.Snapshot()
-	if snap["t_c"] != 5.0 {
-		t.Errorf("snapshot t_c = %v, want 5", snap["t_c"])
-	}
-	if snap[`t_v{k="x"}`] != 1.0 {
-		t.Errorf("snapshot t_v = %v, want 1", snap[`t_v{k="x"}`])
-	}
-	if snap["t_h_count"] != 1.0 || snap["t_h_sum"] != 0.5 {
-		t.Errorf("snapshot histogram = count %v sum %v", snap["t_h_count"], snap["t_h_sum"])
-	}
-}
-
 func TestHandlerServesTextFormat(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("t_served", "served.").Inc()
@@ -245,7 +227,6 @@ func TestConcurrentRegistryStress(t *testing.T) {
 				hv.With(keys[(i+w)%len(keys)]).Observe(0.01)
 				if i%100 == 0 {
 					render(r)
-					r.Snapshot()
 				}
 			}
 		}(w)

@@ -127,14 +127,6 @@ type Spec struct {
 	Tolerance float64 `json:"tolerance,omitempty"`
 }
 
-// ParseSpec decodes a Spec from JSON (see core.DecodeStrict).
-func ParseSpec(data []byte) (*Spec, error) {
-	return core.DecodeStrict[Spec](data, "validate: bad spec")
-}
-
-// Clone deep-copies the spec (via its JSON form).
-func (s *Spec) Clone() *Spec { return core.CloneJSON(s) }
-
 // resolved is a spec with every default filled and every axis parsed.
 type resolved struct {
 	topologies  []string
@@ -326,11 +318,6 @@ func (s *Spec) MarshalCanonical() ([]byte, error) {
 	}
 	return json.Marshal(canon)
 }
-
-// Fingerprint returns a stable hex digest of the canonical spec. Two
-// specs describing the same conformance matrix fingerprint identically
-// regardless of spelling.
-func (s *Spec) Fingerprint() (string, error) { return core.Digest(s.MarshalCanonical()) }
 
 // ---- Small helpers ----
 

@@ -214,9 +214,9 @@ func TestIterationKeysIgnoreCollectivePayload(t *testing.T) {
 	if _, err := Compute(context.Background(), e, spec); err != nil {
 		t.Fatal(err)
 	}
-	other := spec.Clone()
+	other := *spec
 	other.CollectiveBytes = 5e8
-	rep, err := Compute(context.Background(), e, other)
+	rep, err := Compute(context.Background(), e, &other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestUnmappableWorkloadSkips(t *testing.T) {
 func TestSpecFingerprintCanonicalization(t *testing.T) {
 	fp := func(s *Spec) string {
 		t.Helper()
-		f, err := s.Fingerprint()
+		f, err := core.Digest(s.MarshalCanonical())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func TestSpecFingerprintCanonicalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reparsed, err := ParseSpec(canon)
+	reparsed, err := core.DecodeStrict[Spec](canon, "validate: bad spec")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,10 +333,10 @@ func TestSpecErrors(t *testing.T) {
 			t.Errorf("bad spec %d: want ErrBadSpec, got %v", i, err)
 		}
 	}
-	if _, err := ParseSpec([]byte(`{"topolgies": []}`)); err == nil {
+	if _, err := core.DecodeStrict[Spec]([]byte(`{"topolgies": []}`), "validate: bad spec"); err == nil {
 		t.Error("unknown field should fail strict parsing")
 	}
-	if _, err := ParseSpec([]byte(`{broken`)); err == nil {
+	if _, err := core.DecodeStrict[Spec]([]byte(`{broken`), "validate: bad spec"); err == nil {
 		t.Error("malformed JSON should fail")
 	}
 	if _, err := Compute(context.Background(), nil, &Spec{}); err == nil {

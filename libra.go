@@ -588,10 +588,6 @@ func Cluster(ctx context.Context, s FrontierSolver, spec *ClusterSpec) (*Cluster
 	return cluster.Compute(ctx, s, spec)
 }
 
-// ParseClusterSpec decodes a ClusterSpec from JSON, rejecting unknown
-// fields.
-func ParseClusterSpec(data []byte) (*ClusterSpec, error) { return cluster.ParseSpec(data) }
-
 // ---- Collectives and simulation ----
 
 // CollectiveOp is a collective communication pattern.
