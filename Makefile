@@ -157,7 +157,9 @@ fuzz-smoke:
 # series actually moved. It then hard-kills the server and reboots it on
 # the same -cache-dir with a -warmup file: the warmup replay must be
 # answered from disk (libra_store_hits_total > 0, zero new solver
-# solves for the warmed spec). What CI's server-smoke step runs.
+# solves for the warmed spec). On exit it kills whichever server is
+# running and waits for it, so the target returns only after that server
+# has exited. What CI's server-smoke step runs.
 SMOKEDIR := $(or $(RUNNER_TEMP),/tmp)
 smoke:
 	@set -e; \
@@ -167,7 +169,7 @@ smoke:
 	$(SMOKEDIR)/libra-serve -addr 127.0.0.1:0 -print-addr -cache-dir $(SMOKEDIR)/libra-cache \
 		> $(SMOKEDIR)/libra-serve.addr 2> $(SMOKEDIR)/libra-serve.log & \
 	pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
+	trap 'kill $$pid 2>/dev/null || true; wait $$pid 2>/dev/null || true' EXIT; \
 	for i in $$(seq 1 100); do [ -s $(SMOKEDIR)/libra-serve.addr ] && break; sleep 0.1; done; \
 	addr=$$(head -n1 $(SMOKEDIR)/libra-serve.addr); \
 	if [ -z "$$addr" ]; then echo "libra-serve never came up:"; cat $(SMOKEDIR)/libra-serve.log; exit 1; fi; \
@@ -184,7 +186,7 @@ smoke:
 	curl -fsS "$$addr/metrics" > $(SMOKEDIR)/libra-metrics.txt; \
 	for series in libra_http_requests_total libra_tasks_total \
 		libra_engine_cache_misses_total libra_jobs_submitted_total \
-		libra_store_puts_total; do \
+		libra_store_puts_total libra_process_cpu_seconds_total; do \
 		grep -q "^$$series" $(SMOKEDIR)/libra-metrics.txt || \
 			{ echo "smoke: /metrics missing $$series"; exit 1; }; \
 	done; \

@@ -278,10 +278,11 @@ func (p *Problem) plans(policy timemodel.MappingPolicy) ([]*timemodel.Plan, erro
 // only the analytical model per point instead of re-validating the whole
 // problem each call. An Evaluator goes stale if its Problem is mutated.
 type Evaluator struct {
-	p     *Problem
-	plans []*timemodel.Plan
-	rates []float64
-	wsum  float64
+	p       *Problem
+	plans   []*timemodel.Plan
+	rates   []float64
+	weights []float64
+	wsum    float64
 }
 
 // NewEvaluator validates the problem and hoists all per-problem work out
@@ -298,9 +299,10 @@ func (p *Problem) NewEvaluator() (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Evaluator{p: p, plans: plans, rates: rates}
+	e := &Evaluator{p: p, plans: plans, rates: rates, weights: make([]float64, len(p.Targets))}
 	for i := range p.Targets {
-		e.wsum += p.weight(i)
+		e.weights[i] = p.weight(i)
+		e.wsum += e.weights[i]
 	}
 	return e, nil
 }
@@ -314,7 +316,7 @@ func (e *Evaluator) Evaluate(bw topology.BWConfig) (Result, error) {
 			return Result{}, fmt.Errorf("core: target %s: %w", e.p.Targets[i].Workload.Name, err)
 		}
 		res.Times[i] = b.Total
-		res.WeightedTime += e.p.weight(i) * b.Total
+		res.WeightedTime += e.weights[i] * b.Total
 		if i == 0 {
 			res.Utilization = b.AvgUtilization()
 		}
@@ -405,6 +407,9 @@ type Optimizer struct {
 	p     *Problem
 	eval  *Evaluator
 	plans []*timemodel.Plan
+	// weighted prices the weighted mean time of plans under the
+	// evaluator's target weights.
+	weighted timemodel.Weighted
 }
 
 // NewOptimizer validates the problem and prepares the per-point solve
@@ -429,7 +434,7 @@ func (e *Evaluator) optimizer() (*Optimizer, error) {
 			return nil, err
 		}
 	}
-	return &Optimizer{p: e.p, eval: e, plans: plans}, nil
+	return &Optimizer{p: e.p, eval: e, plans: plans, weighted: timemodel.NewWeighted(plans, e.weights, e.wsum)}, nil
 }
 
 // Evaluator exposes the hoisted Actual-policy evaluator, so sweeps can
@@ -481,22 +486,9 @@ func (o *Optimizer) solve(ctx context.Context, budget float64, solverOpts opt.Op
 // time multiplied by the network's dollar cost — and whether it is
 // convex (only the pure time objective is).
 func (o *Optimizer) objective() (f func([]float64) float64, convex bool) {
-	p := o.p
 	costRates := o.eval.rates
-	plans, wsum := o.plans, o.eval.wsum
-	weightedTime := func(x []float64) float64 {
-		bw := topology.BWConfig(x)
-		total := 0.0
-		for i, pl := range plans {
-			t := pl.Time(bw)
-			if math.IsInf(t, 1) || t >= 1e300 {
-				return math.Inf(1)
-			}
-			total += p.weight(i) * t
-		}
-		return total / wsum
-	}
-	if p.Objective != PerfPerCostOpt {
+	weightedTime := o.weighted.Time
+	if o.p.Objective != PerfPerCostOpt {
 		return weightedTime, true
 	}
 	return func(x []float64) float64 {

@@ -23,6 +23,7 @@ var metricCtors = map[string]bool{
 	"NewGauge":        true,
 	"NewGaugeVec":     true,
 	"NewGaugeFunc":    true,
+	"NewCounterFunc":  true,
 	"NewHistogram":    true,
 	"NewHistogramVec": true,
 }

@@ -129,4 +129,9 @@ var (
 
 	SpansDropped = Default.NewCounter("libra_trace_spans_dropped_total",
 		"Spans dropped because a job's event log hit its per-job span cap.")
+
+	// ---- Process ----
+	//
+	// ProcessCPU (libra_process_cpu_seconds_total) is declared in
+	// rusage.go: it exists only on platforms with getrusage.
 )

@@ -177,6 +177,21 @@ func (g *GaugeFunc) writeSamples(w io.Writer) {
 	writeScalar(w, g.n, "", g.fn())
 }
 
+// CounterFunc is a counter whose value is pulled from a callback at
+// scrape time — for a monotone total someone else already keeps (the
+// kernel's CPU-time accounting).
+type CounterFunc struct{ GaugeFunc }
+
+// NewCounterFunc registers a callback counter on the registry. fn must be
+// safe for concurrent use and never decrease.
+func (r *Registry) NewCounterFunc(name, help string, fn func() float64) *CounterFunc {
+	c := &CounterFunc{GaugeFunc{meta: meta{n: name, h: help}, fn: fn}}
+	r.register(c)
+	return c
+}
+
+func (c *CounterFunc) typ() string { return "counter" }
+
 // ---- Histogram ----
 
 // DefBuckets are solver-latency-appropriate histogram bounds in seconds:

@@ -7,10 +7,13 @@
 // parallelism outermost, splitting a dimension when the TP degree ends
 // inside it), prices every layer's compute and resolves every collective's
 // per-dimension traffic under the multi-rail analytical model, once, into
-// a Plan. The Plan is the one pricing path: Plan.Time folds it into the
-// iteration time the optimizer minimizes, and Plan.Iteration folds the
-// same terms in the same order into the full Breakdown that evaluation
-// reports, so Time(bw) equals Iteration(bw).Total bit for bit.
+// a Plan that interns identical collectives. The Plan is the one pricing
+// path: one kernel prices each distinct collective once and folds the
+// stages into the iteration time the optimizer minimizes (Plan.Time for
+// one workload, Weighted for a problem's weighted targets), and
+// Plan.Iteration walks the same stages with the same operations into the
+// full Breakdown that evaluation reports, so Time(bw) equals
+// Iteration(bw).Total bit for bit.
 package timemodel
 
 import (

@@ -44,12 +44,28 @@ func (b BWConfig) Validate(n *Network) error {
 	if len(b) != n.NumDims() {
 		return fmt.Errorf("topology: BW config has %d entries for a %dD network", len(b), n.NumDims())
 	}
-	for i, v := range b {
-		if !(v > 0) || math.IsInf(v, 0) || math.IsNaN(v) {
-			return fmt.Errorf("topology: dim %d bandwidth %v must be positive and finite", i+1, v)
-		}
+	if i := b.firstInvalid(); i >= 0 {
+		return fmt.Errorf("topology: dim %d bandwidth %v must be positive and finite", i+1, b[i])
 	}
 	return nil
+}
+
+// Valid reports whether Validate would accept b on a network of ndims
+// dimensions, without building an error: the check a pricing hot path
+// runs once per call.
+func (b BWConfig) Valid(ndims int) bool {
+	return len(b) == ndims && b.firstInvalid() < 0
+}
+
+// firstInvalid returns the index of the first entry that is not strictly
+// positive and finite, or -1.
+func (b BWConfig) firstInvalid() int {
+	for i, v := range b {
+		if !(v > 0 && v <= math.MaxFloat64) { // NaN fails both comparisons
+			return i
+		}
+	}
+	return -1
 }
 
 // String renders the allocation like "[30.0 20.0 15.0 35.0] GB/s".
